@@ -7,9 +7,9 @@ seeds make up a run.  Every field has a sensible default, so an empty file
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, get_type_hints
 
 import yaml
 
@@ -89,15 +89,18 @@ class ExperimentConfig:
         for model, overrides in self.train_overrides.items():
             if model not in MODEL_KINDS:
                 raise InvalidConfigError(f"train_overrides for unknown model {model!r}")
+            if not isinstance(overrides, Mapping):
+                raise InvalidConfigError(f"train_overrides for {model!r} must be a mapping")
             self._merged_train_config(model, overrides)  # raises on bad fields
 
     @staticmethod
     def _merged_train_config(model: str, overrides: Mapping[str, Any]) -> TrainConfig:
         base = DEFAULT_TRAIN_CONFIGS[model]
-        known = {f.name for f in fields(TrainConfig)}
-        unknown = sorted(set(overrides) - known)
+        unknown = sorted(set(overrides) - set(_TRAIN_FIELD_TYPES))
         if unknown:
             raise InvalidConfigError(f"unknown train_overrides fields for {model!r}: {unknown}")
+        for name, value in overrides.items():
+            _typed(value, _TRAIN_FIELD_TYPES[name], f"train_overrides.{model}.{name}")
         return replace(base, **dict(overrides))
 
     def train_config(self, model: str) -> TrainConfig:
@@ -106,40 +109,36 @@ class ExperimentConfig:
         return self._merged_train_config(model, overrides)
 
 
-def _require(mapping: dict, key: str, kinds, where: str):
-    value = mapping.pop(key)
-    if not isinstance(value, kinds):
-        raise InvalidConfigError(f"{where}: field {key!r} has wrong type {type(value).__name__}")
+# a one-element list means "a list of that type"
+_FIELD_TYPES: dict[str, Any] = {
+    **dict.fromkeys(("datasets", "models", "conditions"), [str]),
+    **dict.fromkeys(("round_budgets", "seeds", "malicious_clients"), [int]),
+    **dict.fromkeys(("data_dir", "fl_average"), str),
+    **dict.fromkeys(("n_clients", "epoch_budget", "attack_seed"), int),
+    **dict.fromkeys(("test_fraction", "flip_fraction"), (int, float)),
+}
+_TRAIN_FIELD_TYPES = {name: (int, float) if hint is float else hint
+                      for name, hint in get_type_hints(TrainConfig).items()}
+
+
+def _typed(value, kinds, where: str):
+    """Return value (lists as tuples) if it has the given type; a bool is never a number."""
+    if isinstance(kinds, list):
+        if not isinstance(value, (list, tuple)):
+            raise InvalidConfigError(f"{where} must be a list")
+        return tuple(_typed(v, kinds[0], f"{where}[{i}]") for i, v in enumerate(value))
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise InvalidConfigError(f"{where} has wrong type {type(value).__name__}")
     return value
-
-
-def _as_tuple(value, where: str) -> tuple:
-    if isinstance(value, (list, tuple)):
-        return tuple(value)
-    raise InvalidConfigError(f"{where} must be a list")
 
 
 def config_from_dict(payload: Mapping[str, Any] | None, where: str = "config") -> ExperimentConfig:
     """Build a validated ExperimentConfig; unknown keys are hard errors."""
     data = dict(payload or {})
     kwargs: dict[str, Any] = {}
-
-    list_fields = ("datasets", "models", "conditions", "round_budgets", "seeds", "malicious_clients")
-    for name in list_fields:
+    for name, kinds in _FIELD_TYPES.items():
         if name in data:
-            kwargs[name] = _as_tuple(data.pop(name), f"{where}.{name}")
-    scalar_fields = {
-        "data_dir": str,
-        "n_clients": int,
-        "test_fraction": (int, float),
-        "epoch_budget": int,
-        "flip_fraction": (int, float),
-        "attack_seed": int,
-        "fl_average": str,
-    }
-    for name, kinds in scalar_fields.items():
-        if name in data:
-            kwargs[name] = _require(data, name, kinds, where)
+            kwargs[name] = _typed(data.pop(name), kinds, f"{where}.{name}")
     if "train_overrides" in data:
         overrides = data.pop("train_overrides")
         if not isinstance(overrides, dict):
@@ -153,6 +152,9 @@ def config_from_dict(payload: Mapping[str, Any] | None, where: str = "config") -
         unknown = sorted(set(out) - known)
         if unknown:
             raise InvalidConfigError(f"{where}.output has unknown fields: {unknown}")
+        for name, value in out.items():
+            if value is not None:
+                _typed(value, str, f"{where}.output.{name}")
         kwargs["output"] = OutputConfig(**out)
     if data:
         raise InvalidConfigError(f"{where} has unknown fields: {sorted(data)}")

@@ -125,9 +125,8 @@ def run_condition_detailed(
         raw, dataset.schema, cfg.n_clients, cfg.test_fraction, master_seed, "client"
     )
     attack = _attack_for(cfg, master_seed) if condition == "fl_poisoned" else None
-    per_budget: dict[int, MetricsReport] = {}
-    logs: dict[int, RoundLog] = {}
-    for budget in cfg.round_budgets:
+
+    def federate(budget: int) -> RoundLog:
         fed_cfg = FederationConfig(
             model_kind=model_kind,
             rounds=budget,
@@ -136,8 +135,15 @@ def run_condition_detailed(
             n_clients=cfg.n_clients,
             seed=master_seed,
         )
-        _, log = run_federated(partitions, fed_cfg, attack)
-        logs[budget] = log
+        return run_federated(partitions, fed_cfg, attack)[1]
+
+    if model_kind == "forest":  # one run serves every budget; see run_federated
+        full = federate(max(cfg.round_budgets))
+        logs = {b: RoundLog(full.records[:b], full.flip_masks) for b in cfg.round_budgets}
+    else:
+        logs = {b: federate(b) for b in cfg.round_budgets}
+    per_budget: dict[int, MetricsReport] = {}
+    for budget, log in logs.items():
         if cfg.fl_average == "final":
             per_budget[budget] = log.records[-1].global_metrics
         else:

@@ -3,9 +3,10 @@
 One round: every client trains locally from the current global parameters,
 then the server combines the results.  Linear models are averaged entry by
 entry, weighted by client training-set size; forests are combined by tree
-union, replacing the previous global forest entirely.  Each entry of the
-average is accumulated with math.fsum, so the result is exact for the given
-weights and therefore independent of client order.
+union.  Each entry of the average is accumulated with math.fsum, so the
+result is exact for the given weights and therefore independent of client
+order.  Forest clients train once and the union is the same every round
+(see run_federated).
 
 Poisoned clients flip a share of their local training labels once, before
 round one; evaluation labels are never altered.
@@ -124,12 +125,8 @@ def evaluate_global(model: Model, partitions: list[ClientPartition]) -> MetricsR
         raise EmptyInputError("no partitions to evaluate on")
     pooled = concat_datasets([p.test for p in partitions])
     scores = predict_scores(model, pooled.features)
-    pred = predict_labels(model, pooled.features)
+    pred = np.argmax(scores, axis=1).astype(np.int64)  # ties to the lowest class, as predict_labels
     return compute_report(pred, pooled.labels, scores, pooled.n_classes)
-
-
-def _client_train_cfg(cfg: FederationConfig, client_id: int) -> TrainConfig:
-    return replace(cfg.train_cfg, seed=cfg.seed ^ client_id, epochs=cfg.local_epochs)
 
 
 def run_federated(
@@ -141,9 +138,9 @@ def run_federated(
 
     Per-client derived seeds (train seed = cfg.seed XOR client id, flip seed
     = attack seed XOR client id) keep clients decorrelated but reproducible.
-    Forest clients retrain identically every round because their data and
-    seed never change, so their local forests are built once and reused; the
-    global forest is still re-formed each round.
+    A forest federation takes one round: client forests ignore the global
+    model and local_epochs, so each client trains once, the union is
+    evaluated once, and every later round repeats round one's record.
     """
     if len(partitions) != cfg.n_clients:
         raise InvalidConfigError(
@@ -151,38 +148,29 @@ def run_federated(
         )
 
     log = RoundLog()
-    train_labels: dict[int, np.ndarray] = {}
+    client_data: list[EncodedDataset] = []
     for p in partitions:
-        labels = p.train.labels
+        data = p.train
         if attack is not None and p.client_id in attack.malicious_clients:
             flip_cfg = replace(attack, seed=attack.seed ^ p.client_id)
-            labels, mask = flip_labels(labels, p.train.n_classes, flip_cfg)
-            log.flip_masks[p.client_id] = mask
-        train_labels[p.client_id] = labels
-
-    def client_dataset(p: ClientPartition) -> EncodedDataset:
-        labels = train_labels[p.client_id]
-        if labels is p.train.labels:
-            return p.train
-        return EncodedDataset(p.train.features, labels, p.train.n_classes, p.train.feature_names)
+            labels, log.flip_masks[p.client_id] = flip_labels(data.labels, data.n_classes, flip_cfg)
+            data = EncodedDataset(data.features, labels, data.n_classes, data.feature_names)
+        client_data.append(data)
 
     global_model: Model | None = None
-    forest_cache: dict[int, Forest] = {}
     counts = [p.train.n_samples for p in partitions]
-    for round_index in range(1, cfg.rounds + 1):
+    trained_rounds = 1 if cfg.model_kind == "forest" else cfg.rounds
+    for round_index in range(1, trained_rounds + 1):
         locals_: list[Model] = []
         local_acc = []
-        for p in partitions:
-            data = client_dataset(p)
-            client_cfg = _client_train_cfg(cfg, p.client_id)
+        for p, data in zip(partitions, client_data):
+            train_cfg = replace(cfg.train_cfg, seed=cfg.seed ^ p.client_id, epochs=cfg.local_epochs)
             if cfg.model_kind == "forest":
-                if p.client_id not in forest_cache:
-                    forest_cache[p.client_id] = train_forest(data, client_cfg)
-                local = forest_cache[p.client_id]
+                local = train_forest(data, train_cfg)
             elif cfg.model_kind == "logistic":
-                local = train_logreg(data, client_cfg, init=global_model)
+                local = train_logreg(data, train_cfg, init=global_model)
             else:
-                local = train_svm(data, client_cfg, init=global_model)
+                local = train_svm(data, train_cfg, init=global_model)
             locals_.append(local)
             local_acc.append(accuracy(predict_labels(local, data.features), data.labels))
 
@@ -198,4 +186,7 @@ def run_federated(
                 global_metrics=evaluate_global(global_model, partitions),
             )
         )
+    log.records.extend(
+        replace(log.records[0], round_index=r) for r in range(trained_rounds + 1, cfg.rounds + 1)
+    )
     return global_model, log

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from _synth import (
@@ -12,7 +13,10 @@ from _synth import (
     write_grades_csv,
     write_outcomes_csv,
 )
+from fedtab import federation
+from fedtab.attack import AttackConfig
 from fedtab.config import ExperimentConfig, OutputConfig, config_from_dict
+from fedtab.dataset import build_client_partitions
 from fedtab.errors import InvalidConfigError
 from fedtab.experiment import (
     RESULT_COLUMNS,
@@ -25,7 +29,9 @@ from fedtab.experiment import (
     run_condition_detailed,
     run_suite,
 )
+from fedtab.federation import FederationConfig, run_federated
 from fedtab.metrics import MetricsReport
+from fedtab.models import train_forest
 from fedtab.schemas import load_dataset
 
 
@@ -123,6 +129,51 @@ def test_fl_per_round_averaging_mode(grades):
     detail = run_condition_detailed(cfg, spec, raw, "logistic", "fl_clean", master_seed=2)
     log = detail.logs[3]
     assert detail.per_budget[3] == mean_reports([r.global_metrics for r in log.records])
+
+
+def test_forest_federation_runs_once_per_cell(grades, monkeypatch):
+    spec, raw = grades
+    cfg = small_cfg(
+        models=("forest",),
+        round_budgets=(1, 2, 3),
+        train_overrides={"forest": {"n_trees": 4, "max_depth": 5}},
+    )
+    trained = []
+
+    def counted_train_forest(train, train_cfg):
+        trained.append(train_cfg.seed)
+        return train_forest(train, train_cfg)
+
+    monkeypatch.setattr(federation, "train_forest", counted_train_forest)
+    detail = run_condition_detailed(cfg, spec, raw, "forest", "fl_poisoned", master_seed=4)
+    assert sorted(trained) == [4 ^ c for c in range(cfg.n_clients)]  # one forest per client
+    monkeypatch.undo()
+
+    partitions = build_client_partitions(
+        raw, spec.schema, cfg.n_clients, cfg.test_fraction, 4, "client"
+    )
+    attack = AttackConfig(
+        flip_fraction=cfg.flip_fraction,
+        malicious_clients=frozenset(cfg.malicious_clients),
+        seed=cfg.attack_seed ^ 4,
+    )
+    assert sorted(detail.logs) == [1, 2, 3]
+    for budget, log in detail.logs.items():
+        fed_cfg = FederationConfig(
+            model_kind="forest",
+            rounds=budget,
+            local_epochs=epochs_for_budget(cfg.epoch_budget, budget),
+            train_cfg=cfg.train_config("forest"),
+            n_clients=cfg.n_clients,
+            seed=4,
+        )
+        _, alone = run_federated(partitions, fed_cfg, attack)
+        assert log.records == alone.records
+        assert sorted(log.flip_masks) == sorted(alone.flip_masks) == [0]
+        for client, mask in alone.flip_masks.items():
+            assert np.array_equal(log.flip_masks[client], mask)
+        assert detail.per_budget[budget] == alone.records[-1].global_metrics
+    assert detail.report == mean_reports([detail.per_budget[b] for b in (1, 2, 3)])
 
 
 def test_three_class_pipeline_runs(outcomes):

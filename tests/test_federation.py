@@ -7,6 +7,7 @@ import pytest
 
 from _oracles import exact_weighted_average
 from _synth import grades_dataset_spec, write_grades_csv
+from fedtab import federation
 from fedtab.attack import AttackConfig, flip_count
 from fedtab.dataset import build_client_partitions, concat_datasets
 from fedtab.errors import EmptyInputError, InvalidConfigError, ShapeMismatchError
@@ -173,14 +174,27 @@ def test_run_federated_is_deterministic(partitions):
     assert np.array_equal(a.bias, b.bias)
 
 
-def test_forest_rounds_only_extend_the_log(partitions):
+def test_forest_rounds_only_extend_the_log(partitions, monkeypatch):
+    calls = {"train_forest": 0, "evaluate_global": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(federation, "train_forest", counted(train_forest))
+    monkeypatch.setattr(federation, "evaluate_global", counted(evaluate_global))
     cfg = _fed_cfg("forest", rounds=3, local_epochs=1)
     model, log = run_federated(partitions, cfg)
     assert isinstance(model, Forest)
-    assert len(model.trees) == 15  # 3 clients x 5 trees, replaced each round
-    first = log.records[0].global_metrics
+    assert len(model.trees) == 15  # 3 clients x 5 trees
+    assert calls == {"train_forest": 3, "evaluate_global": 1}  # one forest per client
+    assert [r.round_index for r in log.records] == [1, 2, 3]
+    first = log.records[0]
     for record in log.records[1:]:
-        assert record.global_metrics == first
+        assert record.global_metrics == first.global_metrics
+        assert record.local_train_accuracy == first.local_train_accuracy
 
 
 def test_single_client_logistic_equals_centralized_chain(partitions):
