@@ -15,6 +15,7 @@ matrix) with exact tie and edge-case semantics:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import eq
 
 import numpy as np
@@ -52,6 +53,9 @@ class MetricsReport:
 # per-call overhead dwarfs the actual work for tiny inputs
 _SMALL = 64
 
+# frozenset(range(k)) per class count, for one-call label range checks
+_LABEL_SETS: dict[int, frozenset[int]] = {}
+
 
 def _small_pair(pred, truth) -> tuple[list[int], list[int]] | None:
     """Fast-path extraction for small 1-d integer arrays, else None."""
@@ -59,20 +63,28 @@ def _small_pair(pred, truth) -> tuple[list[int], list[int]] | None:
         return None
     if pred.ndim != 1 or truth.ndim != 1 or pred.dtype.kind != "i" or truth.dtype.kind != "i":
         return None
-    if pred.shape[0] > _SMALL:
+    n = len(pred)
+    if n > _SMALL:
         return None
-    if pred.shape[0] != truth.shape[0]:
-        raise LengthMismatchError(
-            f"pred has {pred.shape[0]} entries, truth has {truth.shape[0]}"
-        )
-    if pred.shape[0] == 0:
+    if n != len(truth):
+        raise LengthMismatchError(f"pred has {n} entries, truth has {len(truth)}")
+    if n == 0:
         raise EmptyInputError("metrics need at least one sample")
     return pred.tolist(), truth.tolist()
 
 
-def _check_small_classes(n_classes: int) -> None:
-    if n_classes < 2:
-        raise ValueError(f"n_classes must be at least 2, got {n_classes}")
+def _small_tallies(p: list[int], t: list[int], n_classes: int):
+    """Range-check small label lists; return (hits.count, t.count, p.count)."""
+    labels = _LABEL_SETS.get(n_classes)
+    if labels is None:
+        if n_classes < 2:
+            raise ValueError(f"n_classes must be at least 2, got {n_classes}")
+        labels = _LABEL_SETS[n_classes] = frozenset(range(n_classes))
+    if not (labels.issuperset(p) and labels.issuperset(t)):
+        raise ValueError("labels outside [0, n_classes)")
+    # the truth labels of the correctly predicted samples
+    hits = list(compress(t, map(eq, p, t)))
+    return hits.count, t.count, p.count
 
 
 def _as_labels(values, name: str) -> np.ndarray:
@@ -123,23 +135,14 @@ def recall_macro(pred, truth, n_classes: int) -> float:
     """Mean per-class recall over the classes present in truth."""
     small = _small_pair(pred, truth)
     if small is not None:
-        _check_small_classes(n_classes)
-        p, t = small
-        if min(p) < 0 or max(p) >= n_classes:
-            raise ValueError("labels outside [0, n_classes)")
-        hits = tuple(zip(p, t)).count
-        support_of = t.count
+        hits_of, support_of, _ = _small_tallies(*small, n_classes)
         total = 0.0
         present = 0
-        covered = 0
         for c in range(n_classes):
             support = support_of(c)
             if support:
-                covered += support
-                total += hits((c, c)) / support
+                total += hits_of(c) / support
                 present += 1
-        if covered != len(t):  # some truth label fell outside [0, n_classes)
-            raise ValueError("labels outside [0, n_classes)")
         return total / present
     p, t = _check_pair(pred, truth)
     cm = _confusion(p, t, n_classes)
@@ -153,26 +156,16 @@ def f1_macro(pred, truth, n_classes: int) -> float:
     """Mean per-class F1 over the classes present in truth; 0/0 counts as 0."""
     small = _small_pair(pred, truth)
     if small is not None:
-        _check_small_classes(n_classes)
-        p, t = small
-        if min(p) < 0 or max(p) >= n_classes:
-            raise ValueError("labels outside [0, n_classes)")
-        hits = tuple(zip(p, t)).count
-        support_of = t.count
-        predicted_of = p.count
+        hits_of, support_of, predicted_of = _small_tallies(*small, n_classes)
         total = 0.0
         present = 0
-        covered = 0
         for c in range(n_classes):
             support = support_of(c)
             if support:
-                covered += support
                 # F1 = 2 TP / (support + predicted); the denominator is
                 # positive whenever the class occurs in truth
-                total += 2.0 * hits((c, c)) / (support + predicted_of(c))
+                total += 2.0 * hits_of(c) / (support + predicted_of(c))
                 present += 1
-        if covered != len(t):  # some truth label fell outside [0, n_classes)
-            raise ValueError("labels outside [0, n_classes)")
         return total / present
     p, t = _check_pair(pred, truth)
     cm = _confusion(p, t, n_classes)
