@@ -12,16 +12,15 @@ from .dataset import (
     ClientPartition,
     ColumnSpec,
     EncodedDataset,
-    EncodingStats,
     FeatureSchema,
     RawTable,
     binarize_grade_target,
     build_client_partitions,
     concat_datasets,
     encode,
-    fit_encoding_stats,
     load_table,
     partition_clients,
+    standardize,
     stratified_split,
 )
 from .errors import FedtabError
@@ -67,7 +66,6 @@ __all__ = [
     "DEFAULT_TRAIN_CONFIGS",
     "DatasetSpec",
     "EncodedDataset",
-    "EncodingStats",
     "ExperimentConfig",
     "FeatureSchema",
     "FederationConfig",
@@ -95,7 +93,6 @@ __all__ = [
     "encode",
     "evaluate_global",
     "f1_macro",
-    "fit_encoding_stats",
     "flip_count",
     "flip_labels",
     "load_config",
@@ -111,6 +108,7 @@ __all__ = [
     "run_federated",
     "run_suite",
     "save_model",
+    "standardize",
     "stratified_split",
     "train_forest",
     "train_logreg",

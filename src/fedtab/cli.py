@@ -27,7 +27,7 @@ from .errors import ConfigError, DataError, FedtabError
 from .experiment import emit_report, run_suite
 from .fetch import fetch_all
 from .models import MODEL_KINDS
-from .schemas import DATASET_KEYS
+from .schemas import DATASET_KEYS, builtin_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -129,7 +129,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    load_config(args.config)
+    cfg = load_config(args.config)
+    for key in cfg.datasets:
+        builtin_dataset(key, cfg.data_dir)  # raises on an unknown key, as run does
     print(f"{args.config}: OK")
     return EXIT_OK
 

@@ -71,6 +71,11 @@ class ExperimentConfig:
             raise InvalidConfigError("round_budgets must be unique")
         if not self.seeds:
             raise InvalidConfigError("at least one seed is required")
+        if any(s < 0 for s in self.seeds) or self.attack_seed < 0:
+            raise InvalidConfigError(
+                f"seeds and attack_seed must be non-negative, got seeds {list(self.seeds)}, "
+                f"attack_seed {self.attack_seed}"
+            )
         if self.n_clients < 1:
             raise InvalidConfigError(f"n_clients must be at least 1, got {self.n_clients}")
         if not 0.0 < self.test_fraction < 1.0:

@@ -2,10 +2,12 @@
 
 A FeatureSchema declares the column set once; every table is reordered to
 schema order at load time, so downstream code never depends on file column
-order.  Encoding is strictly leakage-free: z-score statistics come from the
-fit rows a caller names (training rows), while categorical vocabularies are
-dataset-level schema metadata so that encoded width is identical across all
-participants.
+order.  ``encode`` parses a table once into unscaled features.  Categorical
+vocabularies are dataset-level metadata, pinned in the schema or taken from
+the whole table, so encoded width is identical across all participants.
+``standardize`` then z-scores the continuous columns with statistics from
+the fit rows a caller names (training rows), which keeps the encoding
+strictly leakage-free.
 """
 
 from __future__ import annotations
@@ -57,8 +59,10 @@ class FeatureSchema:
     """Column declarations plus the ordered list of target class values.
 
     ``vocabularies`` optionally pins the level set of categorical columns.
-    When present it fixes the one-hot width globally; when absent the levels
-    are scanned from whatever rows statistics are fitted on.
+    A column without a pinned level set takes the sorted distinct values of
+    the whole table being encoded.  Either way the levels are public dataset
+    metadata, like the schema itself, and every participant of one table
+    encodes to the same width.
     """
 
     columns: tuple[ColumnSpec, ...]
@@ -101,19 +105,6 @@ class FeatureSchema:
             picked = [c for c in picked if c.kind == kind]
         return tuple(picked)
 
-    def with_vocabularies_from(self, raw: "RawTable") -> "FeatureSchema":
-        """Pin categorical levels to the sorted distinct values in ``raw``.
-
-        Meant to run once on the full table before any partitioning, so every
-        participant encodes to the same width.  The level sets are treated as
-        public dataset metadata, like the schema itself.
-        """
-        vocab = {
-            c.name: tuple(sorted(set(raw.column(c.name))))
-            for c in self.feature_columns(KIND_CATEGORICAL)
-        }
-        return FeatureSchema(self.columns, self.target_classes, self.delimiter, vocab)
-
 
 @dataclass(frozen=True, eq=False)
 class RawTable:
@@ -143,9 +134,6 @@ class RawTable:
     def column(self, name: str) -> list[str]:
         j = self.column_index(name)
         return [row[j] for row in self.rows]
-
-    def subset(self, indices: Sequence[int]) -> "RawTable":
-        return RawTable(self.header, tuple(self.rows[i] for i in indices))
 
 
 def _clean_cell(cell: str) -> str:
@@ -215,80 +203,6 @@ def binarize_grade_target(
     return RawTable(raw.header, tuple(rows))
 
 
-@dataclass(frozen=True)
-class EncodingStats:
-    """Fitted z-score parameters and categorical level sets.
-
-    ``scale`` holds the population standard deviation; columns with zero
-    spread keep scale 0 and encode to the constant 0.
-    """
-
-    means: Mapping[str, float]
-    scales: Mapping[str, float]
-    vocabularies: Mapping[str, tuple[str, ...]]
-
-    def __post_init__(self) -> None:
-        for col, s in self.scales.items():
-            if not (math.isfinite(s) and s >= 0.0):
-                raise InvalidConfigError(f"scale for {col!r} must be finite and non-negative")
-        for col, m in self.means.items():
-            if not math.isfinite(m):
-                raise InvalidConfigError(f"mean for {col!r} must be finite")
-        for col, levels in self.vocabularies.items():
-            if len(set(levels)) != len(levels):
-                raise InvalidConfigError(f"duplicate levels in vocabulary for {col!r}")
-
-
-def _parse_continuous(raw: RawTable, name: str, rows: Sequence[int]) -> np.ndarray:
-    j = raw.column_index(name)
-    out = np.empty(len(rows), dtype=np.float64)
-    for k, i in enumerate(rows):
-        cell = raw.rows[i][j]
-        try:
-            value = float(cell)
-        except ValueError:
-            raise NonNumericCellError(f"column {name!r}, row {i + 1}: {cell!r} is not numeric") from None
-        if not math.isfinite(value):
-            raise NonNumericCellError(f"column {name!r}, row {i + 1}: non-finite value {cell!r}")
-        out[k] = value
-    return out
-
-
-def fit_encoding_stats(
-    raw: RawTable, schema: FeatureSchema, fit_rows: Sequence[int]
-) -> EncodingStats:
-    """Fit z-score statistics on the named rows only.
-
-    The caller passes training row indices; evaluation rows must never be in
-    ``fit_rows``, which is what keeps the encoding leakage-free.  Categorical
-    vocabularies come from the schema when pinned there, otherwise from the
-    distinct values seen in the fit rows (sorted).
-    """
-    fit_rows = list(fit_rows)
-    if not fit_rows:
-        raise EmptyFitSetError("cannot fit encoding statistics on zero rows")
-    for i in fit_rows:
-        if not 0 <= i < raw.n_rows:
-            raise IndexError(f"fit row {i} outside [0, {raw.n_rows})")
-
-    means: dict[str, float] = {}
-    scales: dict[str, float] = {}
-    for col in schema.feature_columns(KIND_CONTINUOUS):
-        values = _parse_continuous(raw, col.name, fit_rows)
-        means[col.name] = float(np.mean(values))
-        scales[col.name] = float(np.std(values))  # population form, divisor n
-
-    vocab: dict[str, tuple[str, ...]] = {}
-    pinned = schema.vocabularies or {}
-    for col in schema.feature_columns(KIND_CATEGORICAL):
-        if col.name in pinned:
-            vocab[col.name] = tuple(pinned[col.name])
-        else:
-            j = raw.column_index(col.name)
-            vocab[col.name] = tuple(sorted({raw.rows[i][j] for i in fit_rows}))
-    return EncodingStats(means, scales, vocab)
-
-
 @dataclass(frozen=True, eq=False)
 class EncodedDataset:
     """Dense features plus integer labels, ready for training."""
@@ -305,6 +219,8 @@ class EncodedDataset:
             raise ShapeMismatchError("labels must be a vector matching the feature rows")
         if self.features.shape[1] != len(self.feature_names):
             raise ShapeMismatchError("feature_names must match feature width")
+        if len(set(self.feature_names)) != len(self.feature_names):
+            raise ShapeMismatchError("feature_names must be unique")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("encoded features must be finite")
         if self.n_classes < 2:
@@ -348,35 +264,43 @@ def concat_datasets(parts: Sequence[EncodedDataset]) -> EncodedDataset:
     )
 
 
-def encode(raw: RawTable, schema: FeatureSchema, stats: EncodingStats) -> EncodedDataset:
-    """Encode rows with previously fitted statistics.
+def encode(raw: RawTable, schema: FeatureSchema) -> EncodedDataset:
+    """Parse every cell once into unscaled features and target indices.
 
-    Continuous columns are z-scored (zero-spread columns encode to 0),
-    categorical columns are one-hot over the fitted vocabulary with unseen
-    values mapping to an all-zero block, and the target becomes its index in
-    ``schema.target_classes``.
+    Continuous columns keep their parsed values (``standardize`` z-scores
+    them), categorical columns are one-hot over the schema's vocabulary, or
+    over the sorted distinct values in ``raw`` when the schema pins none,
+    with values outside it mapping to an all-zero block, and the target
+    becomes its index in ``schema.target_classes``.
     """
     n = raw.n_rows
-    all_rows = range(n)
+    pinned = schema.vocabularies or {}
     blocks: list[np.ndarray] = []
     names: list[str] = []
     for col in schema.feature_columns():
+        j = raw.column_index(col.name)
         if col.kind == KIND_CONTINUOUS:
-            values = _parse_continuous(raw, col.name, all_rows)
-            scale = stats.scales[col.name]
-            if scale == 0.0:
-                z = np.zeros(n, dtype=np.float64)
-            else:
-                z = (values - stats.means[col.name]) / scale
-            blocks.append(z[:, None])
+            values = np.empty(n, dtype=np.float64)
+            for i, row in enumerate(raw.rows):
+                try:
+                    value = float(row[j])
+                except ValueError:
+                    raise NonNumericCellError(
+                        f"column {col.name!r}, row {i + 1}: {row[j]!r} is not numeric"
+                    ) from None
+                if not math.isfinite(value):
+                    raise NonNumericCellError(
+                        f"column {col.name!r}, row {i + 1}: non-finite value {row[j]!r}"
+                    )
+                values[i] = value
+            blocks.append(values[:, None])
             names.append(col.name)
         else:
-            levels = stats.vocabularies[col.name]
+            levels = pinned.get(col.name) or tuple(sorted({row[j] for row in raw.rows}))
             position = {v: k for k, v in enumerate(levels)}
             onehot = np.zeros((n, len(levels)), dtype=np.float64)
-            j = raw.column_index(col.name)
-            for i in range(n):
-                k = position.get(raw.rows[i][j])
+            for i, row in enumerate(raw.rows):
+                k = position.get(row[j])
                 if k is not None:
                     onehot[i, k] = 1.0
             blocks.append(onehot)
@@ -385,17 +309,53 @@ def encode(raw: RawTable, schema: FeatureSchema, stats: EncodingStats) -> Encode
     target_index = {v: k for k, v in enumerate(schema.target_classes)}
     j = raw.column_index(schema.target_column)
     labels = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        cell = raw.rows[i][j]
+    for i, row in enumerate(raw.rows):
         try:
-            labels[i] = target_index[cell]
+            labels[i] = target_index[row[j]]
         except KeyError:
             raise UnknownTargetClassError(
-                f"row {i + 1}: target {cell!r} not in {list(schema.target_classes)}"
+                f"row {i + 1}: target {row[j]!r} not in {list(schema.target_classes)}"
             ) from None
 
     features = np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
     return EncodedDataset(features, labels, len(schema.target_classes), tuple(names))
+
+
+def standardize(
+    data: EncodedDataset,
+    schema: FeatureSchema,
+    fit_rows: Sequence[int] | np.ndarray,
+    row_sets: Sequence[Sequence[int] | np.ndarray],
+) -> list[EncodedDataset]:
+    """Pick rows of an ``encode`` result and z-score its continuous columns.
+
+    Each continuous column's mean and population standard deviation come
+    from ``fit_rows`` only, in the order given.  The caller passes training
+    rows; evaluation rows must never be among them, which is what keeps the
+    encoding leakage-free.  Returns one dataset per entry of ``row_sets``:
+    those rows, with zero-spread columns encoding to 0 and one-hot columns
+    left as they are.
+    """
+    fit = np.asarray(fit_rows, dtype=np.int64)
+    if fit.size == 0:
+        raise EmptyFitSetError("cannot fit encoding statistics on zero rows")
+    picks = [np.asarray(rows, dtype=np.int64) for rows in row_sets]
+    for idx in (fit, *picks):
+        outside = idx[(idx < 0) | (idx >= data.n_samples)]
+        if outside.size:
+            raise IndexError(f"row {outside[0]} outside [0, {data.n_samples})")
+
+    blocks = [data.features[idx] for idx in picks]
+    for col in schema.feature_columns(KIND_CONTINUOUS):
+        j = data.feature_names.index(col.name)
+        fitted = data.features[fit, j]
+        mean, scale = np.mean(fitted), np.std(fitted)  # population form, divisor n
+        for block in blocks:
+            block[:, j] = 0.0 if scale == 0.0 else (block[:, j] - mean) / scale
+    return [
+        EncodedDataset(block, data.labels[idx], data.n_classes, data.feature_names)
+        for block, idx in zip(blocks, picks)
+    ]
 
 
 def _split_target(n: int, fraction: float) -> int:
@@ -520,11 +480,11 @@ def build_client_partitions(
 ) -> list[ClientPartition]:
     """Run the full preparation pipeline for one experiment context.
 
-    Steps: pin vocabularies on the full table, deal rows to clients, split
-    each client's rows into train/test, then encode.  With ``stats_scope``
+    Steps: encode the full table once, deal rows to clients, split each
+    client's rows into train/test, then standardize.  With ``stats_scope``
     'client' each client fits z-score statistics on its own training rows
-    (the federated setting, no raw sharing); with 'pooled' one statistics
-    set is fitted on the union of all training rows (the centralized
+    (the federated setting, no raw sharing); with 'pooled' every client uses
+    statistics fitted on the union of all training rows (the centralized
     setting).  One-hot width is identical in both scopes.
 
     Derived seeds: the deal uses ``seed`` itself and client k's split uses
@@ -532,8 +492,7 @@ def build_client_partitions(
     """
     if stats_scope not in ("client", "pooled"):
         raise InvalidConfigError(f"unknown stats_scope {stats_scope!r}")
-    schema = schema if schema.vocabularies is not None else schema.with_vocabularies_from(raw)
-    full = encode(raw, schema, fit_encoding_stats(raw, schema, range(raw.n_rows)))
+    full = encode(raw, schema)
     if np.any(full.class_counts() == 0):
         raise StratificationImpossibleError("a target class has no rows in the table")
 
@@ -545,17 +504,10 @@ def build_client_partitions(
         )
         split_rows.append((rows[local_train], rows[local_test]))
 
-    if stats_scope == "pooled":
-        pooled_train = np.sort(np.concatenate([tr for tr, _ in split_rows]))
-        shared_stats = fit_encoding_stats(raw, schema, pooled_train.tolist())
-
+    pooled_train = np.sort(np.concatenate([tr for tr, _ in split_rows]))
     partitions = []
     for k, (train_rows, test_rows) in enumerate(split_rows):
-        if stats_scope == "client":
-            stats = fit_encoding_stats(raw, schema, train_rows.tolist())
-        else:
-            stats = shared_stats
-        train = encode(raw.subset(train_rows.tolist()), schema, stats)
-        test = encode(raw.subset(test_rows.tolist()), schema, stats)
+        fit_rows = train_rows if stats_scope == "client" else pooled_train
+        train, test = standardize(full, schema, fit_rows, (train_rows, test_rows))
         partitions.append(ClientPartition(k, train, test, train_rows, test_rows))
     return partitions

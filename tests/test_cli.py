@@ -34,18 +34,21 @@ def test_validate_rejects_bad_configs(tmp_path, capsys):
     bad_yaml = tmp_path / "broken.yaml"
     bad_yaml.write_text("models: [unclosed\n", encoding="utf-8")
     assert main(["validate", "--config", str(bad_yaml)]) == EXIT_CONFIG
-    wrong_types = [
+    bad_values = [
         "n_clients: true\n",
         "seeds: [0, 1.5]\n",
         "round_budgets: [2, 4.5]\n",
         "malicious_clients: [true]\n",
         "train_overrides: {svm: {learning_rate: fast}}\n",
         "output: {path: 5}\n",
+        "seeds: [-1]\n",
+        "attack_seed: -1\n",
+        "datasets: [C]\n",
     ]
-    for i, text in enumerate(wrong_types):
-        bad_type = tmp_path / f"type{i}.yaml"
-        bad_type.write_text(text, encoding="utf-8")
-        assert main(["validate", "--config", str(bad_type)]) == EXIT_CONFIG, text
+    for i, text in enumerate(bad_values):
+        bad_value = tmp_path / f"value{i}.yaml"
+        bad_value.write_text(text, encoding="utf-8")
+        assert main(["validate", "--config", str(bad_value)]) == EXIT_CONFIG, text
 
 
 def test_run_executes_grid_and_writes_output(tmp_path, data_dir, capsys):

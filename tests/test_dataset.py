@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import fedtab.dataset
 from _synth import grades_dataset_spec, write_grades_csv
 from fedtab.dataset import (
     ColumnSpec,
@@ -16,9 +17,9 @@ from fedtab.dataset import (
     binarize_grade_target,
     build_client_partitions,
     encode,
-    fit_encoding_stats,
     load_table,
     partition_clients,
+    standardize,
     stratified_split,
     stratified_split_indices,
 )
@@ -32,6 +33,7 @@ from fedtab.errors import (
     NonIntegerGradeError,
     NonNumericCellError,
     RaggedRowError,
+    ShapeMismatchError,
     StratificationImpossibleError,
     TooManyClientsError,
     UnknownTargetClassError,
@@ -122,29 +124,36 @@ def test_fit_stats_population_std_hand_value():
         (("1", "r", "no"), ("2", "r", "yes"), ("3", "b", "no"), ("4", "b", "yes"),
          ("100", "g", "no")),
     )
-    stats = fit_encoding_stats(raw, schema, [0, 1, 2, 3])
-    assert stats.means["x"] == pytest.approx(2.5, abs=1e-15)
-    assert stats.scales["x"] == pytest.approx(math.sqrt(1.25), abs=1e-15)
-    # row 4 is not a fit row: its value and level must leave the stats alone
-    assert stats.vocabularies["color"] == ("b", "r")
+    (data,) = standardize(encode(raw, schema), schema, [0, 1, 2, 3], [range(5)])
+    # mean 2.5 and population std sqrt(1.25) over rows 0-3; row 4 is not a
+    # fit row, so its value must leave the statistics alone
+    scale = math.sqrt(1.25)
+    expected = [(v - 2.5) / scale for v in (1.0, 2.0, 3.0, 4.0, 100.0)]
+    assert data.features[:, 0] == pytest.approx(expected, rel=1e-15, abs=1e-15)
 
 
 def test_encode_zscore_onehot_and_target(tmp_path):
     schema = tiny_schema()
+    pinned = FeatureSchema(
+        schema.columns, schema.target_classes, schema.delimiter, {"color": ("b", "r")}
+    )
     raw = RawTable(
         ("x", "color", "label"),
         (("1", "r", "no"), ("3", "b", "yes"), ("2", "g", "no")),
     )
-    stats = fit_encoding_stats(raw, schema, [0, 1])
-    data = encode(raw, schema, stats)
-    assert data.feature_names == ("x", "color=b", "color=r")
+    unscaled = encode(raw, pinned)
+    assert unscaled.feature_names == ("x", "color=b", "color=r")
+    assert unscaled.features[:, 0].tolist() == [1.0, 3.0, 2.0]
+    (data,) = standardize(unscaled, pinned, [0, 1], [[0, 1, 2]])
     # mean 2, std 1 over fit rows
     assert data.features[:, 0] == pytest.approx([-1.0, 1.0, 0.0], abs=1e-15)
     assert data.features[0].tolist()[1:] == [0.0, 1.0]
     assert data.features[1].tolist()[1:] == [1.0, 0.0]
-    # unseen level encodes to an all-zero block
+    # a level outside the pinned vocabulary encodes to an all-zero block
     assert data.features[2].tolist()[1:] == [0.0, 0.0]
     assert data.labels.tolist() == [0, 1, 0]
+    # without a pinned vocabulary the levels come from the whole table
+    assert encode(raw, schema).feature_names == ("x", "color=b", "color=g", "color=r")
 
 
 def test_encode_constant_column_maps_to_zero():
@@ -152,10 +161,9 @@ def test_encode_constant_column_maps_to_zero():
         (ColumnSpec("x", "continuous"), ColumnSpec("label", "target")), ("no", "yes")
     )
     raw = RawTable(("x", "label"), (("7", "no"), ("7", "yes"), ("7", "no")))
-    stats = fit_encoding_stats(raw, schema, [0, 1, 2])
-    assert stats.scales["x"] == 0.0
-    data = encode(raw, schema, stats)
+    (data,) = standardize(encode(raw, schema), schema, [0, 1, 2], [[0, 1, 2]])
     assert np.all(data.features[:, 0] == 0.0)
+    assert not np.any(np.signbit(data.features[:, 0]))
 
 
 def test_encode_pinned_vocabulary_fixes_width():
@@ -165,36 +173,54 @@ def test_encode_pinned_vocabulary_fixes_width():
         {"color": ("b", "g", "r")},
     )
     raw = RawTable(("x", "color", "label"), (("1", "r", "no"), ("2", "r", "yes")))
-    stats = fit_encoding_stats(raw, pinned, [0, 1])
-    data = encode(raw, pinned, stats)
+    data = encode(raw, pinned)
     assert data.feature_names == ("x", "color=b", "color=g", "color=r")
     assert data.n_features == 4
 
 
 def test_encode_errors():
     schema = tiny_schema()
-    raw = RawTable(("x", "color", "label"), (("one", "r", "no"), ("2", "r", "yes")))
-    with pytest.raises(NonNumericCellError):
-        fit_encoding_stats(raw, schema, [0, 1])
+    raw = RawTable(("x", "color", "label"), (("2", "r", "no"), ("one", "r", "yes")))
+    with pytest.raises(NonNumericCellError, match="column 'x', row 2: 'one' is not numeric"):
+        encode(raw, schema)
     nan_raw = RawTable(("x", "color", "label"), (("nan", "r", "no"),))
-    with pytest.raises(NonNumericCellError):
-        fit_encoding_stats(nan_raw, schema, [0])
-    good = RawTable(("x", "color", "label"), (("1", "r", "maybe"),))
-    stats = fit_encoding_stats(good, schema, [0])
+    with pytest.raises(NonNumericCellError, match="non-finite"):
+        encode(nan_raw, schema)
+    bad_target = RawTable(("x", "color", "label"), (("1", "r", "maybe"),))
     with pytest.raises(UnknownTargetClassError):
-        encode(good, schema, stats)
+        encode(bad_target, schema)
+    good = encode(RawTable(("x", "color", "label"), (("1", "r", "no"),)), schema)
     with pytest.raises(EmptyFitSetError):
-        fit_encoding_stats(good, schema, [])
+        standardize(good, schema, [], [[0]])
+    for rows in ([1], [-1]):  # no silent wrap of negative rows
+        with pytest.raises(IndexError):
+            standardize(good, schema, rows, [[0]])
+        with pytest.raises(IndexError):
+            standardize(good, schema, [0], [rows])
+    # a continuous column named like a one-hot slot of a categorical column
+    # would make standardize z-score that slot
+    clash = FeatureSchema(
+        (ColumnSpec("c=v", "continuous"), ColumnSpec("c", "categorical"),
+         ColumnSpec("label", "target")),
+        ("no", "yes"),
+    )
+    clash_raw = RawTable(("c=v", "c", "label"), (("1", "v", "no"), ("5", "w", "yes")))
+    with pytest.raises(ShapeMismatchError, match="unique"):
+        encode(clash_raw, clash)
 
 
 def test_stats_depend_only_on_fit_rows():
     schema = tiny_schema()
+    pinned = FeatureSchema(
+        schema.columns, schema.target_classes, schema.delimiter,
+        {"color": ("b", "g", "k", "r")},
+    )
     base = [("1", "r", "no"), ("2", "r", "yes"), ("3", "b", "no")]
     raw_a = RawTable(("x", "color", "label"), tuple(base + [("50", "g", "yes")]))
     raw_b = RawTable(("x", "color", "label"), tuple(base + [("-9", "k", "yes")]))
-    stats_a = fit_encoding_stats(raw_a, schema, [0, 1, 2])
-    stats_b = fit_encoding_stats(raw_b, schema, [0, 1, 2])
-    assert stats_a == stats_b
+    (a,) = standardize(encode(raw_a, pinned), pinned, [0, 1, 2], [[0, 1, 2]])
+    (b,) = standardize(encode(raw_b, pinned), pinned, [0, 1, 2], [[0, 1, 2]])
+    assert np.array_equal(a.features, b.features)
 
 
 def _labeled_dataset(labels):
@@ -302,24 +328,72 @@ def test_build_partitions_width_matches_hand_count(grades_raw):
     assert parts[0].train.n_features == 3 + support_levels + campus_levels
 
 
+def _zscores_from_cells(raw, name, fit_rows, rows):
+    """Z-scores of one continuous column, computed straight from the raw cells."""
+    j = raw.column_index(name)
+    fitted = np.array([float(raw.rows[i][j]) for i in np.sort(fit_rows)])
+    values = np.array([float(raw.rows[i][j]) for i in rows])
+    mean, scale = np.mean(fitted), np.std(fitted)
+    return np.zeros_like(values) if scale == 0.0 else (values - mean) / scale
+
+
 def test_pooled_scope_shares_statistics(grades_raw):
     raw, spec = grades_raw
     parts = build_client_partitions(raw, spec.schema, 3, 0.2, seed=9, stats_scope="pooled")
-    schema = spec.schema.with_vocabularies_from(raw)
-    pooled_rows = np.sort(np.concatenate([p.train_rows for p in parts]))
-    stats = fit_encoding_stats(raw, schema, pooled_rows.tolist())
+    pooled_rows = np.concatenate([p.train_rows for p in parts])
+    names = parts[0].train.feature_names
     for p in parts:
-        expected = encode(raw.subset(p.train_rows.tolist()), schema, stats)
-        assert np.array_equal(p.train.features, expected.features)
+        for rows, data in ((p.train_rows, p.train), (p.test_rows, p.test)):
+            for col in spec.schema.feature_columns("continuous"):
+                expected = _zscores_from_cells(raw, col.name, pooled_rows, rows)
+                assert np.array_equal(data.features[:, names.index(col.name)], expected)
+            for col in spec.schema.feature_columns("categorical"):
+                cells = np.array(raw.column(col.name))[rows]
+                for level in sorted(set(raw.column(col.name))):
+                    got = data.features[:, names.index(f"{col.name}={level}")]
+                    assert np.array_equal(got, (cells == level).astype(np.float64))
 
 
 def test_client_scope_statistics_differ(grades_raw):
     raw, spec = grades_raw
     parts = build_client_partitions(raw, spec.schema, 3, 0.2, seed=9, stats_scope="client")
-    schema = spec.schema.with_vocabularies_from(raw)
-    own = fit_encoding_stats(raw, schema, parts[0].train_rows.tolist())
-    other = fit_encoding_stats(raw, schema, parts[1].train_rows.tolist())
-    assert own.means["prev_score"] != other.means["prev_score"]
+    j = parts[0].train.feature_names.index("prev_score")
+    for p in parts:
+        for rows, data in ((p.train_rows, p.train), (p.test_rows, p.test)):
+            expected = _zscores_from_cells(raw, "prev_score", p.train_rows, rows)
+            assert np.array_equal(data.features[:, j], expected)
+    col = raw.column_index("prev_score")
+    own = np.mean([float(raw.rows[i][col]) for i in parts[0].train_rows])
+    other = np.mean([float(raw.rows[i][col]) for i in parts[1].train_rows])
+    assert own != other
+
+
+@pytest.mark.parametrize("scope", ["client", "pooled"])
+def test_build_partitions_encodes_once(grades_raw, monkeypatch, scope):
+    raw, spec = grades_raw
+    calls = []
+    real_encode = fedtab.dataset.encode
+
+    def counting_encode(*args, **kwargs):
+        calls.append(1)
+        return real_encode(*args, **kwargs)
+
+    monkeypatch.setattr(fedtab.dataset, "encode", counting_encode)
+    build_client_partitions(raw, spec.schema, 3, 0.2, seed=9, stats_scope=scope)
+    assert len(calls) == 1
+
+
+def test_build_partitions_reports_first_bad_cell_by_table_row(grades_raw):
+    raw, spec = grades_raw
+    continuous = [c.name for c in spec.schema.feature_columns("continuous")]
+    rows = [list(r) for r in raw.rows]
+    rows[200][raw.column_index(continuous[0])] = "n/a"  # first column in schema order wins
+    rows[5][raw.column_index(continuous[1])] = "inf"
+    rows[3][raw.column_index(spec.schema.target_column)] = "maybe"
+    broken = RawTable(raw.header, tuple(tuple(r) for r in rows))
+    with pytest.raises(NonNumericCellError) as err:
+        build_client_partitions(broken, spec.schema, 3, 0.2, seed=9)
+    assert str(err.value) == f"column {continuous[0]!r}, row 201: 'n/a' is not numeric"
 
 
 def test_pipeline_is_leakage_free(grades_raw):
