@@ -32,6 +32,10 @@ class OutputConfig:
             raise InvalidConfigError(
                 f"unknown output format {self.format!r}; expected one of {OUTPUT_FORMATS}"
             )
+        if self.path is not None and self.round_log is not None and (
+            Path(self.path).resolve() == Path(self.round_log).resolve()
+        ):
+            raise InvalidConfigError(f"output.round_log names the report file {self.path!r}")
 
 
 @dataclass(frozen=True)
@@ -53,6 +57,10 @@ class ExperimentConfig:
     output: OutputConfig = OutputConfig()
 
     def __post_init__(self) -> None:
+        for name, kinds in _FIELD_TYPES.items():
+            values = getattr(self, name)
+            if isinstance(kinds, list) and len(set(values)) != len(values):
+                raise InvalidConfigError(f"{name} must be unique, got {list(values)}")
         if not self.datasets:
             raise InvalidConfigError("at least one dataset is required")
         if not self.models:
@@ -67,8 +75,6 @@ class ExperimentConfig:
                 raise InvalidConfigError(f"unknown condition {c!r}; expected one of {CONDITIONS}")
         if not self.round_budgets or any(r < 1 for r in self.round_budgets):
             raise InvalidConfigError("round_budgets must be non-empty positive integers")
-        if len(set(self.round_budgets)) != len(self.round_budgets):
-            raise InvalidConfigError("round_budgets must be unique")
         if not self.seeds:
             raise InvalidConfigError("at least one seed is required")
         if any(s < 0 for s in self.seeds) or self.attack_seed < 0:

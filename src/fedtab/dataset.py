@@ -271,7 +271,8 @@ def encode(raw: RawTable, schema: FeatureSchema) -> EncodedDataset:
     them), categorical columns are one-hot over the schema's vocabulary, or
     over the sorted distinct values in ``raw`` when the schema pins none,
     with values outside it mapping to an all-zero block, and the target
-    becomes its index in ``schema.target_classes``.
+    becomes its index in ``schema.target_classes``.  Features and labels are
+    read-only, so one encoded table can serve every experiment built on it.
     """
     n = raw.n_rows
     pinned = schema.vocabularies or {}
@@ -318,6 +319,7 @@ def encode(raw: RawTable, schema: FeatureSchema) -> EncodedDataset:
             ) from None
 
     features = np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
+    features.flags.writeable = labels.flags.writeable = False
     return EncodedDataset(features, labels, len(schema.target_classes), tuple(names))
 
 
@@ -471,36 +473,36 @@ class ClientPartition:
 
 
 def build_client_partitions(
-    raw: RawTable,
+    data: EncodedDataset,
     schema: FeatureSchema,
     n_clients: int,
     test_fraction: float,
     seed: int,
     stats_scope: str = "client",
 ) -> list[ClientPartition]:
-    """Run the full preparation pipeline for one experiment context.
+    """Deal an ``encode`` result to clients for one experiment context.
 
-    Steps: encode the full table once, deal rows to clients, split each
-    client's rows into train/test, then standardize.  With ``stats_scope``
-    'client' each client fits z-score statistics on its own training rows
-    (the federated setting, no raw sharing); with 'pooled' every client uses
-    statistics fitted on the union of all training rows (the centralized
-    setting).  One-hot width is identical in both scopes.
+    The caller encodes each table once and passes it to every build.  Steps:
+    deal rows to clients, split each client's rows into train/test, then
+    standardize.  With ``stats_scope`` 'client' each client fits z-score
+    statistics on its own training rows (the federated setting, no raw
+    sharing); with 'pooled' every client uses statistics fitted on the union
+    of all training rows (the centralized setting).  One-hot width is
+    identical in both scopes.
 
     Derived seeds: the deal uses ``seed`` itself and client k's split uses
     ``seed XOR k``.
     """
     if stats_scope not in ("client", "pooled"):
         raise InvalidConfigError(f"unknown stats_scope {stats_scope!r}")
-    full = encode(raw, schema)
-    if np.any(full.class_counts() == 0):
+    if np.any(data.class_counts() == 0):
         raise StratificationImpossibleError("a target class has no rows in the table")
 
-    client_rows = partition_clients(full, n_clients, seed)
+    client_rows = partition_clients(data, n_clients, seed)
     split_rows: list[tuple[np.ndarray, np.ndarray]] = []
     for k, rows in enumerate(client_rows):
         local_train, local_test = stratified_split_indices(
-            full.labels[rows], test_fraction, seed ^ k
+            data.labels[rows], test_fraction, seed ^ k
         )
         split_rows.append((rows[local_train], rows[local_test]))
 
@@ -508,6 +510,6 @@ def build_client_partitions(
     partitions = []
     for k, (train_rows, test_rows) in enumerate(split_rows):
         fit_rows = train_rows if stats_scope == "client" else pooled_train
-        train, test = standardize(full, schema, fit_rows, (train_rows, test_rows))
+        train, test = standardize(data, schema, fit_rows, (train_rows, test_rows))
         partitions.append(ClientPartition(k, train, test, train_rows, test_rows))
     return partitions

@@ -28,7 +28,7 @@ import numpy as np
 
 from .attack import AttackConfig, flip_labels
 from .config import CONDITIONS, ExperimentConfig
-from .dataset import EncodedDataset, RawTable, build_client_partitions, concat_datasets
+from .dataset import EncodedDataset, build_client_partitions, concat_datasets, encode
 from .errors import InvalidConfigError
 from .federation import FederationConfig, RoundLog, evaluate_global, run_federated
 from .metrics import MetricsReport
@@ -99,7 +99,7 @@ def _attack_for(cfg: ExperimentConfig, master_seed: int) -> AttackConfig:
 def run_condition_detailed(
     cfg: ExperimentConfig,
     dataset: DatasetSpec,
-    raw: RawTable,
+    data: EncodedDataset,
     model_kind: str,
     condition: str,
     master_seed: int,
@@ -109,7 +109,7 @@ def run_condition_detailed(
 
     if condition.startswith("central"):
         partitions = build_client_partitions(
-            raw, dataset.schema, cfg.n_clients, cfg.test_fraction, master_seed, "pooled"
+            data, dataset.schema, cfg.n_clients, cfg.test_fraction, master_seed, "pooled"
         )
         pooled_train = concat_datasets([p.train for p in partitions])
         if condition == "central_poisoned":
@@ -122,7 +122,7 @@ def run_condition_detailed(
         return ConditionResult(evaluate_global(model, partitions), {}, {})
 
     partitions = build_client_partitions(
-        raw, dataset.schema, cfg.n_clients, cfg.test_fraction, master_seed, "client"
+        data, dataset.schema, cfg.n_clients, cfg.test_fraction, master_seed, "client"
     )
     attack = _attack_for(cfg, master_seed) if condition == "fl_poisoned" else None
 
@@ -132,7 +132,6 @@ def run_condition_detailed(
             rounds=budget,
             local_epochs=epochs_for_budget(cfg.epoch_budget, budget),
             train_cfg=cfg.train_config(model_kind),
-            n_clients=cfg.n_clients,
             seed=master_seed,
         )
         return run_federated(partitions, fed_cfg, attack)[1]
@@ -158,12 +157,16 @@ def run_condition(
     model_kind: str,
     condition: str,
     master_seed: int,
-    raw: RawTable | None = None,
+    data: EncodedDataset | None = None,
 ) -> MetricsReport:
-    """Run one (dataset, model, condition) cell for one master seed."""
-    if raw is None:
-        raw = load_dataset(dataset)
-    return run_condition_detailed(cfg, dataset, raw, model_kind, condition, master_seed).report
+    """Run one (dataset, model, condition) cell for one master seed.
+
+    ``data`` is the table's ``encode`` result; it is loaded and encoded
+    when not given.
+    """
+    if data is None:
+        data = encode(load_dataset(dataset), dataset.schema)
+    return run_condition_detailed(cfg, dataset, data, model_kind, condition, master_seed).report
 
 
 @dataclass(frozen=True)
@@ -253,25 +256,25 @@ def run_suite(
     """Run the whole grid: dataset x model x condition, averaged over seeds.
 
     ``datasets`` may inject pre-built specs (tests do); by default the
-    built-in catalog plus cfg.data_dir resolves them.  Writes the results
-    table and optional round log as configured.
+    built-in catalog plus cfg.data_dir resolves them.  Each table is loaded
+    and encoded once, and every cell of it shares that encoding.  Writes the
+    results table and optional round log as configured.
     """
     specs = dict(datasets) if datasets is not None else {
         key: builtin_dataset(key, cfg.data_dir) for key in cfg.datasets
     }
-    raw_cache: dict[str, RawTable] = {}
     cell_reports: dict[tuple[str, str, str], MetricsReport] = {}
     log_lines: list[str] = []
     for key in cfg.datasets:
         spec = specs[key]
-        raw = raw_cache.setdefault(key, load_dataset(spec))
+        data = encode(load_dataset(spec), spec.schema)
         for model in cfg.models:
             for condition in cfg.conditions:
                 if progress is not None:
                     progress(f"{key}/{model}/{condition}")
                 seed_reports = []
                 for seed in cfg.seeds:
-                    detail = run_condition_detailed(cfg, spec, raw, model, condition, seed)
+                    detail = run_condition_detailed(cfg, spec, data, model, condition, seed)
                     seed_reports.append(detail.report)
                     if cfg.output.round_log is not None:
                         log_lines.extend(

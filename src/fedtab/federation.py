@@ -42,7 +42,6 @@ class FederationConfig:
     rounds: int
     local_epochs: int
     train_cfg: TrainConfig
-    n_clients: int = 3
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -52,8 +51,6 @@ class FederationConfig:
             raise InvalidConfigError(f"rounds must be at least 1, got {self.rounds}")
         if self.local_epochs < 1:
             raise InvalidConfigError(f"local_epochs must be at least 1, got {self.local_epochs}")
-        if self.n_clients < 1:
-            raise InvalidConfigError(f"n_clients must be at least 1, got {self.n_clients}")
 
 
 @dataclass(frozen=True)
@@ -142,11 +139,6 @@ def run_federated(
     model and local_epochs, so each client trains once, the union is
     evaluated once, and every later round repeats round one's record.
     """
-    if len(partitions) != cfg.n_clients:
-        raise InvalidConfigError(
-            f"config expects {cfg.n_clients} clients, got {len(partitions)} partitions"
-        )
-
     log = RoundLog()
     client_data: list[EncodedDataset] = []
     for p in partitions:

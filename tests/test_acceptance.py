@@ -33,7 +33,7 @@ from _synth import write_dataset_a_like, write_dataset_b_like
 from conftest import missing_real_data, real_data_dir
 from fedtab.attack import AttackConfig, flip_labels
 from fedtab.config import ExperimentConfig, OutputConfig
-from fedtab.dataset import build_client_partitions
+from fedtab.dataset import build_client_partitions, encode
 from fedtab.errors import NoPositivePairsError
 from fedtab.experiment import build_results_table, emit_report, run_condition, run_suite
 from fedtab.federation import FederationConfig, aggregate_parametric, run_federated
@@ -77,12 +77,12 @@ def benchmark():
     reports, timings = {}, {}
     suite_start = time.perf_counter()
     for key in cfg.datasets:
-        raw = load_dataset(specs[key])
+        data = encode(load_dataset(specs[key]), specs[key].schema)
         for model in cfg.models:
             for condition in cfg.conditions:
                 cell_start = time.perf_counter()
                 reports[(key, model, condition)] = run_condition(
-                    cfg, specs[key], model, condition, master_seed=cfg.seeds[0], raw=raw
+                    cfg, specs[key], model, condition, master_seed=cfg.seeds[0], data=data
                 )
                 timings[(key, model, condition)] = time.perf_counter() - cell_start
     total = time.perf_counter() - suite_start
@@ -404,14 +404,13 @@ def _suite_output_bytes(cfg: ExperimentConfig, specs, out_dir: Path) -> tuple[by
 
 
 def _warm_start_check(spec):
-    raw = load_dataset(spec)
-    parts = build_client_partitions(raw, spec.schema, 1, 0.2, seed=5, stats_scope="client")
+    data = encode(load_dataset(spec), spec.schema)
+    parts = build_client_partitions(data, spec.schema, 1, 0.2, seed=5, stats_scope="client")
     fed_cfg = FederationConfig(
         model_kind="logistic",
         rounds=5,
         local_epochs=60,
         train_cfg=TrainConfig(learning_rate=0.1, epochs=300, l2=1e-3),
-        n_clients=1,
         seed=5,
     )
     federated, _ = run_federated(parts, fed_cfg)

@@ -44,6 +44,14 @@ def test_validate_rejects_bad_configs(tmp_path, capsys):
         "seeds: [-1]\n",
         "attack_seed: -1\n",
         "datasets: [C]\n",
+        "datasets: [B, B]\n",
+        "models: [svm, svm]\n",
+        "conditions: [fl_clean, fl_clean]\n",
+        "seeds: [0, 0]\n",
+        "malicious_clients: [0, 0]\n",
+        "round_budgets: [2, 2]\n",
+        "output: {path: out.csv, round_log: out.csv}\n",
+        "output: {path: out.csv, round_log: ./sub/../out.csv}\n",
     ]
     for i, text in enumerate(bad_values):
         bad_value = tmp_path / f"value{i}.yaml"

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-import fedtab.dataset
 from _synth import grades_dataset_spec, write_grades_csv
 from fedtab.dataset import (
     ColumnSpec,
@@ -307,7 +306,9 @@ def grades_raw(tmp_path_factory):
 
 def test_build_partitions_shapes_and_provenance(grades_raw):
     raw, spec = grades_raw
-    parts = build_client_partitions(raw, spec.schema, 3, 0.2, seed=9, stats_scope="client")
+    parts = build_client_partitions(
+        encode(raw, spec.schema), spec.schema, 3, 0.2, seed=9, stats_scope="client"
+    )
     assert len(parts) == 3
     widths = {p.train.n_features for p in parts} | {p.test.n_features for p in parts}
     assert len(widths) == 1, "every client must encode to the same width"
@@ -320,7 +321,9 @@ def test_build_partitions_shapes_and_provenance(grades_raw):
 
 def test_build_partitions_width_matches_hand_count(grades_raw):
     raw, spec = grades_raw
-    parts = build_client_partitions(raw, spec.schema, 3, 0.2, seed=9, stats_scope="client")
+    parts = build_client_partitions(
+        encode(raw, spec.schema), spec.schema, 3, 0.2, seed=9, stats_scope="client"
+    )
     # independent width count: distinct levels per categorical column plus
     # one slot per continuous column
     support_levels = len(set(raw.column("support")))
@@ -339,7 +342,9 @@ def _zscores_from_cells(raw, name, fit_rows, rows):
 
 def test_pooled_scope_shares_statistics(grades_raw):
     raw, spec = grades_raw
-    parts = build_client_partitions(raw, spec.schema, 3, 0.2, seed=9, stats_scope="pooled")
+    parts = build_client_partitions(
+        encode(raw, spec.schema), spec.schema, 3, 0.2, seed=9, stats_scope="pooled"
+    )
     pooled_rows = np.concatenate([p.train_rows for p in parts])
     names = parts[0].train.feature_names
     for p in parts:
@@ -356,7 +361,9 @@ def test_pooled_scope_shares_statistics(grades_raw):
 
 def test_client_scope_statistics_differ(grades_raw):
     raw, spec = grades_raw
-    parts = build_client_partitions(raw, spec.schema, 3, 0.2, seed=9, stats_scope="client")
+    parts = build_client_partitions(
+        encode(raw, spec.schema), spec.schema, 3, 0.2, seed=9, stats_scope="client"
+    )
     j = parts[0].train.feature_names.index("prev_score")
     for p in parts:
         for rows, data in ((p.train_rows, p.train), (p.test_rows, p.test)):
@@ -368,22 +375,16 @@ def test_client_scope_statistics_differ(grades_raw):
     assert own != other
 
 
-@pytest.mark.parametrize("scope", ["client", "pooled"])
-def test_build_partitions_encodes_once(grades_raw, monkeypatch, scope):
+def test_encoded_table_is_read_only(grades_raw):
     raw, spec = grades_raw
-    calls = []
-    real_encode = fedtab.dataset.encode
-
-    def counting_encode(*args, **kwargs):
-        calls.append(1)
-        return real_encode(*args, **kwargs)
-
-    monkeypatch.setattr(fedtab.dataset, "encode", counting_encode)
-    build_client_partitions(raw, spec.schema, 3, 0.2, seed=9, stats_scope=scope)
-    assert len(calls) == 1
+    data = encode(raw, spec.schema)
+    with pytest.raises(ValueError):
+        data.features[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        data.labels[0] = 0
 
 
-def test_build_partitions_reports_first_bad_cell_by_table_row(grades_raw):
+def test_encode_reports_first_bad_cell_by_table_row(grades_raw):
     raw, spec = grades_raw
     continuous = [c.name for c in spec.schema.feature_columns("continuous")]
     rows = [list(r) for r in raw.rows]
@@ -392,14 +393,16 @@ def test_build_partitions_reports_first_bad_cell_by_table_row(grades_raw):
     rows[3][raw.column_index(spec.schema.target_column)] = "maybe"
     broken = RawTable(raw.header, tuple(tuple(r) for r in rows))
     with pytest.raises(NonNumericCellError) as err:
-        build_client_partitions(broken, spec.schema, 3, 0.2, seed=9)
+        encode(broken, spec.schema)
     assert str(err.value) == f"column {continuous[0]!r}, row 201: 'n/a' is not numeric"
 
 
 def test_pipeline_is_leakage_free(grades_raw):
     """Perturbing a test row must not move any training feature."""
     raw, spec = grades_raw
-    parts = build_client_partitions(raw, spec.schema, 3, 0.2, seed=4, stats_scope="client")
+    parts = build_client_partitions(
+        encode(raw, spec.schema), spec.schema, 3, 0.2, seed=4, stats_scope="client"
+    )
     victim = int(parts[1].test_rows[0])
     col = raw.column_index("prev_score")
     rows = list(raw.rows)
@@ -407,7 +410,9 @@ def test_pipeline_is_leakage_free(grades_raw):
     row[col] = "99.875"
     rows[victim] = tuple(row)
     perturbed = RawTable(raw.header, tuple(rows))
-    parts2 = build_client_partitions(perturbed, spec.schema, 3, 0.2, seed=4, stats_scope="client")
+    parts2 = build_client_partitions(
+        encode(perturbed, spec.schema), spec.schema, 3, 0.2, seed=4, stats_scope="client"
+    )
     for p, q in zip(parts, parts2):
         assert np.array_equal(p.train_rows, q.train_rows)
         assert np.array_equal(p.train.features, q.train.features)

@@ -13,10 +13,12 @@ from _synth import (
     write_grades_csv,
     write_outcomes_csv,
 )
+import fedtab.dataset
+import fedtab.experiment
 from fedtab import federation
 from fedtab.attack import AttackConfig
 from fedtab.config import ExperimentConfig, OutputConfig, config_from_dict
-from fedtab.dataset import build_client_partitions
+from fedtab.dataset import build_client_partitions, encode
 from fedtab.errors import InvalidConfigError
 from fedtab.experiment import (
     RESULT_COLUMNS,
@@ -65,14 +67,14 @@ def test_mean_reports_averages_fields():
 def grades(tmp_path_factory):
     path = write_grades_csv(tmp_path_factory.mktemp("exp") / "grades.csv", n=300, seed=31)
     spec = grades_dataset_spec(path)
-    return spec, load_dataset(spec)
+    return spec, encode(load_dataset(spec), spec.schema)
 
 
 @pytest.fixture(scope="module")
 def outcomes(tmp_path_factory):
     path = write_outcomes_csv(tmp_path_factory.mktemp("exp") / "outcomes.csv", n=360, seed=37)
     spec = outcomes_dataset_spec(path)
-    return spec, load_dataset(spec)
+    return spec, encode(load_dataset(spec), spec.schema)
 
 
 def small_cfg(**overrides):
@@ -90,10 +92,10 @@ def small_cfg(**overrides):
 
 
 def test_all_four_conditions_produce_reports(grades):
-    spec, raw = grades
+    spec, data = grades
     cfg = small_cfg()
     reports = {
-        condition: run_condition(cfg, spec, "logistic", condition, master_seed=3, raw=raw)
+        condition: run_condition(cfg, spec, "logistic", condition, master_seed=3, data=data)
         for condition in cfg.conditions
     }
     sizes = {r.n_samples for r in reports.values()}
@@ -103,19 +105,19 @@ def test_all_four_conditions_produce_reports(grades):
 
 
 def test_run_condition_is_deterministic(grades):
-    spec, raw = grades
+    spec, data = grades
     cfg = small_cfg()
-    a = run_condition(cfg, spec, "logistic", "fl_poisoned", master_seed=5, raw=raw)
-    b = run_condition(cfg, spec, "logistic", "fl_poisoned", master_seed=5, raw=raw)
+    a = run_condition(cfg, spec, "logistic", "fl_poisoned", master_seed=5, data=data)
+    b = run_condition(cfg, spec, "logistic", "fl_poisoned", master_seed=5, data=data)
     assert a == b
-    c = run_condition(cfg, spec, "logistic", "fl_poisoned", master_seed=6, raw=raw)
+    c = run_condition(cfg, spec, "logistic", "fl_poisoned", master_seed=6, data=data)
     assert a != c
 
 
 def test_fl_report_is_mean_over_round_budgets(grades):
-    spec, raw = grades
+    spec, data = grades
     cfg = small_cfg(round_budgets=(1, 2, 3))
-    detail = run_condition_detailed(cfg, spec, raw, "logistic", "fl_clean", master_seed=2)
+    detail = run_condition_detailed(cfg, spec, data, "logistic", "fl_clean", master_seed=2)
     assert sorted(detail.per_budget) == [1, 2, 3]
     assert detail.report == mean_reports([detail.per_budget[b] for b in (1, 2, 3)])
     for budget, log in detail.logs.items():
@@ -124,15 +126,15 @@ def test_fl_report_is_mean_over_round_budgets(grades):
 
 
 def test_fl_per_round_averaging_mode(grades):
-    spec, raw = grades
+    spec, data = grades
     cfg = small_cfg(round_budgets=(3,), fl_average="per_round")
-    detail = run_condition_detailed(cfg, spec, raw, "logistic", "fl_clean", master_seed=2)
+    detail = run_condition_detailed(cfg, spec, data, "logistic", "fl_clean", master_seed=2)
     log = detail.logs[3]
     assert detail.per_budget[3] == mean_reports([r.global_metrics for r in log.records])
 
 
 def test_forest_federation_runs_once_per_cell(grades, monkeypatch):
-    spec, raw = grades
+    spec, data = grades
     cfg = small_cfg(
         models=("forest",),
         round_budgets=(1, 2, 3),
@@ -145,12 +147,12 @@ def test_forest_federation_runs_once_per_cell(grades, monkeypatch):
         return train_forest(train, train_cfg)
 
     monkeypatch.setattr(federation, "train_forest", counted_train_forest)
-    detail = run_condition_detailed(cfg, spec, raw, "forest", "fl_poisoned", master_seed=4)
+    detail = run_condition_detailed(cfg, spec, data, "forest", "fl_poisoned", master_seed=4)
     assert sorted(trained) == [4 ^ c for c in range(cfg.n_clients)]  # one forest per client
     monkeypatch.undo()
 
     partitions = build_client_partitions(
-        raw, spec.schema, cfg.n_clients, cfg.test_fraction, 4, "client"
+        data, spec.schema, cfg.n_clients, cfg.test_fraction, 4, "client"
     )
     attack = AttackConfig(
         flip_fraction=cfg.flip_fraction,
@@ -164,7 +166,6 @@ def test_forest_federation_runs_once_per_cell(grades, monkeypatch):
             rounds=budget,
             local_epochs=epochs_for_budget(cfg.epoch_budget, budget),
             train_cfg=cfg.train_config("forest"),
-            n_clients=cfg.n_clients,
             seed=4,
         )
         _, alone = run_federated(partitions, fed_cfg, attack)
@@ -177,9 +178,9 @@ def test_forest_federation_runs_once_per_cell(grades, monkeypatch):
 
 
 def test_three_class_pipeline_runs(outcomes):
-    spec, raw = outcomes
+    spec, data = outcomes
     cfg = small_cfg(models=("forest",), round_budgets=(2,))
-    out = run_condition(cfg, spec, "forest", "fl_clean", master_seed=1, raw=raw)
+    out = run_condition(cfg, spec, "forest", "fl_clean", master_seed=1, data=data)
     assert out.accuracy_pct > 60.0
     assert 0.0 <= out.auc_roc <= 1.0
 
@@ -257,6 +258,26 @@ def test_run_suite_writes_outputs(tmp_path, grades):
     assert len(rounds) == 6
     assert all(set(r) >= {"dataset", "model", "condition", "seed", "budget", "round", "global"} for r in rounds)
     assert flips and all(f["condition"] == "fl_poisoned" and f["client"] == 0 for f in flips)
+
+
+def test_run_suite_encodes_each_table_once(grades, outcomes, monkeypatch):
+    calls = []
+
+    def counting_encode(raw, schema):
+        calls.append(schema)
+        return encode(raw, schema)
+
+    for module in (fedtab.dataset, fedtab.experiment):
+        monkeypatch.setattr(module, "encode", counting_encode, raising=False)
+    cfg = small_cfg(
+        datasets=("A", "B"),
+        models=("logistic", "forest"),
+        seeds=(3, 4),
+        train_overrides={"forest": {"n_trees": 2, "max_depth": 3}},
+    )
+    (spec_a, _), (spec_b, _) = grades, outcomes
+    run_suite(cfg, datasets={"A": spec_a, "B": spec_b})
+    assert calls == [spec_a.schema, spec_b.schema]  # not one per cell and seed
 
 
 def test_config_round_trip_and_validation():

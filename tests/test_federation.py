@@ -9,7 +9,7 @@ from _oracles import exact_weighted_average
 from _synth import grades_dataset_spec, write_grades_csv
 from fedtab import federation
 from fedtab.attack import AttackConfig, flip_count
-from fedtab.dataset import build_client_partitions, concat_datasets
+from fedtab.dataset import build_client_partitions, concat_datasets, encode
 from fedtab.errors import EmptyInputError, InvalidConfigError, ShapeMismatchError
 from fedtab.federation import (
     FederationConfig,
@@ -38,9 +38,9 @@ def linear(values, bias, kind="logistic", n_classes=2):
 @pytest.fixture(scope="module")
 def partitions(tmp_path_factory):
     path = write_grades_csv(tmp_path_factory.mktemp("fed") / "grades.csv", n=300, seed=21)
-    raw = load_dataset(grades_dataset_spec(path))
-    schema = grades_dataset_spec(path).schema
-    return build_client_partitions(raw, schema, 3, 0.2, seed=2, stats_scope="client")
+    spec = grades_dataset_spec(path)
+    data = encode(load_dataset(spec), spec.schema)
+    return build_client_partitions(data, spec.schema, 3, 0.2, seed=2, stats_scope="client")
 
 
 def test_aggregate_hand_value():
@@ -135,7 +135,7 @@ def test_evaluate_global_matches_manual_concat(partitions):
     assert report.n_samples == sum(p.test.n_samples for p in partitions)
 
 
-def _fed_cfg(model_kind, rounds, local_epochs, seed=4, n_clients=3, **train_kwargs):
+def _fed_cfg(model_kind, rounds, local_epochs, seed=4, **train_kwargs):
     defaults = dict(learning_rate=0.1, epochs=300, l2=1e-3)
     if model_kind == "forest":
         defaults = dict(n_trees=5, max_depth=6, min_leaf=2)
@@ -145,7 +145,6 @@ def _fed_cfg(model_kind, rounds, local_epochs, seed=4, n_clients=3, **train_kwar
         rounds=rounds,
         local_epochs=local_epochs,
         train_cfg=TrainConfig(**defaults),
-        n_clients=n_clients,
         seed=seed,
     )
 
@@ -199,7 +198,7 @@ def test_forest_rounds_only_extend_the_log(partitions, monkeypatch):
 
 def test_single_client_logistic_equals_centralized_chain(partitions):
     solo = [partitions[0]]
-    cfg = _fed_cfg("logistic", rounds=4, local_epochs=25, seed=8, n_clients=1)
+    cfg = _fed_cfg("logistic", rounds=4, local_epochs=25, seed=8)
     fed_model, _ = run_federated(solo, cfg)
     central = train_logreg(
         partitions[0].train, TrainConfig(learning_rate=0.1, epochs=100, l2=1e-3, seed=8)
@@ -225,8 +224,3 @@ def test_poisoning_changes_the_model(partitions):
     attack = AttackConfig(flip_fraction=0.5, malicious_clients=frozenset({0}), seed=6)
     poisoned, _ = run_federated(partitions, _fed_cfg("logistic", rounds=2, local_epochs=20), attack)
     assert not np.array_equal(clean.weights, poisoned.weights)
-
-
-def test_run_federated_validates_client_count(partitions):
-    with pytest.raises(InvalidConfigError):
-        run_federated(partitions[:2], _fed_cfg("logistic", rounds=1, local_epochs=1))
