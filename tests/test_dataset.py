@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import fedtab.dataset
 from _synth import grades_dataset_spec, write_grades_csv
 from fedtab.dataset import (
     ColumnSpec,
@@ -373,6 +374,24 @@ def test_client_scope_statistics_differ(grades_raw):
     own = np.mean([float(raw.rows[i][col]) for i in parts[0].train_rows])
     other = np.mean([float(raw.rows[i][col]) for i in parts[1].train_rows])
     assert own != other
+
+
+@pytest.mark.parametrize("scope", ["client", "pooled"])
+def test_build_partitions_encodes_once(grades_raw, monkeypatch, scope):
+    """One encode serves every build: partition builds never re-encode."""
+    raw, spec = grades_raw
+    calls = []
+    real_encode = fedtab.dataset.encode
+
+    def counting_encode(*args, **kwargs):
+        calls.append(1)
+        return real_encode(*args, **kwargs)
+
+    monkeypatch.setattr(fedtab.dataset, "encode", counting_encode)
+    data = fedtab.dataset.encode(raw, spec.schema)
+    for seed in (9, 10):
+        build_client_partitions(data, spec.schema, 3, 0.2, seed=seed, stats_scope=scope)
+    assert len(calls) == 1
 
 
 def test_encoded_table_is_read_only(grades_raw):
