@@ -78,11 +78,11 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
 
     updates = {}
     if args.dataset:
-        updates["datasets"] = tuple(dict.fromkeys(args.dataset))
+        updates["datasets"] = tuple(args.dataset)
     if args.model:
-        updates["models"] = tuple(dict.fromkeys(args.model))
+        updates["models"] = tuple(args.model)
     if args.condition:
-        updates["conditions"] = tuple(dict.fromkeys(args.condition))
+        updates["conditions"] = tuple(args.condition)
     if args.seed:
         updates["seeds"] = tuple(args.seed)
     if args.rounds:

@@ -233,39 +233,47 @@ def train_svm(
     permutation from the configured seed.  The weight decay factor is
     carried as a scalar and folded back once per epoch, which changes
     nothing semantically but keeps the inner loop cheap.
+
+    Each sample makes one numpy call, the dot product ``weights @ x``,
+    which stays in numpy so BLAS gives the same bits as a vectorized
+    loop.  The margin test ``t * (s * dot + b) < 1``, the step size and
+    the bias update are Python float arithmetic on lists, and a violating
+    row gets ``(step * t) * x`` added in place; float64 ``*`` and ``+``
+    round the same in Python as in numpy element-wise ops, so the weights
+    and bias are bit-identical to the vectorized form.  Parameters are
+    float64.
     """
     _check_train_inputs(train)
     rows = 1 if train.n_classes == 2 else train.n_classes
     if init is not None:
         _check_init(init, "svm", train)
-        weights = init.weights.copy()
-        bias = init.bias.copy()
+        weights = init.weights.astype(np.float64)
+        bias = init.bias.tolist()
     else:
         weights = np.zeros((rows, train.n_features))
-        bias = np.zeros(rows)
+        bias = [0.0] * rows
 
     rng = np.random.default_rng(cfg.seed)
-    signed = _signed_targets(train.labels, train.n_classes)
-    X = np.ascontiguousarray(train.features)
+    signed = _signed_targets(train.labels, train.n_classes).tolist()
+    X = list(np.ascontiguousarray(train.features, dtype=np.float64))
+    wrows = list(weights)  # row views: in-place updates land in `weights`
     for epoch in range(1, cfg.epochs + 1):
         lr = cfg.learning_rate / epoch
         decay = 1.0 - lr * cfg.l2
         if decay <= 0.0:
             raise InvalidConfigError("learning_rate * l2 too large; weights would vanish")
-        perm = rng.permutation(train.n_samples)
         scale = 1.0
-        for i in perm:
+        for i in rng.permutation(train.n_samples).tolist():
             x = X[i]
-            target = signed[i]
-            margins = target * (scale * (weights @ x) + bias)
+            dots = (weights @ x).tolist()
+            s = scale
             scale *= decay
-            violating = np.flatnonzero(margins < 1.0)
-            if violating.size:
-                step = (lr / scale) * target[violating]
-                weights[violating] += step[:, None] * x
-                bias[violating] += lr * target[violating]
+            for r, t in enumerate(signed[i]):
+                if t * (s * dots[r] + bias[r]) < 1.0:
+                    wrows[r] += ((lr / scale) * t) * x
+                    bias[r] += lr * t
         weights *= scale
-    return LinearModel(weights, bias, "svm", train.n_classes)
+    return LinearModel(weights, np.array(bias, dtype=np.float64), "svm", train.n_classes)
 
 
 def _gini(counts: np.ndarray, size) -> np.ndarray:

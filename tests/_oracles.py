@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the package.
 
 Everything here is written the slow, obvious way: explicit loops straight
-from the definitions, exact rational arithmetic where it matters.  Nothing
+from the definitions, exact rational arithmetic where it matters, or, for a
+kernel rewritten for speed, the plain array form it must match.  Nothing
 imports from the package, so agreement between these and the fast
 implementations is meaningful evidence.
 """
@@ -9,6 +10,8 @@ implementations is meaningful evidence.
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 
 def naive_accuracy(pred, truth) -> float:
@@ -85,3 +88,39 @@ def exact_weighted_average(vectors, counts):
             acc += Fraction(value) * Fraction(count, total)
         out.append(float(acc))
     return out
+
+
+def vectorized_svm(X, labels, n_classes, epochs, learning_rate, l2, seed, weights=None, bias=None):
+    """The per-sample hinge-loss SGD loop written with numpy array ops.
+
+    Same algorithm as ``train_svm``: epoch t steps with ``learning_rate / t``
+    over a fresh permutation from ``default_rng(seed)``, the decay carried
+    as a scalar and folded in once per epoch.  Every margin test and update
+    here is one vectorized numpy expression over the weight rows, so a
+    scalar rewrite must match it bit for bit.  Returns (weights, bias).
+    """
+    rows = 1 if n_classes == 2 else n_classes
+    weights = np.zeros((rows, X.shape[1])) if weights is None else weights.copy()
+    bias = np.zeros(rows) if bias is None else bias.copy()
+    if n_classes == 2:
+        signed = np.where(labels == 1, 1.0, -1.0)[:, None]
+    else:
+        signed = np.where(labels[:, None] == np.arange(n_classes)[None, :], 1.0, -1.0)
+    rng = np.random.default_rng(seed)
+    X = np.ascontiguousarray(X)
+    for epoch in range(1, epochs + 1):
+        lr = learning_rate / epoch
+        decay = 1.0 - lr * l2
+        scale = 1.0
+        for i in rng.permutation(X.shape[0]):
+            x = X[i]
+            target = signed[i]
+            margins = target * (scale * (weights @ x) + bias)
+            scale *= decay
+            violating = np.flatnonzero(margins < 1.0)
+            if violating.size:
+                step = (lr / scale) * target[violating]
+                weights[violating] += step[:, None] * x
+                bias[violating] += lr * target[violating]
+        weights *= scale
+    return weights, bias

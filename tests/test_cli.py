@@ -119,6 +119,22 @@ def test_run_bad_rounds_is_a_config_error(data_dir, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("repeat", [
+    ["--dataset", "A", "--dataset", "A"],
+    ["--model", "logistic", "--model", "logistic"],
+    ["--condition", "fl_clean", "--condition", "fl_clean"],
+    ["--seed", "0", "--seed", "0"],
+], ids=["dataset", "model", "condition", "seed"])
+def test_run_repeated_flag_is_a_config_error(tmp_path, data_dir, capsys, repeat):
+    out = tmp_path / "out.csv"
+    code = main(["run", *repeat, "--data-dir", str(data_dir), "--output", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "must be unique" in err
+    assert "s] " not in err  # no cell started: progress lines read "[  0.1s] cell"
+    assert not out.exists()
+
+
 def test_run_round_log_export(tmp_path, data_dir):
     log_path = tmp_path / "rounds.jsonl"
     code = main([

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from _oracles import vectorized_svm
 from _synth import blob_dataset
 from fedtab.dataset import EncodedDataset
 from fedtab.errors import InvalidConfigError, ShapeMismatchError
@@ -153,6 +154,34 @@ def test_svm_is_deterministic_per_seed():
     c = train_svm(data, TrainConfig(learning_rate=0.05, epochs=10, l2=1e-3, seed=22))
     assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
     assert not np.array_equal(a.weights, c.weights)
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_svm_matches_vectorized_reference_bit_exactly(n_classes, warm):
+    # overlapping blobs keep rows violating the margin in every epoch; l2 0.1
+    # lets the carried decay scale drift far from 1 within an epoch
+    data = blob_dataset(40, n_classes=n_classes, n_features=6, seed=4, spread=4.0)
+    rows = 1 if n_classes == 2 else n_classes
+    init = init_w = init_b = None
+    if warm:
+        rng = np.random.default_rng(11)
+        init_w = rng.normal(0.0, 0.5, (rows, data.n_features))
+        init_b = rng.normal(0.0, 0.5, rows)
+        init = LinearModel(init_w.copy(), init_b.copy(), "svm", n_classes)
+    for seed in (0, 3, 22):
+        for epochs in (1, 7):
+            for l2 in (1e-3, 0.1, 0.0):
+                cfg = TrainConfig(learning_rate=0.05, epochs=epochs, l2=l2, seed=seed)
+                model = train_svm(data, cfg, init=init)
+                weights, bias = vectorized_svm(
+                    data.features, data.labels, n_classes, epochs, 0.05, l2, seed, init_w, init_b
+                )
+                assert model.weights.tobytes() == weights.tobytes(), (seed, epochs, l2)
+                assert model.bias.tobytes() == bias.tobytes(), (seed, epochs, l2)
+                if warm:  # the model's rows are updated in place on a copy only
+                    assert init.weights.tobytes() == init_w.tobytes()
+                    assert init.bias.tobytes() == init_b.tobytes()
 
 
 def test_grow_tree_split_oracle():
