@@ -6,7 +6,8 @@
   loss, one-vs-rest for three or more classes, with a seeded per-epoch
   permutation and a 1/t learning-rate decay,
 - random forest: bagged CART trees split on Gini impurity with a fresh
-  ceil(sqrt(d)) feature subset at every node.
+  ceil(sqrt(d)) feature subset at every node; each node's split search
+  covers its whole subset in one pass (see ``_grow_tree``).
 
 The bias terms are never regularized.  Training with epochs = 0 returns the
 initial parameters unchanged, which is what federated warm starts rely on.
@@ -277,8 +278,8 @@ def train_svm(
 
 
 def _gini(counts: np.ndarray, size) -> np.ndarray:
-    ratios = counts / np.asarray(size, dtype=np.float64)
-    return 1.0 - np.sum(ratios * ratios, axis=-1)
+    ratios = counts / size
+    return 1.0 - (ratios * ratios).sum(axis=-1)
 
 
 def _grow_tree(
@@ -290,48 +291,80 @@ def _grow_tree(
     n_classes: int,
     cfg: TrainConfig,
 ) -> TreeNode:
-    counts = np.bincount(y[rows], minlength=n_classes)
+    """Grow the subtree on ``rows`` depth-first, one split search per node.
+
+    Each node draws its feature subset from ``rng`` and searches the whole
+    subset in one pass.  The node's values of the F drawn features form one
+    (F, n) block, sorted per feature by a stable argsort, and one cumsum of
+    the sorted one-hot labels gives the class counts left of every cut.  A
+    cut is valid at a value boundary with ``min_leaf`` rows on each side;
+    Gini is computed at the valid cuts only, listed feature-major, and one
+    argmax picks the split.  The trees are bit-identical to searching the
+    features one at a time:
+
+    - Gini is computed elementwise, and only at the boundary cuts that
+      search scores, so each gain is the same expression on the same
+      counts; the counts left of a boundary do not depend on how the sort
+      orders equal values;
+    - ties keep its order: the argmax returns the first maximum, which is
+      the first cut within a feature and the earliest feature in subset
+      order, as its strict ``>`` scan does, and a split needs a gain
+      strictly above 0.
+    """
+    labels = y[rows]
+    counts = np.bincount(labels, minlength=n_classes)
     n = rows.shape[0]
     if depth >= cfg.max_depth or n < 2 * cfg.min_leaf or counts.max() == n:
         return TreeNode(class_counts=counts)
 
     d = X.shape[1]
     subset = rng.choice(d, size=math.ceil(math.sqrt(d)), replace=False)
-    parent_gini = _gini(counts, n)
-    sizes_left = np.arange(1, n)
-    best_gain = 0.0
-    best = None
-    for f in subset:
-        values = X[rows, f]
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        onehot = np.equal(y[rows][order, None], np.arange(n_classes)[None, :])
-        boundary = sv[:-1] != sv[1:]
-        valid = boundary & (sizes_left >= cfg.min_leaf) & ((n - sizes_left) >= cfg.min_leaf)
-        if not valid.any():
-            continue
-        cum = np.cumsum(onehot, axis=0)[:-1][valid]
-        nl = sizes_left[valid]
-        nr = n - nl
-        weighted = (nl * _gini(cum, nl[:, None]) + nr * _gini(counts - cum, nr[:, None])) / n
-        gains = parent_gini - weighted
-        k = int(np.argmax(gains))
-        if gains[k] > best_gain:
-            cut = int(nl[k]) - 1  # position in the sorted order
-            lo, hi = sv[cut], sv[cut + 1]
-            threshold = (lo + hi) / 2.0
-            if not lo <= threshold < hi:  # adjacent floats can round the midpoint up
-                threshold = lo
-            best_gain = float(gains[k])
-            best = (int(f), threshold)
-    if best is None:
+    split = _best_split(X[rows, subset[:, None]], labels, counts, cfg.min_leaf)
+    if split is None:
         return TreeNode(class_counts=counts)
 
-    f, threshold = best
-    go_left = X[rows, f] <= threshold
+    i, threshold, go_left = split
     left = _grow_tree(X, y, rows[go_left], depth + 1, rng, n_classes, cfg)
     right = _grow_tree(X, y, rows[~go_left], depth + 1, rng, n_classes, cfg)
-    return TreeNode(feature_index=f, threshold=threshold, left=left, right=right)
+    return TreeNode(feature_index=int(subset[i]), threshold=threshold, left=left, right=right)
+
+
+def _best_split(
+    values: np.ndarray, labels: np.ndarray, counts: np.ndarray, min_leaf: int
+) -> tuple[int, float, np.ndarray] | None:
+    """(subset position, threshold, rows going left) of the best split, or None.
+
+    ``values`` is the node's (F, n) block, one row per drawn feature.  The
+    search's temporaries die on return, before the children grow.
+    """
+    n = labels.shape[0]
+    order = np.argsort(values, axis=1, kind="stable")
+    sv = values[np.arange(values.shape[0])[:, None], order]
+    onehot = labels[:, None] == np.arange(counts.shape[0])
+    cum = np.cumsum(onehot[order], axis=1, dtype=np.int32)
+    # cut j sends sorted positions 0..j left; min_leaf rows on each side
+    # means first <= j < stop
+    first, stop = min_leaf - 1, n - min_leaf
+    feat, cut = np.nonzero(sv[:, first:stop] != sv[:, first + 1 : stop + 1])
+    if feat.size == 0:
+        return None
+    cut += first
+    left_counts = cum[feat, cut]
+    nl = cut + 1
+    nr = n - nl
+    right_counts = counts - left_counts
+    weighted = (nl * _gini(left_counts, nl[:, None]) + nr * _gini(right_counts, nr[:, None])) / n
+    gains = _gini(counts, n) - weighted
+    k = int(np.argmax(gains))
+    if not gains[k] > 0.0:
+        return None
+
+    i, j = feat[k], cut[k]
+    lo, hi = sv[i, j], sv[i, j + 1]
+    threshold = (lo + hi) / 2.0
+    if not lo <= threshold < hi:  # adjacent floats can round the midpoint up
+        threshold = lo
+    return int(i), threshold, values[i] <= threshold
 
 
 def train_forest(train: EncodedDataset, cfg: TrainConfig) -> Forest:

@@ -9,6 +9,7 @@ implementations is meaningful evidence.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -124,3 +125,77 @@ def vectorized_svm(X, labels, n_classes, epochs, learning_rate, l2, seed, weight
                 bias[violating] += lr * target[violating]
         weights *= scale
     return weights, bias
+
+
+def _gini(counts, size):
+    ratios = counts / np.asarray(size, dtype=np.float64)
+    return 1.0 - np.sum(ratios * ratios, axis=-1)
+
+
+def per_feature_tree(X, y, rows, depth, rng, n_classes, max_depth, min_leaf):
+    """Grow one CART tree the plain way, one drawn feature at a time.
+
+    Every node draws ceil(sqrt(d)) features from ``rng``; each feature is
+    sorted on its own, scored at its valid cuts, and replaces the best split
+    so far only on a strictly larger gain.  ``train_forest`` searches the
+    whole subset in one pass and must grow these trees bit for bit.  Returns
+    the tree in the serialized model format: ``{"counts": [...]}`` for a
+    leaf, else feature, threshold, left and right.
+    """
+    counts = np.bincount(y[rows], minlength=n_classes)
+    n = rows.shape[0]
+    if depth >= max_depth or n < 2 * min_leaf or counts.max() == n:
+        return {"counts": [int(c) for c in counts]}
+
+    d = X.shape[1]
+    subset = rng.choice(d, size=math.ceil(math.sqrt(d)), replace=False)
+    parent_gini = _gini(counts, n)
+    sizes_left = np.arange(1, n)
+    best_gain = 0.0
+    best = None
+    for f in subset:
+        values = X[rows, f]
+        order = np.argsort(values, kind="stable")
+        sv = values[order]
+        onehot = np.equal(y[rows][order, None], np.arange(n_classes)[None, :])
+        boundary = sv[:-1] != sv[1:]
+        valid = boundary & (sizes_left >= min_leaf) & ((n - sizes_left) >= min_leaf)
+        if not valid.any():
+            continue
+        cum = np.cumsum(onehot, axis=0)[:-1][valid]
+        nl = sizes_left[valid]
+        nr = n - nl
+        weighted = (nl * _gini(cum, nl[:, None]) + nr * _gini(counts - cum, nr[:, None])) / n
+        gains = parent_gini - weighted
+        k = int(np.argmax(gains))
+        if gains[k] > best_gain:
+            cut = int(nl[k]) - 1  # position in the sorted order
+            lo, hi = sv[cut], sv[cut + 1]
+            threshold = (lo + hi) / 2.0
+            if not lo <= threshold < hi:  # adjacent floats can round the midpoint up
+                threshold = lo
+            best_gain = float(gains[k])
+            best = (int(f), float(threshold))
+    if best is None:
+        return {"counts": [int(c) for c in counts]}
+
+    f, threshold = best
+    go_left = X[rows, f] <= threshold
+    grow = (rng, n_classes, max_depth, min_leaf)
+    return {
+        "feature": f,
+        "threshold": threshold,
+        "left": per_feature_tree(X, y, rows[go_left], depth + 1, *grow),
+        "right": per_feature_tree(X, y, rows[~go_left], depth + 1, *grow),
+    }
+
+
+def per_feature_forest(X, y, n_classes, n_trees, max_depth, min_leaf, seed):
+    """Trees of ``per_feature_tree`` on the bootstraps ``train_forest`` draws."""
+    n = X.shape[0]
+    trees = []
+    for t in range(n_trees):
+        rng = np.random.default_rng((seed, t))
+        bootstrap = rng.integers(0, n, size=n)
+        trees.append(per_feature_tree(X, y, bootstrap, 0, rng, n_classes, max_depth, min_leaf))
+    return trees

@@ -3,7 +3,9 @@
 ``bench/golden.json`` pins the stand-in inputs and the report and round-log
 sha256 of every benchmark workload.  Criterion 09 checks that one build
 repeats itself; this test checks that the outputs have not moved since the
-digests were pinned.  It reads ``bench/`` and writes nothing there.
+digests were pinned, on the tiny full grid and on the real-size forest
+workload, whose forest bytes no smaller test reaches.  It reads ``bench/``
+and writes nothing there.
 """
 
 from __future__ import annotations
@@ -30,12 +32,13 @@ def _bench_harness(monkeypatch):
     return module
 
 
-def test_small_grid_outputs_match_golden_digests(tmp_path, monkeypatch):
+@pytest.mark.parametrize("name", ["small_grid", "forest_B"])
+def test_outputs_match_golden_digests(name, tmp_path, monkeypatch):
     harness = _bench_harness(monkeypatch)
     golden = harness.load_golden()
     if harness.versions() != golden["versions"]:
         pytest.skip(f"digests pinned under {golden['versions']}, running {harness.versions()}")
-    workload = harness.WORKLOADS["small_grid"]
+    workload = harness.WORKLOADS[name]
     pinned = golden["workloads"][workload.name]["0"]
     data_dir, out_dir = tmp_path / "data", tmp_path / "out"
     assert harness.write_standins(workload.tables, 0, data_dir) == pinned["inputs"]

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from _oracles import vectorized_svm
+from _oracles import per_feature_forest, vectorized_svm
 from _synth import blob_dataset
 from fedtab.dataset import EncodedDataset
 from fedtab.errors import InvalidConfigError, ShapeMismatchError
@@ -23,7 +25,7 @@ from fedtab.models import (
     train_logreg,
     train_svm,
 )
-from fedtab.serialize import dumps
+from fedtab.serialize import dumps, model_to_dict
 
 
 def single_sample(x, label, n_classes=2):
@@ -210,6 +212,65 @@ def test_grow_tree_stops_on_purity_and_min_leaf():
         0, np.random.default_rng(0), 2, cfg,
     )
     assert small.is_leaf
+
+
+def test_grow_tree_leaf_when_drawn_subset_is_constant():
+    # every feature separates the classes except the three the root draws
+    d = 9
+    subset = np.random.default_rng(4).choice(d, size=3, replace=False)
+    X = np.tile(np.arange(8.0)[:, None], (1, d))
+    X[:, subset] = 1.0
+    y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+    rng = np.random.default_rng(4)
+    node = _grow_tree(X, y, np.arange(8), 0, rng, 2, TrainConfig(max_depth=5, min_leaf=1))
+    assert node.is_leaf and node.class_counts.tolist() == [4, 4]
+    drawn = np.random.default_rng(4)
+    drawn.choice(d, size=3, replace=False)
+    assert rng.bit_generator.state == drawn.bit_generator.state
+
+
+def test_grow_tree_equal_gains_take_the_earlier_drawn_feature():
+    # column c is (c + 1) * [1, 2, 3, 4]: every column splits the rows alike,
+    # at threshold 2.5 * (c + 1); the root of seed 5 draws [3, 2]
+    X = np.arange(1.0, 5.0)[:, None] * np.arange(1.0, 5.0)[None, :]
+    y = np.array([0, 0, 1, 1])
+    assert np.random.default_rng(5).choice(4, size=2, replace=False).tolist() == [3, 2]
+    cfg = TrainConfig(max_depth=1, min_leaf=1)
+    node = _grow_tree(X, y, np.arange(4), 0, np.random.default_rng(5), 2, cfg)
+    assert node.feature_index == 3
+    assert node.threshold == 10.0
+
+
+def test_grow_tree_at_twice_min_leaf_splits_only_at_the_middle():
+    # unconstrained, the best cut isolates row 0; min_leaf 3 of 6 rows
+    # leaves only the 3 | 3 cut
+    cfg = TrainConfig(max_depth=1, min_leaf=3)
+    y = np.array([0, 1, 1, 1, 1, 1])
+    rng = np.random.default_rng(0)
+    node = _grow_tree(np.arange(1.0, 7.0)[:, None], y, np.arange(6), 0, rng, 2, cfg)
+    assert node.threshold == 3.5
+    assert node.left.class_counts.tolist() == [1, 2]
+    assert node.right.class_counts.tolist() == [0, 3]
+    # equal values either side of the middle cut: no valid cut at all
+    tied = np.array([[1.0], [2.0], [3.0], [3.0], [5.0], [6.0]])
+    assert _grow_tree(tied, y, np.arange(6), 0, rng, 2, cfg).is_leaf
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("min_leaf", [1, 2, 9])
+@pytest.mark.parametrize("max_depth", [3, 12, 40])
+def test_forest_matches_per_feature_oracle_bit_exactly(n_classes, min_leaf, max_depth):
+    # overlapping blobs grow deep trees; rounding half the columns gives the
+    # repeated values and equal gains that one-hot and integer columns do
+    data = blob_dataset(60, n_classes=n_classes, n_features=8, seed=n_classes, spread=3.0)
+    X = data.features.copy()
+    X[:, ::2] = np.round(X[:, ::2])
+    data = EncodedDataset(X, data.labels, n_classes, data.feature_names)
+    for seed in (0, 5, 17):
+        cfg = TrainConfig(n_trees=4, max_depth=max_depth, min_leaf=min_leaf, seed=seed)
+        got = model_to_dict(train_forest(data, cfg))["trees"]
+        want = per_feature_forest(X, data.labels, n_classes, 4, max_depth, min_leaf, seed)
+        assert json.dumps(got) == json.dumps(want), seed
 
 
 def _walk(node, depth=0):
