@@ -15,6 +15,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -166,6 +168,7 @@ def load_table(path: str | Path, schema: FeatureSchema) -> RawTable:
         if missing or extra:
             raise HeaderMismatchError(f"{path}: missing columns {missing}, unexpected columns {extra}")
         order = [header.index(name) for name in schema.column_names]
+        pick = itemgetter(*order) if len(order) > 1 else lambda cells: (cells[order[0]],)
 
         rows = []
         for parsed in reader:
@@ -175,8 +178,9 @@ def load_table(path: str | Path, schema: FeatureSchema) -> RawTable:
                 raise RaggedRowError(
                     f"{path}: line {reader.line_num} has {len(parsed)} cells, expected {len(header)}"
                 )
-            cleaned = [_clean_cell(c) for c in parsed]
-            rows.append(tuple(cleaned[j] for j in order))
+            # only a row with a quote left in it can need more than a strip
+            clean = _clean_cell if '"' in "".join(parsed) else str.strip
+            rows.append(pick(list(map(clean, parsed))))
     if not rows:
         raise EmptyTableError(f"{path}: no data rows")
     return RawTable(tuple(schema.column_names), tuple(rows))
@@ -264,6 +268,34 @@ def concat_datasets(parts: Sequence[EncodedDataset]) -> EncodedDataset:
     )
 
 
+def _parse_continuous(name: str, cells: Sequence[str]) -> np.ndarray:
+    """One column's floats; names the first bad cell, in row order, if any."""
+    try:
+        values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    for i, cell in enumerate(cells):  # only to find the cell to report
+        try:
+            value = float(cell)
+        except ValueError:
+            raise NonNumericCellError(
+                f"column {name!r}, row {i + 1}: {cell!r} is not numeric"
+            ) from None
+        if not math.isfinite(value):
+            raise NonNumericCellError(f"column {name!r}, row {i + 1}: non-finite value {cell!r}")
+    raise AssertionError("unreachable: the column parsed cleanly cell by cell")
+
+
+def _codes(cells: Sequence[str], levels: Sequence[str]) -> np.ndarray:
+    """Each cell's index in ``levels``, -1 where it is not one of them."""
+    position = {v: k for k, v in enumerate(levels)}
+    return np.fromiter(
+        map(position.get, cells, repeat(-1)), dtype=np.int64, count=len(cells)
+    )
+
+
 def encode(raw: RawTable, schema: FeatureSchema) -> EncodedDataset:
     """Parse every cell once into unscaled features and target indices.
 
@@ -275,48 +307,32 @@ def encode(raw: RawTable, schema: FeatureSchema) -> EncodedDataset:
     read-only, so one encoded table can serve every experiment built on it.
     """
     n = raw.n_rows
+    columns = list(zip(*raw.rows))
     pinned = schema.vocabularies or {}
     blocks: list[np.ndarray] = []
     names: list[str] = []
     for col in schema.feature_columns():
-        j = raw.column_index(col.name)
+        cells = columns[raw.column_index(col.name)]
         if col.kind == KIND_CONTINUOUS:
-            values = np.empty(n, dtype=np.float64)
-            for i, row in enumerate(raw.rows):
-                try:
-                    value = float(row[j])
-                except ValueError:
-                    raise NonNumericCellError(
-                        f"column {col.name!r}, row {i + 1}: {row[j]!r} is not numeric"
-                    ) from None
-                if not math.isfinite(value):
-                    raise NonNumericCellError(
-                        f"column {col.name!r}, row {i + 1}: non-finite value {row[j]!r}"
-                    )
-                values[i] = value
-            blocks.append(values[:, None])
+            blocks.append(_parse_continuous(col.name, cells)[:, None])
             names.append(col.name)
         else:
-            levels = pinned.get(col.name) or tuple(sorted({row[j] for row in raw.rows}))
-            position = {v: k for k, v in enumerate(levels)}
+            levels = pinned.get(col.name) or tuple(sorted(set(cells)))
+            codes = _codes(cells, levels)
             onehot = np.zeros((n, len(levels)), dtype=np.float64)
-            for i, row in enumerate(raw.rows):
-                k = position.get(row[j])
-                if k is not None:
-                    onehot[i, k] = 1.0
+            hit = np.flatnonzero(codes >= 0)
+            onehot[hit, codes[hit]] = 1.0
             blocks.append(onehot)
             names.extend(f"{col.name}={v}" for v in levels)
 
-    target_index = {v: k for k, v in enumerate(schema.target_classes)}
-    j = raw.column_index(schema.target_column)
-    labels = np.empty(n, dtype=np.int64)
-    for i, row in enumerate(raw.rows):
-        try:
-            labels[i] = target_index[row[j]]
-        except KeyError:
-            raise UnknownTargetClassError(
-                f"row {i + 1}: target {row[j]!r} not in {list(schema.target_classes)}"
-            ) from None
+    cells = columns[raw.column_index(schema.target_column)]
+    labels = _codes(cells, schema.target_classes)
+    unknown = np.flatnonzero(labels < 0)
+    if unknown.size:
+        i = int(unknown[0])
+        raise UnknownTargetClassError(
+            f"row {i + 1}: target {cells[i]!r} not in {list(schema.target_classes)}"
+        )
 
     features = np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
     features.flags.writeable = labels.flags.writeable = False
@@ -491,7 +507,8 @@ def build_client_partitions(
     identical in both scopes.
 
     Derived seeds: the deal uses ``seed`` itself and client k's split uses
-    ``seed XOR k``.
+    ``seed XOR k``.  Every array of the result is read-only, like
+    ``encode``'s, so one build can serve every experiment on that split.
     """
     if stats_scope not in ("client", "pooled"):
         raise InvalidConfigError(f"unknown stats_scope {stats_scope!r}")
@@ -511,5 +528,7 @@ def build_client_partitions(
     for k, (train_rows, test_rows) in enumerate(split_rows):
         fit_rows = train_rows if stats_scope == "client" else pooled_train
         train, test = standardize(data, schema, fit_rows, (train_rows, test_rows))
+        for array in (train.features, train.labels, test.features, test.labels, train_rows, test_rows):
+            array.flags.writeable = False
         partitions.append(ClientPartition(k, train, test, train_rows, test_rows))
     return partitions

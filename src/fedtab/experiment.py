@@ -28,7 +28,14 @@ import numpy as np
 
 from .attack import AttackConfig, flip_labels
 from .config import CONDITIONS, ExperimentConfig
-from .dataset import EncodedDataset, build_client_partitions, concat_datasets, encode
+from .dataset import (
+    ClientPartition,
+    EncodedDataset,
+    FeatureSchema,
+    build_client_partitions,
+    concat_datasets,
+    encode,
+)
 from .errors import InvalidConfigError
 from .federation import FederationConfig, RoundLog, evaluate_global, run_federated
 from .metrics import MetricsReport
@@ -75,6 +82,35 @@ class ConditionResult:
     logs: Mapping[int, RoundLog]
 
 
+class SharedWork:
+    """The work every cell of one (table, master seed) shares, built on first use.
+
+    Per statistics scope: the read-only client partitions, and the
+    round-one local models that federated runs on them trained (see
+    ``run_federated``).  Partitions depend on the encoded table, the seed,
+    ``n_clients``, ``test_fraction`` and the scope only, which are the
+    constructor's arguments, so no model or condition can need another
+    set.
+    """
+
+    def __init__(
+        self,
+        data: EncodedDataset,
+        schema: FeatureSchema,
+        n_clients: int,
+        test_fraction: float,
+        master_seed: int,
+    ) -> None:
+        self.inputs = (data, schema, n_clients, test_fraction, master_seed)
+        self._scopes: dict[str, tuple[list[ClientPartition], dict]] = {}
+
+    def scope(self, stats_scope: str) -> tuple[list[ClientPartition], dict]:
+        """The scope's partitions and the round-one dict that belongs to them."""
+        if stats_scope not in self._scopes:
+            self._scopes[stats_scope] = (build_client_partitions(*self.inputs, stats_scope), {})
+        return self._scopes[stats_scope]
+
+
 def _train_central(
     train: EncodedDataset, cfg: ExperimentConfig, model_kind: str, master_seed: int
 ) -> Model:
@@ -103,14 +139,19 @@ def run_condition_detailed(
     model_kind: str,
     condition: str,
     master_seed: int,
+    shared: SharedWork | None = None,
 ) -> ConditionResult:
+    """Run one cell; ``shared`` is the seed's ``SharedWork``, fresh when not given."""
     if condition not in CONDITIONS:
         raise InvalidConfigError(f"unknown condition {condition!r}")
+    inputs = (data, dataset.schema, cfg.n_clients, cfg.test_fraction, master_seed)
+    if shared is None:
+        shared = SharedWork(*inputs)
+    elif shared.inputs != inputs:
+        raise ValueError("shared work was built for another table, seed or client split")
 
     if condition.startswith("central"):
-        partitions = build_client_partitions(
-            data, dataset.schema, cfg.n_clients, cfg.test_fraction, master_seed, "pooled"
-        )
+        partitions, _ = shared.scope("pooled")
         pooled_train = concat_datasets([p.train for p in partitions])
         if condition == "central_poisoned":
             attack = replace(_attack_for(cfg, master_seed), malicious_clients=frozenset())
@@ -121,9 +162,7 @@ def run_condition_detailed(
         model = _train_central(pooled_train, cfg, model_kind, master_seed)
         return ConditionResult(evaluate_global(model, partitions), {}, {})
 
-    partitions = build_client_partitions(
-        data, dataset.schema, cfg.n_clients, cfg.test_fraction, master_seed, "client"
-    )
+    partitions, round_one = shared.scope("client")
     attack = _attack_for(cfg, master_seed) if condition == "fl_poisoned" else None
 
     def federate(budget: int) -> RoundLog:
@@ -134,7 +173,7 @@ def run_condition_detailed(
             train_cfg=cfg.train_config(model_kind),
             seed=master_seed,
         )
-        return run_federated(partitions, fed_cfg, attack)[1]
+        return run_federated(partitions, fed_cfg, attack, round_one)[1]
 
     if model_kind == "forest":  # one run serves every budget; see run_federated
         full = federate(max(cfg.round_budgets))
@@ -257,8 +296,14 @@ def run_suite(
 
     ``datasets`` may inject pre-built specs (tests do); by default the
     built-in catalog plus cfg.data_dir resolves them.  Each table is loaded
-    and encoded once, and every cell of it shares that encoding.  Writes the
-    results table and optional round log as configured.
+    and encoded once, and every cell of it shares that encoding.  Seeds are
+    the next loop: every cell of one (table, seed) shares one ``SharedWork``
+    (the partitions of each statistics scope and the federated round-one
+    models), which is dropped when the seed ends.  ``progress`` gets
+    ``<dataset>/<model>/<condition>`` before each (seed, cell).  Reports
+    are averaged and round-log lines written in (dataset, model,
+    condition, seed) order, so the outputs do not depend on the loop
+    order.  Writes the results table and optional round log as configured.
     """
     specs = dict(datasets) if datasets is not None else {
         key: builtin_dataset(key, cfg.data_dir) for key in cfg.datasets
@@ -268,19 +313,24 @@ def run_suite(
     for key in cfg.datasets:
         spec = specs[key]
         data = encode(load_dataset(spec), spec.schema)
-        for model in cfg.models:
-            for condition in cfg.conditions:
+        cells = [(model, condition) for model in cfg.models for condition in cfg.conditions]
+        seed_reports: dict[tuple[str, str], list[MetricsReport]] = {cell: [] for cell in cells}
+        cell_lines: dict[tuple[str, str], list[str]] = {cell: [] for cell in cells}
+        for seed in cfg.seeds:
+            shared = SharedWork(data, spec.schema, cfg.n_clients, cfg.test_fraction, seed)
+            for model, condition in cells:
                 if progress is not None:
                     progress(f"{key}/{model}/{condition}")
-                seed_reports = []
-                for seed in cfg.seeds:
-                    detail = run_condition_detailed(cfg, spec, data, model, condition, seed)
-                    seed_reports.append(detail.report)
-                    if cfg.output.round_log is not None:
-                        log_lines.extend(
-                            _round_log_lines(key, model, condition, seed, detail)
-                        )
-                cell_reports[(key, model, condition)] = mean_reports(seed_reports)
+                detail = run_condition_detailed(cfg, spec, data, model, condition, seed, shared)
+                seed_reports[(model, condition)].append(detail.report)
+                if cfg.output.round_log is not None:
+                    cell_lines[(model, condition)].extend(
+                        _round_log_lines(key, model, condition, seed, detail)
+                    )
+            del shared  # this seed's partitions and models go now, not at the next rebinding
+        for model, condition in cells:
+            cell_reports[(key, model, condition)] = mean_reports(seed_reports[(model, condition)])
+            log_lines.extend(cell_lines[(model, condition)])
 
     table = build_results_table(cell_reports, cfg.datasets, cfg.models)
     if cfg.output.path is not None:

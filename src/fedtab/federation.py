@@ -126,10 +126,24 @@ def evaluate_global(model: Model, partitions: list[ClientPartition]) -> MetricsR
     return compute_report(pred, pooled.labels, scores, pooled.n_classes)
 
 
+def _train_local(
+    kind: str, data: EncodedDataset, train_cfg: TrainConfig, init: Model | None
+) -> tuple[Model, float]:
+    """One client's local model and its accuracy on the rows it trained on."""
+    if kind == "forest":
+        local = train_forest(data, train_cfg)
+    elif kind == "logistic":
+        local = train_logreg(data, train_cfg, init=init)
+    else:
+        local = train_svm(data, train_cfg, init=init)
+    return local, accuracy(predict_labels(local, data.features), data.labels)
+
+
 def run_federated(
     partitions: list[ClientPartition],
     cfg: FederationConfig,
     attack: AttackConfig | None = None,
+    round_one: dict | None = None,
 ) -> tuple[Model, RoundLog]:
     """Run the configured number of rounds and return (global model, log).
 
@@ -138,16 +152,31 @@ def run_federated(
     A forest federation takes one round: client forests ignore the global
     model and local_epochs, so each client trains once, the union is
     evaluated once, and every later round repeats round one's record.
+
+    ``round_one``, when given, holds round-one local models (with their
+    local train accuracy) of earlier runs on these same ``partitions``;
+    this run reuses the ones it needs and adds the ones it trains.  A
+    round-one model starts from no global model, so it is a pure function
+    of the client's training rows and its ``TrainConfig``.  The key is
+    (model kind, client id, flip config or None, that ``TrainConfig``):
+    the partition fixes the clean rows, the flip config fixes which of them
+    are flipped, and the ``TrainConfig`` carries the derived seed and
+    ``local_epochs``.  So a benign client's round one serves clean and
+    poisoned runs alike, and any client's serves runs that differ only in
+    ``rounds``.  One dict must never serve two partition sets.
     """
     log = RoundLog()
+    round_one = {} if round_one is None else round_one
     client_data: list[EncodedDataset] = []
+    flip_cfgs: list[AttackConfig | None] = []
     for p in partitions:
-        data = p.train
+        data, flip_cfg = p.train, None
         if attack is not None and p.client_id in attack.malicious_clients:
             flip_cfg = replace(attack, seed=attack.seed ^ p.client_id)
             labels, log.flip_masks[p.client_id] = flip_labels(data.labels, data.n_classes, flip_cfg)
             data = EncodedDataset(data.features, labels, data.n_classes, data.feature_names)
         client_data.append(data)
+        flip_cfgs.append(flip_cfg)
 
     global_model: Model | None = None
     counts = [p.train.n_samples for p in partitions]
@@ -155,16 +184,17 @@ def run_federated(
     for round_index in range(1, trained_rounds + 1):
         locals_: list[Model] = []
         local_acc = []
-        for p, data in zip(partitions, client_data):
+        for p, data, flip_cfg in zip(partitions, client_data, flip_cfgs):
             train_cfg = replace(cfg.train_cfg, seed=cfg.seed ^ p.client_id, epochs=cfg.local_epochs)
-            if cfg.model_kind == "forest":
-                local = train_forest(data, train_cfg)
-            elif cfg.model_kind == "logistic":
-                local = train_logreg(data, train_cfg, init=global_model)
+            if global_model is None:
+                key = (cfg.model_kind, p.client_id, flip_cfg, train_cfg)
+                if key not in round_one:
+                    round_one[key] = _train_local(cfg.model_kind, data, train_cfg, None)
+                local, acc = round_one[key]
             else:
-                local = train_svm(data, train_cfg, init=global_model)
+                local, acc = _train_local(cfg.model_kind, data, train_cfg, global_model)
             locals_.append(local)
-            local_acc.append(accuracy(predict_labels(local, data.features), data.labels))
+            local_acc.append(acc)
 
         if cfg.model_kind == "forest":
             global_model = aggregate_forests(locals_)

@@ -199,3 +199,34 @@ def per_feature_forest(X, y, n_classes, n_trees, max_depth, min_leaf, seed):
         bootstrap = rng.integers(0, n, size=n)
         trees.append(per_feature_tree(X, y, bootstrap, 0, rng, n_classes, max_depth, min_leaf))
     return trees
+
+
+def per_cell_encode(rows, columns, target_classes, vocabularies=None):
+    """Unscaled features, labels and feature names, one Python step per cell.
+
+    ``columns`` lists (name, kind) in the rows' column order, kind being
+    "continuous", "categorical" or "target"; categorical levels are the
+    pinned ``vocabularies`` entry or the column's sorted distinct values,
+    and a value outside them encodes to an all-zero block.
+    """
+    vocabularies = vocabularies or {}
+    blocks, names, labels = [], [], None
+    for j, (name, kind) in enumerate(columns):
+        if kind == "continuous":
+            block = np.empty((len(rows), 1))
+            for i, row in enumerate(rows):
+                block[i, 0] = float(row[j])
+            blocks.append(block)
+            names.append(name)
+        elif kind == "categorical":
+            levels = vocabularies.get(name) or sorted({row[j] for row in rows})
+            block = np.zeros((len(rows), len(levels)))
+            for i, row in enumerate(rows):
+                for k, level in enumerate(levels):
+                    if row[j] == level:
+                        block[i, k] = 1.0
+            blocks.append(block)
+            names.extend(f"{name}={level}" for level in levels)
+        else:
+            labels = np.array([list(target_classes).index(row[j]) for row in rows], dtype=np.int64)
+    return np.concatenate(blocks, axis=1), labels, names

@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fedtab.dataset
-from _synth import grades_dataset_spec, write_grades_csv
+from _oracles import per_cell_encode
+from _synth import (
+    grades_dataset_spec,
+    write_dataset_a_like,
+    write_dataset_b_like,
+    write_grades_csv,
+)
 from fedtab.dataset import (
     ColumnSpec,
     EncodedDataset,
@@ -38,7 +45,7 @@ from fedtab.errors import (
     TooManyClientsError,
     UnknownTargetClassError,
 )
-from fedtab.schemas import load_dataset
+from fedtab.schemas import DATA_FILES, builtin_dataset, load_dataset
 
 
 def tiny_schema() -> FeatureSchema:
@@ -414,6 +421,47 @@ def test_encode_reports_first_bad_cell_by_table_row(grades_raw):
     with pytest.raises(NonNumericCellError) as err:
         encode(broken, spec.schema)
     assert str(err.value) == f"column {continuous[0]!r}, row 201: 'n/a' is not numeric"
+
+
+def test_encode_reports_first_bad_cell_of_a_column_in_row_order():
+    schema = tiny_schema()
+    header = ("x", "color", "label")
+    # a non-finite cell above a non-numeric one is the one reported
+    raw = RawTable(header, (("1", "r", "no"), ("-inf", "r", "yes"), ("one", "b", "no")))
+    with pytest.raises(NonNumericCellError) as err:
+        encode(raw, schema)
+    assert str(err.value) == "column 'x', row 2: non-finite value '-inf'"
+    raw = RawTable(header, (("1", "r", "no"), ("two", "r", "yes"), ("nan", "b", "no")))
+    with pytest.raises(NonNumericCellError) as err:
+        encode(raw, schema)
+    assert str(err.value) == "column 'x', row 2: 'two' is not numeric"
+    raw = RawTable(header, (("1", "r", "no"), ("2", "r", "maybe"), ("3", "b", "never")))
+    with pytest.raises(UnknownTargetClassError) as err:
+        encode(raw, schema)
+    assert str(err.value) == "row 2: target 'maybe' not in ['no', 'yes']"
+
+
+@pytest.mark.parametrize("table", ["grades", "A", "B", "pinned"])
+def test_encode_matches_per_cell_oracle(table, grades_raw, tmp_path):
+    if table == "grades":
+        raw, schema = grades_raw[0], grades_raw[1].schema
+    elif table == "pinned":  # "b" lies outside the pinned levels
+        schema = replace(tiny_schema(), vocabularies={"color": ("r", "g")})
+        raw = RawTable(("x", "color", "label"),
+                       (("1.5", "g", "no"), ("-2", "b", "yes"), ("3e2", "r", "yes")))
+    else:
+        write = write_dataset_a_like if table == "A" else write_dataset_b_like
+        spec = builtin_dataset(table, str(tmp_path))
+        write(tmp_path / DATA_FILES[table], n=500, seed=2)
+        raw, schema = load_dataset(spec), spec.schema
+    got = encode(raw, schema)
+    columns = [(c.name, c.kind) for c in schema.columns]
+    features, labels, names = per_cell_encode(
+        raw.rows, columns, schema.target_classes, schema.vocabularies
+    )
+    assert got.feature_names == tuple(names)
+    assert got.features.tobytes() == features.tobytes()
+    assert got.labels.tobytes() == labels.tobytes()
 
 
 def test_pipeline_is_leakage_free(grades_raw):

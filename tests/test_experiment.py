@@ -22,6 +22,7 @@ from fedtab.dataset import build_client_partitions, encode
 from fedtab.errors import InvalidConfigError
 from fedtab.experiment import (
     RESULT_COLUMNS,
+    SharedWork,
     build_results_table,
     emit_report,
     epochs_for_budget,
@@ -33,7 +34,7 @@ from fedtab.experiment import (
 )
 from fedtab.federation import FederationConfig, run_federated
 from fedtab.metrics import MetricsReport
-from fedtab.models import train_forest
+from fedtab.models import train_forest, train_logreg
 from fedtab.schemas import load_dataset
 
 
@@ -278,6 +279,119 @@ def test_run_suite_encodes_each_table_once(grades, outcomes, monkeypatch):
     (spec_a, _), (spec_b, _) = grades, outcomes
     run_suite(cfg, datasets={"A": spec_a, "B": spec_b})
     assert calls == [spec_a.schema, spec_b.schema]  # not one per cell and seed
+
+
+def shared_cfg(**overrides):
+    # epoch_budget 2 gives local_epochs 2, 1, 1 for budgets 1, 2, 3, so two
+    # budgets share each client's round one
+    return small_cfg(
+        datasets=("A", "B"),
+        models=("logistic", "forest"),
+        seeds=(3, 4),
+        malicious_clients=(0, 2),
+        round_budgets=(1, 2, 3),
+        epoch_budget=2,
+        train_overrides={"forest": {"n_trees": 2, "max_depth": 3}},
+        **overrides,
+    )
+
+
+def _record_cells(monkeypatch):
+    """Wrap run_suite's cell runner; returns the (spec key, seed) in progress
+    and each cell's report keyed by (spec key, model, condition, seed)."""
+    current: list[tuple[str, int]] = []
+    reports = {}
+    run_cell = fedtab.experiment.run_condition_detailed
+
+    def recording(cfg, dataset, data, model_kind, condition, master_seed, shared=None):
+        current[:] = [(dataset.key, master_seed)]
+        detail = run_cell(cfg, dataset, data, model_kind, condition, master_seed, shared)
+        reports[(dataset.key, model_kind, condition, master_seed)] = detail.report
+        return detail
+
+    monkeypatch.setattr(fedtab.experiment, "run_condition_detailed", recording)
+    return current, reports
+
+
+def test_run_suite_builds_shared_work_once_per_seed(grades, outcomes, monkeypatch):
+    cfg = shared_cfg()
+    current, _ = _record_cells(monkeypatch)
+    builds, forests, round_ones = [], [], []
+    build = fedtab.experiment.build_client_partitions
+
+    def counting_build(data, schema, n_clients, test_fraction, seed, stats_scope="client"):
+        parts = build(data, schema, n_clients, test_fraction, seed, stats_scope)
+        builds.append((current[0], stats_scope, parts))
+        return parts
+
+    def counting_forest(train, train_cfg):
+        forests.append(current[0])
+        return train_forest(train, train_cfg)
+
+    def counting_logreg(train, train_cfg, init=None):
+        if init is None:
+            round_ones.append(
+                (current[0], train_cfg.seed, train_cfg.epochs, train.labels.tobytes())
+            )
+        return train_logreg(train, train_cfg, init=init)
+
+    monkeypatch.setattr(fedtab.experiment, "build_client_partitions", counting_build)
+    for module in (fedtab.experiment, federation):
+        monkeypatch.setattr(module, "train_forest", counting_forest)
+    monkeypatch.setattr(federation, "train_logreg", counting_logreg)  # federated calls only
+    (spec_a, _), (spec_b, _) = grades, outcomes
+    run_suite(cfg, datasets={"A": spec_a, "B": spec_b})
+
+    seeds = [(spec.key, seed) for spec in (spec_a, spec_b) for seed in cfg.seeds]
+    assert sorted((s, scope) for s, scope, _ in builds) == sorted(
+        (s, scope) for s in seeds for scope in ("client", "pooled")
+    )
+    # every client clean, then the malicious clients poisoned
+    client_models = cfg.n_clients + len(cfg.malicious_clients)
+    per_seed = 2 + client_models  # plus central clean and central poisoned
+    assert sorted(forests) == sorted(s for s in seeds for _ in range(per_seed))
+    local_epochs = {epochs_for_budget(cfg.epoch_budget, b) for b in cfg.round_budgets}
+    assert len(local_epochs) < len(cfg.round_budgets)
+    assert len(set(round_ones)) == len(round_ones)
+    assert len(round_ones) == len(seeds) * len(local_epochs) * client_models
+    _, _, parts = builds[0]
+    with pytest.raises(ValueError):
+        parts[0].train.features[0, 0] = 1.0
+
+
+def test_run_suite_cells_match_standalone_cells(grades, outcomes, tmp_path, monkeypatch):
+    report_path, log_path = tmp_path / "report.csv", tmp_path / "rounds.jsonl"
+    cfg = shared_cfg(
+        output=OutputConfig(path=str(report_path), format="delimited", round_log=str(log_path))
+    )
+    _, suite_reports = _record_cells(monkeypatch)
+    encoded = {"A": grades, "B": outcomes}
+    run_suite(cfg, datasets={key: spec for key, (spec, _) in encoded.items()})
+    monkeypatch.undo()
+
+    lines, means = [], {}
+    for key in cfg.datasets:
+        spec, data = encoded[key]
+        for model in cfg.models:
+            for condition in cfg.conditions:
+                seed_reports = []
+                for seed in cfg.seeds:  # nothing shared between these calls
+                    alone = run_condition_detailed(cfg, spec, data, model, condition, seed)
+                    assert alone.report == suite_reports[(spec.key, model, condition, seed)]
+                    seed_reports.append(alone.report)
+                    lines.extend(
+                        fedtab.experiment._round_log_lines(key, model, condition, seed, alone)
+                    )
+                means[(key, model, condition)] = mean_reports(seed_reports)
+    assert len(suite_reports) == len(cfg.datasets) * len(cfg.models) * 4 * len(cfg.seeds)
+    assert log_path.read_text(encoding="utf-8") == "".join(ln + "\n" for ln in lines)
+    table = build_results_table(means, cfg.datasets, cfg.models)
+    assert report_path.read_text(encoding="utf-8") == emit_report(table, "delimited")
+
+    spec, data = grades
+    seed_3 = SharedWork(data, spec.schema, cfg.n_clients, cfg.test_fraction, 3)
+    with pytest.raises(ValueError, match="another table, seed"):
+        run_condition_detailed(cfg, spec, data, "logistic", "fl_clean", 4, seed_3)
 
 
 def test_config_round_trip_and_validation():

@@ -3,9 +3,9 @@
 ``bench/golden.json`` pins the stand-in inputs and the report and round-log
 sha256 of every benchmark workload.  Criterion 09 checks that one build
 repeats itself; this test checks that the outputs have not moved since the
-digests were pinned, on the tiny full grid and on the real-size forest
-workload, whose forest bytes no smaller test reaches.  It reads ``bench/``
-and writes nothing there.
+digests were pinned, on the tiny full grid and on the real-size forest and
+linear workloads, whose forest, SVM and logistic bytes at that size no
+smaller test reaches.  It reads ``bench/`` and writes nothing there.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def _bench_harness(monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("name", ["small_grid", "forest_B"])
+@pytest.mark.parametrize("name", ["small_grid", "forest_B", "linear_B"])
 def test_outputs_match_golden_digests(name, tmp_path, monkeypatch):
     harness = _bench_harness(monkeypatch)
     golden = harness.load_golden()
