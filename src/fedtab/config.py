@@ -110,9 +110,22 @@ class ExperimentConfig:
         unknown = sorted(set(overrides) - set(_TRAIN_FIELD_TYPES))
         if unknown:
             raise InvalidConfigError(f"unknown train_overrides fields for {model!r}: {unknown}")
+        derived = sorted(set(overrides) & {"epochs", "seed"})
+        if derived:
+            raise InvalidConfigError(
+                f"train_overrides.{model} cannot set {derived}: every run derives epochs "
+                f"from epoch_budget (and round_budgets) and seeds from seeds"
+            )
         for name, value in overrides.items():
             _typed(value, _TRAIN_FIELD_TYPES[name], f"train_overrides.{model}.{name}")
-        return replace(base, **dict(overrides))
+        merged = replace(base, **dict(overrides))
+        # train_svm's first epoch decays weights by 1 - learning_rate * l2
+        if model == "svm" and 1.0 - merged.learning_rate * merged.l2 <= 0.0:
+            raise InvalidConfigError(
+                f"train_overrides.svm: learning_rate * l2 must be below 1, got "
+                f"{merged.learning_rate} * {merged.l2}"
+            )
+        return merged
 
     def train_config(self, model: str) -> TrainConfig:
         """Per-model hyperparameters: package defaults plus any overrides."""

@@ -141,7 +141,16 @@ def run_condition_detailed(
     master_seed: int,
     shared: SharedWork | None = None,
 ) -> ConditionResult:
-    """Run one cell; ``shared`` is the seed's ``SharedWork``, fresh when not given."""
+    """Run one cell; ``shared`` is the seed's ``SharedWork``, fresh when not given.
+
+    A federated cell runs each trajectory once.  Round r depends only on the
+    global model after round r - 1, the client rows and a ``TrainConfig``
+    that carries ``seed ^ client`` and ``local_epochs``, none of which
+    depends on the budget.  So budgets with equal ``local_epochs`` (every
+    budget, for a forest) share one ``run_federated`` at the longest of
+    them, and each budget's ``RoundLog`` is that run's first ``budget``
+    records with its flip masks.
+    """
     if condition not in CONDITIONS:
         raise InvalidConfigError(f"unknown condition {condition!r}")
     inputs = (data, dataset.schema, cfg.n_clients, cfg.test_fraction, master_seed)
@@ -175,11 +184,15 @@ def run_condition_detailed(
         )
         return run_federated(partitions, fed_cfg, attack, round_one)[1]
 
-    if model_kind == "forest":  # one run serves every budget; see run_federated
-        full = federate(max(cfg.round_budgets))
-        logs = {b: RoundLog(full.records[:b], full.flip_masks) for b in cfg.round_budgets}
-    else:
-        logs = {b: federate(b) for b in cfg.round_budgets}
+    # forests ignore local_epochs, so all their budgets form one group
+    groups: dict[int | None, list[int]] = {}
+    for budget in cfg.round_budgets:
+        epochs = None if model_kind == "forest" else epochs_for_budget(cfg.epoch_budget, budget)
+        groups.setdefault(epochs, []).append(budget)
+    logs: dict[int, RoundLog] = {}
+    for budgets in groups.values():
+        run = federate(max(budgets))
+        logs.update((b, RoundLog(run.records[:b], run.flip_masks)) for b in budgets)
     per_budget: dict[int, MetricsReport] = {}
     for budget, log in logs.items():
         if cfg.fl_average == "final":

@@ -162,8 +162,9 @@ def run_federated(
     the partition fixes the clean rows, the flip config fixes which of them
     are flipped, and the ``TrainConfig`` carries the derived seed and
     ``local_epochs``.  So a benign client's round one serves clean and
-    poisoned runs alike, and any client's serves runs that differ only in
-    ``rounds``.  One dict must never serve two partition sets.
+    poisoned runs alike.  (Runs that differ only in ``rounds`` are prefixes
+    of one another; ``run_condition_detailed`` runs the longest once.)  One
+    dict must never serve two partition sets.
     """
     log = RoundLog()
     round_one = {} if round_one is None else round_one

@@ -238,11 +238,15 @@ def train_svm(
     Each sample makes one numpy call, the dot product ``weights @ x``,
     which stays in numpy so BLAS gives the same bits as a vectorized
     loop.  The margin test ``t * (s * dot + b) < 1``, the step size and
-    the bias update are Python float arithmetic on lists, and a violating
-    row gets ``(step * t) * x`` added in place; float64 ``*`` and ``+``
-    round the same in Python as in numpy element-wise ops, so the weights
-    and bias are bit-identical to the vectorized form.  Parameters are
-    float64.
+    the bias update are Python float arithmetic on lists.  The scaled row
+    ``(lr / scale) * x`` is formed once per step, when the first row
+    violates, and added to each violating row with ``t = 1`` and
+    subtracted from each with ``t = -1``.  That is exactly the vectorized
+    form's ``((lr / scale) * t) * x`` added in place: negation is exact, so
+    ``(-a) * x == -(a * x)`` and ``w + (-v) == w - v``, signed zeros
+    included.  Float64 ``*`` and ``+`` round the same in Python as in
+    numpy element-wise ops, so the weights and bias are bit-identical to
+    the vectorized form.  Parameters are float64.
     """
     _check_train_inputs(train)
     rows = 1 if train.n_classes == 2 else train.n_classes
@@ -269,9 +273,15 @@ def train_svm(
             dots = (weights @ x).tolist()
             s = scale
             scale *= decay
+            step = None
             for r, t in enumerate(signed[i]):
                 if t * (s * dots[r] + bias[r]) < 1.0:
-                    wrows[r] += ((lr / scale) * t) * x
+                    if step is None:
+                        step = (lr / scale) * x
+                    if t > 0.0:
+                        wrows[r] += step
+                    else:
+                        wrows[r] -= step
                     bias[r] += lr * t
         weights *= scale
     return LinearModel(weights, np.array(bias, dtype=np.float64), "svm", train.n_classes)

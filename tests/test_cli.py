@@ -135,6 +135,26 @@ def test_run_repeated_flag_is_a_config_error(tmp_path, data_dir, capsys, repeat)
     assert not out.exists()
 
 
+def test_run_bad_svm_step_is_a_config_error_before_any_cell(tmp_path, data_dir, capsys):
+    # the logistic cells would run first; learning_rate * l2 >= 1 is caught before them
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "models: [logistic, svm]\n"
+        "train_overrides: {svm: {learning_rate: 20.0, l2: 0.05}}\n",
+        encoding="utf-8",
+    )
+    out, log = tmp_path / "out.csv", tmp_path / "rounds.jsonl"
+    code = main([
+        "run", "--config", str(cfg), "--data-dir", str(data_dir),
+        "--output", str(out), "--round-log", str(log),
+    ])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "learning_rate * l2" in err
+    assert "s] " not in err  # no cell started
+    assert not out.exists() and not log.exists()
+
+
 def test_run_round_log_export(tmp_path, data_dir):
     log_path = tmp_path / "rounds.jsonl"
     code = main([

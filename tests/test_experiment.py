@@ -22,6 +22,7 @@ from fedtab.dataset import build_client_partitions, encode
 from fedtab.errors import InvalidConfigError
 from fedtab.experiment import (
     RESULT_COLUMNS,
+    ConditionResult,
     SharedWork,
     build_results_table,
     emit_report,
@@ -176,6 +177,61 @@ def test_forest_federation_runs_once_per_cell(grades, monkeypatch):
             assert np.array_equal(log.flip_masks[client], mask)
         assert detail.per_budget[budget] == alone.records[-1].global_metrics
     assert detail.report == mean_reports([detail.per_budget[b] for b in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("fl_average", ["final", "per_round"])
+@pytest.mark.parametrize("model", ["logistic", "svm"])
+@pytest.mark.parametrize(
+    "epoch_budget, distinct_epochs", [(2, 1), (12, 3)], ids=["colliding", "distinct"]
+)
+def test_budgets_with_equal_local_epochs_share_one_run(
+    grades, monkeypatch, model, fl_average, epoch_budget, distinct_epochs
+):
+    spec, data = grades
+    budgets = (2, 4, 6)  # local epochs 1, 1, 1 at epoch_budget 2; 6, 3, 2 at 12
+    cfg = small_cfg(
+        models=(model,), round_budgets=budgets, epoch_budget=epoch_budget, fl_average=fl_average
+    )
+    calls = []
+
+    def counted(partitions, fed_cfg, attack=None, round_one=None):
+        calls.append(fed_cfg.rounds)
+        return run_federated(partitions, fed_cfg, attack, round_one)
+
+    monkeypatch.setattr(fedtab.experiment, "run_federated", counted)
+    detail = run_condition_detailed(cfg, spec, data, model, "fl_poisoned", master_seed=4)
+    monkeypatch.undo()
+    local_epochs = {epochs_for_budget(epoch_budget, b) for b in budgets}
+    assert len(local_epochs) == distinct_epochs
+    assert len(calls) == distinct_epochs
+
+    partitions = build_client_partitions(
+        data, spec.schema, cfg.n_clients, cfg.test_fraction, 4, "client"
+    )
+    attack = AttackConfig(
+        flip_fraction=cfg.flip_fraction,
+        malicious_clients=frozenset(cfg.malicious_clients),
+        seed=cfg.attack_seed ^ 4,
+    )
+    lines = []
+    for budget in budgets:
+        fed_cfg = FederationConfig(
+            model_kind=model,
+            rounds=budget,
+            local_epochs=epochs_for_budget(epoch_budget, budget),
+            train_cfg=cfg.train_config(model),
+            seed=4,
+        )
+        _, alone = run_federated(partitions, fed_cfg, attack)
+        if fl_average == "final":
+            expected = alone.records[-1].global_metrics
+        else:
+            expected = mean_reports([r.global_metrics for r in alone.records])
+        assert detail.per_budget[budget] == expected
+        single = ConditionResult(expected, {budget: expected}, {budget: alone})
+        lines.extend(fedtab.experiment._round_log_lines("A", model, "fl_poisoned", 4, single))
+    assert fedtab.experiment._round_log_lines("A", model, "fl_poisoned", 4, detail) == lines
+    assert detail.report == mean_reports([detail.per_budget[b] for b in budgets])
 
 
 def test_three_class_pipeline_runs(outcomes):
@@ -401,11 +457,11 @@ def test_config_round_trip_and_validation():
             "models": ["svm"],
             "round_budgets": [2, 4],
             "seeds": [1, 2],
-            "train_overrides": {"svm": {"epochs": 50}},
+            "train_overrides": {"svm": {"l2": 0.01}},
             "output": {"path": "x.csv", "format": "structured"},
         }
     )
-    assert cfg.train_config("svm").epochs == 50
+    assert cfg.train_config("svm").l2 == 0.01
     assert cfg.train_config("svm").learning_rate == 0.05  # default preserved
     assert cfg.output.format == "structured"
     with pytest.raises(InvalidConfigError):
@@ -416,5 +472,13 @@ def test_config_round_trip_and_validation():
         config_from_dict({"round_budgets": [2, 2]})
     with pytest.raises(InvalidConfigError):
         config_from_dict({"train_overrides": {"svm": {"turbo": True}}})
+    # every run sets these itself, from epoch_budget and seeds
+    with pytest.raises(InvalidConfigError, match="epoch_budget"):
+        config_from_dict({"train_overrides": {"logistic": {"epochs": 300}}})
+    with pytest.raises(InvalidConfigError, match="seeds"):
+        config_from_dict({"train_overrides": {"svm": {"seed": 1}}})
+    with pytest.raises(InvalidConfigError, match="learning_rate \\* l2"):
+        config_from_dict({"train_overrides": {"svm": {"learning_rate": 10.0, "l2": 0.1}}})
+    config_from_dict({"train_overrides": {"logistic": {"learning_rate": 10.0, "l2": 0.1}}})
     with pytest.raises(InvalidConfigError):
         config_from_dict({"malicious_clients": [7]})

@@ -196,6 +196,24 @@ def test_forest_rounds_only_extend_the_log(partitions, monkeypatch):
         assert record.local_train_accuracy == first.local_train_accuracy
 
 
+@pytest.mark.parametrize("poisoned", [False, True], ids=["clean", "poisoned"])
+@pytest.mark.parametrize("model_kind", ["logistic", "svm"])
+def test_shorter_run_is_a_prefix_of_a_longer_one(partitions, model_kind, poisoned):
+    attack = None
+    if poisoned:
+        attack = AttackConfig(flip_fraction=0.5, malicious_clients=frozenset({0}), seed=6)
+    _, full = run_federated(partitions, _fed_cfg(model_kind, rounds=4, local_epochs=3), attack)
+    for rounds in (1, 2, 3):
+        _, short = run_federated(
+            partitions, _fed_cfg(model_kind, rounds=rounds, local_epochs=3), attack
+        )
+        assert len(short.records) == rounds
+        assert short.records == full.records[:rounds]  # RoundRecord equality is field by field
+        assert sorted(short.flip_masks) == sorted(full.flip_masks) == ([0] if poisoned else [])
+        for client, mask in full.flip_masks.items():
+            assert np.array_equal(short.flip_masks[client], mask)
+
+
 def test_single_client_logistic_equals_centralized_chain(partitions):
     solo = [partitions[0]]
     cfg = _fed_cfg("logistic", rounds=4, local_epochs=25, seed=8)

@@ -161,8 +161,10 @@ def test_svm_is_deterministic_per_seed():
 @pytest.mark.parametrize("n_classes", [2, 3])
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_svm_matches_vectorized_reference_bit_exactly(n_classes, warm):
-    # overlapping blobs keep rows violating the margin in every epoch; l2 0.1
-    # lets the carried decay scale drift far from 1 within an epoch
+    # overlapping blobs keep rows violating the margin in every epoch (with 3
+    # classes, 4-24 steps per case have 2 or more violating rows, mostly of
+    # both signs); l2 0.1 lets the carried decay scale drift far from 1
+    # within an epoch
     data = blob_dataset(40, n_classes=n_classes, n_features=6, seed=4, spread=4.0)
     rows = 1 if n_classes == 2 else n_classes
     init = init_w = init_b = None
