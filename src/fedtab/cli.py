@@ -25,7 +25,6 @@ from .config import (
 )
 from .errors import ConfigError, DataError, FedtabError
 from .experiment import emit_report, run_suite
-from .fetch import fetch_all
 from .models import MODEL_KINDS
 from .schemas import DATASET_KEYS, builtin_dataset
 
@@ -137,6 +136,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fetch(args: argparse.Namespace) -> int:
+    from .fetch import fetch_all  # urllib, zipfile, hashlib: only fetch-data needs them
+
     keys = tuple(dict.fromkeys(args.dataset)) if args.dataset else DATASET_KEYS
     pins = {}
     if args.sha256_a:

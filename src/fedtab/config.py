@@ -11,8 +11,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping, get_type_hints
 
-import yaml
-
 from .errors import InvalidConfigError
 from .models import DEFAULT_TRAIN_CONFIGS, MODEL_KINDS, TrainConfig
 
@@ -187,6 +185,8 @@ def config_from_dict(payload: Mapping[str, Any] | None, where: str = "config") -
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse a YAML experiment configuration file."""
+    import yaml  # only file configs need PyYAML; keep it off `import fedtab`
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:

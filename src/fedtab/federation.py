@@ -97,8 +97,8 @@ def aggregate_parametric(models: list[LinearModel], counts: list[int]) -> Linear
     shares = [c / total for c in counts]
     stacked_w = np.stack([m.weights.reshape(-1) * s for m, s in zip(models, shares)])
     stacked_b = np.stack([m.bias * s for m, s in zip(models, shares)])
-    weights = np.array([math.fsum(stacked_w[:, j]) for j in range(stacked_w.shape[1])])
-    bias = np.array([math.fsum(stacked_b[:, j]) for j in range(stacked_b.shape[1])])
+    weights = np.array(list(map(math.fsum, stacked_w.T.tolist())))
+    bias = np.array(list(map(math.fsum, stacked_b.T.tolist())))
     return LinearModel(
         weights.reshape(head.weights.shape), bias, head.kind, head.n_classes
     )

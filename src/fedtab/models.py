@@ -235,9 +235,15 @@ def train_svm(
     carried as a scalar and folded back once per epoch, which changes
     nothing semantically but keeps the inner loop cheap.
 
-    Each sample makes one numpy call, the dot product ``weights @ x``,
-    which stays in numpy so BLAS gives the same bits as a vectorized
-    loop.  The margin test ``t * (s * dot + b) < 1``, the step size and
+    Each sample makes one numpy call, the dot product through the bound
+    method ``wdot = weights.dot``.  It reaches the same BLAS gemv as
+    ``weights @ x`` on the same float64 operands, so it gives the same bits
+    as a vectorized loop, but skips the matmul ufunc dispatch that ``@``
+    pays on every call.  It is bound once, so it reads the ``weights``
+    object it was taken from: ``weights`` must only be updated in place
+    (its row views, ``*=``); a rebinding such as
+    ``weights = weights * scale`` would leave ``wdot`` reading stale
+    weights.  The margin test ``t * (s * dot + b) < 1``, the step size and
     the bias update are Python float arithmetic on lists.  The scaled row
     ``(lr / scale) * x`` is formed once per step, when the first row
     violates, and added to each violating row with ``t = 1`` and
@@ -262,6 +268,7 @@ def train_svm(
     signed = _signed_targets(train.labels, train.n_classes).tolist()
     X = list(np.ascontiguousarray(train.features, dtype=np.float64))
     wrows = list(weights)  # row views: in-place updates land in `weights`
+    wdot = weights.dot
     for epoch in range(1, cfg.epochs + 1):
         lr = cfg.learning_rate / epoch
         decay = 1.0 - lr * cfg.l2
@@ -270,7 +277,7 @@ def train_svm(
         scale = 1.0
         for i in rng.permutation(train.n_samples).tolist():
             x = X[i]
-            dots = (weights @ x).tolist()
+            dots = wdot(x).tolist()
             s = scale
             scale *= decay
             step = None

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fedtab
 from _synth import write_dataset_a_like
 from fedtab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from fedtab.experiment import parse_report
@@ -166,3 +171,21 @@ def test_run_round_log_export(tmp_path, data_dir):
     lines = [json.loads(ln) for ln in log_path.read_text(encoding="utf-8").splitlines()]
     assert any(ln["type"] == "flips" for ln in lines)
     assert sum(ln["type"] == "round" for ln in lines) == 2
+
+
+@pytest.mark.parametrize(
+    "module, unloaded",
+    [("fedtab", ("yaml",)), ("fedtab.cli", ("fedtab.fetch", "urllib.request"))],
+    ids=["package-without-yaml", "cli-without-fetch"],
+)
+def test_import_leaves_optional_modules_unloaded(module, unloaded):
+    # start-up cost: PyYAML is for config files only, the download code for
+    # fetch-data only; a fresh interpreter shows what an import really loads
+    src = str(Path(fedtab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = f"import sys, {module}; print(sorted(m for m in {unloaded!r} if m in sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -158,14 +158,7 @@ def test_svm_is_deterministic_per_seed():
     assert not np.array_equal(a.weights, c.weights)
 
 
-@pytest.mark.parametrize("n_classes", [2, 3])
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_svm_matches_vectorized_reference_bit_exactly(n_classes, warm):
-    # overlapping blobs keep rows violating the margin in every epoch (with 3
-    # classes, 4-24 steps per case have 2 or more violating rows, mostly of
-    # both signs); l2 0.1 lets the carried decay scale drift far from 1
-    # within an epoch
-    data = blob_dataset(40, n_classes=n_classes, n_features=6, seed=4, spread=4.0)
+def _check_svm_against_oracle(data, n_classes, warm):
     rows = 1 if n_classes == 2 else n_classes
     init = init_w = init_b = None
     if warm:
@@ -186,6 +179,27 @@ def test_svm_matches_vectorized_reference_bit_exactly(n_classes, warm):
                 if warm:  # the model's rows are updated in place on a copy only
                     assert init.weights.tobytes() == init_w.tobytes()
                     assert init.bias.tobytes() == init_b.tobytes()
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_svm_matches_vectorized_reference_bit_exactly(n_classes, warm):
+    # overlapping blobs keep rows violating the margin in every epoch (with 3
+    # classes, 4-24 steps per case have 2 or more violating rows, mostly of
+    # both signs); l2 0.1 lets the carried decay scale drift far from 1
+    # within an epoch
+    data = blob_dataset(40, n_classes=n_classes, n_features=6, seed=4, spread=4.0)
+    _check_svm_against_oracle(data, n_classes, warm)
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_svm_matches_vectorized_reference_at_encoded_b_width(n_classes, warm):
+    # 39 features is the B stand-in's encoded width, wide enough to reach the
+    # gemv kernel's main loop where 6 features may reach only its tail; spread
+    # 16 keeps the wider blobs violating the margin into the last epoch
+    data = blob_dataset(40, n_classes=n_classes, n_features=39, seed=4, spread=16.0)
+    _check_svm_against_oracle(data, n_classes, warm)
 
 
 def test_grow_tree_split_oracle():
