@@ -14,9 +14,6 @@ import numpy as np
 
 from .errors import InvalidFractionError, SingleClassError
 
-ATTACK_MODE = "untargeted-random"
-
-
 @dataclass(frozen=True)
 class AttackConfig:
     """Which clients are malicious and how much of their data they flip."""
@@ -24,15 +21,12 @@ class AttackConfig:
     flip_fraction: float = 0.5
     malicious_clients: frozenset[int] = frozenset({0})
     seed: int = 0
-    mode: str = ATTACK_MODE
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.flip_fraction <= 1.0:
             raise InvalidFractionError(
                 f"flip_fraction must lie in [0, 1], got {self.flip_fraction}"
             )
-        if self.mode != ATTACK_MODE:
-            raise InvalidFractionError(f"unsupported attack mode: {self.mode!r}")
         if any(c < 0 for c in self.malicious_clients):
             raise InvalidFractionError("client ids must be non-negative")
 

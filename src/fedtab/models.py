@@ -7,7 +7,9 @@
   permutation and a 1/t learning-rate decay,
 - random forest: bagged CART trees split on Gini impurity with a fresh
   ceil(sqrt(d)) feature subset at every node; each node's split search
-  covers its whole subset in one pass (see ``_grow_tree``).
+  covers its whole subset in one pass (see ``_grow_tree``).  A tree is a
+  ``Tree`` of parallel node arrays in depth-first preorder, the one layout
+  that growth builds, prediction walks level by level and model files store.
 
 The bias terms are never regularized.  Training with epochs = 0 returns the
 initial parameters unchanged, which is what federated warm starts rely on.
@@ -87,26 +89,27 @@ class LinearModel:
         return int(self.weights.shape[1])
 
 
-class TreeNode:
-    """One CART node; leaves carry raw class counts from their training rows."""
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """One CART tree as parallel node arrays in depth-first preorder.
 
-    __slots__ = ("feature_index", "threshold", "left", "right", "class_counts")
+    Node 0 is the root.  A split node ``i`` sends a row left when its
+    ``feature[i]`` value is at most ``threshold[i]``; its children
+    ``left[i]`` and ``right[i]`` come after it.  A leaf has ``feature`` -1,
+    children -1 and threshold 0.  ``counts[i]`` holds the class counts of the
+    training rows that reached node ``i``; a leaf's counts are its scores.
+    """
 
-    def __init__(self, feature_index=None, threshold=None, left=None, right=None, class_counts=None):
-        self.feature_index = feature_index
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.class_counts = class_counts
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.class_counts is not None
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class Forest:
-    trees: tuple[TreeNode, ...]
+    trees: tuple[Tree, ...]
     n_classes: int
     n_features: int
 
@@ -303,12 +306,17 @@ def _grow_tree(
     X: np.ndarray,
     y: np.ndarray,
     rows: np.ndarray,
-    depth: int,
     rng: np.random.Generator,
     n_classes: int,
     cfg: TrainConfig,
-) -> TreeNode:
-    """Grow the subtree on ``rows`` depth-first, one split search per node.
+) -> Tree:
+    """Grow one tree on ``rows`` depth-first, one split search per node.
+
+    Nodes are taken from an explicit stack, a split node's left child before
+    its right, so the tree comes out in preorder and every node draws its
+    feature subset from ``rng`` in the order of a recursive grower.  The
+    grower holds no closure or self-reference, so a finished tree and its
+    training block are freed without waiting for the cyclic collector.
 
     Each node draws its feature subset from ``rng`` and searches the whole
     subset in one pass.  The node's values of the F drawn features form one
@@ -328,22 +336,31 @@ def _grow_tree(
       order, as its strict ``>`` scan does, and a split needs a gain
       strictly above 0.
     """
-    labels = y[rows]
-    counts = np.bincount(labels, minlength=n_classes)
-    n = rows.shape[0]
-    if depth >= cfg.max_depth or n < 2 * cfg.min_leaf or counts.max() == n:
-        return TreeNode(class_counts=counts)
-
     d = X.shape[1]
-    subset = rng.choice(d, size=math.ceil(math.sqrt(d)), replace=False)
-    split = _best_split(X[rows, subset[:, None]], labels, counts, cfg.min_leaf)
-    if split is None:
-        return TreeNode(class_counts=counts)
-
-    i, threshold, go_left = split
-    left = _grow_tree(X, y, rows[go_left], depth + 1, rng, n_classes, cfg)
-    right = _grow_tree(X, y, rows[~go_left], depth + 1, rng, n_classes, cfg)
-    return TreeNode(feature_index=int(subset[i]), threshold=threshold, left=left, right=right)
+    nodes = []  # [feature, threshold, right, counts] per node, in preorder
+    stack = [(rows, 0, -1)]  # (rows, depth, node whose right child they form)
+    while stack:
+        rows, depth, parent = stack.pop()
+        if parent >= 0:
+            nodes[parent][2] = len(nodes)
+        labels = y[rows]
+        counts = np.bincount(labels, minlength=n_classes)
+        nodes.append([-1, 0.0, -1, counts])
+        n = rows.shape[0]
+        if depth >= cfg.max_depth or n < 2 * cfg.min_leaf or counts.max() == n:
+            continue
+        subset = rng.choice(d, size=math.ceil(math.sqrt(d)), replace=False)
+        split = _best_split(X[rows, subset[:, None]], labels, counts, cfg.min_leaf)
+        if split is None:
+            continue
+        i, threshold, go_left = split
+        nodes[-1][:2] = int(subset[i]), threshold
+        stack.append((rows[~go_left], depth + 1, len(nodes) - 1))
+        stack.append((rows[go_left], depth + 1, -1))
+    feature, threshold, right, counts = (np.array(column) for column in zip(*nodes))
+    # preorder puts a split node's left child right after it
+    left = np.where(feature >= 0, np.arange(1, feature.size + 1), -1)
+    return Tree(feature, threshold, left, right, counts)
 
 
 def _best_split(
@@ -394,19 +411,25 @@ def train_forest(train: EncodedDataset, cfg: TrainConfig) -> Forest:
     for t in range(cfg.n_trees):
         rng = np.random.default_rng((cfg.seed, t))
         bootstrap = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(X, y, bootstrap, 0, rng, train.n_classes, cfg))
+        trees.append(_grow_tree(X, y, bootstrap, rng, train.n_classes, cfg))
     return Forest(tuple(trees), train.n_classes, train.n_features)
 
 
-def _route_tree(node: TreeNode, X: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
-    if node.is_leaf:
-        counts = node.class_counts
-        out[idx] = counts / counts.sum()
-        return
-    values = X[idx, node.feature_index]
-    go_left = values <= node.threshold
-    _route_tree(node.left, X, idx[go_left], out)
-    _route_tree(node.right, X, idx[~go_left], out)
+def _leaf_index(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """The leaf each row of ``X`` reaches, walking all rows one level per step.
+
+    The rows still at a split node gather that node's feature and threshold
+    and step to its left or right child.  Children come after their parent,
+    so the walk ends within ``len(tree.feature)`` steps.
+    """
+    leaf = np.zeros(X.shape[0], dtype=np.int64)
+    rows = np.flatnonzero(tree.feature[leaf] >= 0)
+    while rows.size:
+        at = leaf[rows]
+        go_left = X[rows, tree.feature[at]] <= tree.threshold[at]
+        leaf[rows] = np.where(go_left, tree.left[at], tree.right[at])
+        rows = rows[tree.feature[leaf[rows]] >= 0]
+    return leaf
 
 
 def predict_scores(model: Model, features: np.ndarray) -> np.ndarray:
@@ -434,11 +457,9 @@ def predict_scores(model: Model, features: np.ndarray) -> np.ndarray:
                 f"forest expects {model.n_features} features, got {X.shape[1]}"
             )
         total = np.zeros((X.shape[0], model.n_classes))
-        scratch = np.empty_like(total)
-        all_rows = np.arange(X.shape[0])
         for tree in model.trees:
-            _route_tree(tree, X, all_rows, scratch)
-            total += scratch
+            scores = tree.counts / tree.counts.sum(axis=1, keepdims=True)
+            total += scores[_leaf_index(tree, X)]
         return total / len(model.trees)
     raise ShapeMismatchError(f"unknown model type {type(model).__name__}")
 

@@ -102,7 +102,6 @@ class DatasetSpec:
     schema: FeatureSchema
     grade_column: str | None = None
     pass_threshold: int = GRADE_PASS_THRESHOLD
-    expected_rows: int | None = None
 
 
 DATASET_KEYS = ("A", "B")
@@ -117,14 +116,12 @@ def builtin_dataset(key: str, data_dir: str | Path) -> DatasetSpec:
             path=Path(data_dir) / DATA_FILES["A"],
             schema=student_performance_schema(),
             grade_column="G3",
-            expected_rows=EXPECTED_ROWS["A"],
         )
     if key == "B":
         return DatasetSpec(
             key="B",
             path=Path(data_dir) / DATA_FILES["B"],
             schema=academic_outcome_schema(),
-            expected_rows=EXPECTED_ROWS["B"],
         )
     raise InvalidConfigError(f"unknown dataset key {key!r}; expected one of {DATASET_KEYS}")
 

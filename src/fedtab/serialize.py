@@ -1,7 +1,9 @@
 """JSON round-trip serialization for trained models.
 
 Floats are stored with full repr precision, so save followed by load
-reproduces parameters bit for bit.
+reproduces parameters bit for bit.  Format 2 stores each forest tree as its
+five node arrays in depth-first preorder (see ``models.Tree``); format 1's
+nested trees are not read.
 """
 
 from __future__ import annotations
@@ -12,41 +14,36 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FedtabError
-from .models import Forest, LinearModel, Model, TreeNode
+from .models import Forest, LinearModel, Model, Tree
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_TREE_DTYPES = dict(
+    feature=np.int64, threshold=np.float64, left=np.int64, right=np.int64, counts=np.int64
+)
 
 
 class ModelFormatError(FedtabError):
     """The model file is malformed or from an unknown format version."""
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"counts": [int(c) for c in node.class_counts]}
-    return {
-        "feature": node.feature_index,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
-def _node_from_dict(payload: dict, n_classes: int) -> TreeNode:
-    if "counts" in payload:
-        counts = np.asarray(payload["counts"], dtype=np.int64)
-        if counts.shape != (n_classes,):
-            raise ModelFormatError(f"leaf counts have shape {counts.shape}")
-        return TreeNode(class_counts=counts)
+def _tree_from_dict(payload: dict, n_classes: int, n_features: int) -> Tree:
+    """Rebuild a stored tree, rejecting any that could hang or mis-index the walk."""
     try:
-        return TreeNode(
-            feature_index=int(payload["feature"]),
-            threshold=float(payload["threshold"]),
-            left=_node_from_dict(payload["left"], n_classes),
-            right=_node_from_dict(payload["right"], n_classes),
-        )
-    except KeyError as missing:
-        raise ModelFormatError(f"tree node missing field {missing}") from None
+        arrays = {name: np.asarray(payload[name], dtype=t) for name, t in _TREE_DTYPES.items()}
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ModelFormatError(f"malformed tree arrays: {err}") from None
+    tree = Tree(**arrays)
+    n = tree.feature.size
+    shapes = [a.shape for a in arrays.values()]
+    if n == 0 or shapes != [(n,)] * 4 + [(n, n_classes)]:
+        raise ModelFormatError(f"tree array shapes {shapes} do not fit {n_classes} classes")
+    if np.any(tree.feature < -1) or np.any(tree.feature >= n_features):
+        raise ModelFormatError(f"split feature outside [0, {n_features})")
+    split = np.flatnonzero(tree.feature >= 0)
+    for child in (tree.left[split], tree.right[split]):
+        if np.any(child <= split) or np.any(child >= n):
+            raise ModelFormatError("a child index must lie after its parent and inside the tree")
+    return tree
 
 
 def model_to_dict(model: Model) -> dict:
@@ -65,7 +62,7 @@ def model_to_dict(model: Model) -> dict:
             "model": "forest",
             "n_classes": model.n_classes,
             "n_features": model.n_features,
-            "trees": [_node_to_dict(t) for t in model.trees],
+            "trees": [{k: v.tolist() for k, v in vars(t).items()} for t in model.trees],
         }
     raise ModelFormatError(f"cannot serialize {type(model).__name__}")
 
@@ -86,10 +83,11 @@ def model_from_dict(payload: dict) -> Model:
             )
         if family == "forest":
             n_classes = int(payload["n_classes"])
+            n_features = int(payload["n_features"])
             return Forest(
-                trees=tuple(_node_from_dict(t, n_classes) for t in payload["trees"]),
+                trees=tuple(_tree_from_dict(t, n_classes, n_features) for t in payload["trees"]),
                 n_classes=n_classes,
-                n_features=int(payload["n_features"]),
+                n_features=n_features,
             )
     except KeyError as missing:
         raise ModelFormatError(f"model payload missing field {missing}") from None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 
 import numpy as np
@@ -25,7 +26,7 @@ from fedtab.models import (
     train_logreg,
     train_svm,
 )
-from fedtab.serialize import dumps, model_to_dict
+from fedtab.serialize import dumps
 
 
 def single_sample(x, label, n_classes=2):
@@ -207,27 +208,27 @@ def test_grow_tree_split_oracle():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0, 0, 1, 1])
     cfg = TrainConfig(max_depth=3, min_leaf=1)
-    node = _grow_tree(X, y, np.arange(4), 0, np.random.default_rng(0), 2, cfg)
-    assert not node.is_leaf
-    assert node.feature_index == 0
-    assert node.threshold == 2.5
-    assert node.left.class_counts.tolist() == [2, 0]
-    assert node.right.class_counts.tolist() == [0, 2]
+    tree = _grow_tree(X, y, np.arange(4), np.random.default_rng(0), 2, cfg)
+    assert tree.feature[0] != -1
+    assert tree.feature[0] == 0
+    assert tree.threshold[0] == 2.5
+    assert tree.counts[tree.left[0]].tolist() == [2, 0]
+    assert tree.counts[tree.right[0]].tolist() == [0, 2]
 
 
 def test_grow_tree_stops_on_purity_and_min_leaf():
     cfg = TrainConfig(max_depth=5, min_leaf=2)
     pure = _grow_tree(
         np.array([[1.0], [2.0]]), np.array([1, 1]), np.arange(2),
-        0, np.random.default_rng(0), 2, cfg,
+        np.random.default_rng(0), 2, cfg,
     )
-    assert pure.is_leaf and pure.class_counts.tolist() == [0, 2]
+    assert pure.feature.tolist() == [-1] and pure.counts[0].tolist() == [0, 2]
     # 3 rows cannot produce two children of at least 2
     small = _grow_tree(
         np.array([[1.0], [2.0], [3.0]]), np.array([0, 1, 0]), np.arange(3),
-        0, np.random.default_rng(0), 2, cfg,
+        np.random.default_rng(0), 2, cfg,
     )
-    assert small.is_leaf
+    assert small.feature.tolist() == [-1]
 
 
 def test_grow_tree_leaf_when_drawn_subset_is_constant():
@@ -238,8 +239,8 @@ def test_grow_tree_leaf_when_drawn_subset_is_constant():
     X[:, subset] = 1.0
     y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
     rng = np.random.default_rng(4)
-    node = _grow_tree(X, y, np.arange(8), 0, rng, 2, TrainConfig(max_depth=5, min_leaf=1))
-    assert node.is_leaf and node.class_counts.tolist() == [4, 4]
+    tree = _grow_tree(X, y, np.arange(8), rng, 2, TrainConfig(max_depth=5, min_leaf=1))
+    assert tree.feature.tolist() == [-1] and tree.counts[0].tolist() == [4, 4]
     drawn = np.random.default_rng(4)
     drawn.choice(d, size=3, replace=False)
     assert rng.bit_generator.state == drawn.bit_generator.state
@@ -252,9 +253,9 @@ def test_grow_tree_equal_gains_take_the_earlier_drawn_feature():
     y = np.array([0, 0, 1, 1])
     assert np.random.default_rng(5).choice(4, size=2, replace=False).tolist() == [3, 2]
     cfg = TrainConfig(max_depth=1, min_leaf=1)
-    node = _grow_tree(X, y, np.arange(4), 0, np.random.default_rng(5), 2, cfg)
-    assert node.feature_index == 3
-    assert node.threshold == 10.0
+    tree = _grow_tree(X, y, np.arange(4), np.random.default_rng(5), 2, cfg)
+    assert tree.feature[0] == 3
+    assert tree.threshold[0] == 10.0
 
 
 def test_grow_tree_at_twice_min_leaf_splits_only_at_the_middle():
@@ -263,13 +264,24 @@ def test_grow_tree_at_twice_min_leaf_splits_only_at_the_middle():
     cfg = TrainConfig(max_depth=1, min_leaf=3)
     y = np.array([0, 1, 1, 1, 1, 1])
     rng = np.random.default_rng(0)
-    node = _grow_tree(np.arange(1.0, 7.0)[:, None], y, np.arange(6), 0, rng, 2, cfg)
-    assert node.threshold == 3.5
-    assert node.left.class_counts.tolist() == [1, 2]
-    assert node.right.class_counts.tolist() == [0, 3]
+    tree = _grow_tree(np.arange(1.0, 7.0)[:, None], y, np.arange(6), rng, 2, cfg)
+    assert tree.threshold[0] == 3.5
+    assert tree.counts[tree.left[0]].tolist() == [1, 2]
+    assert tree.counts[tree.right[0]].tolist() == [0, 3]
     # equal values either side of the middle cut: no valid cut at all
     tied = np.array([[1.0], [2.0], [3.0], [3.0], [5.0], [6.0]])
-    assert _grow_tree(tied, y, np.arange(6), 0, rng, 2, cfg).is_leaf
+    assert _grow_tree(tied, y, np.arange(6), rng, 2, cfg).feature.tolist() == [-1]
+
+
+def _preorder(node, out):
+    """Flatten an oracle tree, nested as in format 1, to preorder node dicts."""
+    i = len(out)
+    out.append(node)
+    if "counts" not in node:
+        left = _preorder(node["left"], out)
+        right = _preorder(node["right"], out)
+        out[i] = dict(node, left=left, right=right)
+    return i
 
 
 @pytest.mark.parametrize("n_classes", [2, 3])
@@ -284,17 +296,22 @@ def test_forest_matches_per_feature_oracle_bit_exactly(n_classes, min_leaf, max_
     data = EncodedDataset(X, data.labels, n_classes, data.feature_names)
     for seed in (0, 5, 17):
         cfg = TrainConfig(n_trees=4, max_depth=max_depth, min_leaf=min_leaf, seed=seed)
-        got = model_to_dict(train_forest(data, cfg))["trees"]
+        got = train_forest(data, cfg).trees
         want = per_feature_forest(X, data.labels, n_classes, 4, max_depth, min_leaf, seed)
-        assert json.dumps(got) == json.dumps(want), seed
-
-
-def _walk(node, depth=0):
-    if node.is_leaf:
-        yield node, depth
-    else:
-        yield from _walk(node.left, depth + 1)
-        yield from _walk(node.right, depth + 1)
+        assert len(got) == len(want), seed
+        for tree, oracle in zip(got, want):
+            nodes = []
+            _preorder(oracle, nodes)
+            assert tree.feature.size == len(nodes), seed
+            for i, node in enumerate(nodes):
+                if "counts" in node:
+                    assert tree.feature[i] == -1, (seed, i)
+                    assert tree.counts[i].tolist() == node["counts"], (seed, i)
+                else:
+                    assert tree.feature[i] == node["feature"], (seed, i)
+                    assert json.dumps(float(tree.threshold[i])) == json.dumps(node["threshold"])
+                    assert tree.left[i] == node["left"], (seed, i)
+                    assert tree.right[i] == node["right"], (seed, i)
 
 
 def test_forest_growth_limits_and_bootstrap_mass():
@@ -303,14 +320,18 @@ def test_forest_growth_limits_and_bootstrap_mass():
     forest = train_forest(data, cfg)
     assert len(forest.trees) == 10
     for tree in forest.trees:
-        leaves = list(_walk(tree))
-        assert all(depth <= 3 for _, depth in leaves)
+        # children follow their parent, so one pass in node order fills depth
+        depth = np.zeros(tree.feature.size, dtype=np.int64)
+        for i in np.flatnonzero(tree.feature >= 0):
+            depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+        leaves = np.flatnonzero(tree.feature == -1)
+        assert all(depth[leaves] <= 3)
         # every leaf born of a split respects min_leaf, and each bootstrap
         # distributes exactly n rows over its leaves
-        for leaf, depth in leaves:
-            if depth > 0:
-                assert leaf.class_counts.sum() >= 4
-        assert sum(leaf.class_counts.sum() for leaf, _ in leaves) == data.n_samples
+        for leaf in leaves:
+            if depth[leaf] > 0:
+                assert tree.counts[leaf].sum() >= 4
+        assert tree.counts[leaves].sum() == data.n_samples
 
 
 def test_forest_deterministic_and_tree_order_independent():
@@ -330,6 +351,32 @@ def test_forest_scores_are_distributions_and_accurate():
     assert scores.shape == (150, 3)
     assert np.allclose(scores.sum(axis=1), 1.0, atol=1e-12)
     assert np.mean(predict_labels(forest, data.features) == data.labels) > 0.95
+
+
+def test_forest_on_one_class_predicts_the_root_distribution():
+    # every bootstrap is pure, so each tree is a lone root leaf and the walk
+    # takes no step
+    data = blob_dataset(10, n_classes=3, seed=6)
+    one_class = EncodedDataset(data.features, np.full(30, 2), 3, data.feature_names)
+    forest = train_forest(one_class, TrainConfig(n_trees=3, seed=1))
+    assert all(tree.feature.tolist() == [-1] for tree in forest.trees)
+    assert predict_scores(forest, data.features).tolist() == [[0.0, 0.0, 1.0]] * 30
+
+
+def test_forest_training_and_prediction_leave_no_reference_cycles():
+    # a cycle would keep each tree's nodes and the training block alive until
+    # the cyclic collector ran, raising peak memory
+    data = blob_dataset(40, n_classes=3, seed=8, spread=3.0)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        forest = train_forest(data, TrainConfig(n_trees=5, max_depth=6, seed=2))
+        predict_scores(forest, data.features)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_linear_models_learn_blobs():

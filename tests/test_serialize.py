@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -53,12 +55,77 @@ def test_rejects_malformed_payloads():
     with pytest.raises(ModelFormatError):
         loads('{"format_version": 99, "model": "linear"}')
     with pytest.raises(ModelFormatError):
-        loads('{"format_version": 1, "model": "spline"}')
+        loads('{"format_version": 2, "model": "spline"}')
     good = model_to_dict(
         LinearModel(np.zeros((1, 2)), np.zeros(1), "logistic", 2)
     )
     del good["weights"]
-    import json
-
     with pytest.raises(ModelFormatError):
         loads(json.dumps(good))
+
+
+def _stored_forest():
+    data = blob_dataset(30, n_classes=3, seed=3, spread=3.0)
+    payload = model_to_dict(train_forest(data, TrainConfig(n_trees=2, max_depth=4, seed=1)))
+    tree = payload["trees"][1]
+    assert tree["feature"][0] >= 0 and tree["feature"][tree["left"][0]] >= 0
+    return payload, tree
+
+
+def _child_before_parent(payload, tree):
+    tree["right"][tree["left"][0]] = 0
+
+
+def _child_is_parent(payload, tree):
+    tree["left"][0] = 0
+
+
+def _child_past_end(payload, tree):
+    tree["right"][0] = len(tree["feature"])
+
+
+def _feature_too_large(payload, tree):
+    tree["feature"][0] = payload["n_features"]
+
+
+def _feature_below_leaf_marker(payload, tree):
+    tree["feature"][0] = -2
+
+
+def _unequal_lengths(payload, tree):
+    tree["threshold"].pop()
+
+
+def _counts_too_wide(payload, tree):
+    tree["counts"] = [row + [0] for row in tree["counts"]]
+
+
+def _counts_too_narrow(payload, tree):
+    tree["counts"] = [row[:-1] for row in tree["counts"]]
+
+
+def _ragged_counts(payload, tree):
+    tree["counts"][0] = tree["counts"][0] + [0]
+
+
+def _nested_arrays(payload, tree):
+    tree["left"] = [tree["left"]]
+
+
+def _version_1_nested_tree(payload, tree):
+    payload["format_version"] = 1
+    payload["trees"] = [{"feature": 0, "threshold": 0.5, "left": {"counts": [1, 0, 0]},
+                         "right": {"counts": [0, 1, 0]}}]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _child_before_parent, _child_is_parent, _child_past_end, _feature_too_large,
+    _feature_below_leaf_marker, _unequal_lengths, _counts_too_wide, _counts_too_narrow,
+    _ragged_counts, _nested_arrays, _version_1_nested_tree,
+], ids=lambda f: f.__name__.lstrip("_"))
+def test_rejects_tree_arrays_the_walk_cannot_follow(corrupt):
+    payload, tree = _stored_forest()
+    loads(json.dumps(payload))  # the untouched payload loads
+    corrupt(payload, tree)
+    with pytest.raises(ModelFormatError):
+        loads(json.dumps(payload))
