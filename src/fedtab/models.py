@@ -4,7 +4,9 @@
   cross-entropy (sigmoid when binary, softmax otherwise),
 - linear SVM: per-sample subgradient descent on the L2-regularized hinge
   loss, one-vs-rest for three or more classes, with a seeded per-epoch
-  permutation and a 1/t learning-rate decay,
+  permutation and a 1/t learning-rate decay; each epoch runs in compiled C
+  where ``fedtab.svm_kernel`` can build it, else in Python, with the same
+  bytes either way,
 - random forest: bagged CART trees split on Gini impurity with a fresh
   ceil(sqrt(d)) feature subset at every node; each node's split search
   covers its whole subset in one pass (see ``_grow_tree``).  A tree is a
@@ -238,63 +240,101 @@ def train_svm(
     carried as a scalar and folded back once per epoch, which changes
     nothing semantically but keeps the inner loop cheap.
 
-    Each sample makes one numpy call, the dot product through the bound
-    method ``wdot = weights.dot``.  It reaches the same BLAS gemv as
-    ``weights @ x`` on the same float64 operands, so it gives the same bits
-    as a vectorized loop, but skips the matmul ufunc dispatch that ``@``
-    pays on every call.  It is bound once, so it reads the ``weights``
-    object it was taken from: ``weights`` must only be updated in place
-    (its row views, ``*=``); a rebinding such as
-    ``weights = weights * scale`` would leave ``wdot`` reading stale
-    weights.  The margin test ``t * (s * dot + b) < 1``, the step size and
-    the bias update are Python float arithmetic on lists.  The scaled row
-    ``(lr / scale) * x`` is formed once per step, when the first row
-    violates, and added to each violating row with ``t = 1`` and
-    subtracted from each with ``t = -1``.  That is exactly the vectorized
-    form's ``((lr / scale) * t) * x`` added in place: negation is exact, so
-    ``(-a) * x == -(a * x)`` and ``w + (-v) == w - v``, signed zeros
-    included.  Float64 ``*`` and ``+`` round the same in Python as in
-    numpy element-wise ops, so the weights and bias are bit-identical to
-    the vectorized form.  Parameters are float64.
+    Each step takes the sample's dots with the weight rows, and every row
+    whose target ``t`` (+1 or -1) fails the margin test
+    ``t * (s * dot + b) < 1`` moves by the scaled row ``(lr / scale) * x``,
+    formed once per step: added when ``t = 1``, subtracted when ``t = -1``.
+    That is exactly the vectorized form's ``((lr / scale) * t) * x`` added
+    in place: negation is exact, so ``(-a) * x == -(a * x)`` and
+    ``w + (-v) == w - v``, signed zeros included.  Its bias moves by
+    ``lr * t``.  Parameters are float64.
+
+    Python draws the permutations, in the same order on either path below,
+    and checks the decay; each epoch then runs in one of two ways with the
+    same bytes.  ``svm_kernel_path()`` says which:
+
+    - compiled (``fedtab.svm_kernel``): the epoch is one call into C, which
+      takes the dots from the BLAS routine numpy's ``weights.dot(x)`` calls
+      and does the rest in double arithmetic rounded as Python rounds it;
+    - Python (``_python_svm_epoch``), when the kernel cannot be built,
+      loaded or trusted.
     """
     _check_train_inputs(train)
     rows = 1 if train.n_classes == 2 else train.n_classes
     if init is not None:
         _check_init(init, "svm", train)
-        weights = init.weights.astype(np.float64)
-        bias = init.bias.tolist()
+        weights = init.weights.astype(np.float64, order="C")
+        bias = init.bias.astype(np.float64)
     else:
         weights = np.zeros((rows, train.n_features))
-        bias = [0.0] * rows
+        bias = np.zeros(rows)
 
+    from . import svm_kernel  # imported, and built, at the first SVM training only
+
+    X = np.ascontiguousarray(train.features, dtype=np.float64)
+    signed = np.ascontiguousarray(_signed_targets(train.labels, train.n_classes))
+    run_epoch = svm_kernel.epoch_runner(X, signed, weights, bias) or _python_svm_epoch(
+        X, signed, weights, bias
+    )
     rng = np.random.default_rng(cfg.seed)
-    signed = _signed_targets(train.labels, train.n_classes).tolist()
-    X = list(np.ascontiguousarray(train.features, dtype=np.float64))
-    wrows = list(weights)  # row views: in-place updates land in `weights`
-    wdot = weights.dot
     for epoch in range(1, cfg.epochs + 1):
         lr = cfg.learning_rate / epoch
         decay = 1.0 - lr * cfg.l2
         if decay <= 0.0:
             raise InvalidConfigError("learning_rate * l2 too large; weights would vanish")
+        run_epoch(rng.permutation(train.n_samples), lr, decay)
+    return LinearModel(weights, bias, "svm", train.n_classes)
+
+
+def _python_svm_epoch(X: np.ndarray, signed: np.ndarray, weights: np.ndarray, bias: np.ndarray):
+    """``train_svm``'s epoch as a Python loop: a ``run(order, lr, decay)``.
+
+    Each sample makes one numpy call, the dot product through the bound
+    method ``wdot = weights.dot``, which reaches the same BLAS routine as
+    ``weights @ x`` but skips the matmul ufunc dispatch.  It is bound once,
+    so it reads the ``weights`` object it was taken from: ``weights`` must
+    only be updated in place (its row views, ``out=weights``).  The margin
+    test, the step size and the bias update are Python float arithmetic on
+    lists; float64 ``*`` and ``+`` round the same in Python as in numpy
+    element-wise ops.
+    """
+    samples = list(X)
+    targets = signed.tolist()
+    wrows = list(weights)  # row views: in-place updates land in `weights`
+    wdot = weights.dot
+
+    def run(order: np.ndarray, lr: float, decay: float) -> None:
+        b = bias.tolist()
         scale = 1.0
-        for i in rng.permutation(train.n_samples).tolist():
-            x = X[i]
+        for i in order.tolist():
+            x = samples[i]
             dots = wdot(x).tolist()
             s = scale
             scale *= decay
             step = None
-            for r, t in enumerate(signed[i]):
-                if t * (s * dots[r] + bias[r]) < 1.0:
+            for r, t in enumerate(targets[i]):
+                if t * (s * dots[r] + b[r]) < 1.0:
                     if step is None:
                         step = (lr / scale) * x
                     if t > 0.0:
                         wrows[r] += step
                     else:
                         wrows[r] -= step
-                    bias[r] += lr * t
-        weights *= scale
-    return LinearModel(weights, np.array(bias, dtype=np.float64), "svm", train.n_classes)
+                    b[r] += lr * t
+        np.multiply(weights, scale, out=weights)  # in place, as `weights *= scale`
+        bias[:] = b
+
+    return run
+
+
+def svm_kernel_path() -> str:
+    """``"compiled"`` when ``train_svm`` runs its C epoch, else ``"python: <reason>"``.
+
+    The first call builds or loads the kernel, as the first ``train_svm`` does.
+    """
+    from . import svm_kernel
+
+    return svm_kernel.path()
 
 
 def _gini(counts: np.ndarray, size) -> np.ndarray:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FedtabError
+from .errors import FedtabError, InvalidConfigError, ShapeMismatchError
 from .models import Forest, LinearModel, Model, Tree
 
 FORMAT_VERSION = 2
@@ -39,6 +39,8 @@ def _tree_from_dict(payload: dict, n_classes: int, n_features: int) -> Tree:
         raise ModelFormatError(f"tree array shapes {shapes} do not fit {n_classes} classes")
     if np.any(tree.feature < -1) or np.any(tree.feature >= n_features):
         raise ModelFormatError(f"split feature outside [0, {n_features})")
+    if np.any(tree.counts < 0) or np.any(tree.counts.sum(axis=1) == 0):
+        raise ModelFormatError("a node's class counts must be non-negative with a positive total")
     split = np.flatnonzero(tree.feature >= 0)
     for child in (tree.left[split], tree.right[split]):
         if np.any(child <= split) or np.any(child >= n):
@@ -91,6 +93,8 @@ def model_from_dict(payload: dict) -> Model:
             )
     except KeyError as missing:
         raise ModelFormatError(f"model payload missing field {missing}") from None
+    except (ShapeMismatchError, InvalidConfigError, TypeError, ValueError, OverflowError) as err:
+        raise ModelFormatError(f"malformed {family} model: {err}") from None
     raise ModelFormatError(f"unknown model family {family!r}")
 
 

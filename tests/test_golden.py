@@ -5,7 +5,9 @@ sha256 of every benchmark workload.  Criterion 09 checks that one build
 repeats itself; this test checks that the outputs have not moved since the
 digests were pinned, on the tiny full grid and on the real-size forest and
 linear workloads, whose forest, SVM and logistic bytes at that size no
-smaller test reaches.  It reads ``bench/`` and writes nothing there.
+smaller test reaches.  The workloads that train an SVM are checked once
+more with ``train_svm`` forced onto its Python loop, so both of its paths
+must give the pinned bytes.  It reads ``bench/`` and writes nothing there.
 """
 
 from __future__ import annotations
@@ -52,3 +54,10 @@ def test_outputs_match_golden_digests(name, tmp_path, monkeypatch):
     assert got["cells"] == pinned["cells"]
     assert harness.sha256_file(report) == pinned["report_sha256"]
     assert harness.sha256_file(round_log) == pinned["round_log_sha256"]
+
+
+@pytest.mark.parametrize("name", ["small_grid", "linear_B"])
+def test_outputs_match_golden_digests_on_the_python_svm_loop(
+    name, tmp_path, monkeypatch, python_svm
+):
+    test_outputs_match_golden_digests(name, tmp_path, monkeypatch)

@@ -22,6 +22,7 @@ from fedtab.models import (
     logistic_loss,
     predict_labels,
     predict_scores,
+    svm_kernel_path,
     train_forest,
     train_logreg,
     train_svm,
@@ -201,6 +202,44 @@ def test_svm_matches_vectorized_reference_at_encoded_b_width(n_classes, warm):
     # 16 keeps the wider blobs violating the margin into the last epoch
     data = blob_dataset(40, n_classes=n_classes, n_features=39, seed=4, spread=16.0)
     _check_svm_against_oracle(data, n_classes, warm)
+
+
+@pytest.mark.parametrize(
+    "n_features,spread", [(6, 4.0), (39, 16.0)], ids=["6_features", "encoded_b_width"]
+)
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_svm_python_loop_matches_vectorized_reference(
+    n_classes, warm, n_features, spread, python_svm
+):
+    # the two tests above run whichever path loads, the compiled one where a
+    # C compiler exists; this runs the Python loop on the same cases
+    assert svm_kernel_path() == "python: forced off by the test"
+    data = blob_dataset(40, n_classes=n_classes, n_features=n_features, seed=4, spread=spread)
+    _check_svm_against_oracle(data, n_classes, warm)
+
+
+def test_svm_fortran_ordered_warm_start_matches_reference(svm_path):
+    # the compiled epoch reads weights in C order, so a Fortran-ordered init
+    # must be copied to C order, as the oracle copies it, not misread
+    data = blob_dataset(40, n_classes=3, n_features=39, seed=4, spread=16.0)
+    rng = np.random.default_rng(11)
+    init_w, init_b = rng.normal(0.0, 0.5, (3, 39)), rng.normal(0.0, 0.5, 3)
+    init = LinearModel(np.asfortranarray(init_w), init_b.copy(), "svm", 3)
+    model = train_svm(data, TrainConfig(learning_rate=0.05, epochs=7, l2=1e-3, seed=3), init=init)
+    weights, bias = vectorized_svm(
+        data.features, data.labels, 3, 7, 0.05, 1e-3, 3, init_w, init_b
+    )
+    assert model.weights.tobytes() == weights.tobytes()
+    assert model.bias.tobytes() == bias.tobytes()
+
+
+def test_svm_raises_when_the_decay_would_vanish(svm_path):
+    # the config check rejects this step too, but train_svm must not rely on it
+    data = blob_dataset(5, n_classes=3, seed=1)
+    for lr, l2 in ((1.0, 1.0), (0.5, 4.0)):
+        with pytest.raises(InvalidConfigError, match=r"learning_rate \* l2 too large"):
+            train_svm(data, TrainConfig(learning_rate=lr, epochs=3, l2=l2))
 
 
 def test_grow_tree_split_oracle():

@@ -64,6 +64,24 @@ def test_rejects_malformed_payloads():
         loads(json.dumps(good))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("weights", [[0.0, 1.0], [1.0, 0.0]]),  # two rows for a binary model
+    ("weights", [["x", 1.0]]),
+    ("weights", [[0.0], [1.0, 2.0]]),
+    ("weights", [[float("nan"), 1.0]]),
+    ("bias", [0.0, 0.0]),
+    ("kind", "perceptron"),
+    ("n_classes", "two"),
+], ids=["extra_row", "not_a_number", "ragged", "nan", "bias_too_long", "unknown_kind",
+        "n_classes_not_a_number"])
+def test_rejects_malformed_linear_payloads(field, value):
+    payload = model_to_dict(LinearModel(np.zeros((1, 2)), np.zeros(1), "logistic", 2))
+    loads(json.dumps(payload))  # the untouched payload loads
+    payload[field] = value
+    with pytest.raises(ModelFormatError):
+        loads(json.dumps(payload))
+
+
 def _stored_forest():
     data = blob_dataset(30, n_classes=3, seed=3, spread=3.0)
     payload = model_to_dict(train_forest(data, TrainConfig(n_trees=2, max_depth=4, seed=1)))
@@ -118,10 +136,21 @@ def _version_1_nested_tree(payload, tree):
                          "right": {"counts": [0, 1, 0]}}]
 
 
+def _empty_leaf_counts(payload, tree):
+    # a leaf no training row reached would score 0 / 0 for every class
+    leaf = tree["feature"].index(-1)
+    tree["counts"][leaf] = [0] * payload["n_classes"]
+
+
+def _negative_counts(payload, tree):
+    tree["counts"][0][0] = -1
+
+
 @pytest.mark.parametrize("corrupt", [
     _child_before_parent, _child_is_parent, _child_past_end, _feature_too_large,
     _feature_below_leaf_marker, _unequal_lengths, _counts_too_wide, _counts_too_narrow,
-    _ragged_counts, _nested_arrays, _version_1_nested_tree,
+    _ragged_counts, _nested_arrays, _version_1_nested_tree, _empty_leaf_counts,
+    _negative_counts,
 ], ids=lambda f: f.__name__.lstrip("_"))
 def test_rejects_tree_arrays_the_walk_cannot_follow(corrupt):
     payload, tree = _stored_forest()

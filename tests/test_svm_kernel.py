@@ -1,0 +1,182 @@
+"""The compiled SVM epoch: where it is cached, and every way it falls back.
+
+Each fallback must leave ``train_svm`` on its Python loop with the oracle's
+bytes.  The tests point the cache at a fresh directory and reset the
+module's loaded-kernel handle, so each one builds or rejects from scratch.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import stat
+import subprocess
+
+import numpy as np
+import pytest
+
+from _oracles import vectorized_svm
+from _synth import blob_dataset
+from fedtab import svm_kernel
+from fedtab.models import LinearModel, TrainConfig, svm_kernel_path, train_svm
+
+requires_cc = pytest.mark.skipif(svm_kernel.compiler() is None, reason="no C compiler on PATH")
+
+# the dots as a plain left-to-right loop: right to within rounding, but not
+# the bits numpy's BLAS gives, so the load-time check must refuse it
+_PLAIN_LOOP_DOTS = """
+    for (int64_t r = 0; r < rows; r++) {
+        double sum = 0.0;
+        for (int64_t j = 0; j < d; j++)
+            sum += w[r * d + j] * x[j];
+        dots[r] = sum;
+    }
+    return;
+"""
+
+
+@pytest.fixture
+def fresh_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(svm_kernel, "_loaded", None)
+    return tmp_path / "cache" / "fedtab"
+
+
+def _cached(cache):
+    return [p for p in cache.iterdir() if p.suffix == ".so"] if cache.is_dir() else []
+
+
+def _plain_loop_source(tmp_path):
+    source = svm_kernel.SOURCE.read_text(encoding="utf-8")
+    head = "double *dots, ddot_fn ddot, dgemv_fn dgemv)\n{"
+    assert source.count(head) == 1
+    path = tmp_path / "plain_loop.c"
+    path.write_text(source.replace(head, head + _PLAIN_LOOP_DOTS), encoding="utf-8")
+    return path
+
+
+def _assert_oracle_bytes():
+    # 3 classes at the B stand-in's width, warm: dgemv's main loop, every update kind
+    data = blob_dataset(40, n_classes=3, n_features=39, seed=4, spread=16.0)
+    rng = np.random.default_rng(11)
+    init_w, init_b = rng.normal(0.0, 0.5, (3, 39)), rng.normal(0.0, 0.5, 3)
+    init = LinearModel(init_w.copy(), init_b.copy(), "svm", 3)
+    for l2 in (1e-3, 0.1):
+        model = train_svm(data, TrainConfig(learning_rate=0.05, epochs=7, l2=l2, seed=3), init)
+        weights, bias = vectorized_svm(
+            data.features, data.labels, 3, 7, 0.05, l2, 3, init_w, init_b
+        )
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.bias.tobytes() == bias.tobytes()
+
+
+@requires_cc
+def test_kernel_builds_once_into_a_private_cache(fresh_cache):
+    assert svm_kernel_path() == "compiled"
+    (built,) = _cached(fresh_cache)
+    assert stat.S_IMODE(fresh_cache.stat().st_mode) == 0o700
+    assert fresh_cache.stat().st_uid == os.getuid()
+    assert sorted(fresh_cache.iterdir()) == [built]  # no build leftovers
+    _assert_oracle_bytes()
+    mtime = built.stat().st_mtime_ns
+    svm_kernel._loaded = None
+    assert svm_kernel_path() == "compiled"  # loaded from the cache, not rebuilt
+    assert _cached(fresh_cache) == [built] and built.stat().st_mtime_ns == mtime
+
+
+@requires_cc
+def test_cache_falls_back_to_home_and_tightens_its_mode(tmp_path, monkeypatch):
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setattr(svm_kernel, "_loaded", None)
+    cache = tmp_path / ".cache" / "fedtab"
+    cache.mkdir(parents=True, mode=0o755)
+    cache.chmod(0o755)
+    assert svm_kernel_path() == "compiled"
+    assert len(_cached(cache)) == 1
+    assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+
+
+def test_no_compiler_falls_back_with_the_same_bytes(fresh_cache, monkeypatch):
+    monkeypatch.setattr(svm_kernel, "compiler", lambda: None)
+    assert svm_kernel_path() == "python: no C compiler (cc) on PATH"
+    assert _cached(fresh_cache) == []
+    _assert_oracle_bytes()
+
+
+def test_failing_compiler_falls_back_with_the_same_bytes(fresh_cache, tmp_path, monkeypatch):
+    failing = tmp_path / "cc"
+    failing.write_text("#!/bin/sh\necho 'cc: error: no space left' >&2\nexit 1\n", encoding="utf-8")
+    failing.chmod(0o700)
+    monkeypatch.setattr(svm_kernel, "compiler", lambda: str(failing))
+    assert svm_kernel_path() == f"python: {failing} failed: cc: error: no space left"
+    assert _cached(fresh_cache) == []  # the failed build left nothing behind
+    _assert_oracle_bytes()
+
+
+def test_no_writable_cache_falls_back_with_the_same_bytes(tmp_path, monkeypatch):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("", encoding="utf-8")
+    monkeypatch.setattr(svm_kernel, "_cache_dirs", lambda: iter([blocker / "fedtab"]))
+    monkeypatch.setattr(svm_kernel, "_loaded", None)
+    assert svm_kernel_path() == "python: no cache directory only this user can write"
+    _assert_oracle_bytes()
+
+
+@requires_cc
+def test_dots_that_differ_from_numpy_fall_back_with_the_same_bytes(
+    fresh_cache, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(svm_kernel, "SOURCE", _plain_loop_source(tmp_path))
+    assert svm_kernel_path() == "python: compiled dots differ from numpy's weights.dot"
+    assert not fresh_cache.exists() or list(fresh_cache.iterdir()) == []  # nothing published
+    _assert_oracle_bytes()
+
+
+@requires_cc
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "wrong_kernel"])
+def test_damaged_cached_kernel_is_rebuilt_or_rejected(
+    damage, fresh_cache, tmp_path, monkeypatch
+):
+    assert svm_kernel_path() == "compiled"
+    (built,) = _cached(fresh_cache)
+    good = built.read_bytes()
+    if damage == "truncated":
+        bad = good[: len(good) // 2]
+    elif damage == "garbage":
+        bad = bytes(range(256)) * 8
+    else:  # a loadable kernel whose dots are not numpy's, under the right name
+        wrong = tmp_path / "wrong.so"
+        cmd = [svm_kernel.compiler(), *svm_kernel.FLAGS, "-o", str(wrong)]
+        subprocess.run([*cmd, str(_plain_loop_source(tmp_path))], check=True)
+        body = wrong.read_bytes()
+        bad = body + hashlib.sha256(body).digest()  # passes the digest, fails the dot check
+    built.unlink()  # a new file, never the one this process has mapped
+    built.write_bytes(bad)
+
+    monkeypatch.setattr(svm_kernel, "_loaded", None)
+    assert svm_kernel_path() == "compiled"  # rebuilt
+    assert _cached(fresh_cache) == [built] and built.read_bytes() != bad
+    _assert_oracle_bytes()
+
+    built.unlink()
+    built.write_bytes(bad)
+    monkeypatch.setattr(svm_kernel, "_loaded", None)
+    monkeypatch.setattr(svm_kernel, "compiler", lambda: None)
+    assert svm_kernel_path() == "python: no C compiler (cc) on PATH"  # rejected, not loaded
+    assert _cached(fresh_cache) == []
+    _assert_oracle_bytes()
+
+
+@requires_cc
+def test_runner_refuses_what_the_kernel_would_misread(fresh_cache):
+    X, targets, bias = np.zeros((4, 3)), np.ones((4, 2)), np.zeros(2)
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        svm_kernel.epoch_runner(X, targets, np.zeros((3, 2)).T, bias)  # Fortran order
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        svm_kernel.epoch_runner(X, targets, np.zeros((2, 4)), bias)  # wrong width
+    run = svm_kernel.epoch_runner(X, targets, np.zeros((2, 3)), bias)
+    for order in ([0, 1, 2, 4], [0, -1, 2, 3], [0, 1, 2]):
+        with pytest.raises(ValueError, match="order of the 4 sample indices"):
+            run(np.array(order), 0.1, 0.9)
+    run(np.array([3, 1, 2, 0]), 0.1, 0.9)
