@@ -5,13 +5,15 @@
 - linear SVM: per-sample subgradient descent on the L2-regularized hinge
   loss, one-vs-rest for three or more classes, with a seeded per-epoch
   permutation and a 1/t learning-rate decay; each epoch runs in compiled C
-  where ``fedtab.svm_kernel`` can build it, else in Python, with the same
+  where ``fedtab.kernel`` can build it, else in Python, with the same
   bytes either way,
 - random forest: bagged CART trees split on Gini impurity with a fresh
   ceil(sqrt(d)) feature subset at every node; each node's split search
-  covers its whole subset in one pass (see ``_grow_tree``).  A tree is a
-  ``Tree`` of parallel node arrays in depth-first preorder, the one layout
-  that growth builds, prediction walks level by level and model files store.
+  covers its whole subset in one call, into compiled C where
+  ``fedtab.kernel`` can build it, else numpy, with the same trees either
+  way (see ``_grow_tree``).  A tree is a ``Tree`` of parallel node arrays
+  in depth-first preorder, the one layout that growth builds, prediction
+  walks level by level and model files store.
 
 The bias terms are never regularized.  Training with epochs = 0 returns the
 initial parameters unchanged, which is what federated warm starts rely on.
@@ -251,9 +253,9 @@ def train_svm(
 
     Python draws the permutations, in the same order on either path below,
     and checks the decay; each epoch then runs in one of two ways with the
-    same bytes.  ``svm_kernel_path()`` says which:
+    same bytes.  ``kernel_path()`` says which:
 
-    - compiled (``fedtab.svm_kernel``): the epoch is one call into C, which
+    - compiled (``fedtab.kernel``): the epoch is one call into C, which
       takes the dots from the BLAS routine numpy's ``weights.dot(x)`` calls
       and does the rest in double arithmetic rounded as Python rounds it;
     - Python (``_python_svm_epoch``), when the kernel cannot be built,
@@ -269,11 +271,11 @@ def train_svm(
         weights = np.zeros((rows, train.n_features))
         bias = np.zeros(rows)
 
-    from . import svm_kernel  # imported, and built, at the first SVM training only
+    from . import kernel  # imported, and built, at the first SVM or forest training only
 
     X = np.ascontiguousarray(train.features, dtype=np.float64)
     signed = np.ascontiguousarray(_signed_targets(train.labels, train.n_classes))
-    run_epoch = svm_kernel.epoch_runner(X, signed, weights, bias) or _python_svm_epoch(
+    run_epoch = kernel.epoch_runner(X, signed, weights, bias) or _python_svm_epoch(
         X, signed, weights, bias
     )
     rng = np.random.default_rng(cfg.seed)
@@ -327,14 +329,15 @@ def _python_svm_epoch(X: np.ndarray, signed: np.ndarray, weights: np.ndarray, bi
     return run
 
 
-def svm_kernel_path() -> str:
-    """``"compiled"`` when ``train_svm`` runs its C epoch, else ``"python: <reason>"``.
+def kernel_path() -> str:
+    """``"compiled"`` when ``train_svm`` and ``train_forest`` run C, else ``"python: <reason>"``.
 
-    The first call builds or loads the kernel, as the first ``train_svm`` does.
+    The first call builds or loads the kernels, as the first ``train_svm`` or
+    ``train_forest`` does.  Both models take the same path.
     """
-    from . import svm_kernel
+    from . import kernel
 
-    return svm_kernel.path()
+    return kernel.path()
 
 
 def _gini(counts: np.ndarray, size) -> np.ndarray:
@@ -354,18 +357,100 @@ def _grow_tree(
 
     Nodes are taken from an explicit stack, a split node's left child before
     its right, so the tree comes out in preorder and every node draws its
-    feature subset from ``rng`` in the order of a recursive grower.  The
-    grower holds no closure or self-reference, so a finished tree and its
-    training block are freed without waiting for the cyclic collector.
+    feature subset from ``rng`` in the order of a recursive grower.  A node
+    is a slice of one copy of ``rows``; its split search reorders the slice
+    into the rows going left, then right, each in their original order, and
+    returns both children's class counts.  Nothing the grower builds refers
+    back to itself, so a finished tree and its training block are freed
+    without waiting for the cyclic collector.
 
-    Each node draws its feature subset from ``rng`` and searches the whole
-    subset in one pass.  The node's values of the F drawn features form one
-    (F, n) block, sorted per feature by a stable argsort, and one cumsum of
-    the sorted one-hot labels gives the class counts left of every cut.  A
-    cut is valid at a value boundary with ``min_leaf`` rows on each side;
-    Gini is computed at the valid cuts only, listed feature-major, and one
-    argmax picks the split.  The trees are bit-identical to searching the
-    features one at a time:
+    Each node searches its whole drawn subset in one call, in one of two
+    ways with the same trees, the way ``train_svm`` runs its epochs
+    (``kernel_path()`` says which):
+
+    - compiled (``fedtab.kernel``): C gathers, stably sorts and scores the
+      subset with ``_best_split``'s expressions, rounded as numpy rounds them;
+    - numpy (``_numpy_split_search``), around ``_best_split``, when the
+      kernels cannot be built, loaded or trusted.
+
+    ``X``, ``y`` and ``rows`` must be as ``kernel.check_tree_inputs`` says;
+    either path raises ValueError otherwise.
+    """
+    from . import kernel  # imported, and built, at the first SVM or forest training only
+
+    rows = rows.copy()  # each split reorders a node's rows in place
+    min_leaf = cfg.min_leaf
+    search = kernel.split_search(X, y, rows, n_classes, min_leaf) or _numpy_split_search(
+        X, y, rows, n_classes, min_leaf
+    )
+    d = X.shape[1]
+    size = math.ceil(math.sqrt(d))
+    root_counts = np.bincount(y[rows], minlength=n_classes).tolist()
+    nodes = []  # [feature, threshold, right, counts] per node, in preorder
+    # (first row, end row, class counts, depth, node whose right child it is)
+    stack = [(0, rows.shape[0], root_counts, 0, -1)]
+    while stack:
+        start, stop, counts, depth, parent = stack.pop()
+        if parent >= 0:
+            nodes[parent][2] = len(nodes)
+        nodes.append([-1, 0.0, -1, counts])
+        n = stop - start
+        if depth >= cfg.max_depth or n < 2 * min_leaf or max(counts) == n:
+            continue
+        subset = rng.choice(d, size=size, replace=False)
+        split = search(start, stop, subset)
+        if split is None:
+            continue
+        i, threshold, left_counts, right_counts = split
+        nodes[-1][:2] = int(subset[i]), threshold
+        middle = start + sum(left_counts)
+        stack.append((middle, stop, right_counts, depth + 1, len(nodes) - 1))
+        stack.append((start, middle, left_counts, depth + 1, -1))
+    feature, threshold, right, counts = (np.array(column) for column in zip(*nodes))
+    # preorder puts a split node's left child right after it
+    left = np.where(feature >= 0, np.arange(1, feature.size + 1), -1)
+    return Tree(feature, threshold, left, right, counts)
+
+
+def _numpy_split_search(
+    X: np.ndarray, y: np.ndarray, rows: np.ndarray, n_classes: int, min_leaf: int
+):
+    """``_grow_tree``'s split search in numpy: a ``search(start, stop, subset)``.
+
+    It returns what ``kernel.split_search``'s does, through ``_best_split``,
+    and reorders ``rows[start:stop]`` in place the same way.
+    """
+    from .kernel import check_tree_inputs
+
+    check_tree_inputs(X, y, rows, n_classes, min_leaf)
+
+    def search(start: int, stop: int, subset: np.ndarray):
+        node = rows[start:stop]
+        labels = y[node]
+        counts = np.bincount(labels, minlength=n_classes)
+        split = _best_split(X[node, subset[:, None]], labels, counts, min_leaf)
+        if split is None:
+            return None
+        i, threshold, go_left = split
+        left_counts = np.bincount(labels[go_left], minlength=n_classes)
+        node[:] = np.concatenate((node[go_left], node[~go_left]))
+        return i, threshold, left_counts.tolist(), (counts - left_counts).tolist()
+
+    return search
+
+
+def _best_split(
+    values: np.ndarray, labels: np.ndarray, counts: np.ndarray, min_leaf: int
+) -> tuple[int, float, np.ndarray] | None:
+    """(subset position, threshold, rows going left) of the best split, or None.
+
+    ``values`` is the node's (F, n) block, one row per drawn feature, sorted
+    per feature by a stable argsort; one cumsum of the sorted one-hot labels
+    gives the class counts left of every cut.  A cut is valid at a value
+    boundary with ``min_leaf`` rows on each side; Gini is computed at the
+    valid cuts only, listed feature-major, and one argmax picks the split.
+    The trees are bit-identical to searching the features one at a time
+    (``tests/_oracles.py``):
 
     - Gini is computed elementwise, and only at the boundary cuts that
       search scores, so each gain is the same expression on the same
@@ -375,41 +460,8 @@ def _grow_tree(
       the first cut within a feature and the earliest feature in subset
       order, as its strict ``>`` scan does, and a split needs a gain
       strictly above 0.
-    """
-    d = X.shape[1]
-    nodes = []  # [feature, threshold, right, counts] per node, in preorder
-    stack = [(rows, 0, -1)]  # (rows, depth, node whose right child they form)
-    while stack:
-        rows, depth, parent = stack.pop()
-        if parent >= 0:
-            nodes[parent][2] = len(nodes)
-        labels = y[rows]
-        counts = np.bincount(labels, minlength=n_classes)
-        nodes.append([-1, 0.0, -1, counts])
-        n = rows.shape[0]
-        if depth >= cfg.max_depth or n < 2 * cfg.min_leaf or counts.max() == n:
-            continue
-        subset = rng.choice(d, size=math.ceil(math.sqrt(d)), replace=False)
-        split = _best_split(X[rows, subset[:, None]], labels, counts, cfg.min_leaf)
-        if split is None:
-            continue
-        i, threshold, go_left = split
-        nodes[-1][:2] = int(subset[i]), threshold
-        stack.append((rows[~go_left], depth + 1, len(nodes) - 1))
-        stack.append((rows[go_left], depth + 1, -1))
-    feature, threshold, right, counts = (np.array(column) for column in zip(*nodes))
-    # preorder puts a split node's left child right after it
-    left = np.where(feature >= 0, np.arange(1, feature.size + 1), -1)
-    return Tree(feature, threshold, left, right, counts)
 
-
-def _best_split(
-    values: np.ndarray, labels: np.ndarray, counts: np.ndarray, min_leaf: int
-) -> tuple[int, float, np.ndarray] | None:
-    """(subset position, threshold, rows going left) of the best split, or None.
-
-    ``values`` is the node's (F, n) block, one row per drawn feature.  The
-    search's temporaries die on return, before the children grow.
+    The search's temporaries die on return, before the children grow.
     """
     n = labels.shape[0]
     order = np.argsort(values, axis=1, kind="stable")
@@ -444,8 +496,8 @@ def _best_split(
 def train_forest(train: EncodedDataset, cfg: TrainConfig) -> Forest:
     """Bagged CART trees; per-tree seeding makes tree order irrelevant."""
     _check_train_inputs(train)
-    X = np.ascontiguousarray(train.features)
-    y = train.labels
+    X = np.ascontiguousarray(train.features, dtype=np.float64)
+    y = np.ascontiguousarray(train.labels, dtype=np.int64)
     n = train.n_samples
     trees = []
     for t in range(cfg.n_trees):

@@ -9,6 +9,7 @@ implementations is meaningful evidence.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -199,6 +200,35 @@ def per_feature_forest(X, y, n_classes, n_trees, max_depth, min_leaf, seed):
         bootstrap = rng.integers(0, n, size=n)
         trees.append(per_feature_tree(X, y, bootstrap, 0, rng, n_classes, max_depth, min_leaf))
     return trees
+
+
+def _preorder(node, out):
+    """Flatten an oracle tree, nested as in format 1, to preorder node dicts."""
+    i = len(out)
+    out.append(node)
+    if "counts" not in node:
+        left = _preorder(node["left"], out)
+        right = _preorder(node["right"], out)
+        out[i] = dict(node, left=left, right=right)
+    return i
+
+
+def assert_trees_match(trees, oracle_trees, context=None):
+    """Assert that node-array trees are the oracle's, node for node and bit for bit."""
+    assert len(trees) == len(oracle_trees), context
+    for tree, oracle in zip(trees, oracle_trees):
+        nodes = []
+        _preorder(oracle, nodes)
+        assert tree.feature.size == len(nodes), context
+        for i, node in enumerate(nodes):
+            if "counts" in node:
+                assert tree.feature[i] == -1, (context, i)
+                assert tree.counts[i].tolist() == node["counts"], (context, i)
+            else:
+                assert tree.feature[i] == node["feature"], (context, i)
+                assert json.dumps(float(tree.threshold[i])) == json.dumps(node["threshold"])
+                assert tree.left[i] == node["left"], (context, i)
+                assert tree.right[i] == node["right"], (context, i)
 
 
 def per_cell_encode(rows, columns, target_classes, vocabularies=None):

@@ -19,7 +19,7 @@ from _synth import (
     write_grades_csv,
     write_outcomes_csv,
 )
-from fedtab import svm_kernel
+from fedtab import kernel
 from fedtab.schemas import DATA_FILES
 
 
@@ -56,28 +56,31 @@ def outcomes_spec(tmp_path_factory):
 
 @pytest.fixture(scope="session", autouse=True)
 def private_kernel_cache(tmp_path_factory):
-    """Build the compiled SVM kernel into this session's temporary directory.
+    """Build the compiled kernels into this session's temporary directory.
 
     The suite then never reads or writes the user's own cache, and its first
-    SVM training builds the kernel afresh.
+    SVM or forest training builds the kernels afresh.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg_cache")))
-        patch.setattr(svm_kernel, "_loaded", None)
+        patch.setattr(kernel, "_loaded", None)
         yield
 
 
 @pytest.fixture
-def python_svm(monkeypatch):
-    """Run ``train_svm`` on its Python loop, as when the compiled kernel is unavailable."""
-    monkeypatch.setattr(svm_kernel, "_loaded", "forced off by the test")
+def kernel_off(monkeypatch):
+    """Run ``train_svm``'s Python loop and ``train_forest``'s numpy split search.
+
+    They are what runs when the compiled kernels are unavailable.
+    """
+    monkeypatch.setattr(kernel, "_loaded", "forced off by the test")
 
 
 @pytest.fixture(params=["compiled", "python"])
-def svm_path(request, monkeypatch):
-    """Each ``train_svm`` path in turn; the compiled one skips where it cannot load."""
+def each_path(request, monkeypatch):
+    """The compiled kernels, then the Python paths; compiled skips where it cannot load."""
     if request.param == "python":
-        monkeypatch.setattr(svm_kernel, "_loaded", "forced off by the test")
-    elif svm_kernel.load() is None:
-        pytest.skip(f"compiled SVM kernel unavailable ({svm_kernel.path()})")
+        monkeypatch.setattr(kernel, "_loaded", "forced off by the test")
+    elif kernel.load() is None:
+        pytest.skip(f"compiled kernels unavailable ({kernel.path()})")
     return request.param

@@ -5,9 +5,10 @@ sha256 of every benchmark workload.  Criterion 09 checks that one build
 repeats itself; this test checks that the outputs have not moved since the
 digests were pinned, on the tiny full grid and on the real-size forest and
 linear workloads, whose forest, SVM and logistic bytes at that size no
-smaller test reaches.  The workloads that train an SVM are checked once
-more with ``train_svm`` forced onto its Python loop, so both of its paths
-must give the pinned bytes.  It reads ``bench/`` and writes nothing there.
+smaller test reaches.  Each workload is checked once more with the compiled
+kernels forced off, ``train_svm`` on its Python loop and ``train_forest`` on
+its numpy split search, so both paths must give the pinned bytes.  It reads
+``bench/`` and writes nothing there.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ def test_outputs_match_golden_digests(name, tmp_path, monkeypatch):
     assert harness.sha256_file(round_log) == pinned["round_log_sha256"]
 
 
-@pytest.mark.parametrize("name", ["small_grid", "linear_B"])
-def test_outputs_match_golden_digests_on_the_python_svm_loop(
-    name, tmp_path, monkeypatch, python_svm
-):
+@pytest.mark.parametrize("name", ["small_grid", "forest_B", "linear_B"])
+def test_outputs_match_golden_digests_with_the_kernel_off(name, tmp_path, monkeypatch, kernel_off):
     test_outputs_match_golden_digests(name, tmp_path, monkeypatch)

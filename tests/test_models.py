@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import gc
-import json
 
 import numpy as np
 import pytest
 
-from _oracles import per_feature_forest, vectorized_svm
+from _oracles import assert_trees_match, per_feature_forest, vectorized_svm
 from _synth import blob_dataset
 from fedtab.dataset import EncodedDataset
 from fedtab.errors import InvalidConfigError, ShapeMismatchError
@@ -22,7 +21,7 @@ from fedtab.models import (
     logistic_loss,
     predict_labels,
     predict_scores,
-    svm_kernel_path,
+    kernel_path,
     train_forest,
     train_logreg,
     train_svm,
@@ -210,16 +209,16 @@ def test_svm_matches_vectorized_reference_at_encoded_b_width(n_classes, warm):
 @pytest.mark.parametrize("n_classes", [2, 3])
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_svm_python_loop_matches_vectorized_reference(
-    n_classes, warm, n_features, spread, python_svm
+    n_classes, warm, n_features, spread, kernel_off
 ):
     # the two tests above run whichever path loads, the compiled one where a
     # C compiler exists; this runs the Python loop on the same cases
-    assert svm_kernel_path() == "python: forced off by the test"
+    assert kernel_path() == "python: forced off by the test"
     data = blob_dataset(40, n_classes=n_classes, n_features=n_features, seed=4, spread=spread)
     _check_svm_against_oracle(data, n_classes, warm)
 
 
-def test_svm_fortran_ordered_warm_start_matches_reference(svm_path):
+def test_svm_fortran_ordered_warm_start_matches_reference(each_path):
     # the compiled epoch reads weights in C order, so a Fortran-ordered init
     # must be copied to C order, as the oracle copies it, not misread
     data = blob_dataset(40, n_classes=3, n_features=39, seed=4, spread=16.0)
@@ -234,7 +233,7 @@ def test_svm_fortran_ordered_warm_start_matches_reference(svm_path):
     assert model.bias.tobytes() == bias.tobytes()
 
 
-def test_svm_raises_when_the_decay_would_vanish(svm_path):
+def test_svm_raises_when_the_decay_would_vanish(each_path):
     # the config check rejects this step too, but train_svm must not rely on it
     data = blob_dataset(5, n_classes=3, seed=1)
     for lr, l2 in ((1.0, 1.0), (0.5, 4.0)):
@@ -312,15 +311,22 @@ def test_grow_tree_at_twice_min_leaf_splits_only_at_the_middle():
     assert _grow_tree(tied, y, np.arange(6), rng, 2, cfg).feature.tolist() == [-1]
 
 
-def _preorder(node, out):
-    """Flatten an oracle tree, nested as in format 1, to preorder node dicts."""
-    i = len(out)
-    out.append(node)
-    if "counts" not in node:
-        left = _preorder(node["left"], out)
-        right = _preorder(node["right"], out)
-        out[i] = dict(node, left=left, right=right)
-    return i
+@pytest.mark.parametrize(
+    "case",
+    [
+        test_grow_tree_split_oracle,
+        test_grow_tree_stops_on_purity_and_min_leaf,
+        test_grow_tree_leaf_when_drawn_subset_is_constant,
+        test_grow_tree_equal_gains_take_the_earlier_drawn_feature,
+        test_grow_tree_at_twice_min_leaf_splits_only_at_the_middle,
+    ],
+    ids=lambda case: case.__name__.removeprefix("test_grow_tree_"),
+)
+def test_grow_tree_cases_on_the_numpy_split(case, kernel_off):
+    # the cases above run whichever split search loads, the compiled one
+    # where a C compiler exists; this runs the numpy one on them
+    assert kernel_path() == "python: forced off by the test"
+    case()
 
 
 @pytest.mark.parametrize("n_classes", [2, 3])
@@ -337,20 +343,19 @@ def test_forest_matches_per_feature_oracle_bit_exactly(n_classes, min_leaf, max_
         cfg = TrainConfig(n_trees=4, max_depth=max_depth, min_leaf=min_leaf, seed=seed)
         got = train_forest(data, cfg).trees
         want = per_feature_forest(X, data.labels, n_classes, 4, max_depth, min_leaf, seed)
-        assert len(got) == len(want), seed
-        for tree, oracle in zip(got, want):
-            nodes = []
-            _preorder(oracle, nodes)
-            assert tree.feature.size == len(nodes), seed
-            for i, node in enumerate(nodes):
-                if "counts" in node:
-                    assert tree.feature[i] == -1, (seed, i)
-                    assert tree.counts[i].tolist() == node["counts"], (seed, i)
-                else:
-                    assert tree.feature[i] == node["feature"], (seed, i)
-                    assert json.dumps(float(tree.threshold[i])) == json.dumps(node["threshold"])
-                    assert tree.left[i] == node["left"], (seed, i)
-                    assert tree.right[i] == node["right"], (seed, i)
+        assert_trees_match(got, want, seed)
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("min_leaf", [1, 2, 9])
+@pytest.mark.parametrize("max_depth", [3, 12, 40])
+def test_forest_on_the_numpy_split_matches_per_feature_oracle(
+    n_classes, min_leaf, max_depth, kernel_off
+):
+    # the test above runs whichever split search loads, the compiled one
+    # where a C compiler exists; this runs the numpy one on the same cases
+    assert kernel_path() == "python: forced off by the test"
+    test_forest_matches_per_feature_oracle_bit_exactly(n_classes, min_leaf, max_depth)
 
 
 def test_forest_growth_limits_and_bootstrap_mass():

@@ -1,8 +1,9 @@
-"""The compiled SVM epoch: where it is cached, and every way it falls back.
+"""The compiled kernels' loader: where it caches, and every way it falls back.
 
-Each fallback must leave ``train_svm`` on its Python loop with the oracle's
-bytes.  The tests point the cache at a fresh directory and reset the
-module's loaded-kernel handle, so each one builds or rejects from scratch.
+Each fallback must leave ``train_svm`` on its Python loop and
+``train_forest`` on its numpy split search, both with the oracles' bytes.
+The tests point the cache at a fresh directory and reset the module's
+loaded-kernel handle, so each one builds or rejects from scratch.
 """
 
 from __future__ import annotations
@@ -11,16 +12,18 @@ import hashlib
 import os
 import stat
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _oracles import vectorized_svm
+from _oracles import assert_trees_match, per_feature_forest, vectorized_svm
 from _synth import blob_dataset
-from fedtab import svm_kernel
-from fedtab.models import LinearModel, TrainConfig, svm_kernel_path, train_svm
+from fedtab import kernel
+from fedtab.dataset import EncodedDataset
+from fedtab.models import LinearModel, TrainConfig, kernel_path, train_forest, train_svm
 
-requires_cc = pytest.mark.skipif(svm_kernel.compiler() is None, reason="no C compiler on PATH")
+requires_cc = pytest.mark.skipif(kernel.compiler() is None, reason="no C compiler on PATH")
 
 # the dots as a plain left-to-right loop: right to within rounding, but not
 # the bits numpy's BLAS gives, so the load-time check must refuse it
@@ -38,7 +41,7 @@ _PLAIN_LOOP_DOTS = """
 @pytest.fixture
 def fresh_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    monkeypatch.setattr(svm_kernel, "_loaded", None)
+    monkeypatch.setattr(kernel, "_loaded", None)
     return tmp_path / "cache" / "fedtab"
 
 
@@ -47,7 +50,7 @@ def _cached(cache):
 
 
 def _plain_loop_source(tmp_path):
-    source = svm_kernel.SOURCE.read_text(encoding="utf-8")
+    source = kernel.SOURCE.read_text(encoding="utf-8")
     head = "double *dots, ddot_fn ddot, dgemv_fn dgemv)\n{"
     assert source.count(head) == 1
     path = tmp_path / "plain_loop.c"
@@ -68,19 +71,27 @@ def _assert_oracle_bytes():
         )
         assert model.weights.tobytes() == weights.tobytes()
         assert model.bias.tobytes() == bias.tobytes()
+    # repeated values and 3 classes; min_leaf 1 lets nodes split down to 2 rows
+    data = blob_dataset(30, n_classes=3, n_features=8, seed=3, spread=3.0)
+    X = np.round(data.features)
+    forest = train_forest(
+        EncodedDataset(X, data.labels, 3, data.feature_names),
+        TrainConfig(n_trees=2, max_depth=8, min_leaf=1, seed=5),
+    )
+    assert_trees_match(forest.trees, per_feature_forest(X, data.labels, 3, 2, 8, 1, 5))
 
 
 @requires_cc
 def test_kernel_builds_once_into_a_private_cache(fresh_cache):
-    assert svm_kernel_path() == "compiled"
+    assert kernel_path() == "compiled"
     (built,) = _cached(fresh_cache)
     assert stat.S_IMODE(fresh_cache.stat().st_mode) == 0o700
     assert fresh_cache.stat().st_uid == os.getuid()
     assert sorted(fresh_cache.iterdir()) == [built]  # no build leftovers
     _assert_oracle_bytes()
     mtime = built.stat().st_mtime_ns
-    svm_kernel._loaded = None
-    assert svm_kernel_path() == "compiled"  # loaded from the cache, not rebuilt
+    kernel._loaded = None
+    assert kernel_path() == "compiled"  # loaded from the cache, not rebuilt
     assert _cached(fresh_cache) == [built] and built.stat().st_mtime_ns == mtime
 
 
@@ -88,18 +99,18 @@ def test_kernel_builds_once_into_a_private_cache(fresh_cache):
 def test_cache_falls_back_to_home_and_tightens_its_mode(tmp_path, monkeypatch):
     monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
     monkeypatch.setenv("HOME", str(tmp_path))
-    monkeypatch.setattr(svm_kernel, "_loaded", None)
+    monkeypatch.setattr(kernel, "_loaded", None)
     cache = tmp_path / ".cache" / "fedtab"
     cache.mkdir(parents=True, mode=0o755)
     cache.chmod(0o755)
-    assert svm_kernel_path() == "compiled"
+    assert kernel_path() == "compiled"
     assert len(_cached(cache)) == 1
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
 
 
 def test_no_compiler_falls_back_with_the_same_bytes(fresh_cache, monkeypatch):
-    monkeypatch.setattr(svm_kernel, "compiler", lambda: None)
-    assert svm_kernel_path() == "python: no C compiler (cc) on PATH"
+    monkeypatch.setattr(kernel, "compiler", lambda: None)
+    assert kernel_path() == "python: no C compiler (cc) on PATH"
     assert _cached(fresh_cache) == []
     _assert_oracle_bytes()
 
@@ -108,8 +119,8 @@ def test_failing_compiler_falls_back_with_the_same_bytes(fresh_cache, tmp_path, 
     failing = tmp_path / "cc"
     failing.write_text("#!/bin/sh\necho 'cc: error: no space left' >&2\nexit 1\n", encoding="utf-8")
     failing.chmod(0o700)
-    monkeypatch.setattr(svm_kernel, "compiler", lambda: str(failing))
-    assert svm_kernel_path() == f"python: {failing} failed: cc: error: no space left"
+    monkeypatch.setattr(kernel, "compiler", lambda: str(failing))
+    assert kernel_path() == f"python: {failing} failed: cc: error: no space left"
     assert _cached(fresh_cache) == []  # the failed build left nothing behind
     _assert_oracle_bytes()
 
@@ -117,9 +128,9 @@ def test_failing_compiler_falls_back_with_the_same_bytes(fresh_cache, tmp_path, 
 def test_no_writable_cache_falls_back_with_the_same_bytes(tmp_path, monkeypatch):
     blocker = tmp_path / "a_file"
     blocker.write_text("", encoding="utf-8")
-    monkeypatch.setattr(svm_kernel, "_cache_dirs", lambda: iter([blocker / "fedtab"]))
-    monkeypatch.setattr(svm_kernel, "_loaded", None)
-    assert svm_kernel_path() == "python: no cache directory only this user can write"
+    monkeypatch.setattr(kernel, "_cache_dirs", lambda: iter([blocker / "fedtab"]))
+    monkeypatch.setattr(kernel, "_loaded", None)
+    assert kernel_path() == "python: no cache directory only this user can write"
     _assert_oracle_bytes()
 
 
@@ -127,8 +138,8 @@ def test_no_writable_cache_falls_back_with_the_same_bytes(tmp_path, monkeypatch)
 def test_dots_that_differ_from_numpy_fall_back_with_the_same_bytes(
     fresh_cache, tmp_path, monkeypatch
 ):
-    monkeypatch.setattr(svm_kernel, "SOURCE", _plain_loop_source(tmp_path))
-    assert svm_kernel_path() == "python: compiled dots differ from numpy's weights.dot"
+    monkeypatch.setattr(kernel, "SOURCE", _plain_loop_source(tmp_path))
+    assert kernel_path() == "python: compiled dots differ from numpy's weights.dot"
     assert not fresh_cache.exists() or list(fresh_cache.iterdir()) == []  # nothing published
     _assert_oracle_bytes()
 
@@ -138,7 +149,7 @@ def test_dots_that_differ_from_numpy_fall_back_with_the_same_bytes(
 def test_damaged_cached_kernel_is_rebuilt_or_rejected(
     damage, fresh_cache, tmp_path, monkeypatch
 ):
-    assert svm_kernel_path() == "compiled"
+    assert kernel_path() == "compiled"
     (built,) = _cached(fresh_cache)
     good = built.read_bytes()
     if damage == "truncated":
@@ -147,23 +158,23 @@ def test_damaged_cached_kernel_is_rebuilt_or_rejected(
         bad = bytes(range(256)) * 8
     else:  # a loadable kernel whose dots are not numpy's, under the right name
         wrong = tmp_path / "wrong.so"
-        cmd = [svm_kernel.compiler(), *svm_kernel.FLAGS, "-o", str(wrong)]
+        cmd = [kernel.compiler(), *kernel.FLAGS, "-o", str(wrong)]
         subprocess.run([*cmd, str(_plain_loop_source(tmp_path))], check=True)
         body = wrong.read_bytes()
         bad = body + hashlib.sha256(body).digest()  # passes the digest, fails the dot check
     built.unlink()  # a new file, never the one this process has mapped
     built.write_bytes(bad)
 
-    monkeypatch.setattr(svm_kernel, "_loaded", None)
-    assert svm_kernel_path() == "compiled"  # rebuilt
+    monkeypatch.setattr(kernel, "_loaded", None)
+    assert kernel_path() == "compiled"  # rebuilt
     assert _cached(fresh_cache) == [built] and built.read_bytes() != bad
     _assert_oracle_bytes()
 
     built.unlink()
     built.write_bytes(bad)
-    monkeypatch.setattr(svm_kernel, "_loaded", None)
-    monkeypatch.setattr(svm_kernel, "compiler", lambda: None)
-    assert svm_kernel_path() == "python: no C compiler (cc) on PATH"  # rejected, not loaded
+    monkeypatch.setattr(kernel, "_loaded", None)
+    monkeypatch.setattr(kernel, "compiler", lambda: None)
+    assert kernel_path() == "python: no C compiler (cc) on PATH"  # rejected, not loaded
     assert _cached(fresh_cache) == []
     _assert_oracle_bytes()
 
@@ -172,11 +183,55 @@ def test_damaged_cached_kernel_is_rebuilt_or_rejected(
 def test_runner_refuses_what_the_kernel_would_misread(fresh_cache):
     X, targets, bias = np.zeros((4, 3)), np.ones((4, 2)), np.zeros(2)
     with pytest.raises(ValueError, match="C-contiguous float64"):
-        svm_kernel.epoch_runner(X, targets, np.zeros((3, 2)).T, bias)  # Fortran order
+        kernel.epoch_runner(X, targets, np.zeros((3, 2)).T, bias)  # Fortran order
     with pytest.raises(ValueError, match="C-contiguous float64"):
-        svm_kernel.epoch_runner(X, targets, np.zeros((2, 4)), bias)  # wrong width
-    run = svm_kernel.epoch_runner(X, targets, np.zeros((2, 3)), bias)
+        kernel.epoch_runner(X, targets, np.zeros((2, 4)), bias)  # wrong width
+    run = kernel.epoch_runner(X, targets, np.zeros((2, 3)), bias)
     for order in ([0, 1, 2, 4], [0, -1, 2, 3], [0, 1, 2]):
         with pytest.raises(ValueError, match="order of the 4 sample indices"):
             run(np.array(order), 0.1, 0.9)
     run(np.array([3, 1, 2, 0]), 0.1, 0.9)
+
+
+@requires_cc
+@pytest.mark.parametrize("symbol", kernel.SYMBOLS)
+def test_build_lacking_a_symbol_falls_back_once_with_the_same_bytes(
+    symbol, fresh_cache, tmp_path, monkeypatch
+):
+    source = kernel.SOURCE.read_text(encoding="utf-8")
+    assert f"{symbol}(" in source
+    renamed = tmp_path / "renamed.c"
+    renamed.write_text(source.replace(f"{symbol}(", f"{symbol}_renamed("), encoding="utf-8")
+    monkeypatch.setattr(kernel, "SOURCE", renamed)
+    reason = kernel_path()
+    assert reason.startswith("python: compiled kernel lacks a symbol: ")
+    assert reason.endswith(f"undefined symbol: {symbol}")
+    assert kernel._loaded == reason.removeprefix("python: ")  # no rebuild at the next call
+    assert not fresh_cache.exists() or list(fresh_cache.iterdir()) == []  # nothing published
+    _assert_oracle_bytes()
+
+
+@requires_cc
+def test_a_split_search_taking_the_last_maximum_is_refused(fresh_cache, tmp_path, monkeypatch):
+    # ">=" keeps the last of equal gains, and a zero gain, where numpy's
+    # argmax and "> 0" keep the first positive one
+    source = kernel.SOURCE.read_text(encoding="utf-8")
+    first, last = "if (gain > best)", "if (gain >= best)"
+    assert source.count(first) == 1
+    mutated = tmp_path / "last_maximum.c"
+    mutated.write_text(source.replace(first, last), encoding="utf-8")
+    monkeypatch.setattr(kernel, "SOURCE", mutated)
+    assert kernel_path() == "python: compiled splits differ from numpy's _best_split"
+    assert not fresh_cache.exists() or list(fresh_cache.iterdir()) == []  # nothing published
+    _assert_oracle_bytes()
+
+
+def test_the_loaded_source_ships_as_package_data():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    package_data = tomllib.loads(pyproject.read_text(encoding="utf-8"))["tool"]["setuptools"][
+        "package-data"
+    ]
+    assert kernel.SOURCE.is_file()
+    assert kernel.SOURCE.parent.name == "fedtab"
+    assert kernel.SOURCE.name in package_data["fedtab"]
