@@ -53,7 +53,7 @@ from .models import (
     train_logreg,
     train_svm,
 )
-from .schemas import DatasetSpec, builtin_dataset, load_dataset
+from .schemas import DatasetSpec, builtin_dataset, load_dataset, load_encoded
 from .serialize import load_model, save_model
 
 __version__ = "0.1.0"
@@ -97,6 +97,7 @@ __all__ = [
     "flip_labels",
     "load_config",
     "load_dataset",
+    "load_encoded",
     "load_model",
     "load_table",
     "parse_report",

@@ -2,12 +2,15 @@
 
 A FeatureSchema declares the column set once; every table is reordered to
 schema order at load time, so downstream code never depends on file column
-order.  ``encode`` parses a table once into unscaled features.  Categorical
-vocabularies are dataset-level metadata, pinned in the schema or taken from
-the whole table, so encoded width is identical across all participants.
-``standardize`` then z-scores the continuous columns with statistics from
-the fit rows a caller names (training rows), which keeps the encoding
-strictly leakage-free.
+order.  Two readers give the same unscaled features: ``load_table`` plus
+``encode`` (the csv path, which names every fault), and ``read_encoded``,
+one ``np.loadtxt`` pass that declines any file the csv path could read
+differently or must reject.  Categorical vocabularies are dataset-level
+metadata, pinned in the schema or taken from the whole table, so encoded
+width is identical across all participants.  ``standardize`` then z-scores
+the continuous columns with statistics from the fit rows a caller names
+(training rows), which keeps the encoding strictly leakage-free, and
+``partition_clients`` deals rows to clients by class.
 """
 
 from __future__ import annotations
@@ -145,6 +148,22 @@ def _clean_cell(cell: str) -> str:
     return cell
 
 
+def _checked_header(
+    path: str | Path, raw_header: Sequence[str], schema: FeatureSchema
+) -> tuple[str, ...]:
+    """The cleaned header in file order; it must name each schema column exactly once."""
+    header = tuple(_clean_cell(c) for c in raw_header)
+    if len(set(header)) != len(header):
+        dupes = sorted({c for c in header if header.count(c) > 1})
+        raise HeaderMismatchError(f"{path}: duplicate header columns {dupes}")
+    expected = set(schema.column_names)
+    missing = sorted(expected - set(header))
+    extra = sorted(set(header) - expected)
+    if missing or extra:
+        raise HeaderMismatchError(f"{path}: missing columns {missing}, unexpected columns {extra}")
+    return header
+
+
 def load_table(path: str | Path, schema: FeatureSchema) -> RawTable:
     """Read a delimited file and reorder its columns to schema order.
 
@@ -158,15 +177,7 @@ def load_table(path: str | Path, schema: FeatureSchema) -> RawTable:
             raw_header = next(reader)
         except StopIteration:
             raise EmptyTableError(f"{path}: file is empty") from None
-        header = tuple(_clean_cell(c) for c in raw_header)
-        if len(set(header)) != len(header):
-            dupes = sorted({c for c in header if header.count(c) > 1})
-            raise HeaderMismatchError(f"{path}: duplicate header columns {dupes}")
-        expected = set(schema.column_names)
-        missing = sorted(expected - set(header))
-        extra = sorted(set(header) - expected)
-        if missing or extra:
-            raise HeaderMismatchError(f"{path}: missing columns {missing}, unexpected columns {extra}")
+        header = _checked_header(path, raw_header, schema)
         order = [header.index(name) for name in schema.column_names]
         pick = itemgetter(*order) if len(order) > 1 else lambda cells: (cells[order[0]],)
 
@@ -197,14 +208,17 @@ def binarize_grade_target(
     rows = []
     for i, row in enumerate(raw.rows):
         try:
-            grade = int(row[j])
+            label = _pass_fail(row[j], pass_threshold)
         except ValueError:
             raise NonIntegerGradeError(
                 f"row {i + 1}: grade {row[j]!r} is not an integer"
             ) from None
-        label = "pass" if grade >= pass_threshold else "fail"
         rows.append(row[:j] + (label,) + row[j + 1 :])
     return RawTable(raw.header, tuple(rows))
+
+
+def _pass_fail(grade: str, pass_threshold: int) -> str:
+    return "pass" if int(grade) >= pass_threshold else "fail"
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,24 +320,15 @@ def encode(raw: RawTable, schema: FeatureSchema) -> EncodedDataset:
     becomes its index in ``schema.target_classes``.  Features and labels are
     read-only, so one encoded table can serve every experiment built on it.
     """
-    n = raw.n_rows
     columns = list(zip(*raw.rows))
-    pinned = schema.vocabularies or {}
-    blocks: list[np.ndarray] = []
-    names: list[str] = []
+    floats: dict[str, np.ndarray] = {}
+    strings: dict[str, Sequence[str]] = {}
     for col in schema.feature_columns():
         cells = columns[raw.column_index(col.name)]
         if col.kind == KIND_CONTINUOUS:
-            blocks.append(_parse_continuous(col.name, cells)[:, None])
-            names.append(col.name)
+            floats[col.name] = _parse_continuous(col.name, cells)
         else:
-            levels = pinned.get(col.name) or tuple(sorted(set(cells)))
-            codes = _codes(cells, levels)
-            onehot = np.zeros((n, len(levels)), dtype=np.float64)
-            hit = np.flatnonzero(codes >= 0)
-            onehot[hit, codes[hit]] = 1.0
-            blocks.append(onehot)
-            names.extend(f"{col.name}={v}" for v in levels)
+            strings[col.name] = cells
 
     cells = columns[raw.column_index(schema.target_column)]
     labels = _codes(cells, schema.target_classes)
@@ -333,10 +338,95 @@ def encode(raw: RawTable, schema: FeatureSchema) -> EncodedDataset:
         raise UnknownTargetClassError(
             f"row {i + 1}: target {cells[i]!r} not in {list(schema.target_classes)}"
         )
+    return _assemble(schema, floats, strings, labels)
 
+
+def _assemble(
+    schema: FeatureSchema,
+    floats: Mapping[str, np.ndarray],
+    strings: Mapping[str, Sequence[str]],
+    labels: np.ndarray,
+) -> EncodedDataset:
+    """``encode``'s result from parsed continuous columns and clean categorical cells."""
+    pinned = schema.vocabularies or {}
+    blocks: list[np.ndarray] = []
+    names: list[str] = []
+    for col in schema.feature_columns():
+        if col.kind == KIND_CONTINUOUS:
+            blocks.append(floats[col.name][:, None])
+            names.append(col.name)
+        else:
+            cells = strings[col.name]
+            levels = pinned.get(col.name) or tuple(sorted(set(cells)))
+            codes = _codes(cells, levels)
+            onehot = np.zeros((len(cells), len(levels)), dtype=np.float64)
+            hit = np.flatnonzero(codes >= 0)
+            onehot[hit, codes[hit]] = 1.0
+            blocks.append(onehot)
+            names.extend(f"{col.name}={v}" for v in levels)
+
+    n = labels.shape[0]
     features = np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
     features.flags.writeable = labels.flags.writeable = False
     return EncodedDataset(features, labels, len(schema.target_classes), tuple(names))
+
+
+def read_encoded(
+    path: str | Path, schema: FeatureSchema, grade_column: str | None, pass_threshold: int
+) -> EncodedDataset | None:
+    """``encode`` of the file at ``path`` from one numpy text pass, or None.
+
+    The header goes through ``load_table``'s checks and raises their errors.
+    The body is one ``np.loadtxt`` call: continuous columns as float64,
+    parsed by the routine behind ``float()``, every other column as strings,
+    each distinct value cleaned once (and binarized once, for the
+    ``grade_column``, as ``binarize_grade_target`` does).  Returns None,
+    so that the caller takes the csv path, wherever that path could read the
+    file differently or has an error to name: a quote character, a line
+    longer than the csv field limit, a file that is not UTF-8, no data rows,
+    a cell numpy cannot parse (ragged rows among them), a non-finite value,
+    a non-integer grade, an unknown target, or a grade column that is not
+    the target.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        return None
+    header_line, *lines = text.split("\n")
+    if (
+        '"' in text
+        or not any(lines)
+        or max(map(len, lines)) > csv.field_size_limit()
+        or grade_column not in (None, schema.target_column)
+    ):
+        return None
+    raw_header = next(csv.reader([header_line], delimiter=schema.delimiter))
+    header = _checked_header(path, raw_header, schema)
+    continuous = {c.name for c in schema.feature_columns(KIND_CONTINUOUS)}
+    dtype = [(name, np.float64 if name in continuous else object) for name in header]
+    try:
+        table = np.loadtxt(lines, dtype=dtype, delimiter=schema.delimiter, comments=None, ndmin=1)
+    except ValueError:
+        return None
+
+    floats = {name: table[name] for name in continuous}
+    if not all(np.isfinite(values).all() for values in floats.values()):
+        return None
+    strings: dict[str, list[str]] = {}
+    for name in set(header) - continuous:
+        cells = table[name].tolist()
+        clean = {cell: _clean_cell(cell) for cell in set(cells)}
+        if name == grade_column:
+            try:
+                clean = {cell: _pass_fail(value, pass_threshold) for cell, value in clean.items()}
+            except ValueError:
+                return None
+        strings[name] = list(map(clean.__getitem__, cells))
+    labels = _codes(strings[schema.target_column], schema.target_classes)
+    if (labels < 0).any():
+        return None
+    return _assemble(schema, floats, strings, labels)
 
 
 def standardize(
@@ -445,9 +535,9 @@ def partition_clients(
 ) -> list[np.ndarray]:
     """Deal rows to clients, stratified and near-even; returns sorted index arrays.
 
-    Rows of each class are shuffled and dealt round-robin through a cursor
-    that carries over between classes, so client sizes differ by at most one
-    overall and per class.
+    Rows of each class are shuffled, the classes are chained in label order
+    and the chain is dealt round-robin, so client sizes differ by at most
+    one overall and per class.
     """
     if n_clients < 1:
         raise InvalidConfigError(f"n_clients must be at least 1, got {n_clients}")
@@ -456,15 +546,11 @@ def partition_clients(
             f"cannot split {data.n_samples} rows across {n_clients} clients"
         )
     rng = np.random.default_rng(seed)
-    buckets: list[list[int]] = [[] for _ in range(n_clients)]
-    cursor = 0
-    for c in np.unique(data.labels):
-        members = np.flatnonzero(data.labels == c)
-        shuffled = members[rng.permutation(members.shape[0])]
-        for row in shuffled:
-            buckets[cursor].append(int(row))
-            cursor = (cursor + 1) % n_clients
-    return [np.sort(np.asarray(b, dtype=np.int64)) for b in buckets]
+    order = np.concatenate([
+        members[rng.permutation(members.shape[0])]
+        for members in (np.flatnonzero(data.labels == c) for c in np.unique(data.labels))
+    ])
+    return [np.sort(order[k::n_clients]) for k in range(n_clients)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,13 +34,12 @@ from .dataset import (
     FeatureSchema,
     build_client_partitions,
     concat_datasets,
-    encode,
 )
 from .errors import InvalidConfigError
 from .federation import FederationConfig, RoundLog, evaluate_global, run_federated
 from .metrics import MetricsReport
 from .models import Model, train_forest, train_logreg, train_svm
-from .schemas import DatasetSpec, builtin_dataset, load_dataset
+from .schemas import DatasetSpec, builtin_dataset, load_encoded
 
 METRIC_NAMES = ("Accuracy", "Recall", "F1-Score", "AUCROC")
 MODEL_LABELS = {"forest": "Random forest", "svm": "SVM", "logistic": "Logistic regression"}
@@ -213,11 +212,11 @@ def run_condition(
 ) -> MetricsReport:
     """Run one (dataset, model, condition) cell for one master seed.
 
-    ``data`` is the table's ``encode`` result; it is loaded and encoded
-    when not given.
+    ``data`` is the table's ``load_encoded`` result; it is read when not
+    given.
     """
     if data is None:
-        data = encode(load_dataset(dataset), dataset.schema)
+        data = load_encoded(dataset)
     return run_condition_detailed(cfg, dataset, data, model_kind, condition, master_seed).report
 
 
@@ -308,14 +307,14 @@ def run_suite(
     """Run the whole grid: dataset x model x condition, averaged over seeds.
 
     ``datasets`` may inject pre-built specs (tests do); by default the
-    built-in catalog plus cfg.data_dir resolves them.  Each table is loaded
-    and encoded once, and every cell of it shares that encoding.  Seeds are
-    the next loop: every cell of one (table, seed) shares one ``SharedWork``
-    (the partitions of each statistics scope and the federated round-one
-    models), which is dropped when the seed ends.  ``progress`` gets
-    ``<dataset>/<model>/<condition>`` before each (seed, cell).  Reports
-    are averaged and round-log lines written in (dataset, model,
-    condition, seed) order, so the outputs do not depend on the loop
+    built-in catalog plus cfg.data_dir resolves them.  Each table is read
+    and encoded once (``load_encoded``), and every cell of it shares that
+    encoding.  Seeds are the next loop: every cell of one (table, seed)
+    shares one ``SharedWork`` (the partitions of each statistics scope and
+    the federated round-one models), which is dropped when the seed ends.
+    ``progress`` gets ``<dataset>/<model>/<condition>`` before each (seed,
+    cell).  Reports are averaged and round-log lines written in (dataset,
+    model, condition, seed) order, so the outputs do not depend on the loop
     order.  Writes the results table and optional round log as configured.
     """
     specs = dict(datasets) if datasets is not None else {
@@ -325,7 +324,7 @@ def run_suite(
     log_lines: list[str] = []
     for key in cfg.datasets:
         spec = specs[key]
-        data = encode(load_dataset(spec), spec.schema)
+        data = load_encoded(spec)
         cells = [(model, condition) for model in cfg.models for condition in cfg.conditions]
         seed_reports: dict[tuple[str, str], list[MetricsReport]] = {cell: [] for cell in cells}
         cell_lines: dict[tuple[str, str], list[str]] = {cell: [] for cell in cells}

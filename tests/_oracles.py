@@ -231,6 +231,24 @@ def assert_trees_match(trees, oracle_trees, context=None):
                 assert tree.right[i] == node["right"], (context, i)
 
 
+def round_robin_partition(labels, n_clients: int, seed: int) -> list[np.ndarray]:
+    """Client row sets: each class shuffled, then dealt one row at a time.
+
+    The cursor carries over from one class to the next; the classes go in
+    ``np.unique`` order and draw one permutation each from ``default_rng(seed)``.
+    """
+    labels = np.asarray(labels)
+    rng = np.random.default_rng(seed)
+    buckets = [[] for _ in range(n_clients)]
+    cursor = 0
+    for c in np.unique(labels):
+        members = np.flatnonzero(labels == c)
+        for row in members[rng.permutation(members.shape[0])]:
+            buckets[cursor].append(int(row))
+            cursor = (cursor + 1) % n_clients
+    return [np.sort(np.asarray(b, dtype=np.int64)) for b in buckets]
+
+
 def per_cell_encode(rows, columns, target_classes, vocabularies=None):
     """Unscaled features, labels and feature names, one Python step per cell.
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fedtab.dataset
-from _oracles import per_cell_encode
+from _oracles import per_cell_encode, round_robin_partition
 from _synth import (
     grades_dataset_spec,
     write_dataset_a_like,
@@ -295,6 +295,17 @@ def test_partition_clients_balance():
     for a, b in zip(parts, again):
         assert np.array_equal(a, b)
         assert np.array_equal(a, np.sort(a))
+
+
+@pytest.mark.parametrize("n_clients", [1, 2, 3, 5, 7])
+def test_partition_clients_matches_round_robin_oracle(n_clients):
+    for seed in range(20):
+        labels = np.random.default_rng(100 + seed).integers(0, 3, size=40 + seed)
+        got = partition_clients(_labeled_dataset(labels), n_clients, seed)
+        want = round_robin_partition(labels, n_clients, seed)
+        assert len(got) == n_clients
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_partition_clients_errors():

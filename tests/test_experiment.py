@@ -13,7 +13,6 @@ from _synth import (
     write_grades_csv,
     write_outcomes_csv,
 )
-import fedtab.dataset
 import fedtab.experiment
 from fedtab import federation
 from fedtab.attack import AttackConfig
@@ -36,7 +35,7 @@ from fedtab.experiment import (
 from fedtab.federation import FederationConfig, run_federated
 from fedtab.metrics import MetricsReport
 from fedtab.models import train_forest, train_logreg
-from fedtab.schemas import load_dataset
+from fedtab.schemas import load_dataset, load_encoded
 
 
 def report(acc, rec=0.5, f1=0.5, auc=0.5, n=40):
@@ -320,12 +319,11 @@ def test_run_suite_writes_outputs(tmp_path, grades):
 def test_run_suite_encodes_each_table_once(grades, outcomes, monkeypatch):
     calls = []
 
-    def counting_encode(raw, schema):
-        calls.append(schema)
-        return encode(raw, schema)
+    def counting_load_encoded(spec):
+        calls.append(spec)
+        return load_encoded(spec)
 
-    for module in (fedtab.dataset, fedtab.experiment):
-        monkeypatch.setattr(module, "encode", counting_encode, raising=False)
+    monkeypatch.setattr(fedtab.experiment, "load_encoded", counting_load_encoded)
     cfg = small_cfg(
         datasets=("A", "B"),
         models=("logistic", "forest"),
@@ -334,7 +332,7 @@ def test_run_suite_encodes_each_table_once(grades, outcomes, monkeypatch):
     )
     (spec_a, _), (spec_b, _) = grades, outcomes
     run_suite(cfg, datasets={"A": spec_a, "B": spec_b})
-    assert calls == [spec_a.schema, spec_b.schema]  # not one per cell and seed
+    assert calls == [spec_a, spec_b]  # not one per cell and seed
 
 
 def shared_cfg(**overrides):

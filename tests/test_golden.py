@@ -7,8 +7,10 @@ digests were pinned, on the tiny full grid and on the real-size forest and
 linear workloads, whose forest, SVM and logistic bytes at that size no
 smaller test reaches.  Each workload is checked once more with the compiled
 kernels forced off, ``train_svm`` on its Python loop and ``train_forest`` on
-its numpy split search, so both paths must give the pinned bytes.  It reads
-``bench/`` and writes nothing there.
+its numpy split search, and once with the one-pass table reader declining
+every file, so each table goes through ``load_dataset`` and ``encode``; every
+path must give the pinned bytes.  It reads ``bench/`` and writes nothing
+there.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import fedtab.schemas
 from fedtab.config import config_from_dict
 from fedtab.experiment import run_suite
 
@@ -59,4 +62,10 @@ def test_outputs_match_golden_digests(name, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["small_grid", "forest_B", "linear_B"])
 def test_outputs_match_golden_digests_with_the_kernel_off(name, tmp_path, monkeypatch, kernel_off):
+    test_outputs_match_golden_digests(name, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["small_grid", "forest_B", "linear_B"])
+def test_outputs_match_golden_digests_on_the_csv_path(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(fedtab.schemas, "read_encoded", lambda *args: None)
     test_outputs_match_golden_digests(name, tmp_path, monkeypatch)
