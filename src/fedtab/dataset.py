@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .errors import (
     StratificationImpossibleError,
     TooManyClientsError,
     UnknownTargetClassError,
+    UnreadableFileError,
 )
 
 KIND_CONTINUOUS = "continuous"
@@ -164,17 +165,30 @@ def _checked_header(
     return header
 
 
+def _records(path: str | Path, reader) -> Iterator[list[str]]:
+    """``reader``'s records, with a file it cannot decode or parse as a data error."""
+    try:
+        yield from reader
+    except UnicodeDecodeError as err:
+        raise UnreadableFileError(f"{path}: not UTF-8 text ({err.reason})") from None
+    except csv.Error as err:
+        raise UnreadableFileError(f"{path}: line {reader.line_num}: {err}") from None
+
+
 def load_table(path: str | Path, schema: FeatureSchema) -> RawTable:
     """Read a delimited file and reorder its columns to schema order.
 
     Header matching ignores column order and surrounding whitespace or
     quotes, but any missing or unexpected column name is a hard error; so is
-    a row whose cell count differs from the header's.
+    a row whose cell count differs from the header's.  A file that is not
+    UTF-8 text, or that the csv module cannot parse (a field over
+    ``csv.field_size_limit()``), raises ``UnreadableFileError``.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle, delimiter=schema.delimiter, quotechar='"')
+        records = _records(path, reader)
         try:
-            raw_header = next(reader)
+            raw_header = next(records)
         except StopIteration:
             raise EmptyTableError(f"{path}: file is empty") from None
         header = _checked_header(path, raw_header, schema)
@@ -182,7 +196,7 @@ def load_table(path: str | Path, schema: FeatureSchema) -> RawTable:
         pick = itemgetter(*order) if len(order) > 1 else lambda cells: (cells[order[0]],)
 
         rows = []
-        for parsed in reader:
+        for parsed in records:
             if not parsed:
                 continue  # tolerate blank lines, e.g. a trailing newline
             if len(parsed) != len(header):
@@ -586,11 +600,13 @@ def build_client_partitions(
 
     The caller encodes each table once and passes it to every build.  Steps:
     deal rows to clients, split each client's rows into train/test, then
-    standardize.  With ``stats_scope`` 'client' each client fits z-score
-    statistics on its own training rows (the federated setting, no raw
-    sharing); with 'pooled' every client uses statistics fitted on the union
-    of all training rows (the centralized setting).  One-hot width is
-    identical in both scopes.
+    standardize.  With ``stats_scope`` 'client' the result is one partition
+    per client, each z-scored with statistics fitted on its own training
+    rows (the federated setting, no raw sharing).  With 'pooled' it is one
+    partition, client 0, holding every client's train rows and test rows in
+    client order, z-scored with statistics fitted on the sorted union of the
+    training rows (the centralized setting).  One-hot width is identical in
+    both scopes.
 
     Derived seeds: the deal uses ``seed`` itself and client k's split uses
     ``seed XOR k``.  Every array of the result is read-only, like
@@ -608,12 +624,12 @@ def build_client_partitions(
             data.labels[rows], test_fraction, seed ^ k
         )
         split_rows.append((rows[local_train], rows[local_test]))
+    if stats_scope == "pooled":  # one client: all train rows, all test rows, in client order
+        split_rows = [tuple(map(np.concatenate, zip(*split_rows)))]
 
-    pooled_train = np.sort(np.concatenate([tr for tr, _ in split_rows]))
     partitions = []
     for k, (train_rows, test_rows) in enumerate(split_rows):
-        fit_rows = train_rows if stats_scope == "client" else pooled_train
-        train, test = standardize(data, schema, fit_rows, (train_rows, test_rows))
+        train, test = standardize(data, schema, np.sort(train_rows), (train_rows, test_rows))
         for array in (train.features, train.labels, test.features, test.labels, train_rows, test_rows):
             array.flags.writeable = False
         partitions.append(ClientPartition(k, train, test, train_rows, test_rows))

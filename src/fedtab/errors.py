@@ -30,6 +30,10 @@ class RaggedRowError(DataError):
     """A data row has a different cell count than the header."""
 
 
+class UnreadableFileError(DataError):
+    """A data file is not UTF-8 text or cannot be parsed as delimited text."""
+
+
 class EmptyTableError(DataError):
     """A table has no data rows."""
 

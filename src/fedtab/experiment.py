@@ -11,6 +11,12 @@ Conditions:
 - fl_poisoned: federated with the malicious clients flipping their local
   training labels before round one.
 
+All four run through ``run_federated``.  A central cell is a federation of
+one client, the pooled partition, for one round, with that client
+malicious when poisoned: with one client and one round, federated
+averaging is the client's own model, trained with the master seed for the
+whole epoch budget.
+
 Total optimization effort is held fixed across budgets: a budget of R
 rounds trains round(epoch_budget / R) local epochs per round.  Every
 derived seed folds the master seed in, so one master seed pins the whole
@@ -20,25 +26,18 @@ grid.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .attack import AttackConfig, flip_labels
+from .attack import AttackConfig
 from .config import CONDITIONS, ExperimentConfig
-from .dataset import (
-    ClientPartition,
-    EncodedDataset,
-    FeatureSchema,
-    build_client_partitions,
-    concat_datasets,
-)
+from .dataset import ClientPartition, EncodedDataset, FeatureSchema, build_client_partitions
 from .errors import InvalidConfigError
-from .federation import FederationConfig, RoundLog, evaluate_global, run_federated
+from .federation import FederationConfig, RoundLog, run_federated
 from .metrics import MetricsReport
-from .models import Model, train_forest, train_logreg, train_svm
 from .schemas import DatasetSpec, builtin_dataset, load_encoded
 
 METRIC_NAMES = ("Accuracy", "Recall", "F1-Score", "AUCROC")
@@ -84,12 +83,15 @@ class ConditionResult:
 class SharedWork:
     """The work every cell of one (table, master seed) shares, built on first use.
 
-    Per statistics scope: the read-only client partitions, and the
-    round-one local models that federated runs on them trained (see
-    ``run_federated``).  Partitions depend on the encoded table, the seed,
-    ``n_clients``, ``test_fraction`` and the scope only, which are the
-    constructor's arguments, so no model or condition can need another
-    set.
+    Per statistics scope, the read-only partitions: one per client for
+    'client', the one pooled partition for 'pooled'.  Partitions depend on
+    the encoded table, the seed, ``n_clients``, ``test_fraction`` and the
+    scope only, which are the constructor's arguments, so no model or
+    condition can need another set.  ``round_one`` holds the round-one
+    local models that federated runs on the 'client' partitions trained
+    (see ``run_federated``).  Central runs keep none: their clean and
+    poisoned runs share no round one, so a dict would only hold both
+    central models until the seed ends.
     """
 
     def __init__(
@@ -101,34 +103,13 @@ class SharedWork:
         master_seed: int,
     ) -> None:
         self.inputs = (data, schema, n_clients, test_fraction, master_seed)
-        self._scopes: dict[str, tuple[list[ClientPartition], dict]] = {}
+        self.round_one: dict = {}
+        self._partitions: dict[str, list[ClientPartition]] = {}
 
-    def scope(self, stats_scope: str) -> tuple[list[ClientPartition], dict]:
-        """The scope's partitions and the round-one dict that belongs to them."""
-        if stats_scope not in self._scopes:
-            self._scopes[stats_scope] = (build_client_partitions(*self.inputs, stats_scope), {})
-        return self._scopes[stats_scope]
-
-
-def _train_central(
-    train: EncodedDataset, cfg: ExperimentConfig, model_kind: str, master_seed: int
-) -> Model:
-    train_cfg = replace(
-        cfg.train_config(model_kind), seed=master_seed, epochs=cfg.epoch_budget
-    )
-    if model_kind == "forest":
-        return train_forest(train, train_cfg)
-    if model_kind == "logistic":
-        return train_logreg(train, train_cfg)
-    return train_svm(train, train_cfg)
-
-
-def _attack_for(cfg: ExperimentConfig, master_seed: int) -> AttackConfig:
-    return AttackConfig(
-        flip_fraction=cfg.flip_fraction,
-        malicious_clients=frozenset(cfg.malicious_clients),
-        seed=cfg.attack_seed ^ master_seed,
-    )
+    def partitions(self, stats_scope: str) -> list[ClientPartition]:
+        if stats_scope not in self._partitions:
+            self._partitions[stats_scope] = build_client_partitions(*self.inputs, stats_scope)
+        return self._partitions[stats_scope]
 
 
 def run_condition_detailed(
@@ -142,13 +123,16 @@ def run_condition_detailed(
 ) -> ConditionResult:
     """Run one cell; ``shared`` is the seed's ``SharedWork``, fresh when not given.
 
-    A federated cell runs each trajectory once.  Round r depends only on the
-    global model after round r - 1, the client rows and a ``TrainConfig``
-    that carries ``seed ^ client`` and ``local_epochs``, none of which
-    depends on the budget.  So budgets with equal ``local_epochs`` (every
-    budget, for a forest) share one ``run_federated`` at the longest of
-    them, and each budget's ``RoundLog`` is that run's first ``budget``
-    records with its flip masks.
+    A central cell federates the pooled partition alone for one round, with
+    client 0 malicious when poisoned, and returns its report with no
+    per-budget breakdown or round log.  A federated cell runs each
+    trajectory once.  Round r depends only on the global model after round
+    r - 1, the client rows and a ``TrainConfig`` that carries
+    ``seed ^ client`` and ``local_epochs``, none of which depends on the
+    budget.  So budgets with equal ``local_epochs`` (every budget, for a
+    forest) share one ``run_federated`` at the longest of them, and each
+    budget's ``RoundLog`` is that run's first ``budget`` records with its
+    flip masks.
     """
     if condition not in CONDITIONS:
         raise InvalidConfigError(f"unknown condition {condition!r}")
@@ -158,20 +142,16 @@ def run_condition_detailed(
     elif shared.inputs != inputs:
         raise ValueError("shared work was built for another table, seed or client split")
 
-    if condition.startswith("central"):
-        partitions, _ = shared.scope("pooled")
-        pooled_train = concat_datasets([p.train for p in partitions])
-        if condition == "central_poisoned":
-            attack = replace(_attack_for(cfg, master_seed), malicious_clients=frozenset())
-            labels, _ = flip_labels(pooled_train.labels, pooled_train.n_classes, attack)
-            pooled_train = EncodedDataset(
-                pooled_train.features, labels, pooled_train.n_classes, pooled_train.feature_names
-            )
-        model = _train_central(pooled_train, cfg, model_kind, master_seed)
-        return ConditionResult(evaluate_global(model, partitions), {}, {})
-
-    partitions, round_one = shared.scope("client")
-    attack = _attack_for(cfg, master_seed) if condition == "fl_poisoned" else None
+    central = condition.startswith("central")
+    if central:  # one client holding the pooled rows, one round
+        partitions, round_one, budgets, malicious = shared.partitions("pooled"), None, (1,), (0,)
+    else:
+        partitions, round_one = shared.partitions("client"), shared.round_one
+        budgets, malicious = cfg.round_budgets, cfg.malicious_clients
+    attack = None
+    if condition.endswith("poisoned"):
+        seed = cfg.attack_seed ^ master_seed
+        attack = AttackConfig(cfg.flip_fraction, frozenset(malicious), seed)
 
     def federate(budget: int) -> RoundLog:
         fed_cfg = FederationConfig(
@@ -185,20 +165,22 @@ def run_condition_detailed(
 
     # forests ignore local_epochs, so all their budgets form one group
     groups: dict[int | None, list[int]] = {}
-    for budget in cfg.round_budgets:
+    for budget in budgets:
         epochs = None if model_kind == "forest" else epochs_for_budget(cfg.epoch_budget, budget)
         groups.setdefault(epochs, []).append(budget)
     logs: dict[int, RoundLog] = {}
-    for budgets in groups.values():
-        run = federate(max(budgets))
-        logs.update((b, RoundLog(run.records[:b], run.flip_masks)) for b in budgets)
+    for group in groups.values():
+        run = federate(max(group))
+        logs.update((b, RoundLog(run.records[:b], run.flip_masks)) for b in group)
     per_budget: dict[int, MetricsReport] = {}
     for budget, log in logs.items():
         if cfg.fl_average == "final":
             per_budget[budget] = log.records[-1].global_metrics
         else:
             per_budget[budget] = mean_reports([r.global_metrics for r in log.records])
-    report = mean_reports([per_budget[b] for b in cfg.round_budgets])
+    report = mean_reports([per_budget[b] for b in budgets])
+    if central:
+        return ConditionResult(report, {}, {})
     return ConditionResult(report, per_budget, logs)
 
 
@@ -315,8 +297,16 @@ def run_suite(
     ``progress`` gets ``<dataset>/<model>/<condition>`` before each (seed,
     cell).  Reports are averaged and round-log lines written in (dataset,
     model, condition, seed) order, so the outputs do not depend on the loop
-    order.  Writes the results table and optional round log as configured.
+    order.  Writes the results table and optional round log as configured;
+    an output path that names a directory, or whose parent directory does
+    not exist, raises ``InvalidConfigError`` before any table is read.
     """
+    for name in ("path", "round_log"):
+        path = getattr(cfg.output, name)
+        if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise InvalidConfigError(
+                f"output.{name} {path!r} is not a file in an existing directory"
+            )
     specs = dict(datasets) if datasets is not None else {
         key: builtin_dataset(key, cfg.data_dir) for key in cfg.datasets
     }

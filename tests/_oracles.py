@@ -3,8 +3,10 @@
 Everything here is written the slow, obvious way: explicit loops straight
 from the definitions, exact rational arithmetic where it matters, or, for a
 kernel rewritten for speed, the plain array form it must match.  Nothing
-imports from the package, so agreement between these and the fast
-implementations is meaningful evidence.
+at module level imports from the package, so agreement between these and
+the fast implementations is meaningful evidence.  The one exception is the
+central-cell oracle at the end: it checks how the package composes its
+own steps, not the steps, so it calls them in their old, separate order.
 """
 
 from __future__ import annotations
@@ -278,3 +280,61 @@ def per_cell_encode(rows, columns, target_classes, vocabularies=None):
         else:
             labels = np.array([list(target_classes).index(row[j]) for row in rows], dtype=np.int64)
     return np.concatenate(blocks, axis=1), labels, names
+
+
+def central_split_oracle(data, schema, n_clients: int, test_fraction: float, seed: int):
+    """The centralized train and test sets as the old two-stage rule built them.
+
+    Deal the rows to clients, split each client's rows, z-score every
+    client's rows with statistics from the sorted union of all training
+    rows, then concatenate the client sets in client order.  Returns
+    (train rows, test rows, train set, test set).
+    """
+    from fedtab.dataset import (
+        concat_datasets,
+        partition_clients,
+        standardize,
+        stratified_split_indices,
+    )
+
+    split_rows = []
+    for k, rows in enumerate(partition_clients(data, n_clients, seed)):
+        train, test = stratified_split_indices(data.labels[rows], test_fraction, seed ^ k)
+        split_rows.append((rows[train], rows[test]))
+    pooled_train = np.sort(np.concatenate([train for train, _ in split_rows]))
+    parts = [standardize(data, schema, pooled_train, rows) for rows in split_rows]
+    return (
+        np.concatenate([train for train, _ in split_rows]),
+        np.concatenate([test for _, test in split_rows]),
+        concat_datasets([train for train, _ in parts]),
+        concat_datasets([test for _, test in parts]),
+    )
+
+
+def central_report_oracle(data, schema, cfg, model_kind: str, condition: str, master_seed: int):
+    """A central cell's report as computed before it ran as a one-client federation.
+
+    Flip the pooled training labels with no malicious client and seed
+    ``attack_seed ^ master_seed`` when poisoned, train with the master seed
+    for ``epoch_budget`` epochs and evaluate on the pooled test set.
+    """
+    from dataclasses import replace
+
+    from fedtab.attack import AttackConfig, flip_labels
+    from fedtab.dataset import EncodedDataset
+    from fedtab.metrics import compute_report
+    from fedtab.models import predict_scores, train_forest, train_logreg, train_svm
+
+    _, _, train, test = central_split_oracle(
+        data, schema, cfg.n_clients, cfg.test_fraction, master_seed
+    )
+    if condition == "central_poisoned":
+        attack = AttackConfig(cfg.flip_fraction, frozenset(), cfg.attack_seed ^ master_seed)
+        labels, _ = flip_labels(train.labels, train.n_classes, attack)
+        train = EncodedDataset(train.features, labels, train.n_classes, train.feature_names)
+    train_cfg = replace(cfg.train_config(model_kind), seed=master_seed, epochs=cfg.epoch_budget)
+    trainer = {"forest": train_forest, "logistic": train_logreg, "svm": train_svm}[model_kind]
+    model = trainer(train, train_cfg)
+    scores = predict_scores(model, test.features)
+    pred = np.argmax(scores, axis=1).astype(np.int64)
+    return compute_report(pred, test.labels, scores, test.n_classes)

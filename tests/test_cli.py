@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import fedtab
-from _synth import write_dataset_a_like
+from _synth import write_dataset_a_like, write_dataset_b_like
 from fedtab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from fedtab.experiment import parse_report
 
@@ -114,6 +114,41 @@ def test_run_missing_data_is_a_data_error(tmp_path, capsys):
     ])
     assert code == EXIT_DATA
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", ["non-utf8 byte", "field over the csv limit"])
+def test_run_unreadable_data_is_a_data_error(tmp_path, capsys, fault):
+    path = write_dataset_b_like(tmp_path / "student-dropout.csv", n=40, seed=3)
+    header, first, *rest = path.read_bytes().split(b"\n")
+    if fault == "non-utf8 byte":
+        first = first.replace(b";", b"\xff;", 1)
+    else:
+        first = b"x" * 140_000 + first[first.index(b";"):]
+    path.write_bytes(b"\n".join([header, first, *rest]))
+    code = main([
+        "run", "--dataset", "B", "--model", "logistic", "--condition", "central_clean",
+        "--data-dir", str(tmp_path), "--quiet",
+    ])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: ")
+
+
+@pytest.mark.parametrize("flag", ["--output", "--round-log"])
+@pytest.mark.parametrize("target", ["existing directory", "missing parent"])
+def test_run_bad_output_path_is_a_config_error_before_any_cell(
+    tmp_path, data_dir, capsys, flag, target
+):
+    path = tmp_path if target == "existing directory" else tmp_path / "missing" / "r.csv"
+    code = main([
+        "run", "--dataset", "A", "--model", "logistic", "--condition", "central_clean",
+        "--data-dir", str(data_dir), flag, str(path),
+    ])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{str(path)!r} is not a file in an existing directory" in err
+    assert "s] " not in err  # no cell started
+    assert not (tmp_path / "missing").exists()
 
 
 def test_run_bad_rounds_is_a_config_error(data_dir, capsys):

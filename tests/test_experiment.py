@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from _oracles import central_report_oracle, central_split_oracle
 from _synth import (
     grades_dataset_spec,
     outcomes_dataset_spec,
@@ -34,7 +35,7 @@ from fedtab.experiment import (
 )
 from fedtab.federation import FederationConfig, run_federated
 from fedtab.metrics import MetricsReport
-from fedtab.models import train_forest, train_logreg
+from fedtab.models import Forest, LinearModel, train_forest, train_logreg
 from fedtab.schemas import load_dataset, load_encoded
 
 
@@ -390,9 +391,9 @@ def test_run_suite_builds_shared_work_once_per_seed(grades, outcomes, monkeypatc
         return train_logreg(train, train_cfg, init=init)
 
     monkeypatch.setattr(fedtab.experiment, "build_client_partitions", counting_build)
-    for module in (fedtab.experiment, federation):
-        monkeypatch.setattr(module, "train_forest", counting_forest)
-    monkeypatch.setattr(federation, "train_logreg", counting_logreg)  # federated calls only
+    # central cells are one-client federations, so every training goes through federation
+    monkeypatch.setattr(federation, "train_forest", counting_forest)
+    monkeypatch.setattr(federation, "train_logreg", counting_logreg)
     (spec_a, _), (spec_b, _) = grades, outcomes
     run_suite(cfg, datasets={"A": spec_a, "B": spec_b})
 
@@ -407,10 +408,89 @@ def test_run_suite_builds_shared_work_once_per_seed(grades, outcomes, monkeypatc
     local_epochs = {epochs_for_budget(cfg.epoch_budget, b) for b in cfg.round_budgets}
     assert len(local_epochs) < len(cfg.round_budgets)
     assert len(set(round_ones)) == len(round_ones)
-    assert len(round_ones) == len(seeds) * len(local_epochs) * client_models
+    # plus central clean and central poisoned: one round of the pooled client
+    assert len(round_ones) == len(seeds) * (len(local_epochs) * client_models + 2)
     _, _, parts = builds[0]
     with pytest.raises(ValueError):
         parts[0].train.features[0, 0] = 1.0
+
+
+def _held_models(root) -> int:
+    """Models reachable from ``root`` through containers and instance attributes."""
+    seen, stack, found = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, np.ndarray, str, bytes, int, float)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (Forest, LinearModel)):
+            found += 1
+        elif isinstance(obj, dict):
+            stack.extend(obj)
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return found
+
+
+def test_central_cells_keep_no_models_in_shared_work(grades):
+    # a clean and a poisoned central run share no round one, so keeping their
+    # models would only hold both until the seed ends
+    spec, data = grades
+    cfg = small_cfg(models=("forest",), train_overrides={"forest": {"n_trees": 2, "max_depth": 3}})
+    shared = SharedWork(data, spec.schema, cfg.n_clients, cfg.test_fraction, 3)
+    for condition in ("central_clean", "central_poisoned"):
+        run_condition_detailed(cfg, spec, data, "forest", condition, 3, shared)
+    assert shared.round_one == {}
+    assert _held_models(shared) == 0
+    run_condition_detailed(cfg, spec, data, "forest", "fl_clean", 3, shared)
+    assert _held_models(shared) == len(shared.round_one) == cfg.n_clients  # the walk sees models
+
+
+@pytest.mark.parametrize("master_seed", [3, 8])
+@pytest.mark.parametrize("table", ["grades", "outcomes"])
+def test_pooled_scope_is_one_partition_of_the_pooled_rows(request, table, master_seed):
+    spec, data = request.getfixturevalue(table)
+    cfg = small_cfg()
+    train_rows, test_rows, train, test = central_split_oracle(
+        data, spec.schema, cfg.n_clients, cfg.test_fraction, master_seed
+    )
+    [part] = build_client_partitions(
+        data, spec.schema, cfg.n_clients, cfg.test_fraction, master_seed, "pooled"
+    )
+    assert part.client_id == 0
+    pairs = [
+        (part.train.features, train.features), (part.train.labels, train.labels),
+        (part.test.features, test.features), (part.test.labels, test.labels),
+        (part.train_rows, train_rows), (part.test_rows, test_rows),
+    ]
+    for got, expected in pairs:
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes()
+        assert not got.flags.writeable
+    assert part.train.feature_names == train.feature_names
+
+
+@pytest.mark.parametrize("master_seed", [3, 8])
+@pytest.mark.parametrize("malicious", [(0,), (1,)])
+@pytest.mark.parametrize("table", ["grades", "outcomes"])
+@pytest.mark.parametrize("condition", ["central_clean", "central_poisoned"])
+@pytest.mark.parametrize("model", ["logistic", "svm", "forest"])
+def test_central_cell_matches_separate_central_oracle(
+    request, model, condition, table, malicious, master_seed
+):
+    # the malicious clients of fl_poisoned play no part in a central cell
+    spec, data = request.getfixturevalue(table)
+    cfg = small_cfg(
+        models=(model,),
+        malicious_clients=malicious,
+        train_overrides={"forest": {"n_trees": 3, "max_depth": 4}},
+    )
+    detail = run_condition_detailed(cfg, spec, data, model, condition, master_seed)
+    expected = central_report_oracle(data, spec.schema, cfg, model, condition, master_seed)
+    assert detail == ConditionResult(expected, {}, {})
 
 
 def test_run_suite_cells_match_standalone_cells(grades, outcomes, tmp_path, monkeypatch):

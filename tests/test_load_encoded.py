@@ -17,6 +17,7 @@ import pytest
 
 from _synth import write_dataset_a_like, write_dataset_b_like
 from fedtab.dataset import ColumnSpec, FeatureSchema, encode, read_encoded
+from fedtab.errors import UnreadableFileError
 from fedtab.schemas import DatasetSpec, builtin_dataset, load_dataset, load_encoded
 
 HEADER = "x;color;label\n"
@@ -179,10 +180,15 @@ def test_grade_column_that_is_not_the_target_defers(tmp_path):
 def test_undecodable_and_missing_files_match_csv_path(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(HEADER.encode() + b"1.5;r\xffd;yes\n")
-    assert assert_same(tiny_spec(path), "defers")[1] is UnicodeDecodeError
+    unreadable = ("raised", UnreadableFileError, f"{path}: not UTF-8 text (invalid start byte)")
+    assert assert_same(tiny_spec(path), "defers") == unreadable
     late = tmp_path / "late.csv"  # the bad byte lies past the csv reader's first chunk
     late.write_bytes(HEADER.encode() + b"1.5;red;yes\n" * 2000 + b"2;r\xffd;no\n")
-    assert_same(tiny_spec(late), "defers")
+    assert assert_same(tiny_spec(late), "defers")[1] is UnreadableFileError
+    wide = tmp_path / "wide.csv"
+    wide.write_text(HEADER + "1.5;red;yes\n2;" + "r" * 140_000 + ";no\n", encoding="utf-8")
+    message = f"{wide}: line 3: field larger than field limit (131072)"
+    assert assert_same(tiny_spec(wide), "defers") == ("raised", UnreadableFileError, message)
     assert assert_same(tiny_spec(tmp_path / "missing.csv"), "raises")[1] is FileNotFoundError
 
 
