@@ -71,26 +71,107 @@ void fedtab_svm_epoch(int64_t n_steps, int64_t rows, int64_t d, const int64_t *o
         w[i] *= scale;
 }
 
-/* One tree's inputs and buffers, bound once per tree (fedtab.kernel._SplitTree).
- * rows holds the tree's bootstrap rows; each split partitions a node's slice
- * of it in place.  work holds 4 * n_rows + 4 * n_classes doubles. */
+/* numpy's bitgen_t (numpy/random/bitgen.h): a Generator's bit generator as
+ * rng.bit_generator.ctypes.bit_generator points to it */
 typedef struct {
-    const double *X;
+    void *state;
+    uint64_t (*next_uint64)(void *state);
+    uint32_t (*next_uint32)(void *state);
+    double (*next_double)(void *state);
+    uint64_t (*next_raw)(void *state);
+} bitgen_t;
+
+/* A value in [0, top] for top < 2^32 - 1, as numpy's
+ * random_bounded_uint64(bitgen, 0, top, 0, 0) draws it: nothing for top 0,
+ * else Lemire's multiply-and-reject on next_uint32. */
+static uint32_t bounded(bitgen_t *bitgen, uint32_t top)
+{
+    if (top == 0)
+        return 0;
+    const uint32_t span = top + 1;
+    uint64_t m = (uint64_t)bitgen->next_uint32(bitgen->state) * span;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < span) {
+        const uint32_t threshold = (UINT32_MAX - top) % span;
+        while (leftover < threshold) {
+            m = (uint64_t)bitgen->next_uint32(bitgen->state) * span;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (uint32_t)(m >> 32);
+}
+
+/* rng.choice(d, size, replace=False) for 1 <= size <= d < 2^31, drawn from
+ * the same bit generator in the same order as numpy's Generator.choice:
+ * Floyd's algorithm over j = d - size .. d - 1 (numpy takes it whenever
+ * d <= 10000 or size <= d // 50, so always for size = ceil(sqrt(d))), then
+ * a Fisher-Yates shuffle swapping out[i] with out[bounded(i)] for
+ * i = size - 1 .. 1.  seen holds d zero bytes, and does again on return. */
+void fedtab_draw(bitgen_t *bitgen, int64_t d, int64_t size, int64_t *out, uint8_t *seen)
+{
+    for (int64_t j = d - size; j < d; j++) {
+        int64_t value = bounded(bitgen, (uint32_t)j);
+        if (seen[value])
+            value = j; /* j itself is not drawn yet: every earlier value is below it */
+        seen[value] = 1;
+        out[j - (d - size)] = value;
+    }
+    for (int64_t i = size - 1; i > 0; i--) {
+        const int64_t j = bounded(bitgen, (uint32_t)i), swap = out[i];
+        out[i] = out[j];
+        out[j] = swap;
+    }
+    for (int64_t i = 0; i < size; i++)
+        seen[out[i]] = 0;
+}
+
+/* One forest's ranked features and one tree's buffers (fedtab.kernel._RankedTree).
+ * ranks[f * n_samples + row] is the dense rank of X[row, f] among column f's
+ * distinct values, which values[offsets[f] .. offsets[f + 1]) holds in
+ * ascending order; -0.0 and 0.0 are one value.  rows holds the tree's n_rows
+ * bootstrap rows; each split partitions a node's slice of it in place.
+ * subset holds d features.  work holds n_rows + 4 * n_classes int64s for
+ * fedtab_split, then d int64s whose first d bytes are zero (WORK_SEEN), then
+ * a (K, n_classes) histogram, K the most distinct values of any feature
+ * (WORK_HISTOGRAM). */
+typedef struct {
+    const int32_t *ranks;
+    const double *values;
+    const int64_t *offsets;
+    int64_t n_samples;
     int64_t d;
     const int64_t *y;
     int64_t n_classes;
-    int64_t *rows;
-    const int64_t *subset;
     int64_t min_leaf;
+    int64_t *rows;
+    int64_t n_rows;
+    int64_t *subset;
     double threshold;
     int64_t *child_counts;
-    void *work;
-} split_tree;
+    int64_t *work;
+} ranked_tree;
 
-typedef struct {
-    double value;
-    int64_t label;
-} entry;
+#define WORK_SEEN(t) ((uint8_t *)((t)->work + (t)->n_rows + 4 * (t)->n_classes))
+#define WORK_HISTOGRAM(t) ((t)->work + (t)->n_rows + 4 * (t)->n_classes + (t)->d)
+
+/* Dense ranks of the column holding column[row * stride] for row in [0, n),
+ * given `order`, its rows in ascending order of value: ranks[row] is the
+ * number of distinct values below the row's, and values[0 .. k) gets the k
+ * distinct values in ascending order.  Returns k.  Equal values compare
+ * equal however they are ordered, -0.0 and 0.0 included, so the ranks do not
+ * depend on how the sort orders ties. */
+int64_t fedtab_rank(const double *column, int64_t stride, const int64_t *order, int64_t n,
+                    int32_t *ranks, double *values)
+{
+    int64_t k = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const double value = column[order[i] * stride];
+        if (k == 0 || value != values[k - 1])
+            values[k++] = value;
+        ranks[order[i]] = (int32_t)(k - 1);
+    }
+    return k;
+}
 
 /* numpy's pairwise sum of a contiguous float64 array, which its
  * sum(axis=-1) reduces each row with */
@@ -130,114 +211,170 @@ static double gini(const int64_t *counts, int64_t n_classes, int64_t size, doubl
     return 1.0 - pairwise_sum(squares, n_classes);
 }
 
-/* Stable sort by value: insertion-sorted runs of 16, then bottom-up merges.
- * An entry moves past another only when strictly smaller, so equal values,
- * -0.0 and 0.0 included, keep their order, as numpy's kind="stable". */
-static void sort_entries(entry *a, entry *tmp, int64_t n)
-{
-    enum { RUN = 16 };
-    for (int64_t lo = 0; lo < n; lo += RUN) {
-        int64_t hi = lo + RUN < n ? lo + RUN : n;
-        for (int64_t i = lo + 1; i < hi; i++) {
-            entry e = a[i];
-            int64_t j = i;
-            for (; j > lo && e.value < a[j - 1].value; j--)
-                a[j] = a[j - 1];
-            a[j] = e;
-        }
-    }
-    for (int64_t width = RUN; width < n; width *= 2) {
-        for (int64_t lo = 0; lo + width < n; lo += 2 * width) {
-            int64_t mid = lo + width, hi = mid + width < n ? mid + width : n;
-            if (!(a[mid].value < a[mid - 1].value))
-                continue; /* the two runs are already in order */
-            int64_t n_left = mid - lo, i = 0, j = mid, k = lo;
-            memcpy(tmp, a + lo, (size_t)n_left * sizeof *a);
-            while (i < n_left && j < hi)
-                a[k++] = a[j].value < tmp[i].value ? a[j++] : tmp[i++];
-            while (i < n_left)
-                a[k++] = tmp[i++];
-        }
-    }
-}
-
 /* Split the node holding rows[start .. start + n) on the features
- * subset[0 .. n_subset).  Returns the subset position of the split feature,
- * -1 for a leaf (no cut with a positive gain) or -2 for a subset entry
- * outside [0, d).  On a split, sets t->threshold, partitions the node's rows
- * into left then right, each in its original order, and writes the left and
- * then the right class counts to t->child_counts. */
-int64_t fedtab_split(split_tree *t, int64_t start, int64_t n, int64_t n_subset)
+ * subset[0 .. n_subset), as models._best_split does.  Returns the subset
+ * position of the split feature, -1 for a leaf (no cut with a positive gain)
+ * or -2 for a subset entry outside [0, d).  On a split, sets t->threshold,
+ * partitions the node's rows into left then right, each in its original
+ * order, and writes the left and then the right class counts to
+ * t->child_counts.
+ *
+ * The node's rows are counted per (rank, class) in a histogram.  A
+ * feature's cuts lie between the ranks present at the node, scored in
+ * ascending order with the rows of every lower rank on the left; how equal
+ * values are ordered never matters. */
+int64_t fedtab_split(ranked_tree *t, int64_t start, int64_t n, int64_t n_subset)
 {
-    const int64_t n_classes = t->n_classes, d = t->d;
+    const int64_t n_classes = t->n_classes, min_leaf = t->min_leaf;
+    const int64_t *y = t->y;
     int64_t *rows = t->rows + start;
-    entry *sorted = t->work, *tmp = sorted + n;
-    int64_t *counts = (int64_t *)(tmp + n), *left = counts + n_classes;
-    int64_t *right = left + n_classes;
+    int64_t *right_rows = t->work, *counts = right_rows + t->n_rows;
+    int64_t *left = counts + n_classes, *right = left + n_classes;
     double *squares = (double *)(right + n_classes);
+    int64_t *hist = WORK_HISTOGRAM(t);
 
     for (int64_t f = 0; f < n_subset; f++)
-        if (t->subset[f] < 0 || t->subset[f] >= d)
+        if (t->subset[f] < 0 || t->subset[f] >= t->d)
             return -2;
     memset(counts, 0, (size_t)n_classes * sizeof *counts);
     for (int64_t i = 0; i < n; i++)
-        counts[t->y[rows[i]]]++;
+        counts[y[rows[i]]]++;
     const double parent = gini(counts, n_classes, n, squares);
 
-    /* cut j sends sorted positions 0..j left; min_leaf rows on each side
-     * means first <= j < stop */
-    const int64_t first = t->min_leaf - 1, stop = n - t->min_leaf;
-    double best = 0.0, lo = 0.0, hi = 0.0;
-    int64_t best_f = -1;
+    double best = 0.0;
+    int64_t best_f = -1, lo_rank = 0, hi_rank = 0;
     for (int64_t f = 0; f < n_subset; f++) {
-        const double *column = t->X + t->subset[f];
-        for (int64_t i = 0; i < n; i++) {
-            sorted[i].value = column[rows[i] * d];
-            sorted[i].label = t->y[rows[i]];
-        }
-        sort_entries(sorted, tmp, n);
+        const int64_t feature = t->subset[f];
+        const int32_t *rank = t->ranks + feature * t->n_samples;
+        const int64_t n_values = t->offsets[feature + 1] - t->offsets[feature];
+        memset(hist, 0, (size_t)(n_values * n_classes) * sizeof *hist);
+        for (int64_t i = 0; i < n; i++)
+            hist[rank[rows[i]] * n_classes + y[rows[i]]]++;
+        /* left holds the nl rows below rank r; min_leaf rows on each side
+         * means min_leaf <= nl <= n - min_leaf */
         memset(left, 0, (size_t)n_classes * sizeof *left);
-        for (int64_t j = 0; j < stop; j++) {
-            left[sorted[j].label]++;
-            if (j < first || sorted[j].value == sorted[j + 1].value)
-                continue;
-            const int64_t nl = j + 1, nr = n - nl;
-            for (int64_t c = 0; c < n_classes; c++)
-                right[c] = counts[c] - left[c];
-            const double gl = gini(left, n_classes, nl, squares);
-            const double gr = gini(right, n_classes, nr, squares);
-            const double weighted = ((double)nl * gl + (double)nr * gr) / (double)n;
-            const double gain = parent - weighted;
-            if (gain > best) { /* the first maximum, and only a positive gain */
-                best = gain;
-                best_f = f;
-                lo = sorted[j].value;
-                hi = sorted[j + 1].value;
+        int64_t nl = 0, prev = -1, r = -1;
+        while (nl <= n - min_leaf) {
+            const int64_t *h = hist;
+            for (int64_t size = 0; size == 0;) { /* the next rank present at the node */
+                h = hist + ++r * n_classes;
+                for (int64_t c = 0; c < n_classes; c++)
+                    size += h[c];
             }
+            if (nl >= min_leaf) { /* the cut between ranks prev and r */
+                const int64_t nr = n - nl;
+                for (int64_t c = 0; c < n_classes; c++)
+                    right[c] = counts[c] - left[c];
+                const double gl = gini(left, n_classes, nl, squares);
+                const double gr = gini(right, n_classes, nr, squares);
+                const double weighted = ((double)nl * gl + (double)nr * gr) / (double)n;
+                const double gain = parent - weighted;
+                if (gain > best) { /* the first maximum, and only a positive gain */
+                    best = gain;
+                    best_f = f;
+                    lo_rank = prev;
+                    hi_rank = r;
+                }
+            }
+            for (int64_t c = 0; c < n_classes; c++) {
+                left[c] += h[c];
+                nl += h[c];
+            }
+            prev = r;
         }
     }
     if (best_f < 0)
         return -1;
 
+    const int64_t feature = t->subset[best_f];
+    const double lo = t->values[t->offsets[feature] + lo_rank];
+    const double hi = t->values[t->offsets[feature] + hi_rank];
     double threshold = (lo + hi) / 2.0;
     if (!(lo <= threshold && threshold < hi)) /* adjacent floats can round the midpoint up */
         threshold = lo;
     t->threshold = threshold;
 
-    const double *column = t->X + t->subset[best_f];
-    int64_t *right_rows = (int64_t *)tmp, *child = t->child_counts;
+    /* lo <= threshold < hi: a node's row has value <= threshold iff rank <= lo_rank */
+    const int32_t *rank = t->ranks + feature * t->n_samples;
+    int64_t *child = t->child_counts;
     int64_t n_left = 0, n_right = 0;
     memset(child, 0, 2 * (size_t)n_classes * sizeof *child);
     for (int64_t i = 0; i < n; i++) {
         const int64_t row = rows[i];
-        if (column[row * d] <= threshold) {
+        if (rank[row] <= lo_rank) {
             rows[n_left++] = row;
-            child[t->y[row]]++;
+            child[y[row]]++;
         } else {
             right_rows[n_right++] = row;
-            child[n_classes + t->y[row]]++;
+            child[n_classes + y[row]]++;
         }
     }
     memcpy(rows + n_left, right_rows, (size_t)n_right * sizeof *rows);
     return best_f;
+}
+
+/* Grow one tree on t->rows as models._grow_tree does, drawing each node's
+ * n_subset features from bitgen as its rng.choice would.  Nodes come off an
+ * explicit stack, a split node's left child before its right, into the
+ * preorder arrays feature, threshold, right and counts (n_classes per node),
+ * which hold `capacity` nodes.  stack holds stack_capacity entries of
+ * 4 + n_classes int64s.  Returns the node count, or -3 when the arrays or the
+ * stack would overflow. */
+int64_t fedtab_grow(ranked_tree *t, bitgen_t *bitgen, int64_t n_subset, int64_t max_depth,
+                    int64_t capacity, int64_t *feature, double *threshold, int64_t *right,
+                    int64_t *counts, int64_t *stack, int64_t stack_capacity)
+{
+    const int64_t n_classes = t->n_classes, stride = 4 + n_classes;
+    uint8_t *seen = WORK_SEEN(t);
+    int64_t n_nodes = 0, top = 1;
+
+    /* an entry: first row, end row, depth, node whose right child it is, class counts */
+    stack[0] = 0;
+    stack[1] = t->n_rows;
+    stack[2] = 0;
+    stack[3] = -1;
+    memset(stack + 4, 0, (size_t)n_classes * sizeof *stack);
+    for (int64_t i = 0; i < t->n_rows; i++)
+        stack[4 + t->y[t->rows[i]]]++;
+    while (top > 0) {
+        const int64_t *entry = stack + --top * stride;
+        const int64_t start = entry[0], stop = entry[1], depth = entry[2], parent = entry[3];
+        if (n_nodes == capacity)
+            return -3;
+        const int64_t node = n_nodes++;
+        if (parent >= 0)
+            right[parent] = node;
+        feature[node] = -1;
+        threshold[node] = 0.0;
+        right[node] = -1;
+        memcpy(counts + node * n_classes, entry + 4, (size_t)n_classes * sizeof *counts);
+
+        const int64_t n = stop - start;
+        int64_t most = 0;
+        for (int64_t c = 0; c < n_classes; c++)
+            most = entry[4 + c] > most ? entry[4 + c] : most;
+        if (depth >= max_depth || n < 2 * t->min_leaf || most == n)
+            continue;
+        fedtab_draw(bitgen, t->d, n_subset, t->subset, seen);
+        const int64_t i = fedtab_split(t, start, n, n_subset);
+        if (i < 0)
+            continue;
+        if (top + 2 > stack_capacity)
+            return -3;
+        feature[node] = t->subset[i];
+        threshold[node] = t->threshold;
+        int64_t middle = start;
+        for (int64_t c = 0; c < n_classes; c++)
+            middle += t->child_counts[c];
+        const int64_t children[2][4] = {
+            {middle, stop, depth + 1, node}, {start, middle, depth + 1, -1}
+        };
+        for (int k = 0; k < 2; k++) { /* the right child, then the left on top */
+            int64_t *child = stack + top++ * stride;
+            memcpy(child, children[k], sizeof children[k]);
+            memcpy(child + 4, t->child_counts + (1 - k) * n_classes,
+                   (size_t)n_classes * sizeof *child);
+        }
+    }
+    return n_nodes;
 }

@@ -504,8 +504,9 @@ def stratified_split_indices(
             f"test_fraction {test_fraction} leaves an empty side for {n} rows"
         )
 
-    classes = np.unique(y)
-    sizes = {c: int(np.sum(y == c)) for c in classes}
+    # with counts, np.unique skips its masked-array check, which imports numpy.ma
+    classes, class_sizes = np.unique(y, return_counts=True)
+    sizes = {c: int(size) for c, size in zip(classes, class_sizes)}
     takes = {c: int(np.floor(test_fraction * sizes[c])) for c in classes}
     shortfall = target_total - sum(takes.values())
     if shortfall > 0:
@@ -560,9 +561,10 @@ def partition_clients(
             f"cannot split {data.n_samples} rows across {n_clients} clients"
         )
     rng = np.random.default_rng(seed)
+    classes = np.unique(data.labels, return_counts=True)[0]  # skips np.unique's numpy.ma import
     order = np.concatenate([
         members[rng.permutation(members.shape[0])]
-        for members in (np.flatnonzero(data.labels == c) for c in np.unique(data.labels))
+        for members in (np.flatnonzero(data.labels == c) for c in classes)
     ])
     return [np.sort(order[k::n_clients]) for k in range(n_clients)]
 

@@ -161,7 +161,8 @@ def run_condition_detailed(
             train_cfg=cfg.train_config(model_kind),
             seed=master_seed,
         )
-        return run_federated(partitions, fed_cfg, attack, round_one)[1]
+        # a central cell emits no round log, so nothing reads its local accuracy
+        return run_federated(partitions, fed_cfg, attack, round_one, local_accuracy=not central)[1]
 
     # forests ignore local_epochs, so all their budgets form one group
     groups: dict[int | None, list[int]] = {}

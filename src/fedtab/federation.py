@@ -59,7 +59,7 @@ class RoundRecord:
 
     round_index: int
     train_counts: tuple[int, ...]
-    local_train_accuracy: tuple[float, ...]
+    local_train_accuracy: tuple[float, ...]  # empty when the run measured none
     global_metrics: MetricsReport
 
 
@@ -127,15 +127,17 @@ def evaluate_global(model: Model, partitions: list[ClientPartition]) -> MetricsR
 
 
 def _train_local(
-    kind: str, data: EncodedDataset, train_cfg: TrainConfig, init: Model | None
-) -> tuple[Model, float]:
-    """One client's local model and its accuracy on the rows it trained on."""
+    kind: str, data: EncodedDataset, train_cfg: TrainConfig, init: Model | None, scored: bool
+) -> tuple[Model, float | None]:
+    """One client's local model and, when ``scored``, its accuracy on the rows it trained on."""
     if kind == "forest":
         local = train_forest(data, train_cfg)
     elif kind == "logistic":
         local = train_logreg(data, train_cfg, init=init)
     else:
         local = train_svm(data, train_cfg, init=init)
+    if not scored:
+        return local, None
     return local, accuracy(predict_labels(local, data.features), data.labels)
 
 
@@ -144,6 +146,8 @@ def run_federated(
     cfg: FederationConfig,
     attack: AttackConfig | None = None,
     round_one: dict | None = None,
+    *,
+    local_accuracy: bool = True,
 ) -> tuple[Model, RoundLog]:
     """Run the configured number of rounds and return (global model, log).
 
@@ -165,7 +169,13 @@ def run_federated(
     poisoned runs alike.  (Runs that differ only in ``rounds`` are prefixes
     of one another; ``run_condition_detailed`` runs the longest once.)  One
     dict must never serve two partition sets.
+
+    With ``local_accuracy=False`` no local model predicts its training rows
+    and every record's ``local_train_accuracy`` is empty; ``round_one`` must
+    then be None, since its entries carry the accuracy.
     """
+    if not local_accuracy and round_one is not None:
+        raise ValueError("round_one holds local accuracies: pass None without them")
     log = RoundLog()
     round_one = {} if round_one is None else round_one
     client_data: list[EncodedDataset] = []
@@ -190,10 +200,14 @@ def run_federated(
             if global_model is None:
                 key = (cfg.model_kind, p.client_id, flip_cfg, train_cfg)
                 if key not in round_one:
-                    round_one[key] = _train_local(cfg.model_kind, data, train_cfg, None)
+                    round_one[key] = _train_local(
+                        cfg.model_kind, data, train_cfg, None, local_accuracy
+                    )
                 local, acc = round_one[key]
             else:
-                local, acc = _train_local(cfg.model_kind, data, train_cfg, global_model)
+                local, acc = _train_local(
+                    cfg.model_kind, data, train_cfg, global_model, local_accuracy
+                )
             locals_.append(local)
             local_acc.append(acc)
 
@@ -205,7 +219,7 @@ def run_federated(
             RoundRecord(
                 round_index=round_index,
                 train_counts=tuple(counts),
-                local_train_accuracy=tuple(local_acc),
+                local_train_accuracy=tuple(local_acc) if local_accuracy else (),
                 global_metrics=evaluate_global(global_model, partitions),
             )
         )

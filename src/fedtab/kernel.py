@@ -1,30 +1,40 @@
 """The compiled kernels: build, cache, check and call ``_kernel.c``.
 
-``_kernel.c`` holds two kernels: one epoch of ``models.train_svm`` and the
-split search of one node of ``models._grow_tree``.  ``models`` imports this
-module and asks for the kernels at the first ``train_svm`` or
-``train_forest`` call, never at package import, so runs that train neither
-pay nothing.  On first use the C source is compiled with ``cc`` into a
-per-user cache directory, under a name keyed by the sha256 of the source
-and the flags, and published with an atomic ``os.replace``; later processes
-load the cached file.  A built file ends with the sha256 of its own bytes,
-checked before it is loaded, since a truncated shared object can crash the
-dynamic loader.
+``_kernel.c`` holds two kernels: one epoch of ``models.train_svm``, and the
+growth of one ``models.train_forest`` tree, node by node, in a single call.
+``models`` imports this module and asks for the kernels at the first
+``train_svm`` or ``train_forest`` call, never at package import, so runs
+that train neither pay nothing.  On first use the C source is compiled with
+``cc`` into a per-user cache directory, under a name keyed by the sha256 of
+the source and the flags, and published with an atomic ``os.replace``;
+later processes load the cached file.  A built file ends with the sha256 of
+its own bytes, checked before it is loaded, since a truncated shared object
+can crash the dynamic loader.
 
 Both kernels reproduce their Python counterparts bit for bit by
 construction.  The SVM epoch takes its dot products from the BLAS routines
 numpy's ``weights.dot(x)`` calls, found among the dependencies of numpy's
 own extension module, and does the rest of each step in plain double
-arithmetic.  The split search sorts stably and scores each cut with the
-expressions of ``models._best_split``, summing the class squares in the
-order numpy's pairwise sum does.  Each process that loads the kernels first
-compares the dots bitwise with ``weights.dot`` and the splits with
-``models._best_split`` on seeded data.
+arithmetic.  The tree grower draws each node's features from the tree's own
+``Generator``, through numpy's ``bitgen_t``, as ``rng.choice`` does, and
+counts classes over each column's value ranks, computed once per forest
+(``_Kernel.rank_features``); it scores each cut with the expressions of
+``models._best_split``, summing the class squares in the order numpy's
+pairwise sum does.
+
+Each kernel is checked in each process before its first use.  The shared
+object's dots are compared bitwise with ``weights.dot`` when it opens; a
+file that fails is neither published nor used.  The first ``train_forest``
+compares the split search with ``models._best_split``, the draws with
+``rng.choice`` and the generator state it leaves, and a seeded tree with
+``models._grow_tree``.  So SVM-only runs never pay for the forest's
+checks.
 
 If there is no compiler, a symbol is missing, no cache directory can be
-written or a dot or a split differs, both ``train_svm`` and ``train_forest``
-run their Python paths instead: slower, never different.  ``path()`` says
-which path runs, and why.
+written or a dot differs, both ``train_svm`` and ``train_forest`` run their
+Python paths; if only a forest check fails, only ``train_forest`` does.
+Either way they are slower, never different.  ``path()`` says which path
+runs, and why.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import hashlib
+import math
 import os
 import stat
 import threading
@@ -41,7 +52,10 @@ import numpy as np
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-SYMBOLS = ("fedtab_svm_epoch", "fedtab_svm_dots", "fedtab_split")
+SYMBOLS = (
+    "fedtab_svm_epoch", "fedtab_svm_dots", "fedtab_split", "fedtab_draw", "fedtab_grow",
+    "fedtab_rank",
+)
 _BLAS_SYMBOLS = ("scipy_cblas_ddot64_", "scipy_cblas_dgemv64_")
 _CHECK_WIDTHS = (1, 2, 3, 5, 8, 16, 39, 64)
 _TAG = 32  # a built file ends with the sha256 of the bytes before it
@@ -73,17 +87,21 @@ class Unavailable(Exception):
     """The compiled kernels cannot be used; the message says why."""
 
 
-class _SplitTree(ctypes.Structure):
-    """``split_tree`` in ``_kernel.c``: one tree's inputs and buffers."""
+class _RankedTree(ctypes.Structure):
+    """``ranked_tree`` in ``_kernel.c``: one forest's ranks, one tree's buffers."""
 
     _fields_ = [
-        ("X", ctypes.c_void_p),
+        ("ranks", ctypes.c_void_p),
+        ("values", ctypes.c_void_p),
+        ("offsets", ctypes.c_void_p),
+        ("n_samples", ctypes.c_int64),
         ("d", ctypes.c_int64),
         ("y", ctypes.c_void_p),
         ("n_classes", ctypes.c_int64),
-        ("rows", ctypes.c_void_p),
-        ("subset", ctypes.c_void_p),
         ("min_leaf", ctypes.c_int64),
+        ("rows", ctypes.c_void_p),
+        ("n_rows", ctypes.c_int64),
+        ("subset", ctypes.c_void_p),
         ("threshold", ctypes.c_double),
         ("child_counts", ctypes.c_void_p),
         ("work", ctypes.c_void_p),
@@ -97,7 +115,9 @@ class _Kernel:
         self._lib = lib
         self._blas = blas
         try:
-            self._epoch, self._dots, self._split = (getattr(lib, name) for name in SYMBOLS)
+            self._epoch, self._dots, self._split, self._draw, self._grow, self._rank = (
+                getattr(lib, name) for name in SYMBOLS
+            )
         except AttributeError as err:  # a build of some other source
             raise Unavailable(f"compiled kernel lacks a symbol: {err}") from None
         i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
@@ -107,6 +127,14 @@ class _Kernel:
         self._dots.restype = None
         self._split.argtypes = [ptr, i64, i64, i64]
         self._split.restype = i64
+        self._draw.argtypes = [ptr, i64, i64, ptr, ptr]
+        self._draw.restype = None
+        self._grow.argtypes = [ptr, ptr] + [i64] * 3 + [ptr] * 5 + [i64]
+        self._grow.restype = i64
+        self._rank.argtypes = [ptr, i64, ptr, i64, ptr, ptr]
+        self._rank.restype = i64
+        self._forest_checked = False
+        self._forest_fallback: str | None = None
 
     def dots_match_numpy(self) -> bool:
         rng = np.random.default_rng(0)
@@ -120,6 +148,26 @@ class _Kernel:
                     if dots.tobytes() != weights.dot(x).tobytes():
                         return False
         return True
+
+    def forest_fallback(self) -> str | None:
+        """Why ``train_forest`` runs Python, or None when its compiled checks pass.
+
+        The first call runs the checks; later calls return their verdict.
+        """
+        with _lock:
+            if not self._forest_checked:
+                self._forest_fallback = self._check_forest()
+                self._forest_checked = True
+        return self._forest_fallback
+
+    def _check_forest(self) -> str | None:
+        if not self.splits_match_numpy():
+            return "compiled splits differ from numpy's _best_split"
+        if not self.draws_match_numpy():
+            return "compiled feature draws differ from numpy's rng.choice"
+        if not self.trees_match_python():
+            return "compiled trees differ from models._grow_tree"
+        return None
 
     def splits_match_numpy(self) -> bool:
         """Compare the compiled split search with ``models._best_split``.
@@ -159,6 +207,61 @@ class _Kernel:
         same_threshold = np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
         return got[0] == want[0] and same_threshold and got[2:] == want[2:]
 
+    def draws_match_numpy(self) -> bool:
+        """Compare the compiled draws with ``rng.choice(d, size, replace=False)``.
+
+        One generator draws every (d, size) case in C, its twin through
+        ``rng.choice``; an odd number of 32-bit draws before each makes half
+        of them start on the half word PCG64 keeps buffered.  The twins must
+        draw the same values and end in the same state.
+        """
+        compiled, oracle = np.random.default_rng(0), np.random.default_rng(0)
+        for k, d in enumerate((1, 2, 3, 5, 8, 16, 39, 64, 100, 1000)):
+            for size in sorted({1, math.ceil(math.sqrt(d)), min(d, 32)}):
+                for rng in (compiled, oracle):
+                    rng.integers(0, 7, size=k % 2)
+                if self.draw(compiled, d, size).tobytes() != oracle.choice(
+                    d, size, replace=False
+                ).tobytes():
+                    return False
+        return compiled.bit_generator.state == oracle.bit_generator.state
+
+    def draw(self, rng: np.random.Generator, d: int, size: int) -> np.ndarray:
+        """``rng.choice(d, size, replace=False)``, drawn in C from ``rng``'s bit generator."""
+        if not 1 <= size <= d < 2**31:
+            raise ValueError(f"expected 1 <= size <= d < 2**31, got size {size} of {d}")
+        out, seen = np.empty(size, dtype=np.int64), np.zeros(d, dtype=np.uint8)
+        self._draw(rng.bit_generator.ctypes.bit_generator, d, size, out.ctypes.data,
+                   seen.ctypes.data)
+        return out
+
+    def trees_match_python(self) -> bool:
+        """Compare a seeded compiled tree with ``models._grow_tree``'s.
+
+        A rounded block of 3 classes and 11 features has repeated values,
+        signed zeros, a constant column and a column of distinct values,
+        most of whose ranks are absent from a small node's histogram.
+        """
+        from .models import TrainConfig, _grow_tree, _preorder_tree, _subset_size
+
+        data = np.random.default_rng(1)
+        n, d, n_classes, min_leaf, max_depth = 40, 11, 3, 2, 4
+        X = np.round(data.normal(size=(n, d)) * 2.0)
+        X[:, 0] *= 0.0  # -0.0 and 0.0
+        X[:, 1] = 3.0
+        X[:, -1] = data.normal(size=n)
+        y = data.integers(0, n_classes, size=n)
+        compiled, oracle = np.random.default_rng(2), np.random.default_rng(2)
+        grow = self.tree_grower(X, y, n_classes, _subset_size(d), min_leaf, max_depth)
+        got = _preorder_tree(*grow(compiled.integers(0, n, size=n), compiled))
+        cfg = TrainConfig(max_depth=max_depth, min_leaf=min_leaf)
+        want = _grow_tree(X, y, oracle.integers(0, n, size=n), oracle, n_classes, cfg)
+        for name in ("feature", "threshold", "left", "right", "counts"):
+            a, b = getattr(got, name), getattr(want, name)
+            if a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes():
+                return False
+        return True
+
     def runner(self, X, targets, weights, bias):
         n, d = X.shape
         rows = weights.shape[0]
@@ -181,19 +284,72 @@ class _Kernel:
 
         return run
 
+    def rank_features(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each column's dense value ranks and distinct values, for the compiled trees.
+
+        Returns ``ranks``, a (d, N) int32 array with ``ranks[f, row]`` the
+        rank of ``X[row, f]`` among column ``f``'s distinct values; ``values``,
+        those values in ascending order, column after column; and
+        ``offsets``, d + 1 int64s with column ``f``'s values at
+        ``values[offsets[f]:offsets[f + 1]]``.  -0.0 and 0.0 are one value,
+        stored as whichever sorts first.  Each column is argsorted on its
+        own, then ranked in C; a rank does not depend on how ties sort.
+        ``X`` must be a C-contiguous float64 block without NaN.
+        """
+        N, d = X.shape
+        if N >= 2**31:
+            raise ValueError(f"expected fewer than 2**31 rows, got {N}")
+        ranks = np.empty((d, N), dtype=np.int32)
+        distinct = np.empty(N)
+        values, offsets = [], np.zeros(d + 1, dtype=np.int64)
+        for f in range(d):
+            order = np.argsort(X[:, f])
+            k = self._rank(X.ctypes.data + f * X.itemsize, d, order.ctypes.data, N,
+                           ranks[f].ctypes.data, distinct.ctypes.data)
+            values.append(distinct[:k].copy())
+            offsets[f + 1] = offsets[f] + k
+        return ranks, np.concatenate(values) if values else np.empty(0), offsets
+
+    def _bind(self, X, y, n_rows: int, n_classes: int, min_leaf: int):
+        """A ``_RankedTree`` over ``X``'s ranks for trees of ``n_rows`` rows.
+
+        Returns the struct and the arrays behind its pointers, which must
+        live as long as it is used.  Its ``rows`` is left for the caller.
+        """
+        ranks, values, offsets = self.rank_features(X)
+        d = X.shape[1]
+        subset = np.empty(d, dtype=np.int64)
+        child = np.empty(2 * n_classes, dtype=np.int64)
+        most = int(np.diff(offsets).max(initial=0))  # the most distinct values of a feature
+        work = np.zeros(n_rows + 4 * n_classes + d + most * n_classes, dtype=np.int64)
+        arrays = (ranks, values, offsets, y, subset, child, work)
+        tree = _RankedTree(
+            ranks.ctypes.data, values.ctypes.data, offsets.ctypes.data, X.shape[0], d,
+            y.ctypes.data, n_classes, min_leaf, None, n_rows, subset.ctypes.data, 0.0,
+            child.ctypes.data, work.ctypes.data,
+        )
+        return tree, arrays
+
     def split_search(self, X, y, rows, n_classes, min_leaf):
-        """``search(start, stop, subset)`` for one tree: see ``split_search``."""
+        """A ``search(start, stop, subset)`` for one tree: the grower's split, node by node.
+
+        ``rows`` holds the tree's row indices; a node is its slice
+        ``rows[start:stop]`` and ``subset`` its drawn feature indices.
+        ``search`` returns None for a leaf, else ``(subset position,
+        threshold, left class counts, right class counts)``, after
+        reordering the node's rows in place into the rows going left and then
+        those going right, each in their original order.
+        ``check_tree_inputs`` names what the arrays must be.  It ranks ``X``
+        itself and calls the C split the grower calls at each node; the
+        forest's checks compare it with ``models._best_split``.
+        """
         check_tree_inputs(X, y, rows, n_classes, min_leaf)
         d, n = X.shape[1], rows.shape[0]
-        subset_buffer = np.empty(d, dtype=np.int64)
-        child = np.empty(2 * n_classes, dtype=np.int64)
-        work = np.empty(4 * n + 4 * n_classes)
-        tree = _SplitTree(
-            X.ctypes.data, d, y.ctypes.data, n_classes, rows.ctypes.data,
-            subset_buffer.ctypes.data, min_leaf, 0.0, child.ctypes.data, work.ctypes.data,
-        )
+        tree, arrays = self._bind(X, y, n, n_classes, min_leaf)
+        tree.rows = rows.ctypes.data
+        subset_buffer, child = arrays[4], arrays[5]
         address, split = ctypes.addressof(tree), self._split
-        alive = (X, y, rows, subset_buffer, child, work, tree)
+        alive = (arrays, rows, tree)
 
         def search(start: int, stop: int, subset: np.ndarray, _alive=alive):
             # _alive keeps the arrays behind the pointers as long as search lives
@@ -210,31 +366,81 @@ class _Kernel:
 
         return search
 
+    def tree_grower(self, X, y, n_classes, n_subset, min_leaf, max_depth):
+        """``grow(rows, rng)`` for one forest's trees: see ``tree_grower``."""
+        check_forest_inputs(X, y, n_classes, min_leaf)
+        N, d = X.shape
+        if not 0 <= n_subset <= d < 2**31:
+            raise ValueError(f"expected 0 <= n_subset <= d < 2**31, got {n_subset} of {d}")
+        tree, arrays = self._bind(X, y, N, n_classes, min_leaf)
+        # a node at depth N - 1 holds one row, so a deeper limit changes nothing
+        max_depth = min(max_depth, N)
+        # every leaf below a split holds min_leaf rows, and a tree has 2 * leaves - 1 nodes
+        capacity = max(1, min(2 * (N // min_leaf), 2 ** min(max_depth + 1, 62)) - 1)
+        feature, right = np.empty(capacity, dtype=np.int64), np.empty(capacity, dtype=np.int64)
+        threshold = np.empty(capacity)
+        counts = np.empty((capacity, n_classes), dtype=np.int64)
+        stack_capacity = max_depth + 2  # one right child waits per level, plus the top
+        stack = np.empty(stack_capacity * (4 + n_classes), dtype=np.int64)
+        buffers = (feature, threshold, right, counts, stack)
+        pointers = [a.ctypes.data for a in buffers]
+        address, grow_tree = ctypes.addressof(tree), self._grow
+        alive = (arrays, buffers, tree)
 
-def check_tree_inputs(X, y, rows, n_classes: int, min_leaf: int) -> None:
-    """Raise ValueError unless one tree's inputs are safe to pass as pointers.
+        def grow(rows: np.ndarray, rng: np.random.Generator, _alive=alive):
+            # _alive keeps the arrays behind the pointers as long as grow lives
+            if rows.shape != (N,):
+                raise ValueError(f"expected the tree's {N} bootstrap rows")
+            _check_indices("rows", rows, N)
+            if not rows.flags.writeable:
+                raise ValueError("rows must be writeable: each split reorders a node's rows")
+            tree.rows = rows.ctypes.data
+            bitgen = rng.bit_generator.ctypes.bit_generator
+            n_nodes = grow_tree(address, bitgen, n_subset, max_depth, capacity, *pointers,
+                                stack_capacity)
+            if n_nodes < 0:
+                raise RuntimeError("a tree outgrew its node or stack buffer")
+            return tuple(a[:n_nodes].copy() for a in (feature, threshold, right, counts))
 
-    ``X`` is a C-contiguous finite float64 (N, d) block, ``y`` N int64 labels
-    in ``[0, n_classes)`` and ``rows`` writeable int64 row indices in
-    ``[0, N)``; the compiled search indexes class counts by label and ``X``
-    by row.
+        return grow
+
+
+def _check_indices(name: str, array, top: int) -> None:
+    if array.ndim != 1 or array.dtype != np.int64 or not array.flags.c_contiguous:
+        raise ValueError(f"{name} must be a C-contiguous 1-d int64 array")
+    if array.size and not 0 <= array.min() <= array.max() < top:
+        raise ValueError(f"{name} must lie in [0, {top})")
+
+
+def check_forest_inputs(X, y, n_classes: int, min_leaf: int) -> None:
+    """Raise ValueError unless one forest's features and labels are safe to pass as pointers.
+
+    ``X`` is a C-contiguous finite float64 (N, d) block and ``y`` N int64
+    labels in ``[0, n_classes)``; the compiled search indexes class counts
+    by label.
     """
     if X.ndim != 2 or X.dtype != np.float64 or not X.flags.c_contiguous:
         raise ValueError("features must be a C-contiguous 2-d float64 array")
     if not np.isfinite(X).all():
         raise ValueError("features must be finite")
-    N = X.shape[0]
-    for name, array, top in (("labels", y, n_classes), ("rows", rows, N)):
-        if array.ndim != 1 or array.dtype != np.int64 or not array.flags.c_contiguous:
-            raise ValueError(f"{name} must be a C-contiguous 1-d int64 array")
-        if array.size and not 0 <= array.min() <= array.max() < top:
-            raise ValueError(f"{name} must lie in [0, {top})")
-    if y.shape[0] != N:
-        raise ValueError(f"expected {N} labels, got {y.shape[0]}")
-    if not rows.flags.writeable:
-        raise ValueError("rows must be writeable: each split reorders a node's rows")
+    _check_indices("labels", y, n_classes)
+    if y.shape[0] != X.shape[0]:
+        raise ValueError(f"expected {X.shape[0]} labels, got {y.shape[0]}")
     if min_leaf < 1:
         raise ValueError(f"min_leaf must be at least 1, got {min_leaf}")
+
+
+def check_tree_inputs(X, y, rows, n_classes: int, min_leaf: int) -> None:
+    """Raise ValueError unless one tree's inputs are safe to pass as pointers.
+
+    ``X`` and ``y`` are as ``check_forest_inputs`` says, and ``rows`` holds
+    writeable int64 row indices in ``[0, N)``; the compiled search indexes
+    ``X``'s ranks by row.
+    """
+    check_forest_inputs(X, y, n_classes, min_leaf)
+    _check_indices("rows", rows, X.shape[0])
+    if not rows.flags.writeable:
+        raise ValueError("rows must be writeable: each split reorders a node's rows")
 
 
 def compiler() -> str | None:
@@ -295,9 +501,7 @@ def _open(path: Path, blas: tuple[int, int]) -> _Kernel:
     kernel = _Kernel(ctypes.CDLL(str(path)), blas)  # OSError if not a shared object
     if not kernel.dots_match_numpy():
         raise Unavailable("compiled dots differ from numpy's weights.dot")
-    if not kernel.splits_match_numpy():
-        raise Unavailable("compiled splits differ from numpy's _best_split")
-    return kernel
+    return kernel  # the forest's checks wait for its first use
 
 
 def _build(source: bytes, target: Path, blas: tuple[int, int]) -> _Kernel:
@@ -371,21 +575,31 @@ def epoch_runner(X, targets, weights, bias):
     return None if kernel is None else kernel.runner(X, targets, weights, bias)
 
 
-def split_search(X, y, rows, n_classes: int, min_leaf: int):
-    """A ``search(start, stop, subset)`` for one tree in C, or None for numpy.
+def tree_grower(X, y, n_classes: int, n_subset: int, min_leaf: int, max_depth: int):
+    """A ``grow(rows, rng)`` for one forest's trees in C, or None for Python.
 
-    ``rows`` holds the tree's row indices; a node is its slice
-    ``rows[start:stop]`` and ``subset`` its drawn feature indices.  ``search``
-    returns None for a leaf, else ``(subset position, threshold, left class
-    counts, right class counts)``, after reordering the node's rows in place
-    into the rows going left and then those going right, each in their
-    original order.  ``check_tree_inputs`` names what the arrays must be.
+    ``X`` and ``y`` are as ``check_forest_inputs`` says; their ranks are
+    computed here, once for all the forest's trees.  ``grow`` grows one tree
+    on ``rows``, the tree's N writeable int64 bootstrap rows, which it
+    reorders, drawing each node's ``n_subset`` features from ``rng`` as
+    ``rng.choice`` would, and returns its preorder ``(feature, threshold,
+    right, counts)`` arrays, as ``models._grow_tree`` builds them.  The
+    first call in a process runs the forest's checks; None when one fails.
     """
     kernel = load()
-    return None if kernel is None else kernel.split_search(X, y, rows, n_classes, min_leaf)
+    if kernel is None or kernel.forest_fallback() is not None:
+        return None
+    return kernel.tree_grower(X, y, n_classes, n_subset, min_leaf, max_depth)
 
 
 def path() -> str:
-    """``"compiled"`` when the C kernels run, else ``"python: <reason>"``."""
+    """``"compiled"`` when both kernels run C; else which runs Python, and why.
+
+    ``"python: <reason>"`` when both do, ``"python for train_forest: <reason>"``
+    when only the forest does.  The first call runs the forest's checks.
+    """
     kernel = load()
-    return "compiled" if kernel is not None else f"python: {_loaded}"
+    if kernel is None:
+        return f"python: {_loaded}"
+    why = kernel.forest_fallback()
+    return "compiled" if why is None else f"python for train_forest: {why}"

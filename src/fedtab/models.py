@@ -8,11 +8,11 @@
   where ``fedtab.kernel`` can build it, else in Python, with the same
   bytes either way,
 - random forest: bagged CART trees split on Gini impurity with a fresh
-  ceil(sqrt(d)) feature subset at every node; each node's split search
-  covers its whole subset in one call, into compiled C where
-  ``fedtab.kernel`` can build it, else numpy, with the same trees either
-  way (see ``_grow_tree``).  A tree is a ``Tree`` of parallel node arrays
-  in depth-first preorder, the one layout that growth builds, prediction
+  ceil(sqrt(d)) feature subset at every node; each tree grows in one call
+  into compiled C where ``fedtab.kernel`` can build it, else node by node
+  in Python and numpy, with the same trees either way (see
+  ``train_forest``).  A tree is a ``Tree`` of parallel node arrays in
+  depth-first preorder, the one layout that growth builds, prediction
   walks level by level and model files store.
 
 The bias terms are never regularized.  Training with epochs = 0 returns the
@@ -330,10 +330,12 @@ def _python_svm_epoch(X: np.ndarray, signed: np.ndarray, weights: np.ndarray, bi
 
 
 def kernel_path() -> str:
-    """``"compiled"`` when ``train_svm`` and ``train_forest`` run C, else ``"python: <reason>"``.
+    """``"compiled"`` when ``train_svm`` and ``train_forest`` run C; else which runs Python.
 
-    The first call builds or loads the kernels, as the first ``train_svm`` or
-    ``train_forest`` does.  Both models take the same path.
+    ``"python: <reason>"`` when both do, ``"python for train_forest:
+    <reason>"`` when only the forest's checks failed.  The first call builds
+    or loads the kernels and checks both, as the first ``train_svm`` and
+    ``train_forest`` do.
     """
     from . import kernel
 
@@ -353,38 +355,28 @@ def _grow_tree(
     n_classes: int,
     cfg: TrainConfig,
 ) -> Tree:
-    """Grow one tree on ``rows`` depth-first, one split search per node.
+    """Grow one tree on ``rows`` depth-first in Python, one split search per node.
 
     Nodes are taken from an explicit stack, a split node's left child before
     its right, so the tree comes out in preorder and every node draws its
     feature subset from ``rng`` in the order of a recursive grower.  A node
-    is a slice of one copy of ``rows``; its split search reorders the slice
-    into the rows going left, then right, each in their original order, and
+    is a slice of one copy of ``rows``; its split search
+    (``_numpy_split_search``, around ``_best_split``) reorders the slice into
+    the rows going left, then right, each in their original order, and
     returns both children's class counts.  Nothing the grower builds refers
     back to itself, so a finished tree and its training block are freed
     without waiting for the cyclic collector.
 
-    Each node searches its whole drawn subset in one call, in one of two
-    ways with the same trees, the way ``train_svm`` runs its epochs
-    (``kernel_path()`` says which):
-
-    - compiled (``fedtab.kernel``): C gathers, stably sorts and scores the
-      subset with ``_best_split``'s expressions, rounded as numpy rounds them;
-    - numpy (``_numpy_split_search``), around ``_best_split``, when the
-      kernels cannot be built, loaded or trusted.
-
-    ``X``, ``y`` and ``rows`` must be as ``kernel.check_tree_inputs`` says;
-    either path raises ValueError otherwise.
+    ``train_forest`` grows its trees here when the compiled grower cannot be
+    built, loaded or trusted; it is also that grower's reference.  ``X``,
+    ``y`` and ``rows`` must be as ``kernel.check_tree_inputs`` says, else it
+    raises ValueError.
     """
-    from . import kernel  # imported, and built, at the first SVM or forest training only
-
     rows = rows.copy()  # each split reorders a node's rows in place
     min_leaf = cfg.min_leaf
-    search = kernel.split_search(X, y, rows, n_classes, min_leaf) or _numpy_split_search(
-        X, y, rows, n_classes, min_leaf
-    )
+    search = _numpy_split_search(X, y, rows, n_classes, min_leaf)
     d = X.shape[1]
-    size = math.ceil(math.sqrt(d))
+    size = _subset_size(d)
     root_counts = np.bincount(y[rows], minlength=n_classes).tolist()
     nodes = []  # [feature, threshold, right, counts] per node, in preorder
     # (first row, end row, class counts, depth, node whose right child it is)
@@ -406,7 +398,16 @@ def _grow_tree(
         middle = start + sum(left_counts)
         stack.append((middle, stop, right_counts, depth + 1, len(nodes) - 1))
         stack.append((start, middle, left_counts, depth + 1, -1))
-    feature, threshold, right, counts = (np.array(column) for column in zip(*nodes))
+    return _preorder_tree(*(np.array(column) for column in zip(*nodes)))
+
+
+def _subset_size(d: int) -> int:
+    """How many of the d features each node draws: ceil(sqrt(d))."""
+    return math.ceil(math.sqrt(d))
+
+
+def _preorder_tree(feature, threshold, right, counts) -> Tree:
+    """The ``Tree`` of preorder node arrays, its ``left`` worked out from ``feature``."""
     # preorder puts a split node's left child right after it
     left = np.where(feature >= 0, np.arange(1, feature.size + 1), -1)
     return Tree(feature, threshold, left, right, counts)
@@ -417,8 +418,9 @@ def _numpy_split_search(
 ):
     """``_grow_tree``'s split search in numpy: a ``search(start, stop, subset)``.
 
-    It returns what ``kernel.split_search``'s does, through ``_best_split``,
-    and reorders ``rows[start:stop]`` in place the same way.
+    It returns what ``kernel._Kernel.split_search``'s does, through ``_best_split``,
+    and reorders ``rows[start:stop]`` in place the same way; it is the
+    reference the compiled split search is checked against.
     """
     from .kernel import check_tree_inputs
 
@@ -494,16 +496,37 @@ def _best_split(
 
 
 def train_forest(train: EncodedDataset, cfg: TrainConfig) -> Forest:
-    """Bagged CART trees; per-tree seeding makes tree order irrelevant."""
+    """Bagged CART trees; per-tree seeding makes tree order irrelevant.
+
+    Tree ``t`` draws its bootstrap rows, then every node's feature subset,
+    from its own ``default_rng((seed, t))``.  Each tree grows in one of two
+    ways with the same bytes, the way ``train_svm`` runs its epochs
+    (``kernel_path()`` says which):
+
+    - compiled (``kernel.tree_grower``): one C call per tree runs
+      ``_grow_tree``'s stack and leaf tests, draws each subset from the
+      tree's bit generator as ``rng.choice`` does, and counts classes over
+      value ranks computed once per forest, scoring the cuts with
+      ``_best_split``'s expressions, rounded as numpy rounds them;
+    - Python (``_grow_tree``), when the kernel cannot be built, loaded or
+      trusted.
+    """
     _check_train_inputs(train)
     X = np.ascontiguousarray(train.features, dtype=np.float64)
     y = np.ascontiguousarray(train.labels, dtype=np.int64)
     n = train.n_samples
+    from . import kernel  # imported, and built, at the first SVM or forest training only
+
+    size = _subset_size(train.n_features)
+    grow = kernel.tree_grower(X, y, train.n_classes, size, cfg.min_leaf, cfg.max_depth)
     trees = []
     for t in range(cfg.n_trees):
         rng = np.random.default_rng((cfg.seed, t))
         bootstrap = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(X, y, bootstrap, rng, train.n_classes, cfg))
+        if grow is None:
+            trees.append(_grow_tree(X, y, bootstrap, rng, train.n_classes, cfg))
+        else:
+            trees.append(_preorder_tree(*grow(bootstrap, rng)))
     return Forest(tuple(trees), train.n_classes, train.n_features)
 
 

@@ -233,6 +233,16 @@ def assert_trees_match(trees, oracle_trees, context=None):
                 assert tree.right[i] == node["right"], (context, i)
 
 
+def assert_same_tree_bytes(trees, others):
+    """Assert that two runs grew the same node arrays: dtypes, shapes and bytes."""
+    assert len(trees) == len(others)
+    for tree, other in zip(trees, others):
+        for name in ("feature", "threshold", "left", "right", "counts"):
+            got, want = getattr(tree, name), getattr(other, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+
+
 def round_robin_partition(labels, n_clients: int, seed: int) -> list[np.ndarray]:
     """Client row sets: each class shuffled, then dealt one row at a time.
 

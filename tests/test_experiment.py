@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,9 +198,9 @@ def test_budgets_with_equal_local_epochs_share_one_run(
     )
     calls = []
 
-    def counted(partitions, fed_cfg, attack=None, round_one=None):
+    def counted(partitions, fed_cfg, attack=None, round_one=None, **options):
         calls.append(fed_cfg.rounds)
-        return run_federated(partitions, fed_cfg, attack, round_one)
+        return run_federated(partitions, fed_cfg, attack, round_one, **options)
 
     monkeypatch.setattr(fedtab.experiment, "run_federated", counted)
     detail = run_condition_detailed(cfg, spec, data, model, "fl_poisoned", master_seed=4)
@@ -315,6 +319,50 @@ def test_run_suite_writes_outputs(tmp_path, grades):
     assert len(rounds) == 6
     assert all(set(r) >= {"dataset", "model", "condition", "seed", "budget", "round", "global"} for r in rounds)
     assert flips and all(f["condition"] == "fl_poisoned" and f["client"] == 0 for f in flips)
+
+
+def test_run_suite_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique without counts imports numpy.ma on first use, 10-16 ms of a
+    # run; a fresh interpreter shows whether a grid run still pays for it
+    tests = Path(__file__).resolve().parent
+    src = str(Path(fedtab.experiment.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(tests)])}
+    probe = f"""
+import sys
+from pathlib import Path
+from _synth import grades_dataset_spec, write_grades_csv
+from fedtab.config import ExperimentConfig, OutputConfig
+from fedtab.experiment import run_suite
+spec = grades_dataset_spec(write_grades_csv(Path({str(tmp_path / "grades.csv")!r}), n=120))
+cfg = ExperimentConfig(
+    datasets=("A",), round_budgets=(1, 2), epoch_budget=2, seeds=(0,),
+    train_overrides={{"forest": {{"n_trees": 2}}}}, output=OutputConfig(path=None),
+)
+run_suite(cfg, datasets={{"A": spec}})
+print("numpy.ma" in sys.modules)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("condition", ["central_clean", "central_poisoned", "fl_clean"])
+def test_only_federated_cells_score_local_models(grades, monkeypatch, condition):
+    # a central cell emits no round log, so its model predicts only to be evaluated
+    spec, data = grades
+    calls = []
+    for name in ("predict_labels", "predict_scores"):
+        real = getattr(federation, name)
+        def spy(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(federation, name, spy)
+    cfg = small_cfg(models=("forest",), round_budgets=(2,))
+    run_condition_detailed(cfg, spec, data, "forest", condition, master_seed=3)
+    local = ["predict_labels"] * cfg.n_clients if condition == "fl_clean" else []
+    assert calls == local + ["predict_scores"]
 
 
 def test_run_suite_encodes_each_table_once(grades, outcomes, monkeypatch):

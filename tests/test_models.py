@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 
 import numpy as np
 import pytest
 
-from _oracles import assert_trees_match, per_feature_forest, vectorized_svm
+from _oracles import (
+    assert_same_tree_bytes,
+    assert_trees_match,
+    per_feature_forest,
+    vectorized_svm,
+)
 from _synth import blob_dataset
+from fedtab import kernel
 from fedtab.dataset import EncodedDataset
 from fedtab.errors import InvalidConfigError, ShapeMismatchError
 from fedtab.models import (
@@ -16,6 +23,8 @@ from fedtab.models import (
     LinearModel,
     TrainConfig,
     _grow_tree,
+    _preorder_tree,
+    _subset_size,
     hinge_objective,
     logistic_gradient,
     logistic_loss,
@@ -241,12 +250,29 @@ def test_svm_raises_when_the_decay_would_vanish(each_path):
             train_svm(data, TrainConfig(learning_rate=lr, epochs=3, l2=l2))
 
 
+def _grow(X, y, rows, rng, n_classes, cfg):
+    """One tree as ``train_forest`` grows it: in C where the grower loads, else ``_grow_tree``.
+
+    A compiled tree must equal ``_grow_tree``'s on a twin generator, node
+    arrays and generator state alike.
+    """
+    size = _subset_size(X.shape[1])
+    grow = kernel.tree_grower(X, y, n_classes, size, cfg.min_leaf, cfg.max_depth)
+    if grow is None:
+        return _grow_tree(X, y, rows, rng, n_classes, cfg)
+    twin = copy.deepcopy(rng)
+    tree = _preorder_tree(*grow(rows.copy(), rng))
+    assert_same_tree_bytes([tree], [_grow_tree(X, y, rows, twin, n_classes, cfg)])
+    assert rng.bit_generator.state == twin.bit_generator.state
+    return tree
+
+
 def test_grow_tree_split_oracle():
     # the midpoint between the touching classes is 2.5; children are pure
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0, 0, 1, 1])
     cfg = TrainConfig(max_depth=3, min_leaf=1)
-    tree = _grow_tree(X, y, np.arange(4), np.random.default_rng(0), 2, cfg)
+    tree = _grow(X, y, np.arange(4), np.random.default_rng(0), 2, cfg)
     assert tree.feature[0] != -1
     assert tree.feature[0] == 0
     assert tree.threshold[0] == 2.5
@@ -256,13 +282,13 @@ def test_grow_tree_split_oracle():
 
 def test_grow_tree_stops_on_purity_and_min_leaf():
     cfg = TrainConfig(max_depth=5, min_leaf=2)
-    pure = _grow_tree(
+    pure = _grow(
         np.array([[1.0], [2.0]]), np.array([1, 1]), np.arange(2),
         np.random.default_rng(0), 2, cfg,
     )
     assert pure.feature.tolist() == [-1] and pure.counts[0].tolist() == [0, 2]
     # 3 rows cannot produce two children of at least 2
-    small = _grow_tree(
+    small = _grow(
         np.array([[1.0], [2.0], [3.0]]), np.array([0, 1, 0]), np.arange(3),
         np.random.default_rng(0), 2, cfg,
     )
@@ -277,7 +303,7 @@ def test_grow_tree_leaf_when_drawn_subset_is_constant():
     X[:, subset] = 1.0
     y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
     rng = np.random.default_rng(4)
-    tree = _grow_tree(X, y, np.arange(8), rng, 2, TrainConfig(max_depth=5, min_leaf=1))
+    tree = _grow(X, y, np.arange(8), rng, 2, TrainConfig(max_depth=5, min_leaf=1))
     assert tree.feature.tolist() == [-1] and tree.counts[0].tolist() == [4, 4]
     drawn = np.random.default_rng(4)
     drawn.choice(d, size=3, replace=False)
@@ -291,7 +317,7 @@ def test_grow_tree_equal_gains_take_the_earlier_drawn_feature():
     y = np.array([0, 0, 1, 1])
     assert np.random.default_rng(5).choice(4, size=2, replace=False).tolist() == [3, 2]
     cfg = TrainConfig(max_depth=1, min_leaf=1)
-    tree = _grow_tree(X, y, np.arange(4), np.random.default_rng(5), 2, cfg)
+    tree = _grow(X, y, np.arange(4), np.random.default_rng(5), 2, cfg)
     assert tree.feature[0] == 3
     assert tree.threshold[0] == 10.0
 
@@ -302,13 +328,13 @@ def test_grow_tree_at_twice_min_leaf_splits_only_at_the_middle():
     cfg = TrainConfig(max_depth=1, min_leaf=3)
     y = np.array([0, 1, 1, 1, 1, 1])
     rng = np.random.default_rng(0)
-    tree = _grow_tree(np.arange(1.0, 7.0)[:, None], y, np.arange(6), rng, 2, cfg)
+    tree = _grow(np.arange(1.0, 7.0)[:, None], y, np.arange(6), rng, 2, cfg)
     assert tree.threshold[0] == 3.5
     assert tree.counts[tree.left[0]].tolist() == [1, 2]
     assert tree.counts[tree.right[0]].tolist() == [0, 3]
     # equal values either side of the middle cut: no valid cut at all
     tied = np.array([[1.0], [2.0], [3.0], [3.0], [5.0], [6.0]])
-    assert _grow_tree(tied, y, np.arange(6), rng, 2, cfg).feature.tolist() == [-1]
+    assert _grow(tied, y, np.arange(6), rng, 2, cfg).feature.tolist() == [-1]
 
 
 @pytest.mark.parametrize(
@@ -323,8 +349,8 @@ def test_grow_tree_at_twice_min_leaf_splits_only_at_the_middle():
     ids=lambda case: case.__name__.removeprefix("test_grow_tree_"),
 )
 def test_grow_tree_cases_on_the_numpy_split(case, kernel_off):
-    # the cases above run whichever split search loads, the compiled one
-    # where a C compiler exists; this runs the numpy one on them
+    # the cases above run whichever grower loads, the compiled one where a
+    # C compiler exists; this runs the Python one, on the numpy split, on them
     assert kernel_path() == "python: forced off by the test"
     case()
 
@@ -352,8 +378,8 @@ def test_forest_matches_per_feature_oracle_bit_exactly(n_classes, min_leaf, max_
 def test_forest_on_the_numpy_split_matches_per_feature_oracle(
     n_classes, min_leaf, max_depth, kernel_off
 ):
-    # the test above runs whichever split search loads, the compiled one
-    # where a C compiler exists; this runs the numpy one on the same cases
+    # the test above runs whichever grower loads, the compiled one where a
+    # C compiler exists; this runs the Python one on the same cases
     assert kernel_path() == "python: forced off by the test"
     test_forest_matches_per_feature_oracle_bit_exactly(n_classes, min_leaf, max_depth)
 

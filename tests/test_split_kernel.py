@@ -1,18 +1,22 @@
 """The compiled split search against ``models._best_split``, edge case by edge case.
 
-Each case runs one node through ``kernel.split_search`` and through the
-numpy search around ``_best_split`` on copies of the same rows, and asks
-for the same split position, threshold bits, child counts and row order.
-Both paths must refuse inputs the C code would index out of bounds.
+Each case runs one node through ``kernel._Kernel.split_search``, the C split
+the compiled tree grower calls at every node, and through the numpy search
+around ``_best_split`` on copies of the same rows, and asks for the same
+split position, threshold bits, child counts and row order.  The compiled
+grower (``kernel._Kernel.tree_grower``) and ``models._grow_tree`` must both
+refuse inputs the C code would index out of bounds.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fedtab import kernel
-from fedtab.models import TrainConfig, _grow_tree, _numpy_split_search
+from fedtab.models import _grow_tree, _numpy_split_search
 
 
 @pytest.fixture
@@ -121,29 +125,58 @@ def _bad_tree_inputs():
     nan[2, 1] = np.nan
     inf = X.copy()
     inf[0, 0] = -np.inf
+    # (features, labels, bootstrap rows, min_leaf, error message)
     return {
-        "fortran_features": (np.asfortranarray(X), y, rows, "C-contiguous"),
-        "float32_features": (X.astype(np.float32), y, rows, "C-contiguous"),
-        "nan_feature": (nan, y, rows, "finite"),
-        "infinite_feature": (inf, y, rows, "finite"),
-        "int32_labels": (X, y.astype(np.int32), rows, "labels must be"),
+        "fortran_features": (np.asfortranarray(X), y, rows, 1, "C-contiguous"),
+        "float32_features": (X.astype(np.float32), y, rows, 1, "C-contiguous"),
+        "nan_feature": (nan, y, rows, 1, "finite"),
+        "infinite_feature": (inf, y, rows, 1, "finite"),
+        "int32_labels": (X, y.astype(np.int32), rows, 1, "labels must be"),
         "label_past_n_classes": (
-            X, np.array([0, 1, 2, 1, 0, 1]), rows, r"labels must lie in \[0, 2\)"
+            X, np.array([0, 1, 2, 1, 0, 1]), rows, 1, r"labels must lie in \[0, 2\)"
         ),
-        "negative_label": (X, np.array([0, -1, 0, 1, 0, 1]), rows, r"labels must lie"),
-        "short_labels": (X, y[:5], rows, "expected 6 labels"),
-        "row_past_the_end": (X, y, np.array([0, 6, 1]), r"rows must lie in \[0, 6\)"),
-        "negative_row": (X, y, np.array([-1, 0, 1]), r"rows must lie"),
-        "float_rows": (X, y, rows.astype(np.float64), "rows must be"),
+        "negative_label": (X, np.array([0, -1, 0, 1, 0, 1]), rows, 1, r"labels must lie"),
+        "short_labels": (X, y[:5], rows, 1, "expected 6 labels"),
+        "row_past_the_end": (
+            X, y, np.array([0, 6, 1, 2, 3, 4]), 1, r"rows must lie in \[0, 6\)"
+        ),
+        "negative_row": (X, y, np.array([-1, 0, 1, 2, 3, 4]), 1, r"rows must lie"),
+        "float_rows": (X, y, rows.astype(np.float64), 1, "rows must be"),
+        "min_leaf_zero": (X, y, rows, 0, "min_leaf must be at least 1"),
     }
 
 
 @pytest.mark.parametrize("case", sorted(_bad_tree_inputs()))
 def test_grow_tree_refuses_what_the_kernel_would_misread(case, each_path):
-    X, y, rows, message = _bad_tree_inputs()[case]
-    cfg = TrainConfig(max_depth=3, min_leaf=1)
+    X, y, rows, min_leaf, message = _bad_tree_inputs()[case]
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match=message):
-        _grow_tree(X, y, rows, np.random.default_rng(0), 2, cfg)
+        if each_path == "compiled":
+            kernel.load().tree_grower(X, y, 2, 1, min_leaf, 3)(rows, rng)
+        else:
+            # TrainConfig itself refuses min_leaf 0; _grow_tree reads only these two
+            cfg = SimpleNamespace(max_depth=3, min_leaf=min_leaf)
+            _grow_tree(X, y, rows, rng, 2, cfg)
+
+
+def test_compiled_grower_refuses_rows_or_a_subset_it_would_misread(compiled):
+    X, y = np.arange(12.0).reshape(6, 2), np.array([0, 1, 0, 1, 0, 1])
+    for n_subset in (-1, 3):
+        with pytest.raises(ValueError, match="n_subset <= d"):
+            compiled.tree_grower(X, y, 2, n_subset, 1, 3)
+    grow = compiled.tree_grower(X, y, 2, 1, 1, 3)
+    # the grower partitions exactly the forest's N rows, in place
+    for rows in (np.arange(5), np.arange(7), np.arange(6).reshape(2, 3)):
+        with pytest.raises(ValueError, match="expected the tree's 6 bootstrap rows"):
+            grow(rows, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="rows must be a C-contiguous"):
+        grow(np.arange(12)[::2], np.random.default_rng(0))
+    read_only = np.arange(6)
+    read_only.flags.writeable = False
+    with pytest.raises(ValueError, match="rows must be writeable"):
+        grow(read_only, np.random.default_rng(0))
+    feature, threshold, right, counts = grow(np.arange(6), np.random.default_rng(0))
+    assert feature[0] >= 0 and counts[0].tolist() == [3, 3]
 
 
 def test_compiled_search_refuses_a_node_or_subset_out_of_bounds(compiled):

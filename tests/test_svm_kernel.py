@@ -1,7 +1,7 @@
 """The compiled kernels' loader: where it caches, and every way it falls back.
 
-Each fallback must leave ``train_svm`` on its Python loop and
-``train_forest`` on its numpy split search, both with the oracles' bytes.
+Each fallback must leave ``train_svm`` on its Python loop or
+``train_forest`` on its Python grower, or both, with the oracles' bytes.
 The tests point the cache at a fresh directory and reset the module's
 loaded-kernel handle, so each one builds or rejects from scratch.
 """
@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import assert_trees_match, per_feature_forest, vectorized_svm
+import test_golden
+from _oracles import assert_same_tree_bytes, assert_trees_match, per_feature_forest, vectorized_svm
 from _synth import blob_dataset
 from fedtab import kernel
 from fedtab.dataset import EncodedDataset
@@ -108,11 +109,32 @@ def test_cache_falls_back_to_home_and_tightens_its_mode(tmp_path, monkeypatch):
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
 
 
+def _wide_forest():
+    """A forest at the B stand-in's width: 39 features, ties, signed zeros, 3 classes."""
+    data = blob_dataset(60, n_classes=3, n_features=39, seed=6, spread=3.0)
+    X = np.round(data.features)
+    X[:, 1] *= 0.0
+    X[:, 2] = data.features[:, 2]  # distinct values: sparse rank histograms
+    return train_forest(
+        EncodedDataset(X, data.labels, 3, data.feature_names),
+        TrainConfig(n_trees=3, max_depth=9, min_leaf=2, seed=7),
+    )
+
+
 def test_no_compiler_falls_back_with_the_same_bytes(fresh_cache, monkeypatch):
+    compiled = None
+    if kernel.compiler() is not None:  # the compiled grower's trees, then no compiler
+        assert kernel_path() == "compiled"
+        compiled = _wide_forest()
+        for built in _cached(fresh_cache):
+            built.unlink()
+        monkeypatch.setattr(kernel, "_loaded", None)
     monkeypatch.setattr(kernel, "compiler", lambda: None)
     assert kernel_path() == "python: no C compiler (cc) on PATH"
     assert _cached(fresh_cache) == []
     _assert_oracle_bytes()
+    if compiled is not None:
+        assert_same_tree_bytes(_wide_forest().trees, compiled.trees)
 
 
 def test_failing_compiler_falls_back_with_the_same_bytes(fresh_cache, tmp_path, monkeypatch):
@@ -221,9 +243,58 @@ def test_a_split_search_taking_the_last_maximum_is_refused(fresh_cache, tmp_path
     mutated = tmp_path / "last_maximum.c"
     mutated.write_text(source.replace(first, last), encoding="utf-8")
     monkeypatch.setattr(kernel, "SOURCE", mutated)
-    assert kernel_path() == "python: compiled splits differ from numpy's _best_split"
-    assert not fresh_cache.exists() or list(fresh_cache.iterdir()) == []  # nothing published
+    reason = "compiled splits differ from numpy's _best_split"
+    assert kernel_path() == f"python for train_forest: {reason}"
+    assert kernel.load() is not None  # the SVM epoch passed its check and stays compiled
     _assert_oracle_bytes()
+
+
+def _assert_forest_falls_back_alone(reason, tmp_path, monkeypatch):
+    assert kernel_path() == f"python for train_forest: {reason}"
+    assert kernel.load() is not None  # the SVM epoch stays compiled
+    _assert_oracle_bytes()
+    test_golden.test_outputs_match_golden_digests("forest_B", tmp_path, monkeypatch)
+
+
+@requires_cc
+def test_draws_that_differ_from_rng_choice_put_only_the_forest_on_python(
+    fresh_cache, tmp_path, monkeypatch
+):
+    draw = kernel._Kernel.draw
+    # the same values in another order: a shuffle that is not numpy's
+    monkeypatch.setattr(kernel._Kernel, "draw", lambda *args: draw(*args)[::-1].copy())
+    reason = "compiled feature draws differ from numpy's rng.choice"
+    _assert_forest_falls_back_alone(reason, tmp_path, monkeypatch)
+
+
+@requires_cc
+def test_a_grower_that_differs_from_python_puts_only_the_forest_on_python(
+    fresh_cache, tmp_path, monkeypatch
+):
+    # one level deeper than max_depth allows
+    source = kernel.SOURCE.read_text(encoding="utf-8")
+    depth_test = "if (depth >= max_depth ||"
+    assert source.count(depth_test) == 1
+    mutated = tmp_path / "too_deep.c"
+    mutated.write_text(source.replace(depth_test, "if (depth > max_depth ||"), encoding="utf-8")
+    monkeypatch.setattr(kernel, "SOURCE", mutated)
+    reason = "compiled trees differ from models._grow_tree"
+    _assert_forest_falls_back_alone(reason, tmp_path, monkeypatch)
+
+
+@requires_cc
+def test_svm_training_runs_no_forest_check(monkeypatch):
+    monkeypatch.setattr(kernel, "_loaded", None)  # loads the session's cached build
+    checks = []
+    check = kernel._Kernel._check_forest
+    monkeypatch.setattr(kernel._Kernel, "_check_forest", lambda k: checks.append(1) or check(k))
+    data = blob_dataset(20, n_classes=3, seed=2)
+    train_svm(data, TrainConfig(epochs=2))
+    assert kernel.load() is not None and checks == []
+    for seed in (0, 1):
+        train_forest(data, TrainConfig(n_trees=2, max_depth=3, seed=seed))
+    assert checks == [1]  # at the first forest only
+    assert kernel_path() == "compiled" and checks == [1]
 
 
 def test_the_loaded_source_ships_as_package_data():
