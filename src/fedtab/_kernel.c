@@ -1,6 +1,6 @@
 /* fedtab's compiled kernels: one epoch of the linear SVM (models.train_svm)
- * step for step, and one split node of a forest tree (models._grow_tree) as
- * models._best_split finds it.
+ * step for step, and one forest tree grown as models._grow_tree grows it,
+ * each node split where models._best_split splits it.
  *
  * Built by fedtab.kernel with -ffp-contract=off, so every + and * rounds
  * once, as in Python and numpy.  The SVM dots go through the BLAS routines
@@ -212,18 +212,17 @@ static double gini(const int64_t *counts, int64_t n_classes, int64_t size, doubl
 }
 
 /* Split the node holding rows[start .. start + n) on the features
- * subset[0 .. n_subset), as models._best_split does.  Returns the subset
- * position of the split feature, -1 for a leaf (no cut with a positive gain)
- * or -2 for a subset entry outside [0, d).  On a split, sets t->threshold,
- * partitions the node's rows into left then right, each in its original
- * order, and writes the left and then the right class counts to
- * t->child_counts.
+ * subset[0 .. n_subset), each in [0, d), as models._best_split does.
+ * Returns the subset position of the split feature, or -1 for a leaf (no cut
+ * with a positive gain).  On a split, sets t->threshold, partitions the
+ * node's rows into left then right, each in its original order, and writes
+ * the left and then the right class counts to t->child_counts.
  *
  * The node's rows are counted per (rank, class) in a histogram.  A
  * feature's cuts lie between the ranks present at the node, scored in
  * ascending order with the rows of every lower rank on the left; how equal
  * values are ordered never matters. */
-int64_t fedtab_split(ranked_tree *t, int64_t start, int64_t n, int64_t n_subset)
+static int64_t fedtab_split(ranked_tree *t, int64_t start, int64_t n, int64_t n_subset)
 {
     const int64_t n_classes = t->n_classes, min_leaf = t->min_leaf;
     const int64_t *y = t->y;
@@ -233,9 +232,6 @@ int64_t fedtab_split(ranked_tree *t, int64_t start, int64_t n, int64_t n_subset)
     double *squares = (double *)(right + n_classes);
     int64_t *hist = WORK_HISTOGRAM(t);
 
-    for (int64_t f = 0; f < n_subset; f++)
-        if (t->subset[f] < 0 || t->subset[f] >= t->d)
-            return -2;
     memset(counts, 0, (size_t)n_classes * sizeof *counts);
     for (int64_t i = 0; i < n; i++)
         counts[y[rows[i]]]++;

@@ -25,10 +25,9 @@ pairwise sum does.
 Each kernel is checked in each process before its first use.  The shared
 object's dots are compared bitwise with ``weights.dot`` when it opens; a
 file that fails is neither published nor used.  The first ``train_forest``
-compares the split search with ``models._best_split``, the draws with
-``rng.choice`` and the generator state it leaves, and a seeded tree with
-``models._grow_tree``.  So SVM-only runs never pay for the forest's
-checks.
+compares the draws with ``rng.choice`` and the generator state it leaves,
+and seeded trees, node array for node array, with ``models._grow_tree``'s.
+So SVM-only runs never pay for the forest's checks.
 
 If there is no compiler, a symbol is missing, no cache directory can be
 written or a dot differs, both ``train_svm`` and ``train_forest`` run their
@@ -52,29 +51,28 @@ import numpy as np
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-SYMBOLS = (
-    "fedtab_svm_epoch", "fedtab_svm_dots", "fedtab_split", "fedtab_draw", "fedtab_grow",
-    "fedtab_rank",
-)
+SYMBOLS = ("fedtab_svm_epoch", "fedtab_svm_dots", "fedtab_draw", "fedtab_grow", "fedtab_rank")
 _BLAS_SYMBOLS = ("scipy_cblas_ddot64_", "scipy_cblas_dgemv64_")
 _CHECK_WIDTHS = (1, 2, 3, 5, 8, 16, 39, 64)
 _TAG = 32  # a built file ends with the sha256 of the bytes before it
 
 # Nodes whose split moves if the class squares are summed in any order but
-# numpy's: (features, labels, classes, min_leaf).  Three classes sum as
-# (a0 + a1) + a2 and split feature 0 at -1.5; nine take numpy's eight-way
-# unrolled pairwise sum and split feature 2 at -0.5.
+# numpy's: (features, labels, classes, min_leaf, seed), where a tree's root
+# draws from default_rng(seed) the two features that show it.  Three classes
+# sum as (a0 + a1) + a2 and split feature 0 at -1.5 of features [0, 1]; nine
+# take numpy's eight-way unrolled pairwise sum and split feature 2 at -0.5 of
+# features [1, 2].
 _SUM_ORDER_NODES = (
     (
         np.array([[-1.0, 0.0, 5.0], [-2.0, -2.0, 1.0], [-0.0, 2.0, -1.0], [-2.0, 2.0, -4.0],
                   [-0.0, -3.0, -2.0], [1.0, -0.0, -3.0], [1.0, -1.0, -1.0]]),
-        np.array([2, 1, 0, 1, 1, 0, 0]), 3, 2,
+        np.array([2, 1, 0, 1, 1, 0, 0]), 3, 2, 1,
     ),
     (
         np.array([[1.0, 2.0, 2.0], [4.0, 1.0, 2.0], [1.0, 2.0, 3.0], [-0.0, 1.0, -2.0],
                   [-0.0, 1.0, -1.0], [3.0, -1.0, -1.0], [-1.0, -2.0, 3.0], [-3.0, 3.0, -1.0],
                   [-3.0, -2.0, 1.0], [2.0, 4.0, -0.0]]),
-        np.array([8, 7, 5, 0, 8, 1, 7, 1, 6, 2]), 9, 1,
+        np.array([8, 7, 5, 0, 8, 1, 7, 1, 6, 2]), 9, 1, 0,
     ),
 )
 
@@ -115,7 +113,7 @@ class _Kernel:
         self._lib = lib
         self._blas = blas
         try:
-            self._epoch, self._dots, self._split, self._draw, self._grow, self._rank = (
+            self._epoch, self._dots, self._draw, self._grow, self._rank = (
                 getattr(lib, name) for name in SYMBOLS
             )
         except AttributeError as err:  # a build of some other source
@@ -125,8 +123,6 @@ class _Kernel:
         self._epoch.restype = None
         self._dots.argtypes = [i64] * 2 + [ptr] * 5
         self._dots.restype = None
-        self._split.argtypes = [ptr, i64, i64, i64]
-        self._split.restype = i64
         self._draw.argtypes = [ptr, i64, i64, ptr, ptr]
         self._draw.restype = None
         self._grow.argtypes = [ptr, ptr] + [i64] * 3 + [ptr] * 5 + [i64]
@@ -161,51 +157,11 @@ class _Kernel:
         return self._forest_fallback
 
     def _check_forest(self) -> str | None:
-        if not self.splits_match_numpy():
-            return "compiled splits differ from numpy's _best_split"
         if not self.draws_match_numpy():
             return "compiled feature draws differ from numpy's rng.choice"
         if not self.trees_match_python():
             return "compiled trees differ from models._grow_tree"
         return None
-
-    def splits_match_numpy(self) -> bool:
-        """Compare the compiled split search with ``models._best_split``.
-
-        Two seeded blocks of 2 and 3 classes, ``min_leaf`` 1, have repeated
-        values, signed zeros, a node inside the tree's rows, and two equal
-        best columns, so taking any maximum but the first one shows.  The
-        ``_SUM_ORDER_NODES`` (3 classes with ``min_leaf`` 2, and 9 classes)
-        show a sum of the class squares in another order than numpy's.
-        """
-        rng = np.random.default_rng(0)
-        nodes = []
-        for n_classes, min_leaf, n, start, subset in ((2, 1, 12, 0, [3, 1, 2, 0]),
-                                                      (3, 1, 9, 2, [2, 1])):
-            y = rng.integers(0, n_classes, size=n)
-            X = np.round(rng.normal(size=(n, 4)) * 2.0)
-            X[:, 1] = y + np.round(rng.normal(size=n))  # likely the best column...
-            X[:, 2] = X[:, 1]  # ...and its equal, drawn after it
-            X[:, 3] *= 0.0  # -0.0 and 0.0, equal to the sort
-            rows = rng.integers(0, n, size=n)
-            nodes.append((X, y, rows, n_classes, min_leaf, start, np.array(subset)))
-        for X, y, n_classes, min_leaf in _SUM_ORDER_NODES:
-            nodes.append((X, y, np.arange(y.size), n_classes, min_leaf, 0, np.arange(3)))
-        return all(self._split_matches(*node) for node in nodes)
-
-    def _split_matches(self, X, y, rows, n_classes, min_leaf, start, subset) -> bool:
-        """The same split of ``rows[start:]``, bit for bit, in C and in numpy."""
-        from .models import _numpy_split_search  # models is loaded by now
-
-        compiled, oracle = rows.copy(), rows.copy()
-        got = self.split_search(X, y, compiled, n_classes, min_leaf)(start, rows.size, subset)
-        want = _numpy_split_search(X, y, oracle, n_classes, min_leaf)(start, rows.size, subset)
-        if compiled.tobytes() != oracle.tobytes() or (got is None) != (want is None):
-            return False
-        if got is None:
-            return True
-        same_threshold = np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
-        return got[0] == want[0] and same_threshold and got[2:] == want[2:]
 
     def draws_match_numpy(self) -> bool:
         """Compare the compiled draws with ``rng.choice(d, size, replace=False)``.
@@ -236,30 +192,50 @@ class _Kernel:
         return out
 
     def trees_match_python(self) -> bool:
-        """Compare a seeded compiled tree with ``models._grow_tree``'s.
+        """Compare seeded compiled trees with ``models._grow_tree``'s, array for array.
 
         A rounded block of 3 classes and 11 features has repeated values,
         signed zeros, a constant column and a column of distinct values,
-        most of whose ranks are absent from a small node's histogram.
+        most of whose ranks are absent from a small node's histogram.  Two
+        seeded blocks of 2 and 3 classes have two equal best columns, both
+        drawn at the root, so a split that takes any maximum but the first
+        one shows.  The ``_SUM_ORDER_NODES`` show class squares summed in
+        another order than numpy's.  The small blocks grow one split each.
         """
         from .models import TrainConfig, _grow_tree, _preorder_tree, _subset_size
 
         data = np.random.default_rng(1)
-        n, d, n_classes, min_leaf, max_depth = 40, 11, 3, 2, 4
+        n, d = 40, 11
         X = np.round(data.normal(size=(n, d)) * 2.0)
         X[:, 0] *= 0.0  # -0.0 and 0.0
         X[:, 1] = 3.0
         X[:, -1] = data.normal(size=n)
-        y = data.integers(0, n_classes, size=n)
-        compiled, oracle = np.random.default_rng(2), np.random.default_rng(2)
-        grow = self.tree_grower(X, y, n_classes, _subset_size(d), min_leaf, max_depth)
-        got = _preorder_tree(*grow(compiled.integers(0, n, size=n), compiled))
-        cfg = TrainConfig(max_depth=max_depth, min_leaf=min_leaf)
-        want = _grow_tree(X, y, oracle.integers(0, n, size=n), oracle, n_classes, cfg)
-        for name in ("feature", "threshold", "left", "right", "counts"):
-            a, b = getattr(got, name), getattr(want, name)
-            if a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes():
+        y, rows = data.integers(0, 3, size=n), data.integers(0, n, size=n)
+        # (features, labels, bootstrap rows, classes, min_leaf, max_depth, draw seed)
+        trees = [(X, y, rows, 3, 2, 4, 2)]
+        data = np.random.default_rng(0)
+        for n_classes, n in ((2, 12), (3, 9)):
+            y = data.integers(0, n_classes, size=n)
+            X = np.round(data.normal(size=(n, 4)) * 2.0)
+            X[:, 1] = y + np.round(data.normal(size=n))  # likely the best column...
+            X[:, 2] = X[:, 1]  # ...and its equal: seed 1 draws features [1, 2]
+            X[:, 3] *= 0.0  # -0.0 and 0.0, equal to the sort
+            trees.append((X, y, data.integers(0, n, size=n), n_classes, 1, 1, 1))
+        for X, y, n_classes, min_leaf, seed in _SUM_ORDER_NODES:
+            trees.append((X, y, np.arange(y.size), n_classes, min_leaf, 1, seed))
+        for X, y, rows, n_classes, min_leaf, max_depth, seed in trees:
+            size = _subset_size(X.shape[1])
+            grow = self.tree_grower(X, y, n_classes, size, min_leaf, max_depth)
+            try:
+                got = _preorder_tree(*grow(rows.copy(), np.random.default_rng(seed)))
+            except RuntimeError:  # outgrew the buffers any tree of max_depth fits in
                 return False
+            cfg = TrainConfig(max_depth=max_depth, min_leaf=min_leaf)
+            want = _grow_tree(X, y, rows, np.random.default_rng(seed), n_classes, cfg)
+            for name in ("feature", "threshold", "left", "right", "counts"):
+                a, b = getattr(got, name), getattr(want, name)
+                if a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes():
+                    return False
         return True
 
     def runner(self, X, targets, weights, bias):
@@ -330,42 +306,6 @@ class _Kernel:
         )
         return tree, arrays
 
-    def split_search(self, X, y, rows, n_classes, min_leaf):
-        """A ``search(start, stop, subset)`` for one tree: the grower's split, node by node.
-
-        ``rows`` holds the tree's row indices; a node is its slice
-        ``rows[start:stop]`` and ``subset`` its drawn feature indices.
-        ``search`` returns None for a leaf, else ``(subset position,
-        threshold, left class counts, right class counts)``, after
-        reordering the node's rows in place into the rows going left and then
-        those going right, each in their original order.
-        ``check_tree_inputs`` names what the arrays must be.  It ranks ``X``
-        itself and calls the C split the grower calls at each node; the
-        forest's checks compare it with ``models._best_split``.
-        """
-        check_tree_inputs(X, y, rows, n_classes, min_leaf)
-        d, n = X.shape[1], rows.shape[0]
-        tree, arrays = self._bind(X, y, n, n_classes, min_leaf)
-        tree.rows = rows.ctypes.data
-        subset_buffer, child = arrays[4], arrays[5]
-        address, split = ctypes.addressof(tree), self._split
-        alive = (arrays, rows, tree)
-
-        def search(start: int, stop: int, subset: np.ndarray, _alive=alive):
-            # _alive keeps the arrays behind the pointers as long as search lives
-            if not 0 <= start < stop <= n or not 0 < subset.shape[0] <= d:
-                raise ValueError(f"expected a node inside the {n} rows and 1 to {d} features")
-            subset_buffer[: subset.shape[0]] = subset
-            i = split(address, start, stop - start, subset.shape[0])
-            if i == -2:
-                raise ValueError(f"subset {subset.tolist()} is outside the {d} features")
-            if i < 0:
-                return None
-            counts = child.tolist()
-            return i, tree.threshold, counts[:n_classes], counts[n_classes:]
-
-        return search
-
     def tree_grower(self, X, y, n_classes, n_subset, min_leaf, max_depth):
         """``grow(rows, rng)`` for one forest's trees: see ``tree_grower``."""
         check_forest_inputs(X, y, n_classes, min_leaf)
@@ -389,11 +329,7 @@ class _Kernel:
 
         def grow(rows: np.ndarray, rng: np.random.Generator, _alive=alive):
             # _alive keeps the arrays behind the pointers as long as grow lives
-            if rows.shape != (N,):
-                raise ValueError(f"expected the tree's {N} bootstrap rows")
-            _check_indices("rows", rows, N)
-            if not rows.flags.writeable:
-                raise ValueError("rows must be writeable: each split reorders a node's rows")
+            check_rows(rows, N)
             tree.rows = rows.ctypes.data
             bitgen = rng.bit_generator.ctypes.bit_generator
             n_nodes = grow_tree(address, bitgen, n_subset, max_depth, capacity, *pointers,
@@ -430,15 +366,16 @@ def check_forest_inputs(X, y, n_classes: int, min_leaf: int) -> None:
         raise ValueError(f"min_leaf must be at least 1, got {min_leaf}")
 
 
-def check_tree_inputs(X, y, rows, n_classes: int, min_leaf: int) -> None:
-    """Raise ValueError unless one tree's inputs are safe to pass as pointers.
+def check_rows(rows, n: int) -> None:
+    """Raise ValueError unless ``rows`` is one tree's ``n`` bootstrap rows, safe to pass.
 
-    ``X`` and ``y`` are as ``check_forest_inputs`` says, and ``rows`` holds
-    writeable int64 row indices in ``[0, N)``; the compiled search indexes
-    ``X``'s ranks by row.
+    ``rows`` holds ``n`` writeable int64 row indices in ``[0, n)``; the
+    compiled grower indexes the features' ranks by row and reorders the rows
+    in place, one node's slice at a time.
     """
-    check_forest_inputs(X, y, n_classes, min_leaf)
-    _check_indices("rows", rows, X.shape[0])
+    if rows.shape != (n,):
+        raise ValueError(f"expected the tree's {n} bootstrap rows")
+    _check_indices("rows", rows, n)
     if not rows.flags.writeable:
         raise ValueError("rows must be writeable: each split reorders a node's rows")
 

@@ -355,26 +355,29 @@ def _grow_tree(
     n_classes: int,
     cfg: TrainConfig,
 ) -> Tree:
-    """Grow one tree on ``rows`` depth-first in Python, one split search per node.
+    """Grow one tree on ``rows`` depth-first in Python, one ``_best_split`` per node.
 
     Nodes are taken from an explicit stack, a split node's left child before
     its right, so the tree comes out in preorder and every node draws its
     feature subset from ``rng`` in the order of a recursive grower.  A node
-    is a slice of one copy of ``rows``; its split search
-    (``_numpy_split_search``, around ``_best_split``) reorders the slice into
-    the rows going left, then right, each in their original order, and
-    returns both children's class counts.  Nothing the grower builds refers
-    back to itself, so a finished tree and its training block are freed
-    without waiting for the cyclic collector.
+    is a slice of one copy of ``rows``; a split reorders the slice into the
+    rows going left, then right, each in their original order, as the
+    compiled grower does.  Nothing the grower builds refers back to itself,
+    so a finished tree and its training block are freed without waiting for
+    the cyclic collector.
 
     ``train_forest`` grows its trees here when the compiled grower cannot be
-    built, loaded or trusted; it is also that grower's reference.  ``X``,
-    ``y`` and ``rows`` must be as ``kernel.check_tree_inputs`` says, else it
-    raises ValueError.
+    built, loaded or trusted; it is also the reference that grower's trees
+    are checked against.  ``X`` and ``y`` must be as
+    ``kernel.check_forest_inputs`` says and ``rows`` as ``kernel.check_rows``
+    says, else it raises ValueError.
     """
-    rows = rows.copy()  # each split reorders a node's rows in place
+    from .kernel import check_forest_inputs, check_rows
+
     min_leaf = cfg.min_leaf
-    search = _numpy_split_search(X, y, rows, n_classes, min_leaf)
+    check_forest_inputs(X, y, n_classes, min_leaf)
+    check_rows(rows, X.shape[0])
+    rows = rows.copy()  # each split reorders a node's rows in place
     d = X.shape[1]
     size = _subset_size(d)
     root_counts = np.bincount(y[rows], minlength=n_classes).tolist()
@@ -390,14 +393,20 @@ def _grow_tree(
         if depth >= cfg.max_depth or n < 2 * min_leaf or max(counts) == n:
             continue
         subset = rng.choice(d, size=size, replace=False)
-        split = search(start, stop, subset)
+        node = rows[start:stop]
+        labels = y[node]
+        node_counts = np.bincount(labels, minlength=n_classes)
+        split = _best_split(X[node, subset[:, None]], labels, node_counts, min_leaf)
         if split is None:
             continue
-        i, threshold, left_counts, right_counts = split
+        i, threshold, go_left = split
+        left_counts = np.bincount(labels[go_left], minlength=n_classes)
+        node[:] = np.concatenate((node[go_left], node[~go_left]))
         nodes[-1][:2] = int(subset[i]), threshold
-        middle = start + sum(left_counts)
-        stack.append((middle, stop, right_counts, depth + 1, len(nodes) - 1))
-        stack.append((start, middle, left_counts, depth + 1, -1))
+        middle = start + int(left_counts.sum())
+        stack.append((middle, stop, (node_counts - left_counts).tolist(), depth + 1,
+                      len(nodes) - 1))
+        stack.append((start, middle, left_counts.tolist(), depth + 1, -1))
     return _preorder_tree(*(np.array(column) for column in zip(*nodes)))
 
 
@@ -411,34 +420,6 @@ def _preorder_tree(feature, threshold, right, counts) -> Tree:
     # preorder puts a split node's left child right after it
     left = np.where(feature >= 0, np.arange(1, feature.size + 1), -1)
     return Tree(feature, threshold, left, right, counts)
-
-
-def _numpy_split_search(
-    X: np.ndarray, y: np.ndarray, rows: np.ndarray, n_classes: int, min_leaf: int
-):
-    """``_grow_tree``'s split search in numpy: a ``search(start, stop, subset)``.
-
-    It returns what ``kernel._Kernel.split_search``'s does, through ``_best_split``,
-    and reorders ``rows[start:stop]`` in place the same way; it is the
-    reference the compiled split search is checked against.
-    """
-    from .kernel import check_tree_inputs
-
-    check_tree_inputs(X, y, rows, n_classes, min_leaf)
-
-    def search(start: int, stop: int, subset: np.ndarray):
-        node = rows[start:stop]
-        labels = y[node]
-        counts = np.bincount(labels, minlength=n_classes)
-        split = _best_split(X[node, subset[:, None]], labels, counts, min_leaf)
-        if split is None:
-            return None
-        i, threshold, go_left = split
-        left_counts = np.bincount(labels[go_left], minlength=n_classes)
-        node[:] = np.concatenate((node[go_left], node[~go_left]))
-        return i, threshold, left_counts.tolist(), (counts - left_counts).tolist()
-
-    return search
 
 
 def _best_split(
@@ -510,6 +491,10 @@ def train_forest(train: EncodedDataset, cfg: TrainConfig) -> Forest:
       ``_best_split``'s expressions, rounded as numpy rounds them;
     - Python (``_grow_tree``), when the kernel cannot be built, loaded or
       trusted.
+
+    The first call in a process checks the compiled draws against
+    ``rng.choice`` and seeded compiled trees against ``_grow_tree``'s; if
+    either differs, the forest runs Python.
     """
     _check_train_inputs(train)
     X = np.ascontiguousarray(train.features, dtype=np.float64)

@@ -296,45 +296,108 @@ def test_grow_tree_stops_on_purity_and_min_leaf():
 
 
 def test_grow_tree_leaf_when_drawn_subset_is_constant():
-    # every feature separates the classes except the three the root draws
-    d = 9
-    subset = np.random.default_rng(4).choice(d, size=3, replace=False)
-    X = np.tile(np.arange(8.0)[:, None], (1, d))
-    X[:, subset] = 1.0
-    y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-    rng = np.random.default_rng(4)
-    tree = _grow(X, y, np.arange(8), rng, 2, TrainConfig(max_depth=5, min_leaf=1))
-    assert tree.feature.tolist() == [-1] and tree.counts[0].tolist() == [4, 4]
-    drawn = np.random.default_rng(4)
-    drawn.choice(d, size=3, replace=False)
-    assert rng.bit_generator.state == drawn.bit_generator.state
+    # every feature separates the classes except those the root draws: at
+    # seed 4 three of nine, at seed 0 two of three
+    for d, seed in ((9, 4), (3, 0)):
+        size = _subset_size(d)
+        subset = np.random.default_rng(seed).choice(d, size=size, replace=False)
+        X = np.tile(np.arange(8.0)[:, None], (1, d))
+        X[:, subset] = 1.0
+        y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+        rng = np.random.default_rng(seed)
+        tree = _grow(X, y, np.arange(8), rng, 2, TrainConfig(max_depth=5, min_leaf=1))
+        assert tree.feature.tolist() == [-1] and tree.counts[0].tolist() == [4, 4]
+        drawn = np.random.default_rng(seed)
+        drawn.choice(d, size=size, replace=False)
+        assert rng.bit_generator.state == drawn.bit_generator.state
 
 
 def test_grow_tree_equal_gains_take_the_earlier_drawn_feature():
-    # column c is (c + 1) * [1, 2, 3, 4]: every column splits the rows alike,
-    # at threshold 2.5 * (c + 1); the root of seed 5 draws [3, 2]
-    X = np.arange(1.0, 5.0)[:, None] * np.arange(1.0, 5.0)[None, :]
-    y = np.array([0, 0, 1, 1])
+    # column c is (c + 1) * [1, 2, .., n]: every column splits the rows alike,
+    # at threshold (n + 1) / 2 * (c + 1); the root of seed 5 draws [3, 2] of
+    # four, seeds 0 and 1 draw [1, 2] and [0, 1] of three
     assert np.random.default_rng(5).choice(4, size=2, replace=False).tolist() == [3, 2]
     cfg = TrainConfig(max_depth=1, min_leaf=1)
-    tree = _grow(X, y, np.arange(4), np.random.default_rng(5), 2, cfg)
-    assert tree.feature[0] == 3
-    assert tree.threshold[0] == 10.0
+    for n, d, seed in ((4, 4, 5), (6, 3, 0), (6, 3, 1)):
+        X = np.arange(1.0, n + 1)[:, None] * np.arange(1.0, d + 1)[None, :]
+        y = np.repeat([0, 1], n // 2)
+        first = np.random.default_rng(seed).choice(d, size=_subset_size(d), replace=False)[0]
+        tree = _grow(X, y, np.arange(n), np.random.default_rng(seed), 2, cfg)
+        assert tree.feature[0] == first
+        assert tree.threshold[0] == (n + 1) / 2 * (first + 1)
 
 
 def test_grow_tree_at_twice_min_leaf_splits_only_at_the_middle():
-    # unconstrained, the best cut isolates row 0; min_leaf 3 of 6 rows
-    # leaves only the 3 | 3 cut
+    # unconstrained, the best cut isolates the class-0 row; min_leaf 3 of 6
+    # rows leaves only the 3 | 3 cut, whatever order the rows come in
     cfg = TrainConfig(max_depth=1, min_leaf=3)
-    y = np.array([0, 1, 1, 1, 1, 1])
     rng = np.random.default_rng(0)
-    tree = _grow(np.arange(1.0, 7.0)[:, None], y, np.arange(6), rng, 2, cfg)
-    assert tree.threshold[0] == 3.5
-    assert tree.counts[tree.left[0]].tolist() == [1, 2]
-    assert tree.counts[tree.right[0]].tolist() == [0, 3]
-    # equal values either side of the middle cut: no valid cut at all
-    tied = np.array([[1.0], [2.0], [3.0], [3.0], [5.0], [6.0]])
-    assert _grow(tied, y, np.arange(6), rng, 2, cfg).feature.tolist() == [-1]
+    for x, y, tied in (
+        ([1.0, 2, 3, 4, 5, 6], [0, 1, 1, 1, 1, 1], [1.0, 2, 3, 3, 5, 6]),
+        ([4.0, 1, 6, 2, 3, 5], [1, 0, 1, 1, 1, 1], [3.0, 1, 6, 2, 3, 5]),
+    ):
+        y = np.array(y)
+        tree = _grow(np.array(x)[:, None], y, np.arange(6), rng, 2, cfg)
+        assert tree.threshold[0] == 3.5
+        assert tree.counts[tree.left[0]].tolist() == [1, 2]
+        assert tree.counts[tree.right[0]].tolist() == [0, 3]
+        # equal values either side of the middle cut: no valid cut at all
+        tree = _grow(np.array(tied)[:, None], y, np.arange(6), rng, 2, cfg)
+        assert tree.feature.tolist() == [-1]
+
+
+def test_grow_tree_no_positive_gain_gives_a_leaf():
+    # each side of the only cut holds one row of each class: gain exactly 0
+    X = np.array([[1.0], [1.0], [2.0], [2.0]])
+    cfg = TrainConfig(max_depth=3, min_leaf=1)
+    tree = _grow(X, np.array([0, 1, 1, 0]), np.arange(4), np.random.default_rng(0), 2, cfg)
+    assert tree.feature.tolist() == [-1]
+
+
+def test_grow_tree_signed_zero_ties_split_alike():
+    # the children split again on the rows the root's split sent them
+    X = np.array([[0.0], [-0.0], [1.0], [-0.0], [0.0], [2.0], [-1.0], [-0.0]])
+    y = np.array([0, 1, 1, 0, 0, 1, 1, 0])
+    rows = np.array([1, 0, 4, 3, 2, 5, 7, 6])
+    for min_leaf in (1, 2):
+        cfg = TrainConfig(max_depth=3, min_leaf=min_leaf)
+        tree = _grow(X, y, rows, np.random.default_rng(0), 2, cfg)
+        assert tree.feature[0] == 0
+
+
+def test_grow_tree_midpoint_rounding_up_to_hi_falls_back_to_lo():
+    lo = np.nextafter(1.0, 2.0)
+    hi = np.nextafter(lo, 2.0)
+    assert (lo + hi) / 2.0 == hi  # the midpoint of adjacent floats rounds up here
+    X = np.array([[lo], [lo], [hi], [hi]])
+    cfg = TrainConfig(max_depth=1, min_leaf=1)
+    tree = _grow(X, np.array([0, 0, 1, 1]), np.arange(4), np.random.default_rng(0), 2, cfg)
+    assert tree.threshold[0].tobytes() == lo.tobytes()
+    assert tree.counts[tree.left[0]].tolist() == [2, 0]
+    assert tree.counts[tree.right[0]].tolist() == [0, 2]
+
+
+def test_grow_tree_class_squares_sum_in_numpys_order():
+    # these nodes split elsewhere when the class squares are summed in
+    # another order: numpy sums three as (a0 + a1) + a2 and nine with its
+    # eight-way unrolled pairwise sum
+    nodes = kernel._SUM_ORDER_NODES
+    for (X, y, n_classes, min_leaf, seed), want in zip(nodes, [(0, -1.5), (2, -0.5)]):
+        cfg = TrainConfig(max_depth=1, min_leaf=min_leaf)
+        tree = _grow(X, y, np.arange(y.size), np.random.default_rng(seed), n_classes, cfg)
+        assert (tree.feature[0], tree.threshold[0]) == want
+
+
+def test_grow_tree_three_and_nine_classes_on_repeated_values():
+    # nine classes reach numpy's unrolled pairwise sum over the class squares
+    rng = np.random.default_rng(3)
+    for n_classes in (3, 9):
+        for trial in range(20):
+            n = int(rng.integers(4, 60))
+            X = np.round(rng.normal(size=(n, 6)) * 1.5)
+            y = rng.integers(0, n_classes, size=n)
+            cfg = TrainConfig(max_depth=2 + trial % 3, min_leaf=1 + trial % 3)
+            _grow(X, y, rng.integers(0, n, size=n), rng, n_classes, cfg)
 
 
 @pytest.mark.parametrize(
@@ -345,6 +408,11 @@ def test_grow_tree_at_twice_min_leaf_splits_only_at_the_middle():
         test_grow_tree_leaf_when_drawn_subset_is_constant,
         test_grow_tree_equal_gains_take_the_earlier_drawn_feature,
         test_grow_tree_at_twice_min_leaf_splits_only_at_the_middle,
+        test_grow_tree_no_positive_gain_gives_a_leaf,
+        test_grow_tree_signed_zero_ties_split_alike,
+        test_grow_tree_midpoint_rounding_up_to_hi_falls_back_to_lo,
+        test_grow_tree_class_squares_sum_in_numpys_order,
+        test_grow_tree_three_and_nine_classes_on_repeated_values,
     ],
     ids=lambda case: case.__name__.removeprefix("test_grow_tree_"),
 )

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
+import shutil
 import stat
 import subprocess
 from pathlib import Path
@@ -233,18 +235,34 @@ def test_build_lacking_a_symbol_falls_back_once_with_the_same_bytes(
     _assert_oracle_bytes()
 
 
-@requires_cc
-def test_a_split_search_taking_the_last_maximum_is_refused(fresh_cache, tmp_path, monkeypatch):
+# C mutants of the split that a tree of the forest's check must catch:
+# (C source, its mutant)
+_SPLIT_MUTANTS = {
     # ">=" keeps the last of equal gains, and a zero gain, where numpy's
     # argmax and "> 0" keep the first positive one
+    "last_maximum": ("if (gain > best)", "if (gain >= best)"),
+    # below 8 classes numpy sums the class squares left to right
+    "squares_summed_right_to_left": (
+        "for (int64_t i = 0; i < n; i++)\n            res += a[i];",
+        "for (int64_t i = n - 1; i >= 0; i--)\n            res += a[i];",
+    ),
+    # from 8 classes numpy sums them in eight interleaved partial sums
+    "squares_summed_without_the_unroll": ("if (n < 8) {", "if (n <= 128) {"),
+}
+
+
+@requires_cc
+@pytest.mark.parametrize("mutant", sorted(_SPLIT_MUTANTS))
+def test_a_split_unlike_best_split_puts_only_the_forest_on_python(
+    mutant, fresh_cache, tmp_path, monkeypatch
+):
     source = kernel.SOURCE.read_text(encoding="utf-8")
-    first, last = "if (gain > best)", "if (gain >= best)"
-    assert source.count(first) == 1
-    mutated = tmp_path / "last_maximum.c"
-    mutated.write_text(source.replace(first, last), encoding="utf-8")
+    original, mutated_text = _SPLIT_MUTANTS[mutant]
+    assert source.count(original) == 1
+    mutated = tmp_path / f"{mutant}.c"
+    mutated.write_text(source.replace(original, mutated_text), encoding="utf-8")
     monkeypatch.setattr(kernel, "SOURCE", mutated)
-    reason = "compiled splits differ from numpy's _best_split"
-    assert kernel_path() == f"python for train_forest: {reason}"
+    assert kernel_path() == "python for train_forest: compiled trees differ from models._grow_tree"
     assert kernel.load() is not None  # the SVM epoch passed its check and stays compiled
     _assert_oracle_bytes()
 
@@ -283,6 +301,24 @@ def test_a_grower_that_differs_from_python_puts_only_the_forest_on_python(
 
 
 @requires_cc
+def test_a_grower_that_outgrows_its_buffers_puts_only_the_forest_on_python(
+    fresh_cache, tmp_path, monkeypatch
+):
+    # a grower that splits past max_depth overflows a shallow tree's buffers
+    def overflowing_grower(*args):
+        def grow(rows, rng):
+            raise RuntimeError("a tree outgrew its node or stack buffer")
+
+        return grow
+
+    monkeypatch.setattr(kernel._Kernel, "tree_grower", overflowing_grower)
+    reason = "compiled trees differ from models._grow_tree"
+    assert kernel_path() == f"python for train_forest: {reason}"
+    assert kernel.load() is not None  # the SVM epoch stays compiled
+    _assert_oracle_bytes()
+
+
+@requires_cc
 def test_svm_training_runs_no_forest_check(monkeypatch):
     monkeypatch.setattr(kernel, "_loaded", None)  # loads the session's cached build
     checks = []
@@ -295,6 +331,23 @@ def test_svm_training_runs_no_forest_check(monkeypatch):
         train_forest(data, TrainConfig(n_trees=2, max_depth=3, seed=seed))
     assert checks == [1]  # at the first forest only
     assert kernel_path() == "compiled" and checks == [1]
+
+
+def test_the_exported_symbols_are_the_bound_ones(monkeypatch):
+    # every top-level definition of a fedtab_ function that is not static
+    source = kernel.SOURCE.read_text(encoding="utf-8")
+    exported = re.findall(r"^(?!static\b)\w[\w ]*\b(fedtab_\w+)\(", source, re.MULTILINE)
+    assert sorted(exported) == sorted(kernel.SYMBOLS)
+    nm = shutil.which("nm")
+    if nm is not None and kernel.load() is not None:  # the dynamic symbols of the built file
+        # reopened from the cache: a fresh build is loaded under its temporary name
+        monkeypatch.setattr(kernel, "_loaded", None)
+        table = subprocess.run([nm, "-D", "--defined-only", kernel.load()._lib._name],
+                               capture_output=True, text=True, check=True).stdout
+        built = [line.split()[-1] for line in table.splitlines()]
+        assert sorted(name for name in built if name.startswith("fedtab_")) == sorted(
+            kernel.SYMBOLS
+        )
 
 
 def test_the_loaded_source_ships_as_package_data():

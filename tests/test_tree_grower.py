@@ -4,12 +4,14 @@
 node by node in Python (``models._grow_tree``) where they do not.  Both must
 give the same bytes on every input: the C grower draws each node's features
 from the tree's own generator as ``rng.choice`` does, and counts classes
-over value ranks where Python sorts each node's values.
+over value ranks where Python sorts each node's values.  Both must refuse
+inputs the C code would index out of bounds.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ import pytest
 from _oracles import assert_same_tree_bytes
 from fedtab import kernel
 from fedtab.dataset import EncodedDataset
-from fedtab.models import TrainConfig, train_forest
+from fedtab.models import TrainConfig, _grow_tree, train_forest
 
 
 @pytest.fixture
@@ -87,3 +89,67 @@ def test_ranks_ignore_how_ties_and_signed_zeros_sort(compiled):
     assert ranks.tolist() == [[1, 1, 0, 1, 2, 1], [0] * 6]
     assert offsets.tolist() == [0, 3, 4]
     assert values.tolist() == [-1.5, 0.0, 4.0, 2.0]  # the zero's sign is whichever sorts first
+
+
+def _bad_tree_inputs():
+    X, y, rows = np.arange(12.0).reshape(6, 2), np.array([0, 1, 0, 1, 0, 1]), np.arange(6)
+    nan = X.copy()
+    nan[2, 1] = np.nan
+    inf = X.copy()
+    inf[0, 0] = -np.inf
+    read_only = rows.copy()
+    read_only.flags.writeable = False
+    # (features, labels, bootstrap rows, min_leaf, error message)
+    return {
+        "fortran_features": (np.asfortranarray(X), y, rows, 1, "C-contiguous"),
+        "float32_features": (X.astype(np.float32), y, rows, 1, "C-contiguous"),
+        "nan_feature": (nan, y, rows, 1, "finite"),
+        "infinite_feature": (inf, y, rows, 1, "finite"),
+        "int32_labels": (X, y.astype(np.int32), rows, 1, "labels must be"),
+        "label_past_n_classes": (
+            X, np.array([0, 1, 2, 1, 0, 1]), rows, 1, r"labels must lie in \[0, 2\)"
+        ),
+        "negative_label": (X, np.array([0, -1, 0, 1, 0, 1]), rows, 1, r"labels must lie"),
+        "short_labels": (X, y[:5], rows, 1, "expected 6 labels"),
+        "row_past_the_end": (
+            X, y, np.array([0, 6, 1, 2, 3, 4]), 1, r"rows must lie in \[0, 6\)"
+        ),
+        "negative_row": (X, y, np.array([-1, 0, 1, 2, 3, 4]), 1, r"rows must lie"),
+        "float_rows": (X, y, rows.astype(np.float64), 1, "rows must be"),
+        "short_rows": (X, y, rows[:5], 1, "expected the tree's 6 bootstrap rows"),
+        "read_only_rows": (X, y, read_only, 1, "rows must be writeable"),
+        "min_leaf_zero": (X, y, rows, 0, "min_leaf must be at least 1"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_tree_inputs()))
+def test_grow_tree_refuses_what_the_kernel_would_misread(case, each_path):
+    X, y, rows, min_leaf, message = _bad_tree_inputs()[case]
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=message):
+        if each_path == "compiled":
+            kernel.load().tree_grower(X, y, 2, 1, min_leaf, 3)(rows, rng)
+        else:
+            # TrainConfig itself refuses min_leaf 0; _grow_tree reads only these two
+            cfg = SimpleNamespace(max_depth=3, min_leaf=min_leaf)
+            _grow_tree(X, y, rows, rng, 2, cfg)
+
+
+def test_compiled_grower_refuses_rows_or_a_subset_it_would_misread(compiled):
+    X, y = np.arange(12.0).reshape(6, 2), np.array([0, 1, 0, 1, 0, 1])
+    for n_subset in (-1, 3):
+        with pytest.raises(ValueError, match="n_subset <= d"):
+            compiled.tree_grower(X, y, 2, n_subset, 1, 3)
+    grow = compiled.tree_grower(X, y, 2, 1, 1, 3)
+    # the grower partitions exactly the forest's N rows, in place
+    for rows in (np.arange(5), np.arange(7), np.arange(6).reshape(2, 3)):
+        with pytest.raises(ValueError, match="expected the tree's 6 bootstrap rows"):
+            grow(rows, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="rows must be a C-contiguous"):
+        grow(np.arange(12)[::2], np.random.default_rng(0))
+    read_only = np.arange(6)
+    read_only.flags.writeable = False
+    with pytest.raises(ValueError, match="rows must be writeable"):
+        grow(read_only, np.random.default_rng(0))
+    feature, threshold, right, counts = grow(np.arange(6), np.random.default_rng(0))
+    assert feature[0] >= 0 and counts[0].tolist() == [3, 3]
