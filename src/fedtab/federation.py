@@ -116,14 +116,15 @@ def aggregate_forests(forests: list[Forest]) -> Forest:
     return Forest(trees, head.n_classes, head.n_features)
 
 
-def evaluate_global(model: Model, partitions: list[ClientPartition]) -> MetricsReport:
-    """Evaluate one model on the pooled, untouched client test sets."""
-    if not partitions:
-        raise EmptyInputError("no partitions to evaluate on")
-    pooled = concat_datasets([p.test for p in partitions])
-    scores = predict_scores(model, pooled.features)
+def evaluate_global(model: Model, test: EncodedDataset) -> MetricsReport:
+    """Score one model on ``test``, the pooled, untouched client test sets.
+
+    ``run_federated`` pools them once per run and passes the same set to
+    every round's call.
+    """
+    scores = predict_scores(model, test.features)
     pred = np.argmax(scores, axis=1).astype(np.int64)  # ties to the lowest class, as predict_labels
-    return compute_report(pred, pooled.labels, scores, pooled.n_classes)
+    return compute_report(pred, test.labels, scores, test.n_classes)
 
 
 def _train_local(
@@ -173,6 +174,11 @@ def run_federated(
     With ``local_accuracy=False`` no local model predicts its training rows
     and every record's ``local_train_accuracy`` is empty; ``round_one`` must
     then be None, since its entries carry the accuracy.
+
+    Every round's global model is scored by ``evaluate_global`` on the
+    client test sets pooled in client order.  The pool is built once, when
+    round one's models are trained; a one-client run (a central cell)
+    scores that client's test set itself, uncopied.
     """
     if not local_accuracy and round_one is not None:
         raise ValueError("round_one holds local accuracies: pass None without them")
@@ -189,6 +195,7 @@ def run_federated(
         client_data.append(data)
         flip_cfgs.append(flip_cfg)
 
+    pooled_test: EncodedDataset | None = None
     global_model: Model | None = None
     counts = [p.train.n_samples for p in partitions]
     trained_rounds = 1 if cfg.model_kind == "forest" else cfg.rounds
@@ -215,12 +222,17 @@ def run_federated(
             global_model = aggregate_forests(locals_)
         else:
             global_model = aggregate_parametric(locals_, counts)
+        if pooled_test is None:  # after round one trains: no client forest grows beside the pool
+            if len(partitions) == 1:
+                pooled_test = partitions[0].test
+            else:
+                pooled_test = concat_datasets([p.test for p in partitions])
         log.records.append(
             RoundRecord(
                 round_index=round_index,
                 train_counts=tuple(counts),
                 local_train_accuracy=tuple(local_acc) if local_accuracy else (),
-                global_metrics=evaluate_global(global_model, partitions),
+                global_metrics=evaluate_global(global_model, pooled_test),
             )
         )
     log.records.extend(

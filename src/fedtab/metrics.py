@@ -8,8 +8,13 @@ matrix) with exact tie and edge-case semantics:
   truth vector, with 0/0 ratios defined as 0,
 - AUC is the probability that a uniformly random positive scores above a
   uniformly random negative, ties counting one half.  The implementation
-  uses the rank-sum identity, which equals the pairwise definition exactly
-  (ranks of ties are averaged, so each tied pair contributes exactly 0.5).
+  uses the rank-sum identity U = R+ - n+ (n+ + 1) / 2, where R+ sums the
+  positives' ranks and tied scores share the mean of their rank range, so
+  each tied pair contributes exactly 0.5.  Ranks come from one sort per
+  score column and are kept doubled: a tie group of c values starting at
+  0-based sorted position p has twice-mean-rank 2p + c + 1, an integer.
+  So 2U is an exact integer and the AUC is one division of the exact
+  half-integer U by n+ n-, the same float the pairwise count gives.
 """
 
 from __future__ import annotations
@@ -131,6 +136,22 @@ def accuracy(pred, truth) -> float:
     return 100.0 * float(np.mean(p == t))
 
 
+def _recall_of(cm: np.ndarray) -> float:
+    support = cm.sum(axis=1)
+    present = support > 0
+    per_class = cm.diagonal()[present] / support[present]
+    return float(np.mean(per_class))
+
+
+def _f1_of(cm: np.ndarray) -> float:
+    tp = cm.diagonal().astype(np.float64)
+    support = cm.sum(axis=1)
+    predicted = cm.sum(axis=0)
+    present = support > 0
+    per_class = 2.0 * tp[present] / (support + predicted)[present]
+    return float(np.mean(per_class))
+
+
 def recall_macro(pred, truth, n_classes: int) -> float:
     """Mean per-class recall over the classes present in truth."""
     small = _small_pair(pred, truth)
@@ -145,11 +166,7 @@ def recall_macro(pred, truth, n_classes: int) -> float:
                 present += 1
         return total / present
     p, t = _check_pair(pred, truth)
-    cm = _confusion(p, t, n_classes)
-    support = cm.sum(axis=1)
-    present = support > 0
-    per_class = cm.diagonal()[present] / support[present]
-    return float(np.mean(per_class))
+    return _recall_of(_confusion(p, t, n_classes))
 
 
 def f1_macro(pred, truth, n_classes: int) -> float:
@@ -168,33 +185,27 @@ def f1_macro(pred, truth, n_classes: int) -> float:
                 present += 1
         return total / present
     p, t = _check_pair(pred, truth)
-    cm = _confusion(p, t, n_classes)
-    tp = cm.diagonal().astype(np.float64)
-    support = cm.sum(axis=1)
-    predicted = cm.sum(axis=0)
-    present = support > 0
-    per_class = 2.0 * tp[present] / (support + predicted)[present]
-    return float(np.mean(per_class))
-
-
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the mean of their rank range."""
-    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    # value with count c starting at 0-based sorted position p has mean rank p + (c + 1) / 2
-    mean_rank = starts + (counts + 1) / 2.0
-    return mean_rank[inverse]
+    return _f1_of(_confusion(p, t, n_classes))
 
 
 def _binary_auc(scores: np.ndarray, positive: np.ndarray) -> float | None:
     """AUC for one positive-vs-rest column, or None when it is undefined."""
-    n_pos = int(positive.sum())
-    n_neg = positive.size - n_pos
+    n = positive.size
+    n_pos = int(np.count_nonzero(positive))
+    n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = _average_ranks(scores)
-    u = float(np.sum(ranks[positive])) - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+    order = np.argsort(scores)
+    sv = scores[order]
+    # tie groups of the sorted scores (-0.0 == 0.0): their starts, then n
+    edge = np.ones(n + 1, dtype=bool)
+    np.not_equal(sv[1:], sv[:-1], out=edge[1:n])
+    bounds = np.flatnonzero(edge)
+    lo, hi = bounds[:-1], bounds[1:]
+    # a group of c = hi - lo values has twice-mean-rank 2 lo + c + 1 = lo + hi + 1
+    twice_rank = np.repeat(lo + hi + 1, hi - lo)
+    twice_u = int(twice_rank[positive[order]].sum()) - n_pos * (n_pos + 1)
+    return (twice_u / 2) / (n_pos * n_neg)
 
 
 def auc_roc(scores, truth, n_classes: int) -> float:
@@ -213,6 +224,11 @@ def auc_roc(scores, truth, n_classes: int) -> float:
         raise ValueError(f"n_classes must be at least 2, got {n_classes}")
     if t.min() < 0 or t.max() >= n_classes:
         raise ValueError("truth labels outside [0, n_classes)")
+    return _auc(scores, t, n_classes)
+
+
+def _auc(scores, t: np.ndarray, n_classes: int) -> float:
+    """auc_roc for labels already checked to lie in [0, n_classes)."""
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim == 2 and s.shape[1] == 1:
         s = s[:, 0]
@@ -246,12 +262,25 @@ def auc_roc(scores, truth, n_classes: int) -> float:
 
 
 def compute_report(pred, truth, scores, n_classes: int) -> MetricsReport:
-    """Bundle the four metrics for one prediction set."""
+    """Bundle the four metrics for one prediction set.
+
+    The labels are checked once.  Above ``_SMALL`` rows recall and F1 share
+    one confusion matrix; at or below it the three label metrics take their
+    own small-input path, as when called alone.
+    """
     p, t = _check_pair(pred, truth)
+    if t.shape[0] > _SMALL:
+        cm = _confusion(p, t, n_classes)
+        accuracy_pct = 100.0 * float(np.mean(p == t))
+        recall, f1 = _recall_of(cm), _f1_of(cm)
+    else:
+        accuracy_pct = accuracy(p, t)
+        recall = recall_macro(p, t, n_classes)
+        f1 = f1_macro(p, t, n_classes)
     return MetricsReport(
-        accuracy_pct=accuracy(p, t),
-        recall=recall_macro(p, t, n_classes),
-        f1=f1_macro(p, t, n_classes),
-        auc_roc=auc_roc(scores, t, n_classes),
+        accuracy_pct=accuracy_pct,
+        recall=recall,
+        f1=f1,
+        auc_roc=_auc(scores, t, n_classes),
         n_samples=int(t.shape[0]),
     )

@@ -154,9 +154,23 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """Each row's max as an (n, 1) column, folded over the columns.
+
+    Equals ``z.max(axis=1, keepdims=True)`` except that a row whose max is
+    both -0.0 and 0.0 may get either zero; ``z - max`` then differs only in
+    the sign of a zero, which ``exp`` maps to 1 either way.  A few
+    column-wise ``np.maximum`` calls cost far less than numpy's reduction
+    over narrow rows.
+    """
+    top = z[:, 0].copy()
+    for j in range(1, z.shape[1]):
+        np.maximum(top, z[:, j], out=top)
+    return top[:, None]
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(shifted)
+    ez = np.exp(z - _row_max(z))
     return ez / ez.sum(axis=1, keepdims=True)
 
 
@@ -170,7 +184,7 @@ def logistic_loss(model: LinearModel, X: np.ndarray, y: np.ndarray, l2: float) -
         ce = np.maximum(margin, 0.0) - margin * target + np.log1p(np.exp(-np.abs(margin)))
         data_term = float(np.mean(ce))
     else:
-        logz = z - z.max(axis=1, keepdims=True)
+        logz = z - _row_max(z)
         log_norm = np.log(np.exp(logz).sum(axis=1))
         data_term = float(np.mean(log_norm - logz[np.arange(y.shape[0]), y]))
     return data_term + 0.5 * l2 * float(np.sum(model.weights**2))

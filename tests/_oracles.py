@@ -82,6 +82,40 @@ def naive_auc(scores, truth, n_classes: int) -> float | None:
     return sum(per_class) / len(per_class)
 
 
+def unique_rank_auc(scores, truth, n_classes: int) -> float | None:
+    """Macro one-vs-rest AUC on ``np.unique`` average ranks, the old float form.
+
+    Each column's ranks come from ``np.unique`` (tied values share the mean
+    of their rank range, a half-integer float), the positives' ranks are
+    summed as floats and U is divided by n+ n-.  The class AUCs are then
+    averaged with ``np.mean`` as ``auc_roc`` does.  None when undefined.
+    """
+    s = np.asarray(scores, dtype=np.float64)
+    t = np.asarray(truth)
+    per_class = []
+    for c in range(n_classes):
+        positive = t == c
+        n_pos = int(positive.sum())
+        n_neg = positive.size - n_pos
+        if n_pos == 0 or n_neg == 0:
+            continue
+        _, inverse, counts = np.unique(s[:, c], return_inverse=True, return_counts=True)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        ranks = (starts + (counts + 1) / 2.0)[inverse]
+        u = float(np.sum(ranks[positive])) - n_pos * (n_pos + 1) / 2.0
+        per_class.append(u / (n_pos * n_neg))
+    if not per_class:
+        return None
+    return float(np.mean(per_class))
+
+
+def reduction_softmax(z):
+    """Softmax shifted by numpy's ``max(axis=1)`` row reduction."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    ez = np.exp(shifted)
+    return ez / ez.sum(axis=1, keepdims=True)
+
+
 def exact_weighted_average(vectors, counts):
     """Fraction-exact FedAvg of plain float lists; returns floats."""
     total = sum(counts)

@@ -123,8 +123,8 @@ def test_aggregate_forests_unions_trees(partitions):
 
 def test_evaluate_global_matches_manual_concat(partitions):
     model = train_logreg(partitions[0].train, TrainConfig(learning_rate=0.1, epochs=50, l2=1e-3))
-    report = evaluate_global(model, partitions)
     pooled = concat_datasets([p.test for p in partitions])
+    report = evaluate_global(model, pooled)
     manual = compute_report(
         predict_labels(model, pooled.features),
         pooled.labels,
@@ -194,6 +194,48 @@ def test_forest_rounds_only_extend_the_log(partitions, monkeypatch):
     for record in log.records[1:]:
         assert record.global_metrics == first.global_metrics
         assert record.local_train_accuracy == first.local_train_accuracy
+
+
+def _count_pooling(monkeypatch):
+    """Count concat_datasets calls and record each evaluate_global's test set."""
+    concat_calls, scored = [], []
+
+    def counted_concat(parts):
+        concat_calls.append(len(parts))
+        return concat_datasets(parts)
+
+    def recorded_evaluate(model, test):
+        scored.append(test)
+        return evaluate_global(model, test)
+
+    monkeypatch.setattr(federation, "concat_datasets", counted_concat)
+    monkeypatch.setattr(federation, "evaluate_global", recorded_evaluate)
+    return concat_calls, scored
+
+
+def test_linear_run_pools_the_test_sets_once(partitions, monkeypatch):
+    concat_calls, scored = _count_pooling(monkeypatch)
+    model, log = run_federated(partitions, _fed_cfg("logistic", rounds=5, local_epochs=2))
+    assert concat_calls == [3]
+    assert len(scored) == 5
+    assert all(test is scored[0] for test in scored)
+    pooled = concat_datasets([p.test for p in partitions])  # client order
+    assert np.array_equal(scored[0].features, pooled.features)
+    assert np.array_equal(scored[0].labels, pooled.labels)
+    assert log.records[-1].global_metrics == evaluate_global(model, pooled)
+
+
+def test_one_partition_run_scores_its_own_test_set(partitions, monkeypatch):
+    concat_calls, scored = _count_pooling(monkeypatch)
+    run_federated([partitions[1]], _fed_cfg("svm", rounds=3, local_epochs=2))
+    assert concat_calls == []
+    assert len(scored) == 3
+    assert all(test is partitions[1].test for test in scored)
+
+
+def test_run_federated_rejects_no_partitions():
+    with pytest.raises(EmptyInputError):
+        run_federated([], _fed_cfg("logistic", rounds=1, local_epochs=1))
 
 
 @pytest.mark.parametrize("poisoned", [False, True], ids=["clean", "poisoned"])

@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _oracles import naive_accuracy, naive_auc, naive_f1_macro, naive_recall_macro
+from _oracles import (
+    naive_accuracy,
+    naive_auc,
+    naive_auc_binary,
+    naive_f1_macro,
+    naive_recall_macro,
+    unique_rank_auc,
+)
 from fedtab.errors import (
     EmptyInputError,
     LengthMismatchError,
@@ -115,6 +122,80 @@ def test_compute_report_bundles_all_four():
     assert report.f1 == f1_macro(pred, truth, 2)
     assert report.auc_roc == auc_roc(scores, truth, 2)
     assert report.n_samples == 4
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 300])
+@pytest.mark.parametrize("n_classes", [2, 3, 5])
+def test_compute_report_equals_the_metrics_called_alone(n, n_classes):
+    rng = np.random.default_rng(n * 10 + n_classes)
+    truth = rng.integers(0, n_classes, n)
+    pred = np.where(rng.random(n) < 0.6, truth, rng.integers(0, n_classes, n))
+    scores = np.round(rng.random((n, n_classes)), 2)
+    report = compute_report(pred, truth, scores, n_classes)
+    assert report == MetricsReport(
+        accuracy_pct=accuracy(pred, truth),
+        recall=recall_macro(pred, truth, n_classes),
+        f1=f1_macro(pred, truth, n_classes),
+        auc_roc=auc_roc(scores if n_classes > 2 else scores[:, 1], truth, n_classes),
+        n_samples=n,
+    )
+
+
+@pytest.mark.parametrize("n", [4, 100])
+def test_compute_report_rejects_labels_out_of_range(n):
+    truth = np.zeros(n, dtype=np.int64)
+    truth[1] = 1
+    scores = np.zeros((n, 2))
+    for pred_bad, truth_bad in ((2, None), (-1, None), (None, 2)):
+        pred, labels = truth.copy(), truth.copy()
+        if pred_bad is not None:
+            pred[0] = pred_bad
+        if truth_bad is not None:
+            labels[0] = truth_bad
+        with pytest.raises(ValueError):
+            compute_report(pred, labels, scores, 2)
+
+
+def _binary_auc_cases():
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        n = int(rng.integers(2, 200))
+        truth = rng.integers(0, 2, n)
+        yield np.round(rng.random(n), int(rng.integers(0, 3))), truth  # rounded: many ties
+        yield rng.random(n), truth
+    truth = np.array([0, 1, 1, 0, 1, 0, 0])
+    yield np.full(7, 0.25), truth  # one tie group
+    yield np.array([-0.0, 0.0, 0.0, -0.0, 1.0, -1.0, 0.0]), truth  # signed zeros tie
+    yield np.array([0.3, 0.1, 0.3, 0.2, 0.9, 0.3, 0.0]), np.array([0, 0, 1, 0, 0, 0, 0])
+    yield np.array([0.3, 0.1, 0.3, 0.2, 0.9, 0.3, 0.0]), np.array([1, 1, 0, 1, 1, 1, 1])
+    yield np.array([0.5, 0.5]), np.array([1, 0])
+
+
+def test_binary_auc_equals_the_pairwise_count_bit_for_bit():
+    """Both sides are an exact half-integer count and one division."""
+    for column, truth in _binary_auc_cases():
+        expected = naive_auc_binary(column.tolist(), (truth == 1).tolist())
+        if expected is None:
+            continue
+        assert auc_roc(column, truth, 2) == expected
+        assert auc_roc(np.column_stack([-column, column]), truth, 2) == expected
+        assert auc_roc(column[:, None], truth, 2) == expected
+
+
+def test_multiclass_auc_equals_the_unique_rank_form_bit_for_bit():
+    rng = np.random.default_rng(42)
+    for _ in range(150):
+        n_classes = int(rng.integers(3, 7))
+        n = int(rng.integers(1, 300))
+        truth = rng.integers(0, n_classes, n)
+        scores = np.round(rng.random((n, n_classes)), int(rng.integers(0, 4)))
+        scores[rng.random((n, n_classes)) < 0.1] = -0.0
+        expected = unique_rank_auc(scores, truth, n_classes)
+        if expected is None:
+            with pytest.raises(NoPositivePairsError):
+                auc_roc(scores, truth, n_classes)
+        else:
+            assert auc_roc(scores, truth, n_classes) == expected
 
 
 def test_metrics_match_naive_oracles_on_random_cases():

@@ -12,6 +12,7 @@ from _oracles import (
     assert_same_tree_bytes,
     assert_trees_match,
     per_feature_forest,
+    reduction_softmax,
     vectorized_svm,
 )
 from _synth import blob_dataset
@@ -24,6 +25,7 @@ from fedtab.models import (
     TrainConfig,
     _grow_tree,
     _preorder_tree,
+    _softmax,
     _subset_size,
     hinge_objective,
     logistic_gradient,
@@ -525,6 +527,39 @@ def test_linear_models_learn_blobs():
         probs = predict_scores(logreg, data.features)
         assert probs.shape == (data.n_samples, n_classes)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+
+
+def _softmax_cases():
+    rng = np.random.default_rng(31)
+    for k in range(3, 10):
+        yield rng.normal(0.0, 3.0, (40, k))
+        yield np.round(rng.normal(0.0, 1.0, (40, k)), 0)  # tied rows and tied maxima
+        yield rng.choice([-700.0, 700.0, -699.5, 0.0], size=(40, k))
+        yield np.zeros((0, k))
+    # maxima that appear as both -0.0 and 0.0, in either order
+    yield np.array([[-0.0, 0.0, -5.0], [0.0, -0.0, -1.0], [-0.0, 0.0, -0.0]])
+    yield np.array([[-3.0, -0.0, 0.0, -0.0], [0.0, -2.0, -0.0, -0.0], [-0.0, -1.0, -1.0, 0.0]])
+    yield np.array([[-0.0, 0.0, -0.0, 0.0, 0.0], [-0.0] * 5, [0.0] * 5])
+
+
+def test_softmax_matches_the_row_reduction_form_bit_for_bit():
+    for z in _softmax_cases():
+        got = _softmax(z)
+        assert got.shape == z.shape
+        assert got.tobytes() == reduction_softmax(z).tobytes(), z
+
+
+def test_multiclass_loss_matches_the_row_reduction_form_bit_for_bit():
+    rng = np.random.default_rng(32)
+    for k in (3, 5, 9):
+        X = rng.normal(0.0, 2.0, (60, 4))
+        y = rng.integers(0, k, 60)
+        model = LinearModel(rng.normal(0.0, 1.0, (k, 4)), rng.normal(0.0, 1.0, k), "logistic", k)
+        z = X @ model.weights.T + model.bias
+        logz = z - z.max(axis=1, keepdims=True)
+        data_term = float(np.mean(np.log(np.exp(logz).sum(axis=1)) - logz[np.arange(60), y]))
+        expected = data_term + 0.5 * 1e-3 * float(np.sum(model.weights**2))
+        assert logistic_loss(model, X, y, 1e-3) == expected
 
 
 def test_predict_label_ties_take_lowest_index():
