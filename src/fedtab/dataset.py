@@ -180,11 +180,12 @@ def load_table(path: str | Path, schema: FeatureSchema) -> RawTable:
 
     Header matching ignores column order and surrounding whitespace or
     quotes, but any missing or unexpected column name is a hard error; so is
-    a row whose cell count differs from the header's.  A file that is not
-    UTF-8 text, or that the csv module cannot parse (a field over
+    a row whose cell count differs from the header's.  A leading UTF-8 byte
+    order mark, which spreadsheet exports write, is dropped.  A file that is
+    not UTF-8 text, or that the csv module cannot parse (a field over
     ``csv.field_size_limit()``), raises ``UnreadableFileError``.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle, delimiter=schema.delimiter, quotechar='"')
         records = _records(path, reader)
         try:
@@ -403,7 +404,7 @@ def read_encoded(
     the target.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except UnicodeDecodeError:
         return None
@@ -613,6 +614,10 @@ def build_client_partitions(
     Derived seeds: the deal uses ``seed`` itself and client k's split uses
     ``seed XOR k``.  Every array of the result is read-only, like
     ``encode``'s, so one build can serve every experiment on that split.
+
+    A client whose rows ``test_fraction`` cannot split into a non-empty
+    train and a non-empty test side raises ``TooManyClientsError``, a
+    configuration error; a table lacking a class is a data error.
     """
     if stats_scope not in ("client", "pooled"):
         raise InvalidConfigError(f"unknown stats_scope {stats_scope!r}")
@@ -622,6 +627,12 @@ def build_client_partitions(
     client_rows = partition_clients(data, n_clients, seed)
     split_rows: list[tuple[np.ndarray, np.ndarray]] = []
     for k, rows in enumerate(client_rows):
+        n = rows.shape[0]  # a fraction outside (0, 1) is left to stratified_split_indices
+        if 0.0 < test_fraction < 1.0 and _split_target(n, test_fraction) in (0, n):
+            raise TooManyClientsError(
+                f"client {k} of n_clients {n_clients} gets {n} rows: too few for "
+                f"test_fraction {test_fraction} to leave both train and test rows"
+            )
         local_train, local_test = stratified_split_indices(
             data.labels[rows], test_fraction, seed ^ k
         )

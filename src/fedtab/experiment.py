@@ -26,7 +26,7 @@ grid.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -38,6 +38,7 @@ from .dataset import ClientPartition, EncodedDataset, FeatureSchema, build_clien
 from .errors import InvalidConfigError
 from .federation import FederationConfig, RoundLog, run_federated
 from .metrics import MetricsReport
+from .models import TrainConfig
 from .schemas import DatasetSpec, builtin_dataset, load_encoded
 
 METRIC_NAMES = ("Accuracy", "Recall", "F1-Score", "AUCROC")
@@ -126,13 +127,15 @@ def run_condition_detailed(
     A central cell federates the pooled partition alone for one round, with
     client 0 malicious when poisoned, and returns its report with no
     per-budget breakdown or round log.  A federated cell runs each
-    trajectory once.  Round r depends only on the global model after round
-    r - 1, the client rows and a ``TrainConfig`` that carries
-    ``seed ^ client`` and ``local_epochs``, none of which depends on the
-    budget.  So budgets with equal ``local_epochs`` (every budget, for a
-    forest) share one ``run_federated`` at the longest of them, and each
-    budget's ``RoundLog`` is that run's first ``budget`` records with its
-    flip masks.
+    trajectory once.  Each budget's ``TrainConfig`` is built once: the
+    model's settings with the master seed and the budget's local epochs
+    (``epochs_for_budget``; a forest ignores epochs and takes a one-round
+    run's at every budget).  Round r depends only on the global model
+    after round r - 1, the client rows and that ``TrainConfig``, none of
+    which depends on the number of rounds.  So budgets with equal
+    ``TrainConfig`` (every budget, for a forest) share one ``run_federated``
+    at the longest of them, and each budget's ``RoundLog`` is that run's
+    first ``budget`` records with its flip masks.
     """
     if condition not in CONDITIONS:
         raise InvalidConfigError(f"unknown condition {condition!r}")
@@ -153,25 +156,17 @@ def run_condition_detailed(
         seed = cfg.attack_seed ^ master_seed
         attack = AttackConfig(cfg.flip_fraction, frozenset(malicious), seed)
 
-    def federate(budget: int) -> RoundLog:
-        fed_cfg = FederationConfig(
-            model_kind=model_kind,
-            rounds=budget,
-            local_epochs=epochs_for_budget(cfg.epoch_budget, budget),
-            train_cfg=cfg.train_config(model_kind),
-            seed=master_seed,
-        )
-        # a central cell emits no round log, so nothing reads its local accuracy
-        return run_federated(partitions, fed_cfg, attack, round_one, local_accuracy=not central)[1]
-
-    # forests ignore local_epochs, so all their budgets form one group
-    groups: dict[int | None, list[int]] = {}
+    groups: dict[TrainConfig, list[int]] = {}
     for budget in budgets:
-        epochs = None if model_kind == "forest" else epochs_for_budget(cfg.epoch_budget, budget)
-        groups.setdefault(epochs, []).append(budget)
+        # forests ignore epochs: every forest budget takes a one-round run's, so all share one run
+        epochs = epochs_for_budget(cfg.epoch_budget, 1 if model_kind == "forest" else budget)
+        train_cfg = replace(cfg.train_config(model_kind), epochs=epochs, seed=master_seed)
+        groups.setdefault(train_cfg, []).append(budget)
     logs: dict[int, RoundLog] = {}
-    for group in groups.values():
-        run = federate(max(group))
+    for train_cfg, group in groups.items():
+        fed_cfg = FederationConfig(model_kind, max(group), train_cfg)
+        # a central cell emits no round log, so nothing reads its local accuracy
+        run = run_federated(partitions, fed_cfg, attack, round_one, local_accuracy=not central)[1]
         logs.update((b, RoundLog(run.records[:b], run.flip_masks)) for b in group)
     per_budget: dict[int, MetricsReport] = {}
     for budget, log in logs.items():

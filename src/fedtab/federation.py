@@ -38,19 +38,23 @@ from .models import (
 
 @dataclass(frozen=True)
 class FederationConfig:
+    """A federation's model, round count and local-training settings.
+
+    ``train_cfg.epochs`` is the local epochs each client trains per round and
+    ``train_cfg.seed`` the master seed that client seeds derive from.
+    """
+
     model_kind: str
     rounds: int
-    local_epochs: int
     train_cfg: TrainConfig
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.model_kind not in ("logistic", "svm", "forest"):
             raise InvalidConfigError(f"unknown model_kind {self.model_kind!r}")
         if self.rounds < 1:
             raise InvalidConfigError(f"rounds must be at least 1, got {self.rounds}")
-        if self.local_epochs < 1:
-            raise InvalidConfigError(f"local_epochs must be at least 1, got {self.local_epochs}")
+        if self.train_cfg.epochs < 1:
+            raise InvalidConfigError(f"local epochs must be at least 1, got {self.train_cfg.epochs}")
 
 
 @dataclass(frozen=True)
@@ -152,11 +156,15 @@ def run_federated(
 ) -> tuple[Model, RoundLog]:
     """Run the configured number of rounds and return (global model, log).
 
-    Per-client derived seeds (train seed = cfg.seed XOR client id, flip seed
-    = attack seed XOR client id) keep clients decorrelated but reproducible.
-    A forest federation takes one round: client forests ignore the global
-    model and local_epochs, so each client trains once, the union is
-    evaluated once, and every later round repeats round one's record.
+    ``cfg.train_cfg`` holds the local-training settings: its ``epochs``
+    are the local epochs per round and its ``seed`` the master seed.  Each
+    client trains with a copy seeded ``cfg.train_cfg.seed`` XOR client id;
+    that copy and the client's flip config (seed = attack seed XOR client
+    id) are derived once, before round one, and keep clients decorrelated
+    but reproducible.  A forest federation takes one round: client forests
+    ignore the global model and epochs, so each client trains once, the
+    union is evaluated once, and every later round repeats round one's
+    record.
 
     ``round_one``, when given, holds round-one local models (with their
     local train accuracy) of earlier runs on these same ``partitions``;
@@ -165,8 +173,8 @@ def run_federated(
     of the client's training rows and its ``TrainConfig``.  The key is
     (model kind, client id, flip config or None, that ``TrainConfig``):
     the partition fixes the clean rows, the flip config fixes which of them
-    are flipped, and the ``TrainConfig`` carries the derived seed and
-    ``local_epochs``.  So a benign client's round one serves clean and
+    are flipped, and the ``TrainConfig`` carries the derived seed and the
+    local epochs.  So a benign client's round one serves clean and
     poisoned runs alike.  (Runs that differ only in ``rounds`` are prefixes
     of one another; ``run_condition_detailed`` runs the longest once.)  One
     dict must never serve two partition sets.
@@ -184,16 +192,15 @@ def run_federated(
         raise ValueError("round_one holds local accuracies: pass None without them")
     log = RoundLog()
     round_one = {} if round_one is None else round_one
-    client_data: list[EncodedDataset] = []
-    flip_cfgs: list[AttackConfig | None] = []
+    clients = []  # (partition, train set after any flips, flip config or None, TrainConfig)
     for p in partitions:
         data, flip_cfg = p.train, None
         if attack is not None and p.client_id in attack.malicious_clients:
             flip_cfg = replace(attack, seed=attack.seed ^ p.client_id)
             labels, log.flip_masks[p.client_id] = flip_labels(data.labels, data.n_classes, flip_cfg)
             data = EncodedDataset(data.features, labels, data.n_classes, data.feature_names)
-        client_data.append(data)
-        flip_cfgs.append(flip_cfg)
+        train_cfg = replace(cfg.train_cfg, seed=cfg.train_cfg.seed ^ p.client_id)
+        clients.append((p, data, flip_cfg, train_cfg))
 
     pooled_test: EncodedDataset | None = None
     global_model: Model | None = None
@@ -202,8 +209,7 @@ def run_federated(
     for round_index in range(1, trained_rounds + 1):
         locals_: list[Model] = []
         local_acc = []
-        for p, data, flip_cfg in zip(partitions, client_data, flip_cfgs):
-            train_cfg = replace(cfg.train_cfg, seed=cfg.seed ^ p.client_id, epochs=cfg.local_epochs)
+        for p, data, flip_cfg, train_cfg in clients:
             if global_model is None:
                 key = (cfg.model_kind, p.client_id, flip_cfg, train_cfg)
                 if key not in round_one:

@@ -132,7 +132,18 @@ def _check_train_inputs(train: EncodedDataset) -> None:
         raise ShapeMismatchError("cannot train on an empty dataset")
 
 
-def _check_init(init: LinearModel, kind: str, train: EncodedDataset) -> None:
+def _initial_params(
+    init: LinearModel | None, kind: str, train: EncodedDataset
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check ``train`` and ``init``; return a linear trainer's starting (weights, bias).
+
+    Zeros without ``init``, else float64, C-ordered copies of its parameters,
+    which the trainer may then update in place.
+    """
+    _check_train_inputs(train)
+    if init is None:
+        rows = 1 if train.n_classes == 2 else train.n_classes
+        return np.zeros((rows, train.n_features)), np.zeros(rows)
     if init.kind != kind:
         raise ShapeMismatchError(f"init model is {init.kind!r}, expected {kind!r}")
     if init.n_classes != train.n_classes:
@@ -143,6 +154,7 @@ def _check_init(init: LinearModel, kind: str, train: EncodedDataset) -> None:
         raise ShapeMismatchError(
             f"init expects {init.n_features} features, data has {train.n_features}"
         )
+    return np.array(init.weights, np.float64, order="C"), np.array(init.bias, np.float64)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -212,16 +224,7 @@ def train_logreg(
     train: EncodedDataset, cfg: TrainConfig, init: LinearModel | None = None
 ) -> LinearModel:
     """Full-batch gradient descent; deterministic, no randomness involved."""
-    _check_train_inputs(train)
-    rows = 1 if train.n_classes == 2 else train.n_classes
-    if init is not None:
-        _check_init(init, "logistic", train)
-        weights = init.weights.copy()
-        bias = init.bias.copy()
-    else:
-        weights = np.zeros((rows, train.n_features))
-        bias = np.zeros(rows)
-
+    weights, bias = _initial_params(init, "logistic", train)
     X, y = train.features, train.labels
     for _ in range(cfg.epochs):
         model = LinearModel(weights, bias, "logistic", train.n_classes)
@@ -263,7 +266,8 @@ def train_svm(
     That is exactly the vectorized form's ``((lr / scale) * t) * x`` added
     in place: negation is exact, so ``(-a) * x == -(a * x)`` and
     ``w + (-v) == w - v``, signed zeros included.  Its bias moves by
-    ``lr * t``.  Parameters are float64.
+    ``lr * t``.  It starts, as ``train_logreg`` does, from zeros or from
+    float64 C-ordered copies of ``init`` (``_initial_params``).
 
     Python draws the permutations, in the same order on either path below,
     and checks the decay; each epoch then runs in one of two ways with the
@@ -275,16 +279,7 @@ def train_svm(
     - Python (``_python_svm_epoch``), when the kernel cannot be built,
       loaded or trusted.
     """
-    _check_train_inputs(train)
-    rows = 1 if train.n_classes == 2 else train.n_classes
-    if init is not None:
-        _check_init(init, "svm", train)
-        weights = init.weights.astype(np.float64, order="C")
-        bias = init.bias.astype(np.float64)
-    else:
-        weights = np.zeros((rows, train.n_features))
-        bias = np.zeros(rows)
-
+    weights, bias = _initial_params(init, "svm", train)
     from . import kernel  # imported, and built, at the first SVM or forest training only
 
     X = np.ascontiguousarray(train.features, dtype=np.float64)

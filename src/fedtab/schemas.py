@@ -43,10 +43,6 @@ _A_CATEGORICAL = (
     "guardian", "schoolsup", "famsup", "paid", "activities", "nursery", "higher",
     "internet", "romantic",
 )
-_A_CONTINUOUS = (
-    "age", "Medu", "Fedu", "traveltime", "studytime", "failures", "famrel",
-    "freetime", "goout", "Dalc", "Walc", "health", "absences", "G1", "G2",
-)
 # file column order, so loaded tables keep their familiar layout
 _A_ORDER = (
     "school", "sex", "age", "address", "famsize", "Pstatus", "Medu", "Fedu",
@@ -76,28 +72,21 @@ _B_CONTINUOUS = (
 _B_ORDER = _B_CATEGORICAL + _B_CONTINUOUS + ("Target",)
 
 
+def _schema(
+    order: tuple[str, ...], categorical: tuple[str, ...], target: str, classes: tuple[str, ...]
+) -> FeatureSchema:
+    """Columns in file ``order``: ``target``, the ``categorical`` ones, the rest continuous."""
+    kinds = {**dict.fromkeys(categorical, KIND_CATEGORICAL), target: KIND_TARGET}
+    columns = tuple(ColumnSpec(name, kinds.get(name, KIND_CONTINUOUS)) for name in order)
+    return FeatureSchema(columns, classes, delimiter=";")
+
+
 def student_performance_schema() -> FeatureSchema:
-    columns = []
-    for name in _A_ORDER:
-        if name == "G3":
-            columns.append(ColumnSpec(name, KIND_TARGET))
-        elif name in _A_CATEGORICAL:
-            columns.append(ColumnSpec(name, KIND_CATEGORICAL))
-        else:
-            columns.append(ColumnSpec(name, KIND_CONTINUOUS))
-    return FeatureSchema(tuple(columns), ("fail", "pass"), delimiter=";")
+    return _schema(_A_ORDER, _A_CATEGORICAL, "G3", ("fail", "pass"))
 
 
 def academic_outcome_schema() -> FeatureSchema:
-    columns = []
-    for name in _B_ORDER:
-        if name == "Target":
-            columns.append(ColumnSpec(name, KIND_TARGET))
-        elif name in _B_CATEGORICAL:
-            columns.append(ColumnSpec(name, KIND_CATEGORICAL))
-        else:
-            columns.append(ColumnSpec(name, KIND_CONTINUOUS))
-    return FeatureSchema(tuple(columns), ("Dropout", "Enrolled", "Graduate"), delimiter=";")
+    return _schema(_B_ORDER, _B_CATEGORICAL, "Target", ("Dropout", "Enrolled", "Graduate"))
 
 
 @dataclass(frozen=True)

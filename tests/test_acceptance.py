@@ -409,9 +409,7 @@ def _warm_start_check(spec):
     fed_cfg = FederationConfig(
         model_kind="logistic",
         rounds=5,
-        local_epochs=60,
-        train_cfg=TrainConfig(learning_rate=0.1, epochs=300, l2=1e-3),
-        seed=5,
+        train_cfg=TrainConfig(learning_rate=0.1, epochs=60, l2=1e-3, seed=5),
     )
     federated, _ = run_federated(parts, fed_cfg)
     centralized = train_logreg(

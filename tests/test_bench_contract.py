@@ -1,0 +1,53 @@
+"""The names the benchmark's layer trace reads from the program.
+
+``bench/spans.py`` wraps the functions listed in its ``TARGETS`` and its
+probes read call arguments by parameter name (``a["cfg"]``).  A renamed
+function or parameter breaks the trace only when the benchmark runs, so
+this reads ``spans.py`` as text (it is not imported, and nothing under
+``bench/`` is written) and checks both against the package.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def _contract() -> tuple[dict[tuple[str, str], str | None], dict[str, set[str]]]:
+    """``TARGETS`` as (module, function) -> probe name, and each probe's argument reads."""
+    tree = ast.parse(SPANS.read_text(encoding="utf-8"))
+    targets: dict[tuple[str, str], str | None] = {}
+    reads: dict[str, set[str]] = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            for key, value in zip(node.value.keys, node.value.values):
+                probe = value.elts[1]
+                targets[ast.literal_eval(key)] = probe.id if isinstance(probe, ast.Name) else None
+        elif isinstance(node, ast.FunctionDef) and node.name.startswith("_probe"):
+            args = node.args.args[0].arg
+            reads[node.name] = {
+                sub.slice.value
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Subscript)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == args
+                and isinstance(sub.slice, ast.Constant)
+            }
+    return targets, reads
+
+
+def test_spans_targets_resolve_and_probes_read_real_parameters():
+    targets, reads = _contract()
+    assert len(targets) >= 10 and any(reads.values())  # the parse found the table and probes
+    for (module_name, func_name), probe in targets.items():
+        fn = getattr(importlib.import_module(module_name), func_name, None)
+        assert callable(fn), f"{module_name}.{func_name} is traced but does not exist"
+        if probe is None:
+            continue
+        params = set(inspect.signature(fn).parameters)
+        missing = reads[probe] - params
+        assert not missing, f"{probe} reads {sorted(missing)}, not parameters of {func_name}"

@@ -134,6 +134,20 @@ def test_run_unreadable_data_is_a_data_error(tmp_path, capsys, fault):
     assert err.startswith(f"data error: {path}: ")
 
 
+def test_run_client_too_small_to_split_is_a_config_error(tmp_path, capsys):
+    write_dataset_a_like(tmp_path / "student-mat.csv", n=395, seed=41)
+    out = tmp_path / "out.csv"
+    code = main([
+        "run", "--dataset", "A", "--clients", "200", "--model", "logistic",
+        "--condition", "fl_clean", "--data-dir", str(tmp_path), "--output", str(out), "--quiet",
+    ])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: client 0 of n_clients 200 gets 2 rows")
+    assert "test_fraction 0.2" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--output", "--round-log"])
 @pytest.mark.parametrize("target", ["existing directory", "missing parent"])
 def test_run_bad_output_path_is_a_config_error_before_any_cell(

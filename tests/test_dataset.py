@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fedtab.dataset
+import fedtab.schemas
 from _oracles import per_cell_encode, round_robin_partition
 from _synth import (
     grades_dataset_spec,
@@ -32,6 +33,7 @@ from fedtab.dataset import (
 )
 from fedtab.errors import (
     ColumnNotFoundError,
+    DataError,
     EmptyFitSetError,
     EmptyTableError,
     HeaderMismatchError,
@@ -45,7 +47,13 @@ from fedtab.errors import (
     TooManyClientsError,
     UnknownTargetClassError,
 )
-from fedtab.schemas import DATA_FILES, builtin_dataset, load_dataset
+from fedtab.schemas import (
+    DATA_FILES,
+    academic_outcome_schema,
+    builtin_dataset,
+    load_dataset,
+    student_performance_schema,
+)
 
 
 def tiny_schema() -> FeatureSchema:
@@ -350,6 +358,27 @@ def test_build_partitions_width_matches_hand_count(grades_raw):
     assert parts[0].train.n_features == 3 + support_levels + campus_levels
 
 
+@pytest.mark.parametrize("scope", ["client", "pooled"])
+def test_client_too_small_to_split_is_a_config_error(grades_raw, scope):
+    raw, spec = grades_raw
+    data = encode(raw, spec.schema)
+    # 240 rows over 120 clients: 2 rows each, and round(0.2 * 2) = 0 test rows
+    with pytest.raises(TooManyClientsError) as caught:
+        build_client_partitions(data, spec.schema, 120, 0.2, seed=9, stats_scope=scope)
+    message = str(caught.value)
+    for part in ("client 0 ", "n_clients 120", "2 rows", "test_fraction 0.2"):
+        assert part in message
+    with pytest.raises(TooManyClientsError):  # 3 rows each, round(0.9 * 3) = 3: no train row
+        build_client_partitions(data, spec.schema, 80, 0.9, seed=9, stats_scope=scope)
+    parts = build_client_partitions(data, spec.schema, 80, 0.2, seed=9, stats_scope=scope)
+    assert sum(p.test.n_samples for p in parts) == 80  # one test row per 3-row client
+    lacking = EncodedDataset(data.features, np.zeros_like(data.labels), data.n_classes,
+                             data.feature_names)
+    with pytest.raises(StratificationImpossibleError) as caught:  # a data error, exit 2
+        build_client_partitions(lacking, spec.schema, 120, 0.2, seed=9, stats_scope=scope)
+    assert isinstance(caught.value, DataError)
+
+
 def _zscores_from_cells(raw, name, fit_rows, rows):
     """Z-scores of one continuous column, computed straight from the raw cells."""
     j = raw.column_index(name)
@@ -495,3 +524,32 @@ def test_pipeline_is_leakage_free(grades_raw):
         assert np.array_equal(p.train_rows, q.train_rows)
         assert np.array_equal(p.train.features, q.train.features)
         assert np.array_equal(p.train.labels, q.train.labels)
+
+
+A_CONTINUOUS = {
+    "age", "Medu", "Fedu", "traveltime", "studytime", "failures", "famrel",
+    "freetime", "goout", "Dalc", "Walc", "health", "absences", "G1", "G2",
+}
+
+
+def _expected_schema(order, continuous, categorical, target, classes):
+    kinds = []
+    for name in order:  # every column named exactly once
+        assert [name in continuous, name in categorical, name == target].count(True) == 1, name
+        kinds.append("continuous" if name in continuous else
+                     "categorical" if name in categorical else "target")
+    return FeatureSchema(tuple(map(ColumnSpec, order, kinds)), classes, delimiter=";")
+
+
+def test_builtin_schemas_keep_their_columns():
+    a_order, b_order = fedtab.schemas._A_ORDER, fedtab.schemas._B_ORDER
+    a_categorical = set(a_order) - A_CONTINUOUS - {"G3"}
+    assert len(a_order) == 33 and len(a_categorical) == 17
+    assert student_performance_schema() == _expected_schema(
+        a_order, A_CONTINUOUS, a_categorical, "G3", ("fail", "pass")
+    )
+    assert len(b_order) == 37 and b_order[-1] == "Target"
+    b_continuous = set(b_order) - {"Marital status", "Target"}
+    assert academic_outcome_schema() == _expected_schema(
+        b_order, b_continuous, {"Marital status"}, "Target", ("Dropout", "Enrolled", "Graduate")
+    )

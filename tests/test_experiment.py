@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -167,12 +168,11 @@ def test_forest_federation_runs_once_per_cell(grades, monkeypatch):
     )
     assert sorted(detail.logs) == [1, 2, 3]
     for budget, log in detail.logs.items():
+        epochs = epochs_for_budget(cfg.epoch_budget, budget)
         fed_cfg = FederationConfig(
             model_kind="forest",
             rounds=budget,
-            local_epochs=epochs_for_budget(cfg.epoch_budget, budget),
-            train_cfg=cfg.train_config("forest"),
-            seed=4,
+            train_cfg=replace(cfg.train_config("forest"), epochs=epochs, seed=4),
         )
         _, alone = run_federated(partitions, fed_cfg, attack)
         assert log.records == alone.records
@@ -219,12 +219,11 @@ def test_budgets_with_equal_local_epochs_share_one_run(
     )
     lines = []
     for budget in budgets:
+        epochs = epochs_for_budget(epoch_budget, budget)
         fed_cfg = FederationConfig(
             model_kind=model,
             rounds=budget,
-            local_epochs=epochs_for_budget(epoch_budget, budget),
-            train_cfg=cfg.train_config(model),
-            seed=4,
+            train_cfg=replace(cfg.train_config(model), epochs=epochs, seed=4),
         )
         _, alone = run_federated(partitions, fed_cfg, attack)
         if fl_average == "final":

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -135,22 +137,20 @@ def test_evaluate_global_matches_manual_concat(partitions):
     assert report.n_samples == sum(p.test.n_samples for p in partitions)
 
 
-def _fed_cfg(model_kind, rounds, local_epochs, seed=4, **train_kwargs):
-    defaults = dict(learning_rate=0.1, epochs=300, l2=1e-3)
+def _fed_cfg(model_kind, rounds, epochs, seed=4, **train_kwargs):
+    defaults = dict(learning_rate=0.1, l2=1e-3)
     if model_kind == "forest":
         defaults = dict(n_trees=5, max_depth=6, min_leaf=2)
     defaults.update(train_kwargs)
     return FederationConfig(
         model_kind=model_kind,
         rounds=rounds,
-        local_epochs=local_epochs,
-        train_cfg=TrainConfig(**defaults),
-        seed=seed,
+        train_cfg=TrainConfig(epochs=epochs, seed=seed, **defaults),
     )
 
 
 def test_run_federated_logs_every_round(partitions):
-    model, log = run_federated(partitions, _fed_cfg("logistic", rounds=3, local_epochs=20))
+    model, log = run_federated(partitions, _fed_cfg("logistic", rounds=3, epochs=20))
     assert [r.round_index for r in log.records] == [1, 2, 3]
     for record in log.records:
         assert record.train_counts == tuple(p.train.n_samples for p in partitions)
@@ -161,12 +161,12 @@ def test_run_federated_logs_every_round(partitions):
 
 
 def test_run_federated_improves_over_rounds(partitions):
-    _, log = run_federated(partitions, _fed_cfg("logistic", rounds=6, local_epochs=50))
+    _, log = run_federated(partitions, _fed_cfg("logistic", rounds=6, epochs=50))
     assert log.records[-1].global_metrics.accuracy_pct >= 80.0
 
 
 def test_run_federated_is_deterministic(partitions):
-    cfg = _fed_cfg("svm", rounds=2, local_epochs=10, learning_rate=0.05)
+    cfg = _fed_cfg("svm", rounds=2, epochs=10, learning_rate=0.05)
     a, _ = run_federated(partitions, cfg)
     b, _ = run_federated(partitions, cfg)
     assert np.array_equal(a.weights, b.weights)
@@ -184,7 +184,7 @@ def test_forest_rounds_only_extend_the_log(partitions, monkeypatch):
 
     monkeypatch.setattr(federation, "train_forest", counted(train_forest))
     monkeypatch.setattr(federation, "evaluate_global", counted(evaluate_global))
-    cfg = _fed_cfg("forest", rounds=3, local_epochs=1)
+    cfg = _fed_cfg("forest", rounds=3, epochs=1)
     model, log = run_federated(partitions, cfg)
     assert isinstance(model, Forest)
     assert len(model.trees) == 15  # 3 clients x 5 trees
@@ -215,7 +215,7 @@ def _count_pooling(monkeypatch):
 
 def test_linear_run_pools_the_test_sets_once(partitions, monkeypatch):
     concat_calls, scored = _count_pooling(monkeypatch)
-    model, log = run_federated(partitions, _fed_cfg("logistic", rounds=5, local_epochs=2))
+    model, log = run_federated(partitions, _fed_cfg("logistic", rounds=5, epochs=2))
     assert concat_calls == [3]
     assert len(scored) == 5
     assert all(test is scored[0] for test in scored)
@@ -227,7 +227,7 @@ def test_linear_run_pools_the_test_sets_once(partitions, monkeypatch):
 
 def test_one_partition_run_scores_its_own_test_set(partitions, monkeypatch):
     concat_calls, scored = _count_pooling(monkeypatch)
-    run_federated([partitions[1]], _fed_cfg("svm", rounds=3, local_epochs=2))
+    run_federated([partitions[1]], _fed_cfg("svm", rounds=3, epochs=2))
     assert concat_calls == []
     assert len(scored) == 3
     assert all(test is partitions[1].test for test in scored)
@@ -235,7 +235,7 @@ def test_one_partition_run_scores_its_own_test_set(partitions, monkeypatch):
 
 def test_run_federated_rejects_no_partitions():
     with pytest.raises(EmptyInputError):
-        run_federated([], _fed_cfg("logistic", rounds=1, local_epochs=1))
+        run_federated([], _fed_cfg("logistic", rounds=1, epochs=1))
 
 
 @pytest.mark.parametrize("poisoned", [False, True], ids=["clean", "poisoned"])
@@ -244,10 +244,10 @@ def test_shorter_run_is_a_prefix_of_a_longer_one(partitions, model_kind, poisone
     attack = None
     if poisoned:
         attack = AttackConfig(flip_fraction=0.5, malicious_clients=frozenset({0}), seed=6)
-    _, full = run_federated(partitions, _fed_cfg(model_kind, rounds=4, local_epochs=3), attack)
+    _, full = run_federated(partitions, _fed_cfg(model_kind, rounds=4, epochs=3), attack)
     for rounds in (1, 2, 3):
         _, short = run_federated(
-            partitions, _fed_cfg(model_kind, rounds=rounds, local_epochs=3), attack
+            partitions, _fed_cfg(model_kind, rounds=rounds, epochs=3), attack
         )
         assert len(short.records) == rounds
         assert short.records == full.records[:rounds]  # RoundRecord equality is field by field
@@ -258,7 +258,7 @@ def test_shorter_run_is_a_prefix_of_a_longer_one(partitions, model_kind, poisone
 
 def test_single_client_logistic_equals_centralized_chain(partitions):
     solo = [partitions[0]]
-    cfg = _fed_cfg("logistic", rounds=4, local_epochs=25, seed=8)
+    cfg = _fed_cfg("logistic", rounds=4, epochs=25, seed=8)
     fed_model, _ = run_federated(solo, cfg)
     central = train_logreg(
         partitions[0].train, TrainConfig(learning_rate=0.1, epochs=100, l2=1e-3, seed=8)
@@ -270,7 +270,7 @@ def test_single_client_logistic_equals_centralized_chain(partitions):
 def test_poisoned_run_flips_only_malicious_clients(partitions):
     attack = AttackConfig(flip_fraction=0.5, malicious_clients=frozenset({0}), seed=6)
     before = [p.train.labels.copy() for p in partitions]
-    _, log = run_federated(partitions, _fed_cfg("logistic", rounds=2, local_epochs=10), attack)
+    _, log = run_federated(partitions, _fed_cfg("logistic", rounds=2, epochs=10), attack)
     assert set(log.flip_masks) == {0}
     mask = log.flip_masks[0]
     assert int(mask.sum()) == flip_count(partitions[0].train.n_samples, 0.5)
@@ -280,7 +280,29 @@ def test_poisoned_run_flips_only_malicious_clients(partitions):
 
 
 def test_poisoning_changes_the_model(partitions):
-    clean, _ = run_federated(partitions, _fed_cfg("logistic", rounds=2, local_epochs=20))
+    clean, _ = run_federated(partitions, _fed_cfg("logistic", rounds=2, epochs=20))
     attack = AttackConfig(flip_fraction=0.5, malicious_clients=frozenset({0}), seed=6)
-    poisoned, _ = run_federated(partitions, _fed_cfg("logistic", rounds=2, local_epochs=20), attack)
+    poisoned, _ = run_federated(partitions, _fed_cfg("logistic", rounds=2, epochs=20), attack)
     assert not np.array_equal(clean.weights, poisoned.weights)
+
+
+def test_federation_config_has_three_fields_and_checks_them():
+    assert [f.name for f in fields(FederationConfig)] == ["model_kind", "rounds", "train_cfg"]
+    for kind, rounds, epochs in (("tree", 1, 1), ("svm", 0, 1), ("svm", 1, 0)):
+        with pytest.raises(InvalidConfigError):
+            FederationConfig(kind, rounds, TrainConfig(epochs=epochs))
+    FederationConfig("forest", 1, TrainConfig(epochs=1))
+
+
+def test_client_configs_are_derived_once_before_round_one(partitions, monkeypatch):
+    derived = []
+    real_replace = federation.replace
+
+    def counting_replace(obj, **changes):
+        if isinstance(obj, TrainConfig):
+            derived.append(changes)
+        return real_replace(obj, **changes)
+
+    monkeypatch.setattr(federation, "replace", counting_replace)
+    run_federated(partitions, _fed_cfg("svm", rounds=3, epochs=2, seed=9))
+    assert derived == [{"seed": 9 ^ p.client_id} for p in partitions]

@@ -122,7 +122,9 @@ TINY_CASES = {
     "missing column": ("x;label\n1.5;yes\n", "raises"),
     "unexpected column": ("x;color;label;y\n1.5;red;yes;1\n", "raises"),
     "duplicate column": ("x;color;label;x\n1.5;red;yes;1\n", "raises"),
-    "byte order mark": ("\ufeff" + HEADER + "1.5;red;yes\n", "raises"),
+    "byte order mark": ("\ufeff" + HEADER + "1.5;red;yes\n", "reads"),
+    "byte order mark before a quoted header": ('\ufeff"x";color;label\n1.5;red;yes\n', "defers"),
+    "byte order mark inside a row": (HEADER + "1.5;red;yes\n\ufeff2;blue;no\n", "defers"),
     "field over the csv limit": (HEADER + "1.5;" + "r" * 140_000 + ";yes\n", "defers"),
 }
 
@@ -199,6 +201,19 @@ def test_builtin_schemas_match_csv_path(key, rows, tmp_path):
     write = write_dataset_a_like if key == "A" else write_dataset_b_like
     write(spec.path, n=rows, seed=5)
     assert_same(spec, "reads")
+
+
+@pytest.mark.parametrize("key", ["A", "B"])
+def test_byte_order_mark_is_dropped_on_both_paths(key, tmp_path):
+    plain, marked = builtin_dataset(key, tmp_path / "plain"), builtin_dataset(key, tmp_path / "bom")
+    write = write_dataset_a_like if key == "A" else write_dataset_b_like
+    for spec in (plain, marked):
+        spec.path.parent.mkdir()
+        write(spec.path, n=300, seed=7)
+    marked.path.write_bytes(b"\xef\xbb\xbf" + plain.path.read_bytes())
+    want = outcome(lambda: load_encoded(plain))
+    assert want[0] == "ok"
+    assert assert_same(marked, "reads") == want  # the one-pass read and the csv path alike
 
 
 def test_quoted_builtin_table_defers(tmp_path):
