@@ -6,8 +6,8 @@ Subcommands:
 - validate: check a configuration file without running anything,
 - fetch-data: download and verify the benchmark tables.
 
-Exit codes: 0 success, 1 configuration error, 2 data error, 3 internal
-error.
+Exit codes: 0 success, 1 configuration error (a bad flag too), 2 data
+error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import NoReturn
 
 from . import __version__
 from .config import (
@@ -34,8 +35,20 @@ EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose usage errors exit 1, not argparse's 2.
+
+    A bad flag is a configuration error; exit 2 means a data error.  The
+    subcommand parsers are built from this class too.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fedtab",
         description="Federated vs centralized tabular classification benchmark",
     )

@@ -570,6 +570,28 @@ def partition_clients(
     return [np.sort(order[k::n_clients]) for k in range(n_clients)]
 
 
+def check_client_split(n_rows: int, n_clients: int, test_fraction: float) -> None:
+    """Raise ``TooManyClientsError`` when a dealt client cannot be split.
+
+    ``partition_clients`` deals a chain of all ``n_rows`` rows round-robin,
+    so clients before ``n_rows % n_clients`` get one row more than the rest
+    whatever the seed, and a table's sizes are known before any deal.  The
+    error names the first client, in client order, whose rows
+    ``test_fraction`` cannot split into a non-empty train and a non-empty
+    test side.  A fraction outside (0, 1) is left to
+    ``stratified_split_indices``.
+    """
+    if not 0.0 < test_fraction < 1.0:
+        return
+    q, r = divmod(n_rows, n_clients)
+    for k, n in ((0, q + (r > 0)), (r, q)):  # the first client of each size
+        if _split_target(n, test_fraction) in (0, n):
+            raise TooManyClientsError(
+                f"client {k} of n_clients {n_clients} gets {n} rows: too few for "
+                f"test_fraction {test_fraction} to leave both train and test rows"
+            )
+
+
 @dataclass(frozen=True, eq=False)
 class ClientPartition:
     """One client's encoded train/test data plus row provenance."""
@@ -617,7 +639,8 @@ def build_client_partitions(
 
     A client whose rows ``test_fraction`` cannot split into a non-empty
     train and a non-empty test side raises ``TooManyClientsError``, a
-    configuration error; a table lacking a class is a data error.
+    configuration error (``check_client_split``); a table lacking a class
+    is a data error.
     """
     if stats_scope not in ("client", "pooled"):
         raise InvalidConfigError(f"unknown stats_scope {stats_scope!r}")
@@ -625,14 +648,9 @@ def build_client_partitions(
         raise StratificationImpossibleError("a target class has no rows in the table")
 
     client_rows = partition_clients(data, n_clients, seed)
+    check_client_split(data.n_samples, n_clients, test_fraction)
     split_rows: list[tuple[np.ndarray, np.ndarray]] = []
     for k, rows in enumerate(client_rows):
-        n = rows.shape[0]  # a fraction outside (0, 1) is left to stratified_split_indices
-        if 0.0 < test_fraction < 1.0 and _split_target(n, test_fraction) in (0, n):
-            raise TooManyClientsError(
-                f"client {k} of n_clients {n_clients} gets {n} rows: too few for "
-                f"test_fraction {test_fraction} to leave both train and test rows"
-            )
         local_train, local_test = stratified_split_indices(
             data.labels[rows], test_fraction, seed ^ k
         )

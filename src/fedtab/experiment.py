@@ -34,7 +34,13 @@ import numpy as np
 
 from .attack import AttackConfig
 from .config import CONDITIONS, ExperimentConfig
-from .dataset import ClientPartition, EncodedDataset, FeatureSchema, build_client_partitions
+from .dataset import (
+    ClientPartition,
+    EncodedDataset,
+    FeatureSchema,
+    build_client_partitions,
+    check_client_split,
+)
 from .errors import InvalidConfigError
 from .federation import FederationConfig, RoundLog, run_federated
 from .metrics import MetricsReport
@@ -70,15 +76,6 @@ def mean_reports(reports: list[MetricsReport]) -> MetricsReport:
         auc_roc=float(np.mean([r.auc_roc for r in reports])),
         n_samples=reports[0].n_samples,
     )
-
-
-@dataclass(frozen=True)
-class ConditionResult:
-    """Headline report plus, for federated runs, the per-budget breakdown."""
-
-    report: MetricsReport
-    per_budget: Mapping[int, MetricsReport]
-    logs: Mapping[int, RoundLog]
 
 
 class SharedWork:
@@ -121,21 +118,24 @@ def run_condition_detailed(
     condition: str,
     master_seed: int,
     shared: SharedWork | None = None,
-) -> ConditionResult:
+) -> tuple[MetricsReport, dict[int, RoundLog]]:
     """Run one cell; ``shared`` is the seed's ``SharedWork``, fresh when not given.
 
-    A central cell federates the pooled partition alone for one round, with
-    client 0 malicious when poisoned, and returns its report with no
-    per-budget breakdown or round log.  A federated cell runs each
-    trajectory once.  Each budget's ``TrainConfig`` is built once: the
-    model's settings with the master seed and the budget's local epochs
-    (``epochs_for_budget``; a forest ignores epochs and takes a one-round
-    run's at every budget).  Round r depends only on the global model
-    after round r - 1, the client rows and that ``TrainConfig``, none of
-    which depends on the number of rounds.  So budgets with equal
-    ``TrainConfig`` (every budget, for a forest) share one ``run_federated``
-    at the longest of them, and each budget's ``RoundLog`` is that run's
-    first ``budget`` records with its flip masks.
+    Returns ``(report, logs)``: ``logs`` maps each round budget to its
+    ``RoundLog``, and ``report`` is the mean over budgets of each log's
+    final-round global report (``fl_average`` 'final') or of its per-round
+    mean ('per_round').  A central cell federates the pooled partition
+    alone for one round, with client 0 malicious when poisoned, and
+    returns its report with empty ``logs``: it writes no round log.  A
+    federated cell runs each trajectory once.  Each budget's ``TrainConfig``
+    is built once: the model's settings with the master seed and the
+    budget's local epochs (``epochs_for_budget``; a forest ignores epochs
+    and takes a one-round run's at every budget).  Round r depends only on
+    the global model after round r - 1, the client rows and that
+    ``TrainConfig``, none of which depends on the number of rounds.  So
+    budgets with equal ``TrainConfig`` (every budget, for a forest) share
+    one ``run_federated`` at the longest of them, and each budget's
+    ``RoundLog`` is that run's first ``budget`` records with its flip masks.
     """
     if condition not in CONDITIONS:
         raise InvalidConfigError(f"unknown condition {condition!r}")
@@ -153,8 +153,7 @@ def run_condition_detailed(
         budgets, malicious = cfg.round_budgets, cfg.malicious_clients
     attack = None
     if condition.endswith("poisoned"):
-        seed = cfg.attack_seed ^ master_seed
-        attack = AttackConfig(cfg.flip_fraction, frozenset(malicious), seed)
+        attack = AttackConfig(cfg.flip_fraction, frozenset(malicious), cfg.attack_seed ^ master_seed)
 
     groups: dict[TrainConfig, list[int]] = {}
     for budget in budgets:
@@ -168,16 +167,12 @@ def run_condition_detailed(
         # a central cell emits no round log, so nothing reads its local accuracy
         run = run_federated(partitions, fed_cfg, attack, round_one, local_accuracy=not central)[1]
         logs.update((b, RoundLog(run.records[:b], run.flip_masks)) for b in group)
-    per_budget: dict[int, MetricsReport] = {}
-    for budget, log in logs.items():
-        if cfg.fl_average == "final":
-            per_budget[budget] = log.records[-1].global_metrics
-        else:
-            per_budget[budget] = mean_reports([r.global_metrics for r in log.records])
-    report = mean_reports([per_budget[b] for b in budgets])
-    if central:
-        return ConditionResult(report, {}, {})
-    return ConditionResult(report, per_budget, logs)
+    report = mean_reports([
+        logs[b].records[-1].global_metrics if cfg.fl_average == "final"
+        else mean_reports([r.global_metrics for r in logs[b].records])
+        for b in budgets
+    ])
+    return report, {} if central else logs
 
 
 def run_condition(
@@ -195,7 +190,7 @@ def run_condition(
     """
     if data is None:
         data = load_encoded(dataset)
-    return run_condition_detailed(cfg, dataset, data, model_kind, condition, master_seed).report
+    return run_condition_detailed(cfg, dataset, data, model_kind, condition, master_seed)[0]
 
 
 @dataclass(frozen=True)
@@ -286,16 +281,21 @@ def run_suite(
 
     ``datasets`` may inject pre-built specs (tests do); by default the
     built-in catalog plus cfg.data_dir resolves them.  Each table is read
-    and encoded once (``load_encoded``), and every cell of it shares that
-    encoding.  Seeds are the next loop: every cell of one (table, seed)
-    shares one ``SharedWork`` (the partitions of each statistics scope and
-    the federated round-one models), which is dropped when the seed ends.
-    ``progress`` gets ``<dataset>/<model>/<condition>`` before each (seed,
-    cell).  Reports are averaged and round-log lines written in (dataset,
-    model, condition, seed) order, so the outputs do not depend on the loop
-    order.  Writes the results table and optional round log as configured;
-    an output path that names a directory, or whose parent directory does
-    not exist, raises ``InvalidConfigError`` before any table is read.
+    and encoded once (``load_encoded``), all of them before the first cell,
+    and every cell of a table shares that encoding.  Every table's client
+    split is checked then too (``check_client_split``), so an ``n_clients``
+    too large for any table fails before any cell runs.  Seeds are the next
+    loop: every cell of one (table, seed) shares one ``SharedWork`` (the
+    partitions of each statistics scope and the federated round-one
+    models), which is dropped when the seed ends.  ``progress`` gets
+    ``<dataset>/<model>/<condition>`` before each (seed, cell).  Each cell
+    keeps one ``(seed, report, logs)`` per seed, as ``run_condition_detailed``
+    returns them; reports are averaged and round-log lines written in
+    (dataset, model, condition, seed) order, so the outputs do not depend on
+    the loop order.  Writes the results table and optional round log as
+    configured; an output path that names a directory, or whose parent
+    directory does not exist, raises ``InvalidConfigError`` before any table
+    is read.
     """
     for name in ("path", "round_log"):
         path = getattr(cfg.output, name)
@@ -306,46 +306,40 @@ def run_suite(
     specs = dict(datasets) if datasets is not None else {
         key: builtin_dataset(key, cfg.data_dir) for key in cfg.datasets
     }
-    cell_reports: dict[tuple[str, str, str], MetricsReport] = {}
-    log_lines: list[str] = []
-    for key in cfg.datasets:
-        spec = specs[key]
-        data = load_encoded(spec)
-        cells = [(model, condition) for model in cfg.models for condition in cfg.conditions]
-        seed_reports: dict[tuple[str, str], list[MetricsReport]] = {cell: [] for cell in cells}
-        cell_lines: dict[tuple[str, str], list[str]] = {cell: [] for cell in cells}
+    tables = {key: load_encoded(specs[key]) for key in cfg.datasets}
+    for data in tables.values():
+        check_client_split(data.n_samples, cfg.n_clients, cfg.test_fraction)
+    results: dict[tuple[str, str, str], list[tuple[int, MetricsReport, dict[int, RoundLog]]]] = {}
+    for key, data in tables.items():
+        cells = [(key, model, condition) for model in cfg.models for condition in cfg.conditions]
         for seed in cfg.seeds:
-            shared = SharedWork(data, spec.schema, cfg.n_clients, cfg.test_fraction, seed)
-            for model, condition in cells:
+            shared = SharedWork(data, specs[key].schema, cfg.n_clients, cfg.test_fraction, seed)
+            for cell in cells:
                 if progress is not None:
-                    progress(f"{key}/{model}/{condition}")
-                detail = run_condition_detailed(cfg, spec, data, model, condition, seed, shared)
-                seed_reports[(model, condition)].append(detail.report)
-                if cfg.output.round_log is not None:
-                    cell_lines[(model, condition)].extend(
-                        _round_log_lines(key, model, condition, seed, detail)
-                    )
+                    progress("/".join(cell))
+                report, logs = run_condition_detailed(cfg, specs[key], data, *cell[1:], seed, shared)
+                results.setdefault(cell, []).append((seed, report, logs))
             del shared  # this seed's partitions and models go now, not at the next rebinding
-        for model, condition in cells:
-            cell_reports[(key, model, condition)] = mean_reports(seed_reports[(model, condition)])
-            log_lines.extend(cell_lines[(model, condition)])
 
+    cell_reports = {cell: mean_reports([r for _, r, _ in runs]) for cell, runs in results.items()}
     table = build_results_table(cell_reports, cfg.datasets, cfg.models)
     if cfg.output.path is not None:
         emit_report(table, cfg.output.format, cfg.output.path)
     if cfg.output.round_log is not None:
+        lines = [line for cell, runs in results.items() for seed, _, logs in runs
+                 for line in _round_log_lines(*cell, seed, logs)]
         Path(cfg.output.round_log).write_text(
-            "".join(line + "\n" for line in log_lines), encoding="utf-8"
+            "".join(line + "\n" for line in lines), encoding="utf-8"
         )
     return table
 
 
 def _round_log_lines(
-    dataset: str, model: str, condition: str, seed: int, detail: ConditionResult
+    dataset: str, model: str, condition: str, seed: int, logs: Mapping[int, RoundLog]
 ) -> list[str]:
     lines = []
-    for budget in sorted(detail.logs):
-        log = detail.logs[budget]
+    for budget in sorted(logs):
+        log = logs[budget]
         base = {"dataset": dataset, "model": model, "condition": condition,
                 "seed": seed, "budget": budget}
         for client_id in sorted(log.flip_masks):

@@ -286,33 +286,24 @@ class _Kernel:
             offsets[f + 1] = offsets[f] + k
         return ranks, np.concatenate(values) if values else np.empty(0), offsets
 
-    def _bind(self, X, y, n_rows: int, n_classes: int, min_leaf: int):
-        """A ``_RankedTree`` over ``X``'s ranks for trees of ``n_rows`` rows.
-
-        Returns the struct and the arrays behind its pointers, which must
-        live as long as it is used.  Its ``rows`` is left for the caller.
-        """
-        ranks, values, offsets = self.rank_features(X)
-        d = X.shape[1]
-        subset = np.empty(d, dtype=np.int64)
-        child = np.empty(2 * n_classes, dtype=np.int64)
-        most = int(np.diff(offsets).max(initial=0))  # the most distinct values of a feature
-        work = np.zeros(n_rows + 4 * n_classes + d + most * n_classes, dtype=np.int64)
-        arrays = (ranks, values, offsets, y, subset, child, work)
-        tree = _RankedTree(
-            ranks.ctypes.data, values.ctypes.data, offsets.ctypes.data, X.shape[0], d,
-            y.ctypes.data, n_classes, min_leaf, None, n_rows, subset.ctypes.data, 0.0,
-            child.ctypes.data, work.ctypes.data,
-        )
-        return tree, arrays
-
     def tree_grower(self, X, y, n_classes, n_subset, min_leaf, max_depth):
         """``grow(rows, rng)`` for one forest's trees: see ``tree_grower``."""
         check_forest_inputs(X, y, n_classes, min_leaf)
         N, d = X.shape
         if not 0 <= n_subset <= d < 2**31:
             raise ValueError(f"expected 0 <= n_subset <= d < 2**31, got {n_subset} of {d}")
-        tree, arrays = self._bind(X, y, N, n_classes, min_leaf)
+        ranks, values, offsets = self.rank_features(X)
+        subset = np.empty(d, dtype=np.int64)
+        child = np.empty(2 * n_classes, dtype=np.int64)
+        most = int(np.diff(offsets).max(initial=0))  # the most distinct values of a feature
+        work = np.zeros(N + 4 * n_classes + d + most * n_classes, dtype=np.int64)
+        arrays = (ranks, values, offsets, y, subset, child, work)
+        # one forest's ranks and one tree's buffers; grow sets its rows before each tree
+        tree = _RankedTree(
+            ranks.ctypes.data, values.ctypes.data, offsets.ctypes.data, N, d,
+            y.ctypes.data, n_classes, min_leaf, None, N, subset.ctypes.data, 0.0,
+            child.ctypes.data, work.ctypes.data,
+        )
         # a node at depth N - 1 holds one row, so a deeper limit changes nothing
         max_depth = min(max_depth, N)
         # every leaf below a split holds min_leaf rows, and a tree has 2 * leaves - 1 nodes

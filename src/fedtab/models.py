@@ -43,12 +43,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise InvalidConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:  # NaN fails every comparison
+            raise InvalidConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         if self.epochs < 0:
             raise InvalidConfigError(f"epochs must be non-negative, got {self.epochs}")
-        if self.l2 < 0:
-            raise InvalidConfigError(f"l2 must be non-negative, got {self.l2}")
+        if not 0 <= self.l2 < math.inf:
+            raise InvalidConfigError(f"l2 must be non-negative and finite, got {self.l2}")
         if self.n_trees < 1:
             raise InvalidConfigError(f"n_trees must be at least 1, got {self.n_trees}")
         if self.max_depth < 1:

@@ -57,11 +57,38 @@ def test_validate_rejects_bad_configs(tmp_path, capsys):
         "round_budgets: [2, 2]\n",
         "output: {path: out.csv, round_log: out.csv}\n",
         "output: {path: out.csv, round_log: ./sub/../out.csv}\n",
+        "train_overrides: {logistic: {learning_rate: .nan}}\n",
+        "train_overrides: {logistic: {learning_rate: .inf}}\n",
+        "train_overrides: {svm: {l2: .nan}}\n",
+        "train_overrides: {logistic: {l2: .inf}}\n",
     ]
     for i, text in enumerate(bad_values):
         bad_value = tmp_path / f"value{i}.yaml"
         bad_value.write_text(text, encoding="utf-8")
         assert main(["validate", "--config", str(bad_value)]) == EXIT_CONFIG, text
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--clients", "abc"],
+    ["run", "--dataset", "C"],
+    ["run", "--seed", "x"],
+    ["run", "--bogus"],
+    ["validate"],
+], ids=["bad-int", "bad-choice", "bad-seed", "unknown-flag", "missing-required"])
+def test_usage_error_is_a_config_error(argv, capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == EXIT_CONFIG  # argparse itself exits 2, the data-error code
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fedtab") and "error: " in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["run", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == EXIT_OK
+    assert capsys.readouterr().out
 
 
 def test_run_executes_grid_and_writes_output(tmp_path, data_dir, capsys):
@@ -146,6 +173,23 @@ def test_run_client_too_small_to_split_is_a_config_error(tmp_path, capsys):
     assert err.startswith("configuration error: client 0 of n_clients 200 gets 2 rows")
     assert "test_fraction 0.2" in err
     assert not out.exists()
+
+
+def test_run_checks_every_table_split_before_any_cell(tmp_path, capsys):
+    # 60 clients split B's 180 rows 3 apiece, but give clients 30-59 of A's 150 rows
+    # 2 each, too few for a test row: B's cells would run first
+    write_dataset_a_like(tmp_path / "student-mat.csv", n=150, seed=41)
+    write_dataset_b_like(tmp_path / "student-dropout.csv", n=180, seed=43)
+    out, log = tmp_path / "out.csv", tmp_path / "rounds.jsonl"
+    code = main([
+        "run", "--dataset", "B", "--dataset", "A", "--clients", "60", "--model", "logistic",
+        "--data-dir", str(tmp_path), "--output", str(out), "--round-log", str(log),
+    ])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: client 30 of n_clients 60 gets 2 rows")
+    assert "s] " not in err  # no cell started
+    assert not out.exists() and not log.exists()
 
 
 @pytest.mark.parametrize("flag", ["--output", "--round-log"])

@@ -24,6 +24,7 @@ from fedtab.dataset import (
     RawTable,
     binarize_grade_target,
     build_client_partitions,
+    check_client_split,
     encode,
     load_table,
     partition_clients,
@@ -322,6 +323,24 @@ def test_partition_clients_errors():
         partition_clients(data, 4, seed=0)
     with pytest.raises(InvalidConfigError):
         partition_clients(data, 0, seed=0)
+
+
+@pytest.mark.parametrize("test_fraction", [0.2, 0.5, 0.9])
+def test_client_split_check_matches_the_dealt_clients(test_fraction):
+    # the check sizes clients without dealing; the deal must agree for every size
+    for n_rows in range(2, 41):
+        data = _labeled_dataset(np.arange(n_rows) % 2)
+        for n_clients in range(1, n_rows + 1):
+            sizes = [rows.shape[0] for rows in partition_clients(data, n_clients, seed=n_rows)]
+            bad = [k for k, n in enumerate(sizes) if math.floor(test_fraction * n + 0.5) in (0, n)]
+            if not bad:
+                check_client_split(n_rows, n_clients, test_fraction)
+                continue
+            with pytest.raises(TooManyClientsError) as caught:
+                check_client_split(n_rows, n_clients, test_fraction)
+            assert str(caught.value).startswith(
+                f"client {bad[0]} of n_clients {n_clients} gets {sizes[bad[0]]} rows"
+            )
 
 
 @pytest.fixture(scope="module")

@@ -27,7 +27,6 @@ from fedtab.dataset import build_client_partitions, encode
 from fedtab.errors import InvalidConfigError
 from fedtab.experiment import (
     RESULT_COLUMNS,
-    ConditionResult,
     SharedWork,
     build_results_table,
     emit_report,
@@ -124,20 +123,24 @@ def test_run_condition_is_deterministic(grades):
 def test_fl_report_is_mean_over_round_budgets(grades):
     spec, data = grades
     cfg = small_cfg(round_budgets=(1, 2, 3))
-    detail = run_condition_detailed(cfg, spec, data, "logistic", "fl_clean", master_seed=2)
-    assert sorted(detail.per_budget) == [1, 2, 3]
-    assert detail.report == mean_reports([detail.per_budget[b] for b in (1, 2, 3)])
-    for budget, log in detail.logs.items():
+    cell_report, logs = run_condition_detailed(
+        cfg, spec, data, "logistic", "fl_clean", master_seed=2
+    )
+    assert sorted(logs) == [1, 2, 3]
+    assert cell_report == mean_reports([logs[b].records[-1].global_metrics for b in (1, 2, 3)])
+    for budget, log in logs.items():
         assert len(log.records) == budget
-        assert detail.per_budget[budget] == log.records[-1].global_metrics
 
 
 def test_fl_per_round_averaging_mode(grades):
     spec, data = grades
     cfg = small_cfg(round_budgets=(3,), fl_average="per_round")
-    detail = run_condition_detailed(cfg, spec, data, "logistic", "fl_clean", master_seed=2)
-    log = detail.logs[3]
-    assert detail.per_budget[3] == mean_reports([r.global_metrics for r in log.records])
+    cell_report, logs = run_condition_detailed(
+        cfg, spec, data, "logistic", "fl_clean", master_seed=2
+    )
+    assert sorted(logs) == [3] and len(logs[3].records) == 3
+    # one budget: the cell's report is that budget's mean over its rounds
+    assert cell_report == mean_reports([r.global_metrics for r in logs[3].records])
 
 
 def test_forest_federation_runs_once_per_cell(grades, monkeypatch):
@@ -154,7 +157,9 @@ def test_forest_federation_runs_once_per_cell(grades, monkeypatch):
         return train_forest(train, train_cfg)
 
     monkeypatch.setattr(federation, "train_forest", counted_train_forest)
-    detail = run_condition_detailed(cfg, spec, data, "forest", "fl_poisoned", master_seed=4)
+    cell_report, logs = run_condition_detailed(
+        cfg, spec, data, "forest", "fl_poisoned", master_seed=4
+    )
     assert sorted(trained) == [4 ^ c for c in range(cfg.n_clients)]  # one forest per client
     monkeypatch.undo()
 
@@ -166,8 +171,9 @@ def test_forest_federation_runs_once_per_cell(grades, monkeypatch):
         malicious_clients=frozenset(cfg.malicious_clients),
         seed=cfg.attack_seed ^ 4,
     )
-    assert sorted(detail.logs) == [1, 2, 3]
-    for budget, log in detail.logs.items():
+    assert sorted(logs) == [1, 2, 3]
+    finals = {}
+    for budget, log in logs.items():
         epochs = epochs_for_budget(cfg.epoch_budget, budget)
         fed_cfg = FederationConfig(
             model_kind="forest",
@@ -179,8 +185,8 @@ def test_forest_federation_runs_once_per_cell(grades, monkeypatch):
         assert sorted(log.flip_masks) == sorted(alone.flip_masks) == [0]
         for client, mask in alone.flip_masks.items():
             assert np.array_equal(log.flip_masks[client], mask)
-        assert detail.per_budget[budget] == alone.records[-1].global_metrics
-    assert detail.report == mean_reports([detail.per_budget[b] for b in (1, 2, 3)])
+        finals[budget] = alone.records[-1].global_metrics
+    assert cell_report == mean_reports([finals[b] for b in (1, 2, 3)])
 
 
 @pytest.mark.parametrize("fl_average", ["final", "per_round"])
@@ -203,7 +209,7 @@ def test_budgets_with_equal_local_epochs_share_one_run(
         return run_federated(partitions, fed_cfg, attack, round_one, **options)
 
     monkeypatch.setattr(fedtab.experiment, "run_federated", counted)
-    detail = run_condition_detailed(cfg, spec, data, model, "fl_poisoned", master_seed=4)
+    cell_report, logs = run_condition_detailed(cfg, spec, data, model, "fl_poisoned", master_seed=4)
     monkeypatch.undo()
     local_epochs = {epochs_for_budget(epoch_budget, b) for b in budgets}
     assert len(local_epochs) == distinct_epochs
@@ -217,7 +223,7 @@ def test_budgets_with_equal_local_epochs_share_one_run(
         malicious_clients=frozenset(cfg.malicious_clients),
         seed=cfg.attack_seed ^ 4,
     )
-    lines = []
+    lines, expected_reports = [], []
     for budget in budgets:
         epochs = epochs_for_budget(epoch_budget, budget)
         fed_cfg = FederationConfig(
@@ -228,13 +234,16 @@ def test_budgets_with_equal_local_epochs_share_one_run(
         _, alone = run_federated(partitions, fed_cfg, attack)
         if fl_average == "final":
             expected = alone.records[-1].global_metrics
+            assert logs[budget].records[-1].global_metrics == expected
         else:
             expected = mean_reports([r.global_metrics for r in alone.records])
-        assert detail.per_budget[budget] == expected
-        single = ConditionResult(expected, {budget: expected}, {budget: alone})
-        lines.extend(fedtab.experiment._round_log_lines("A", model, "fl_poisoned", 4, single))
-    assert fedtab.experiment._round_log_lines("A", model, "fl_poisoned", 4, detail) == lines
-    assert detail.report == mean_reports([detail.per_budget[b] for b in budgets])
+            assert mean_reports([r.global_metrics for r in logs[budget].records]) == expected
+        expected_reports.append(expected)
+        lines.extend(
+            fedtab.experiment._round_log_lines("A", model, "fl_poisoned", 4, {budget: alone})
+        )
+    assert fedtab.experiment._round_log_lines("A", model, "fl_poisoned", 4, logs) == lines
+    assert cell_report == mean_reports(expected_reports)
 
 
 def test_three_class_pipeline_runs(outcomes):
@@ -407,9 +416,9 @@ def _record_cells(monkeypatch):
 
     def recording(cfg, dataset, data, model_kind, condition, master_seed, shared=None):
         current[:] = [(dataset.key, master_seed)]
-        detail = run_cell(cfg, dataset, data, model_kind, condition, master_seed, shared)
-        reports[(dataset.key, model_kind, condition, master_seed)] = detail.report
-        return detail
+        result = run_cell(cfg, dataset, data, model_kind, condition, master_seed, shared)
+        reports[(dataset.key, model_kind, condition, master_seed)] = result[0]
+        return result
 
     monkeypatch.setattr(fedtab.experiment, "run_condition_detailed", recording)
     return current, reports
@@ -535,9 +544,9 @@ def test_central_cell_matches_separate_central_oracle(
         malicious_clients=malicious,
         train_overrides={"forest": {"n_trees": 3, "max_depth": 4}},
     )
-    detail = run_condition_detailed(cfg, spec, data, model, condition, master_seed)
+    result = run_condition_detailed(cfg, spec, data, model, condition, master_seed)
     expected = central_report_oracle(data, spec.schema, cfg, model, condition, master_seed)
-    assert detail == ConditionResult(expected, {}, {})
+    assert result == (expected, {})
 
 
 def test_run_suite_cells_match_standalone_cells(grades, outcomes, tmp_path, monkeypatch):
@@ -557,11 +566,13 @@ def test_run_suite_cells_match_standalone_cells(grades, outcomes, tmp_path, monk
             for condition in cfg.conditions:
                 seed_reports = []
                 for seed in cfg.seeds:  # nothing shared between these calls
-                    alone = run_condition_detailed(cfg, spec, data, model, condition, seed)
-                    assert alone.report == suite_reports[(spec.key, model, condition, seed)]
-                    seed_reports.append(alone.report)
+                    cell_report, logs = run_condition_detailed(
+                        cfg, spec, data, model, condition, seed
+                    )
+                    assert cell_report == suite_reports[(spec.key, model, condition, seed)]
+                    seed_reports.append(cell_report)
                     lines.extend(
-                        fedtab.experiment._round_log_lines(key, model, condition, seed, alone)
+                        fedtab.experiment._round_log_lines(key, model, condition, seed, logs)
                     )
                 means[(key, model, condition)] = mean_reports(seed_reports)
     assert len(suite_reports) == len(cfg.datasets) * len(cfg.models) * 4 * len(cfg.seeds)
