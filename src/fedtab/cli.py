@@ -22,7 +22,9 @@ from .config import (
     CONDITIONS,
     OUTPUT_FORMATS,
     ExperimentConfig,
+    config_from_dict,
     load_config,
+    read_config_file,
 )
 from .errors import ConfigError, DataError, FedtabError
 from .experiment import emit_report, run_suite
@@ -85,46 +87,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    from dataclasses import replace
+# each ``run`` flag's config key, then each output flag's key within ``output``
+_FLAG_KEYS = {"dataset": "datasets", "model": "models", "condition": "conditions",
+              "seed": "seeds", "clients": "n_clients", "flip_fraction": "flip_fraction",
+              "data_dir": "data_dir"}
+_OUTPUT_FLAG_KEYS = {"output": "path", "format": "format", "round_log": "round_log"}
 
-    updates = {}
-    if args.dataset:
-        updates["datasets"] = tuple(args.dataset)
-    if args.model:
-        updates["models"] = tuple(args.model)
-    if args.condition:
-        updates["conditions"] = tuple(args.condition)
-    if args.seed:
-        updates["seeds"] = tuple(args.seed)
-    if args.rounds:
+
+def _run_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The file's mapping, each given flag replacing its key, read once."""
+    payload = read_config_file(args.config) if args.config else {}
+    if args.rounds is not None:
         try:
-            updates["round_budgets"] = tuple(int(r) for r in args.rounds.split(","))
+            payload["round_budgets"] = [int(r) for r in args.rounds.split(",")]
         except ValueError:
             raise ConfigError(f"--rounds must be comma-separated integers, got {args.rounds!r}")
-    if args.clients is not None:
-        updates["n_clients"] = args.clients
-    if args.flip_fraction is not None:
-        updates["flip_fraction"] = args.flip_fraction
-    if args.data_dir:
-        updates["data_dir"] = args.data_dir
-
-    out = cfg.output
-    out_updates = {}
-    if args.output:
-        out_updates["path"] = args.output
-    if args.format:
-        out_updates["format"] = args.format
-    if args.round_log:
-        out_updates["round_log"] = args.round_log
-    if out_updates:
-        updates["output"] = replace(out, **out_updates)
-    return replace(cfg, **updates) if updates else cfg
+    payload.update((key, getattr(args, flag)) for flag, key in _FLAG_KEYS.items()
+                   if getattr(args, flag) is not None)
+    output = {key: getattr(args, flag) for flag, key in _OUTPUT_FLAG_KEYS.items()
+              if getattr(args, flag) is not None}
+    if output and isinstance(payload.get("output", {}), dict):  # else the read says what is wrong
+        payload["output"] = {**payload.get("output", {}), **output}
+    return config_from_dict(payload, where=args.config or "config")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    cfg = _apply_overrides(cfg, args)
+    cfg = _run_config(args)
 
     progress = None
     if not args.quiet:

@@ -7,9 +7,11 @@ seeds make up a run.  Every field has a sensible default, so an empty file
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import sys
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, get_type_hints
+from typing import Any, get_args, get_origin, get_type_hints
 
 from .errors import InvalidConfigError
 from .models import DEFAULT_TRAIN_CONFIGS, MODEL_KINDS, TrainConfig
@@ -55,9 +57,9 @@ class ExperimentConfig:
     output: OutputConfig = OutputConfig()
 
     def __post_init__(self) -> None:
-        for name, kinds in _FIELD_TYPES.items():
+        for name, hint in _HINTS[ExperimentConfig].items():
             values = getattr(self, name)
-            if isinstance(kinds, list) and len(set(values)) != len(values):
+            if get_origin(hint) is tuple and len(set(values)) != len(values):
                 raise InvalidConfigError(f"{name} must be unique, got {list(values)}")
         if not self.datasets:
             raise InvalidConfigError("at least one dataset is required")
@@ -84,8 +86,10 @@ class ExperimentConfig:
             raise InvalidConfigError(f"n_clients must be at least 1, got {self.n_clients}")
         if not 0.0 < self.test_fraction < 1.0:
             raise InvalidConfigError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
-        if self.epoch_budget < 1:
-            raise InvalidConfigError(f"epoch_budget must be at least 1, got {self.epoch_budget}")
+        if not 1 <= self.epoch_budget <= sys.float_info.max:  # epochs_for_budget divides it
+            raise InvalidConfigError(
+                f"epoch_budget must be at least 1 and within float range, got {self.epoch_budget}"
+            )
         if not 0.0 <= self.flip_fraction <= 1.0:
             raise InvalidConfigError(f"flip_fraction must lie in [0, 1], got {self.flip_fraction}")
         for c in self.malicious_clients:
@@ -104,19 +108,14 @@ class ExperimentConfig:
 
     @staticmethod
     def _merged_train_config(model: str, overrides: Mapping[str, Any]) -> TrainConfig:
-        base = DEFAULT_TRAIN_CONFIGS[model]
-        unknown = sorted(set(overrides) - set(_TRAIN_FIELD_TYPES))
-        if unknown:
-            raise InvalidConfigError(f"unknown train_overrides fields for {model!r}: {unknown}")
         derived = sorted(set(overrides) & {"epochs", "seed"})
         if derived:
             raise InvalidConfigError(
                 f"train_overrides.{model} cannot set {derived}: every run derives epochs "
                 f"from epoch_budget (and round_budgets) and seeds from seeds"
             )
-        for name, value in overrides.items():
-            _typed(value, _TRAIN_FIELD_TYPES[name], f"train_overrides.{model}.{name}")
-        merged = replace(base, **dict(overrides))
+        payload = {**vars(DEFAULT_TRAIN_CONFIGS[model]), **overrides}
+        merged = _read(TrainConfig, payload, f"train_overrides.{model}")
         # train_svm's first epoch decays weights by 1 - learning_rate * l2
         if model == "svm" and 1.0 - merged.learning_rate * merged.l2 <= 0.0:
             raise InvalidConfigError(
@@ -131,60 +130,62 @@ class ExperimentConfig:
         return self._merged_train_config(model, overrides)
 
 
-# a one-element list means "a list of that type"
-_FIELD_TYPES: dict[str, Any] = {
-    **dict.fromkeys(("datasets", "models", "conditions"), [str]),
-    **dict.fromkeys(("round_budgets", "seeds", "malicious_clients"), [int]),
-    **dict.fromkeys(("data_dir", "fl_average"), str),
-    **dict.fromkeys(("n_clients", "epoch_budget", "attack_seed"), int),
-    **dict.fromkeys(("test_fraction", "flip_fraction"), (int, float)),
-}
-_TRAIN_FIELD_TYPES = {name: (int, float) if hint is float else hint
-                      for name, hint in get_type_hints(TrainConfig).items()}
+_HINTS = {cls: get_type_hints(cls) for cls in (OutputConfig, ExperimentConfig, TrainConfig)}
 
 
-def _typed(value, kinds, where: str):
-    """Return value (lists as tuples) if it has the given type; a bool is never a number."""
-    if isinstance(kinds, list):
+def _read(cls, payload: Any, where: str):
+    """A ``cls`` from a mapping of its fields, each typed by ``cls``'s own annotations.
+
+    Unknown keys are errors; a tuple field takes a list, a float field any
+    real number within float range (stored as a float), a nested config a
+    mapping; a bool is never a number.
+    """
+    if not isinstance(payload, Mapping):
+        raise InvalidConfigError(f"{where} must be a mapping")
+    hints = _HINTS[cls]
+    unknown = sorted(set(payload) - set(hints), key=str)
+    if unknown:
+        raise InvalidConfigError(f"{where} has unknown fields: {unknown}")
+    return cls(**{name: _value(hints[name], value, f"{where}.{name}")
+                  for name, value in payload.items()})
+
+
+def _value(hint: Any, value: Any, where: str) -> Any:
+    if hint in _HINTS:
+        return _read(hint, value, where)
+    args = get_args(hint)
+    if type(None) in args:  # an optional field
+        return None if value is None else _value(args[0], value, where)
+    if get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
             raise InvalidConfigError(f"{where} must be a list")
-        return tuple(_typed(v, kinds[0], f"{where}[{i}]") for i, v in enumerate(value))
-    if isinstance(value, bool) or not isinstance(value, kinds):
+        return tuple(_value(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if get_origin(hint) is Mapping:  # train_overrides; _merged_train_config reads each model's
+        if not isinstance(value, Mapping):
+            raise InvalidConfigError(f"{where} must be a mapping")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float) if hint is float else hint):
         raise InvalidConfigError(f"{where} has wrong type {type(value).__name__}")
+    if hint is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise InvalidConfigError(f"{where} is an integer beyond float range") from None
     return value
 
 
 def config_from_dict(payload: Mapping[str, Any] | None, where: str = "config") -> ExperimentConfig:
-    """Build a validated ExperimentConfig; unknown keys are hard errors."""
-    data = dict(payload or {})
-    kwargs: dict[str, Any] = {}
-    for name, kinds in _FIELD_TYPES.items():
-        if name in data:
-            kwargs[name] = _typed(data.pop(name), kinds, f"{where}.{name}")
-    if "train_overrides" in data:
-        overrides = data.pop("train_overrides")
-        if not isinstance(overrides, dict):
-            raise InvalidConfigError(f"{where}.train_overrides must be a mapping")
-        kwargs["train_overrides"] = overrides
-    if "output" in data:
-        out = data.pop("output")
-        if not isinstance(out, dict):
-            raise InvalidConfigError(f"{where}.output must be a mapping")
-        known = {"path", "format", "round_log"}
-        unknown = sorted(set(out) - known)
-        if unknown:
-            raise InvalidConfigError(f"{where}.output has unknown fields: {unknown}")
-        for name, value in out.items():
-            if value is not None:
-                _typed(value, str, f"{where}.output.{name}")
-        kwargs["output"] = OutputConfig(**out)
-    if data:
-        raise InvalidConfigError(f"{where} has unknown fields: {sorted(data)}")
-    return ExperimentConfig(**kwargs)
+    """Read a validated ExperimentConfig from the mapping of a YAML file's fields.
+
+    The fields' types come from the dataclasses' annotations; unknown keys,
+    a value of the wrong type and an integer beyond float range in a float
+    field are ``InvalidConfigError``s, and so is every failed constraint.
+    """
+    return _read(ExperimentConfig, payload or {}, where)
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse a YAML experiment configuration file."""
+def read_config_file(path: str | Path) -> dict[str, Any]:
+    """The mapping a YAML configuration file holds; an empty file holds ``{}``."""
     import yaml  # only file configs need PyYAML; keep it off `import fedtab`
 
     try:
@@ -193,10 +194,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise InvalidConfigError(f"config file not found: {path}") from None
     try:
         payload = yaml.safe_load(text)
-    except yaml.YAMLError as err:
+    except (yaml.YAMLError, ValueError) as err:  # ValueError: an integer of over 4300 digits
         raise InvalidConfigError(f"{path}: invalid YAML: {err}") from None
     if payload is None:
         payload = {}
     if not isinstance(payload, dict):
         raise InvalidConfigError(f"{path}: top level must be a mapping")
-    return config_from_dict(payload, where=str(path))
+    return payload
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    """Read a YAML experiment configuration file: its mapping through ``config_from_dict``."""
+    return config_from_dict(read_config_file(path), where=str(path))

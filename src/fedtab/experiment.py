@@ -26,7 +26,7 @@ grid.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -69,13 +69,10 @@ def mean_reports(reports: list[MetricsReport]) -> MetricsReport:
     sizes = {r.n_samples for r in reports}
     if len(sizes) != 1:
         raise ValueError(f"averaging reports over different test sizes: {sorted(sizes)}")
-    return MetricsReport(
-        accuracy_pct=float(np.mean([r.accuracy_pct for r in reports])),
-        recall=float(np.mean([r.recall for r in reports])),
-        f1=float(np.mean([r.f1 for r in reports])),
-        auc_roc=float(np.mean([r.auc_roc for r in reports])),
-        n_samples=reports[0].n_samples,
-    )
+    return MetricsReport(**{
+        f.name: float(np.mean([getattr(r, f.name) for r in reports]))
+        for f in fields(MetricsReport) if f.name != "n_samples"
+    }, n_samples=reports[0].n_samples)
 
 
 class SharedWork:
@@ -221,13 +218,6 @@ _CONVENTIONS = (
 class ResultsTable:
     rows: tuple[ResultRow, ...]
 
-    def cell(self, dataset: str, model: str, metric: str, column: str) -> float | None:
-        j = RESULT_COLUMNS.index(column)
-        for row in self.rows:
-            if (row.dataset, row.model, row.metric) == (dataset, model, metric):
-                return row.cells[j]
-        raise KeyError((dataset, model, metric))
-
 
 def _round_cell(value: float | None, metric: str) -> float | None:
     if value is None:
@@ -349,16 +339,11 @@ def _round_log_lines(
                 "flipped_rows": np.flatnonzero(mask).tolist(),
             }, sort_keys=True))
         for record in log.records:
-            report = record.global_metrics
             lines.append(json.dumps({
                 **base, "type": "round", "round": record.round_index,
                 "train_counts": list(record.train_counts),
                 "local_train_accuracy": list(record.local_train_accuracy),
-                "global": {
-                    "accuracy_pct": report.accuracy_pct, "recall": report.recall,
-                    "f1": report.f1, "auc_roc": report.auc_roc,
-                    "n_samples": report.n_samples,
-                },
+                "global": asdict(record.global_metrics),
             }, sort_keys=True))
     return lines
 

@@ -290,6 +290,9 @@ class _Kernel:
         """``grow(rows, rng)`` for one forest's trees: see ``tree_grower``."""
         check_forest_inputs(X, y, n_classes, min_leaf)
         N, d = X.shape
+        # a node holds at most N rows, so min_leaf >= N makes every node a leaf; the
+        # clamp keeps 2 * min_leaf in the C code's int64 and the value in its field
+        min_leaf = min(min_leaf, N)
         if not 0 <= n_subset <= d < 2**31:
             raise ValueError(f"expected 0 <= n_subset <= d < 2**31, got {n_subset} of {d}")
         ranks, values, offsets = self.rank_features(X)

@@ -12,7 +12,9 @@ import pytest
 
 import fedtab
 from _synth import write_dataset_a_like, write_dataset_b_like
-from fedtab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from fedtab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, _run_config, build_parser, main
+from fedtab.config import ExperimentConfig
+from fedtab.errors import InvalidConfigError
 from fedtab.experiment import parse_report
 
 
@@ -28,6 +30,9 @@ def test_validate_accepts_good_config(tmp_path, capsys):
     cfg.write_text("datasets: [A]\nmodels: [logistic]\nseeds: [1]\n", encoding="utf-8")
     assert main(["validate", "--config", str(cfg)]) == EXIT_OK
     assert "OK" in capsys.readouterr().out
+
+
+_HUGE = "9" * 400  # an integer beyond float range
 
 
 def test_validate_rejects_bad_configs(tmp_path, capsys):
@@ -61,6 +66,10 @@ def test_validate_rejects_bad_configs(tmp_path, capsys):
         "train_overrides: {logistic: {learning_rate: .inf}}\n",
         "train_overrides: {svm: {l2: .nan}}\n",
         "train_overrides: {logistic: {l2: .inf}}\n",
+        f"train_overrides: {{logistic: {{learning_rate: {_HUGE}}}}}\n",  # beyond float range
+        f"train_overrides: {{svm: {{l2: {_HUGE}}}}}\n",
+        f"epoch_budget: {_HUGE}\n",  # epochs_for_budget divides it
+        f"n_clients: {'9' * 5000}\n",  # past int()'s 4300-digit limit
     ]
     for i, text in enumerate(bad_values):
         bad_value = tmp_path / f"value{i}.yaml"
@@ -251,6 +260,60 @@ def test_run_bad_svm_step_is_a_config_error_before_any_cell(tmp_path, data_dir, 
     assert "learning_rate * l2" in err
     assert "s] " not in err  # no cell started
     assert not out.exists() and not log.exists()
+
+
+def test_run_float_field_beyond_float_range_is_a_config_error(tmp_path, data_dir, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"train_overrides: {{logistic: {{learning_rate: {_HUGE}}}}}\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    code = main([
+        "run", "--config", str(cfg), "--model", "logistic", "--data-dir", str(data_dir),
+        "--output", str(out),
+    ])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "learning_rate is an integer beyond float range" in err
+    assert "s] " not in err  # no cell started
+    assert not out.exists()
+
+
+def _flag_config(tmp_path, *argv, yaml=None):
+    """The ``ExperimentConfig`` that ``fedtab run`` builds from these flags and file text."""
+    if yaml is not None:
+        (tmp_path / "cfg.yaml").write_text(yaml, encoding="utf-8")
+        argv = ("--config", str(tmp_path / "cfg.yaml"), *argv)
+    return _run_config(build_parser().parse_args(["run", *argv]))
+
+
+@pytest.mark.parametrize("flag, value, yaml", [
+    ("--dataset", "A", "datasets: [A]"),
+    ("--model", "svm", "models: [svm]"),
+    ("--condition", "fl_clean", "conditions: [fl_clean]"),
+    ("--seed", "3", "seeds: [3]"),
+    ("--rounds", "2,4", "round_budgets: [2, 4]"),
+    ("--clients", "2", "n_clients: 2"),
+    ("--flip-fraction", "0.25", "flip_fraction: 0.25"),
+    ("--data-dir", "tables", "data_dir: tables"),
+    ("--output", "r.csv", "output: {path: r.csv}"),
+    ("--format", "structured", "output: {format: structured}"),
+    ("--round-log", "r.jsonl", "output: {round_log: r.jsonl}"),
+])
+def test_run_flag_reads_as_its_yaml_key(tmp_path, flag, value, yaml):
+    by_flag = _flag_config(tmp_path, flag, value)
+    assert by_flag == _flag_config(tmp_path, yaml=yaml + "\n")
+    assert by_flag != ExperimentConfig()
+
+
+def test_run_flag_replaces_only_its_own_key(tmp_path):
+    cfg = _flag_config(tmp_path, "--clients", "2", yaml="n_clients: 5\nseeds: [4]\n")
+    assert (cfg.n_clients, cfg.seeds) == (2, (4,))
+    cfg = _flag_config(
+        tmp_path, "--output", "new.csv", yaml="output: {path: old.csv, round_log: r.jsonl}\n"
+    )
+    assert (cfg.output.path, cfg.output.round_log) == ("new.csv", "r.jsonl")
+    # the flag's value meets the file's other keys in one read
+    with pytest.raises(InvalidConfigError, match="outside"):
+        _flag_config(tmp_path, "--clients", "2", yaml="malicious_clients: [2]\n")
 
 
 def test_run_round_log_export(tmp_path, data_dir):

@@ -6,7 +6,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -584,6 +584,13 @@ def test_run_suite_cells_match_standalone_cells(grades, outcomes, tmp_path, monk
     seed_3 = SharedWork(data, spec.schema, cfg.n_clients, cfg.test_fraction, 3)
     with pytest.raises(ValueError, match="another table, seed"):
         run_condition_detailed(cfg, spec, data, "logistic", "fl_clean", 4, seed_3)
+
+
+def test_config_of_every_default_field_reads_back_as_the_default():
+    # the payload a YAML file listing every field at its default would hold
+    payload = json.loads(json.dumps(asdict(ExperimentConfig())))
+    assert set(payload) == {f.name for f in fields(ExperimentConfig)}
+    assert config_from_dict(payload) == ExperimentConfig()
 
 
 def test_config_round_trip_and_validation():

@@ -68,6 +68,23 @@ def test_compiled_trees_are_the_python_growers(
     assert_same_tree_bytes(got.trees, train_forest(data, cfg).trees)
 
 
+@pytest.mark.parametrize(
+    "min_leaf", [40, 41, 2**62, 2**63, 2**64 + 1], ids=["N", "N+1", "2**62", "2**63", "2**64+1"]
+)
+def test_min_leaf_of_the_row_count_or_more_grows_one_leaf_on_each_path(
+    compiled, monkeypatch, min_leaf
+):
+    # the C grower gets min(min_leaf, N): from 2**62 up 2 * min_leaf would overflow
+    # its int64, and from 2**64 up the ctypes field would wrap, 2**64 + 1 to 1
+    X, y = _block(np.random.default_rng(5), 40, 3, 3)
+    data = EncodedDataset(X, y, 3, ("f0", "f1", "f2"))
+    cfg = TrainConfig(n_trees=3, max_depth=12, min_leaf=min_leaf, seed=5)
+    got = train_forest(data, cfg)
+    monkeypatch.setattr(kernel, "_loaded", "forced off by the test")
+    assert_same_tree_bytes(got.trees, train_forest(data, cfg).trees)
+    assert [tree.feature.tolist() for tree in got.trees] == [[-1]] * 3
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 39, 64, 100, 1000, 5000])
 def test_draws_are_rng_choices_and_leave_the_same_state(compiled, d):
     for size in sorted({1, math.ceil(math.sqrt(d)), min(d, 32), min(d, 100)}):
