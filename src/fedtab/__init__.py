@@ -13,12 +13,8 @@ from .dataset import (
     ColumnSpec,
     EncodedDataset,
     FeatureSchema,
-    RawTable,
-    binarize_grade_target,
     build_client_partitions,
     concat_datasets,
-    encode,
-    load_table,
     partition_clients,
     standardize,
     stratified_split,
@@ -53,7 +49,7 @@ from .models import (
     train_logreg,
     train_svm,
 )
-from .schemas import DatasetSpec, builtin_dataset, load_dataset, load_encoded
+from .schemas import DatasetSpec, builtin_dataset, load_dataset
 from .serialize import load_model, save_model
 
 __version__ = "0.1.0"
@@ -74,7 +70,6 @@ __all__ = [
     "LinearModel",
     "MetricsReport",
     "OutputConfig",
-    "RawTable",
     "ResultsTable",
     "RoundLog",
     "RoundRecord",
@@ -83,23 +78,19 @@ __all__ = [
     "aggregate_forests",
     "aggregate_parametric",
     "auc_roc",
-    "binarize_grade_target",
     "build_client_partitions",
     "build_results_table",
     "builtin_dataset",
     "compute_report",
     "concat_datasets",
     "emit_report",
-    "encode",
     "evaluate_global",
     "f1_macro",
     "flip_count",
     "flip_labels",
     "load_config",
     "load_dataset",
-    "load_encoded",
     "load_model",
-    "load_table",
     "parse_report",
     "partition_clients",
     "predict_labels",

@@ -2,10 +2,10 @@
 
 A FeatureSchema declares the column set once; every table is reordered to
 schema order at load time, so downstream code never depends on file column
-order.  Two readers give the same unscaled features: ``load_table`` plus
-``encode`` (the csv path, which names every fault), and ``read_encoded``,
-one ``np.loadtxt`` pass that declines any file the csv path could read
-differently or must reject.  Categorical vocabularies are dataset-level
+order.  One reader, ``read_encoded``, turns a file into unscaled features
+in one ``np.loadtxt`` pass that reads quotes as the csv module does; a
+file it cannot read goes to ``_raise_fault``, which walks it with the csv
+module to name the first fault.  Categorical vocabularies are dataset-level
 metadata, pinned in the schema or taken from the whole table, so encoded
 width is identical across all participants.  ``standardize`` then z-scores
 the continuous columns with statistics from the fit rows a caller names
@@ -16,17 +16,17 @@ the continuous columns with statistics from the fit rows a caller names
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import repeat
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, NoReturn, Sequence
 
 import numpy as np
 
 from .errors import (
-    ColumnNotFoundError,
     EmptyFitSetError,
     EmptyTableError,
     HeaderMismatchError,
@@ -112,36 +112,6 @@ class FeatureSchema:
         return tuple(picked)
 
 
-@dataclass(frozen=True, eq=False)
-class RawTable:
-    """Parsed but not yet encoded rows, in schema column order."""
-
-    header: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.rows:
-            raise EmptyTableError("table has no data rows")
-        width = len(self.header)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise RaggedRowError(f"row {i + 1} has {len(row)} cells, header has {width}")
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    def column_index(self, name: str) -> int:
-        try:
-            return self.header.index(name)
-        except ValueError:
-            raise ColumnNotFoundError(f"column {name!r} not in table") from None
-
-    def column(self, name: str) -> list[str]:
-        j = self.column_index(name)
-        return [row[j] for row in self.rows]
-
-
 def _clean_cell(cell: str) -> str:
     cell = cell.strip()
     if len(cell) >= 2 and cell[0] == '"' and cell[-1] == '"':
@@ -163,77 +133,6 @@ def _checked_header(
     if missing or extra:
         raise HeaderMismatchError(f"{path}: missing columns {missing}, unexpected columns {extra}")
     return header
-
-
-def _records(path: str | Path, reader) -> Iterator[list[str]]:
-    """``reader``'s records, with a file it cannot decode or parse as a data error."""
-    try:
-        yield from reader
-    except UnicodeDecodeError as err:
-        raise UnreadableFileError(f"{path}: not UTF-8 text ({err.reason})") from None
-    except csv.Error as err:
-        raise UnreadableFileError(f"{path}: line {reader.line_num}: {err}") from None
-
-
-def load_table(path: str | Path, schema: FeatureSchema) -> RawTable:
-    """Read a delimited file and reorder its columns to schema order.
-
-    Header matching ignores column order and surrounding whitespace or
-    quotes, but any missing or unexpected column name is a hard error; so is
-    a row whose cell count differs from the header's.  A leading UTF-8 byte
-    order mark, which spreadsheet exports write, is dropped.  A file that is
-    not UTF-8 text, or that the csv module cannot parse (a field over
-    ``csv.field_size_limit()``), raises ``UnreadableFileError``.
-    """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle, delimiter=schema.delimiter, quotechar='"')
-        records = _records(path, reader)
-        try:
-            raw_header = next(records)
-        except StopIteration:
-            raise EmptyTableError(f"{path}: file is empty") from None
-        header = _checked_header(path, raw_header, schema)
-        order = [header.index(name) for name in schema.column_names]
-        pick = itemgetter(*order) if len(order) > 1 else lambda cells: (cells[order[0]],)
-
-        rows = []
-        for parsed in records:
-            if not parsed:
-                continue  # tolerate blank lines, e.g. a trailing newline
-            if len(parsed) != len(header):
-                raise RaggedRowError(
-                    f"{path}: line {reader.line_num} has {len(parsed)} cells, expected {len(header)}"
-                )
-            # only a row with a quote left in it can need more than a strip
-            clean = _clean_cell if '"' in "".join(parsed) else str.strip
-            rows.append(pick(list(map(clean, parsed))))
-    if not rows:
-        raise EmptyTableError(f"{path}: no data rows")
-    return RawTable(tuple(schema.column_names), tuple(rows))
-
-
-def binarize_grade_target(
-    raw: RawTable, grade_column: str, pass_threshold: int
-) -> RawTable:
-    """Map an integer grade column to 'pass' / 'fail' at the given threshold.
-
-    A grade passes when it is greater than or equal to the threshold.
-    """
-    j = raw.column_index(grade_column)
-    rows = []
-    for i, row in enumerate(raw.rows):
-        try:
-            label = _pass_fail(row[j], pass_threshold)
-        except ValueError:
-            raise NonIntegerGradeError(
-                f"row {i + 1}: grade {row[j]!r} is not an integer"
-            ) from None
-        rows.append(row[:j] + (label,) + row[j + 1 :])
-    return RawTable(raw.header, tuple(rows))
-
-
-def _pass_fail(grade: str, pass_threshold: int) -> str:
-    return "pass" if int(grade) >= pass_threshold else "fail"
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,26 +196,6 @@ def concat_datasets(parts: Sequence[EncodedDataset]) -> EncodedDataset:
     )
 
 
-def _parse_continuous(name: str, cells: Sequence[str]) -> np.ndarray:
-    """One column's floats; names the first bad cell, in row order, if any."""
-    try:
-        values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
-        if np.isfinite(values).all():
-            return values
-    except ValueError:
-        pass
-    for i, cell in enumerate(cells):  # only to find the cell to report
-        try:
-            value = float(cell)
-        except ValueError:
-            raise NonNumericCellError(
-                f"column {name!r}, row {i + 1}: {cell!r} is not numeric"
-            ) from None
-        if not math.isfinite(value):
-            raise NonNumericCellError(f"column {name!r}, row {i + 1}: non-finite value {cell!r}")
-    raise AssertionError("unreachable: the column parsed cleanly cell by cell")
-
-
 def _codes(cells: Sequence[str], levels: Sequence[str]) -> np.ndarray:
     """Each cell's index in ``levels``, -1 where it is not one of them."""
     position = {v: k for k, v in enumerate(levels)}
@@ -325,44 +204,13 @@ def _codes(cells: Sequence[str], levels: Sequence[str]) -> np.ndarray:
     )
 
 
-def encode(raw: RawTable, schema: FeatureSchema) -> EncodedDataset:
-    """Parse every cell once into unscaled features and target indices.
-
-    Continuous columns keep their parsed values (``standardize`` z-scores
-    them), categorical columns are one-hot over the schema's vocabulary, or
-    over the sorted distinct values in ``raw`` when the schema pins none,
-    with values outside it mapping to an all-zero block, and the target
-    becomes its index in ``schema.target_classes``.  Features and labels are
-    read-only, so one encoded table can serve every experiment built on it.
-    """
-    columns = list(zip(*raw.rows))
-    floats: dict[str, np.ndarray] = {}
-    strings: dict[str, Sequence[str]] = {}
-    for col in schema.feature_columns():
-        cells = columns[raw.column_index(col.name)]
-        if col.kind == KIND_CONTINUOUS:
-            floats[col.name] = _parse_continuous(col.name, cells)
-        else:
-            strings[col.name] = cells
-
-    cells = columns[raw.column_index(schema.target_column)]
-    labels = _codes(cells, schema.target_classes)
-    unknown = np.flatnonzero(labels < 0)
-    if unknown.size:
-        i = int(unknown[0])
-        raise UnknownTargetClassError(
-            f"row {i + 1}: target {cells[i]!r} not in {list(schema.target_classes)}"
-        )
-    return _assemble(schema, floats, strings, labels)
-
-
 def _assemble(
     schema: FeatureSchema,
     floats: Mapping[str, np.ndarray],
     strings: Mapping[str, Sequence[str]],
     labels: np.ndarray,
 ) -> EncodedDataset:
-    """``encode``'s result from parsed continuous columns and clean categorical cells."""
+    """``read_encoded``'s result from parsed continuous columns and clean categorical cells."""
     pinned = schema.vocabularies or {}
     blocks: list[np.ndarray] = []
     names: list[str] = []
@@ -386,62 +234,140 @@ def _assemble(
     return EncodedDataset(features, labels, len(schema.target_classes), tuple(names))
 
 
-def read_encoded(
-    path: str | Path, schema: FeatureSchema, grade_column: str | None, pass_threshold: int
-) -> EncodedDataset | None:
-    """``encode`` of the file at ``path`` from one numpy text pass, or None.
+def _pass_fail(grade: str, pass_threshold: int) -> str:
+    return "pass" if int(grade) >= pass_threshold else "fail"
 
-    The header goes through ``load_table``'s checks and raises their errors.
-    The body is one ``np.loadtxt`` call: continuous columns as float64,
-    parsed by the routine behind ``float()``, every other column as strings,
-    each distinct value cleaned once (and binarized once, for the
-    ``grade_column``, as ``binarize_grade_target`` does).  Returns None,
-    so that the caller takes the csv path, wherever that path could read the
-    file differently or has an error to name: a quote character, a line
-    longer than the csv field limit, a file that is not UTF-8, no data rows,
-    a cell numpy cannot parse (ragged rows among them), a non-finite value,
-    a non-integer grade, an unknown target, or a grade column that is not
-    the target.
+
+def read_encoded(
+    path: str | Path, schema: FeatureSchema, pass_threshold: int | None = None
+) -> EncodedDataset:
+    """The file at ``path`` as unscaled features and target indices.
+
+    The header must name each schema column exactly once, in any order and
+    with any surrounding whitespace or quotes.  The body is one
+    ``np.loadtxt`` pass, with ``"`` quoting as the csv module reads it.
+    Every cell is stripped of surrounding whitespace and then of one pair
+    of surrounding quotes.  Continuous columns are parsed as ``float()``
+    parses them and must be finite, categorical columns are one-hot over
+    the schema's vocabulary, or over the column's sorted distinct values
+    when the schema pins none, with values outside it mapping to an
+    all-zero block, and the target becomes its index in
+    ``schema.target_classes``.  With ``pass_threshold`` the target holds
+    integer grades, and a grade passes when it is at least the threshold.
+    Blank lines are skipped and a leading UTF-8 byte order mark is dropped.
+    Features and labels are read-only, so one table can serve every
+    experiment built on it.
+
+    A file this pass cannot read goes to ``_raise_fault``, which names its
+    first fault.
     """
     try:
-        with open(path, encoding="utf-8-sig") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             text = handle.read()
-    except UnicodeDecodeError:
-        return None
-    header_line, *lines = text.split("\n")
-    if (
-        '"' in text
-        or not any(lines)
-        or max(map(len, lines)) > csv.field_size_limit()
-        or grade_column not in (None, schema.target_column)
-    ):
-        return None
-    raw_header = next(csv.reader([header_line], delimiter=schema.delimiter))
-    header = _checked_header(path, raw_header, schema)
-    continuous = {c.name for c in schema.feature_columns(KIND_CONTINUOUS)}
-    dtype = [(name, np.float64 if name in continuous else object) for name in header]
-    try:
-        table = np.loadtxt(lines, dtype=dtype, delimiter=schema.delimiter, comments=None, ndmin=1)
-    except ValueError:
-        return None
-
-    floats = {name: table[name] for name in continuous}
-    if not all(np.isfinite(values).all() for values in floats.values()):
-        return None
-    strings: dict[str, list[str]] = {}
-    for name in set(header) - continuous:
-        cells = table[name].tolist()
-        clean = {cell: _clean_cell(cell) for cell in set(cells)}
-        if name == grade_column:
-            try:
+        lines = text.split("\n")
+        limit = csv.field_size_limit()
+        # Nonempty ASCII text with no quote, underscore or lone carriage return
+        # holds one record per line, no field longer than its line, and numbers
+        # that numpy parses as float() does: numpy reads its lines, numbers
+        # into float64 fields.  Other text goes to numpy whole, numbers as text.
+        typed = (
+            text != "" and text.isascii() and '"' not in text and "_" not in text
+            and text.count("\r") == text.count("\r\n") and max(map(len, lines)) <= limit
+        )
+        source = iter(lines) if typed else io.StringIO(text, newline="")
+        header = _checked_header(path, next(csv.reader(source, delimiter=schema.delimiter)), schema)
+        continuous = {c.name for c in schema.feature_columns(KIND_CONTINUOUS)}
+        dtype = [(name, np.float64 if typed and name in continuous else object) for name in header]
+        with warnings.catch_warnings():  # a table without rows is a fault, found below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(
+                source, dtype=dtype, delimiter=schema.delimiter, quotechar='"', comments=None,
+                ndmin=1,
+            )
+        if not table.size:
+            raise ValueError("no data rows")
+        floats: dict[str, np.ndarray] = {}
+        strings: dict[str, list[str]] = {}
+        for name in header:
+            if table.dtype[name] != object:
+                floats[name] = table[name]
+                continue
+            cells = table[name].tolist()
+            clean = {cell: _clean_cell(cell) for cell in set(cells)}
+            if max(map(len, clean)) > limit:
+                raise ValueError("a field over the csv field limit")
+            if name in continuous:
+                clean = {cell: float(value) for cell, value in clean.items()}
+                floats[name] = np.fromiter(map(clean.__getitem__, cells), np.float64, len(cells))
+                continue
+            if name == schema.target_column and pass_threshold is not None:
                 clean = {cell: _pass_fail(value, pass_threshold) for cell, value in clean.items()}
-            except ValueError:
-                return None
-        strings[name] = list(map(clean.__getitem__, cells))
-    labels = _codes(strings[schema.target_column], schema.target_classes)
-    if (labels < 0).any():
-        return None
+            strings[name] = list(map(clean.__getitem__, cells))
+        labels = _codes(strings[schema.target_column], schema.target_classes)
+        if (labels < 0).any() or not all(np.isfinite(v).all() for v in floats.values()):
+            raise ValueError("an unknown target or a non-finite number")
+    except (csv.Error, StopIteration, ValueError):  # a decode error is a ValueError too
+        _raise_fault(path, schema, pass_threshold)
     return _assemble(schema, floats, strings, labels)
+
+
+def _raise_fault(path: str | Path, schema: FeatureSchema, pass_threshold: int | None) -> NoReturn:
+    """Raise the first fault of a file that ``read_encoded`` cannot read.
+
+    The file is walked with the csv module, so each error carries its csv
+    line number.  In order: text that is not UTF-8 or that the csv module
+    cannot parse, an empty file, a row whose cell count differs from the
+    header's, no data rows, then a non-integer grade, a continuous cell
+    that is not a finite number (by column in schema order, then by row)
+    and a target outside the declared classes, each named by its data row.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle, delimiter=schema.delimiter)
+        try:
+            raw_header = next(reader, None)
+            if raw_header is None:
+                raise EmptyTableError(f"{path}: file is empty")
+            header = _checked_header(path, raw_header, schema)
+            rows = []
+            for cells in filter(None, reader):  # a blank line is no row
+                if len(cells) != len(header):
+                    raise RaggedRowError(
+                        f"{path}: line {reader.line_num} has {len(cells)} cells, "
+                        f"expected {len(header)}"
+                    )
+                rows.append(dict(zip(header, map(_clean_cell, cells))))
+        except UnicodeDecodeError as err:
+            raise UnreadableFileError(f"{path}: not UTF-8 text ({err.reason})") from None
+        except csv.Error as err:
+            raise UnreadableFileError(f"{path}: line {reader.line_num}: {err}") from None
+    if not rows:
+        raise EmptyTableError(f"{path}: no data rows")
+    target = schema.target_column
+    if pass_threshold is not None:
+        for i, row in enumerate(rows, 1):
+            try:
+                row[target] = _pass_fail(row[target], pass_threshold)
+            except ValueError:
+                raise NonIntegerGradeError(
+                    f"row {i}: grade {row[target]!r} is not an integer"
+                ) from None
+    for col in schema.feature_columns(KIND_CONTINUOUS):
+        for i, row in enumerate(rows, 1):
+            cell = row[col.name]
+            try:
+                value = float(cell)
+            except ValueError:
+                raise NonNumericCellError(
+                    f"column {col.name!r}, row {i}: {cell!r} is not numeric"
+                ) from None
+            if not math.isfinite(value):
+                raise NonNumericCellError(f"column {col.name!r}, row {i}: non-finite value {cell!r}")
+    for i, row in enumerate(rows, 1):
+        if row[target] not in schema.target_classes:
+            raise UnknownTargetClassError(
+                f"row {i}: target {row[target]!r} not in {list(schema.target_classes)}"
+            )
+    raise AssertionError("unreachable: read_encoded declined a file without a fault")
 
 
 def standardize(
@@ -450,7 +376,7 @@ def standardize(
     fit_rows: Sequence[int] | np.ndarray,
     row_sets: Sequence[Sequence[int] | np.ndarray],
 ) -> list[EncodedDataset]:
-    """Pick rows of an ``encode`` result and z-score its continuous columns.
+    """Pick rows of a ``read_encoded`` result and z-score its continuous columns.
 
     Each continuous column's mean and population standard deviation come
     from ``fit_rows`` only, in the order given.  The caller passes training
@@ -621,9 +547,9 @@ def build_client_partitions(
     seed: int,
     stats_scope: str = "client",
 ) -> list[ClientPartition]:
-    """Deal an ``encode`` result to clients for one experiment context.
+    """Deal a ``read_encoded`` result to clients for one experiment context.
 
-    The caller encodes each table once and passes it to every build.  Steps:
+    The caller reads each table once and passes it to every build.  Steps:
     deal rows to clients, split each client's rows into train/test, then
     standardize.  With ``stats_scope`` 'client' the result is one partition
     per client, each z-scored with statistics fitted on its own training
@@ -635,7 +561,7 @@ def build_client_partitions(
 
     Derived seeds: the deal uses ``seed`` itself and client k's split uses
     ``seed XOR k``.  Every array of the result is read-only, like
-    ``encode``'s, so one build can serve every experiment on that split.
+    ``read_encoded``'s, so one build can serve every experiment on that split.
 
     A client whose rows ``test_fraction`` cannot split into a non-empty
     train and a non-empty test side raises ``TooManyClientsError``, a

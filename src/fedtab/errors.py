@@ -38,10 +38,6 @@ class EmptyTableError(DataError):
     """A table has no data rows."""
 
 
-class ColumnNotFoundError(DataError):
-    """A named column is absent from the table."""
-
-
 class NonIntegerGradeError(DataError):
     """A grade cell could not be parsed as an integer."""
 

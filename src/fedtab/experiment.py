@@ -45,7 +45,7 @@ from .errors import InvalidConfigError
 from .federation import FederationConfig, RoundLog, run_federated
 from .metrics import MetricsReport
 from .models import TrainConfig
-from .schemas import DatasetSpec, builtin_dataset, load_encoded
+from .schemas import DatasetSpec, builtin_dataset, load_dataset
 
 METRIC_NAMES = ("Accuracy", "Recall", "F1-Score", "AUCROC")
 MODEL_LABELS = {"forest": "Random forest", "svm": "SVM", "logistic": "Logistic regression"}
@@ -182,11 +182,11 @@ def run_condition(
 ) -> MetricsReport:
     """Run one (dataset, model, condition) cell for one master seed.
 
-    ``data`` is the table's ``load_encoded`` result; it is read when not
+    ``data`` is the table's ``load_dataset`` result; it is read when not
     given.
     """
     if data is None:
-        data = load_encoded(dataset)
+        data = load_dataset(dataset)
     return run_condition_detailed(cfg, dataset, data, model_kind, condition, master_seed)[0]
 
 
@@ -271,7 +271,7 @@ def run_suite(
 
     ``datasets`` may inject pre-built specs (tests do); by default the
     built-in catalog plus cfg.data_dir resolves them.  Each table is read
-    and encoded once (``load_encoded``), all of them before the first cell,
+    and encoded once (``load_dataset``), all of them before the first cell,
     and every cell of a table shares that encoding.  Every table's client
     split is checked then too (``check_client_split``), so an ``n_clients``
     too large for any table fails before any cell runs.  Seeds are the next
@@ -296,7 +296,7 @@ def run_suite(
     specs = dict(datasets) if datasets is not None else {
         key: builtin_dataset(key, cfg.data_dir) for key in cfg.datasets
     }
-    tables = {key: load_encoded(specs[key]) for key in cfg.datasets}
+    tables = {key: load_dataset(specs[key]) for key in cfg.datasets}
     for data in tables.values():
         check_client_split(data.n_samples, cfg.n_clients, cfg.test_fraction)
     results: dict[tuple[str, str, str], list[tuple[int, MetricsReport, dict[int, RoundLog]]]] = {}

@@ -11,9 +11,9 @@ Enrolled, or Graduate.  Its one categorical column is the integer-coded
 marital status field; the remaining coded columns are ordinal enough that
 they are treated as continuous.
 
-``load_encoded`` reads a spec's file into its encoded table: in one numpy
-text pass where ``dataset.read_encoded`` accepts the file, otherwise
-through ``load_dataset`` and ``encode``, with the same result or error.
+``load_dataset`` reads a spec's file into its encoded table, through
+``dataset.read_encoded``: one numpy text pass, or the error that names the
+file's first fault.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ from .dataset import (
     ColumnSpec,
     EncodedDataset,
     FeatureSchema,
-    RawTable,
-    binarize_grade_target,
-    encode,
-    load_table,
     read_encoded,
 )
 from .errors import InvalidConfigError
@@ -91,13 +87,24 @@ def academic_outcome_schema() -> FeatureSchema:
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Everything needed to load one dataset: key, file, schema, binarization."""
+    """Everything needed to load one dataset: key, file, schema, binarization.
+
+    A ``grade_column``, when given, must be the schema's target column: its
+    integer grades become 'pass' at ``pass_threshold`` or above, else 'fail'.
+    """
 
     key: str
     path: Path
     schema: FeatureSchema
     grade_column: str | None = None
     pass_threshold: int = GRADE_PASS_THRESHOLD
+
+    def __post_init__(self) -> None:
+        if self.grade_column not in (None, self.schema.target_column):
+            raise InvalidConfigError(
+                f"grade_column {self.grade_column!r} must be the target column "
+                f"{self.schema.target_column!r}"
+            )
 
 
 DATASET_KEYS = ("A", "B")
@@ -122,20 +129,7 @@ def builtin_dataset(key: str, data_dir: str | Path) -> DatasetSpec:
     raise InvalidConfigError(f"unknown dataset key {key!r}; expected one of {DATASET_KEYS}")
 
 
-def load_dataset(spec: DatasetSpec) -> RawTable:
-    """Load, and when a grade column is declared, binarize it to pass/fail."""
-    raw = load_table(spec.path, spec.schema)
-    if spec.grade_column is not None:
-        raw = binarize_grade_target(raw, spec.grade_column, spec.pass_threshold)
-    return raw
-
-
-def load_encoded(spec: DatasetSpec) -> EncodedDataset:
-    """``encode(load_dataset(spec), spec.schema)``, in one numpy text pass where it can be.
-
-    ``read_encoded`` takes a file without quotes in one pass.  Any file it
-    does not accept goes through ``load_dataset`` and ``encode``, which
-    return the same result or raise the error to report.
-    """
-    data = read_encoded(spec.path, spec.schema, spec.grade_column, spec.pass_threshold)
-    return encode(load_dataset(spec), spec.schema) if data is None else data
+def load_dataset(spec: DatasetSpec) -> EncodedDataset:
+    """The spec's file, encoded, with a declared grade column binarized to pass/fail."""
+    threshold = None if spec.grade_column is None else spec.pass_threshold
+    return read_encoded(spec.path, spec.schema, threshold)

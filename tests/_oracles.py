@@ -4,16 +4,21 @@ Everything here is written the slow, obvious way: explicit loops straight
 from the definitions, exact rational arithmetic where it matters, or, for a
 kernel rewritten for speed, the plain array form it must match.  Nothing
 at module level imports from the package, so agreement between these and
-the fast implementations is meaningful evidence.  The one exception is the
-central-cell oracle at the end: it checks how the package composes its
-own steps, not the steps, so it calls them in their old, separate order.
+the fast implementations is meaningful evidence.  The csv reader imports
+only the package's error classes and ``EncodedDataset``, inside its
+functions, so that it raises and returns what the package's reader must.
+The one exception is the central-cell oracle at the end: it checks how the
+package composes its own steps, not the steps, so it calls them in their
+old, separate order.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -324,6 +329,144 @@ def per_cell_encode(rows, columns, target_classes, vocabularies=None):
         else:
             labels = np.array([list(target_classes).index(row[j]) for row in rows], dtype=np.int64)
     return np.concatenate(blocks, axis=1), labels, names
+
+
+class RawTable(NamedTuple):
+    """Parsed but not yet encoded cells, in schema column order."""
+
+    header: tuple[str, ...]
+    rows: tuple[tuple[str, ...], ...]
+
+    def column_index(self, name: str) -> int:
+        return self.header.index(name)
+
+    def column(self, name: str) -> list[str]:
+        j = self.column_index(name)
+        return [row[j] for row in self.rows]
+
+
+def _clean_cell(cell: str) -> str:
+    cell = cell.strip()
+    if len(cell) >= 2 and cell[0] == '"' and cell[-1] == '"':
+        cell = cell[1:-1].strip()
+    return cell
+
+
+def _records(path, reader):
+    """``reader``'s records, with a file it cannot decode or parse as a data error."""
+    from fedtab.errors import UnreadableFileError
+
+    try:
+        yield from reader
+    except UnicodeDecodeError as err:
+        raise UnreadableFileError(f"{path}: not UTF-8 text ({err.reason})") from None
+    except csv.Error as err:
+        raise UnreadableFileError(f"{path}: line {reader.line_num}: {err}") from None
+
+
+def csv_read_table(path, schema) -> RawTable:
+    """The file's cells through the csv module, cleaned, in schema column order.
+
+    Header matching ignores column order and surrounding whitespace or
+    quotes; a missing, unexpected or duplicate column name is an error, and
+    so is a row whose cell count differs from the header's.  Blank lines
+    are skipped, a leading UTF-8 byte order mark is dropped, and each cell
+    is stripped of surrounding whitespace, then of one pair of quotes.
+    """
+    from fedtab.errors import EmptyTableError, HeaderMismatchError, RaggedRowError
+
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle, delimiter=schema.delimiter, quotechar='"')
+        records = _records(path, reader)
+        try:
+            raw_header = next(records)
+        except StopIteration:
+            raise EmptyTableError(f"{path}: file is empty") from None
+        header = tuple(_clean_cell(c) for c in raw_header)
+        if len(set(header)) != len(header):
+            dupes = sorted({c for c in header if header.count(c) > 1})
+            raise HeaderMismatchError(f"{path}: duplicate header columns {dupes}")
+        names = [c.name for c in schema.columns]
+        missing = sorted(set(names) - set(header))
+        extra = sorted(set(header) - set(names))
+        if missing or extra:
+            raise HeaderMismatchError(
+                f"{path}: missing columns {missing}, unexpected columns {extra}"
+            )
+        rows = []
+        for parsed in records:
+            if not parsed:
+                continue
+            if len(parsed) != len(header):
+                raise RaggedRowError(
+                    f"{path}: line {reader.line_num} has {len(parsed)} cells, "
+                    f"expected {len(header)}"
+                )
+            cells = dict(zip(header, map(_clean_cell, parsed)))
+            rows.append(tuple(cells[name] for name in names))
+    if not rows:
+        raise EmptyTableError(f"{path}: no data rows")
+    return RawTable(tuple(names), tuple(rows))
+
+
+def csv_binarize(raw: RawTable, grade_column: str, pass_threshold: int) -> RawTable:
+    """Integer grades to 'pass' (at or above the threshold) or 'fail'."""
+    from fedtab.errors import NonIntegerGradeError
+
+    j = raw.column_index(grade_column)
+    rows = []
+    for i, row in enumerate(raw.rows):
+        try:
+            label = "pass" if int(row[j]) >= pass_threshold else "fail"
+        except ValueError:
+            raise NonIntegerGradeError(f"row {i + 1}: grade {row[j]!r} is not an integer") from None
+        rows.append(row[:j] + (label,) + row[j + 1 :])
+    return RawTable(raw.header, tuple(rows))
+
+
+def csv_encode(raw: RawTable, schema):
+    """``per_cell_encode`` of checked cells, as a read-only ``EncodedDataset``.
+
+    Continuous columns are checked in schema order, each cell by ``float()``
+    in row order, then the target; the first bad cell is the error.
+    """
+    from fedtab.dataset import EncodedDataset
+    from fedtab.errors import NonNumericCellError, UnknownTargetClassError
+
+    for col in schema.columns:
+        if col.kind != "continuous":
+            continue
+        for i, cell in enumerate(raw.column(col.name)):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise NonNumericCellError(
+                    f"column {col.name!r}, row {i + 1}: {cell!r} is not numeric"
+                ) from None
+            if not math.isfinite(value):
+                raise NonNumericCellError(
+                    f"column {col.name!r}, row {i + 1}: non-finite value {cell!r}"
+                )
+    target = next(c.name for c in schema.columns if c.kind == "target")
+    for i, cell in enumerate(raw.column(target)):
+        if cell not in schema.target_classes:
+            raise UnknownTargetClassError(
+                f"row {i + 1}: target {cell!r} not in {list(schema.target_classes)}"
+            )
+    columns = [(c.name, c.kind) for c in schema.columns]
+    features, labels, names = per_cell_encode(
+        raw.rows, columns, schema.target_classes, schema.vocabularies
+    )
+    features.flags.writeable = labels.flags.writeable = False
+    return EncodedDataset(features, labels, len(schema.target_classes), tuple(names))
+
+
+def csv_load_dataset(spec):
+    """A spec's table read through the csv module, cell by cell: the reference reader."""
+    raw = csv_read_table(spec.path, spec.schema)
+    if spec.grade_column is not None:
+        raw = csv_binarize(raw, spec.grade_column, spec.pass_threshold)
+    return csv_encode(raw, spec.schema)
 
 
 def central_split_oracle(data, schema, n_clients: int, test_fraction: float, seed: int):

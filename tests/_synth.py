@@ -179,6 +179,25 @@ def write_dataset_b_like(path: Path, n: int = 150, seed: int = 23) -> Path:
     return path
 
 
+def quote_strings(path: Path) -> Path:
+    """Rewrite a ``;``-delimited table with each data cell that is not a number quoted.
+
+    The UCI copy of table A quotes its strings this way.
+    """
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+
+    def quoted(cell: str) -> str:
+        try:
+            float(cell)
+        except ValueError:
+            return f'"{cell}"'
+        return cell
+
+    rows = [";".join(map(quoted, row.split(";"))) for row in rows]
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    return path
+
+
 def blob_dataset(
     n_per_class: int, n_classes: int = 2, n_features: int = 5, seed: int = 0, spread: float = 1.0
 ) -> EncodedDataset:

@@ -33,7 +33,7 @@ from _synth import write_dataset_a_like, write_dataset_b_like
 from conftest import missing_real_data, real_data_dir
 from fedtab.attack import AttackConfig, flip_labels
 from fedtab.config import ExperimentConfig, OutputConfig
-from fedtab.dataset import build_client_partitions, encode
+from fedtab.dataset import build_client_partitions
 from fedtab.errors import NoPositivePairsError
 from fedtab.experiment import build_results_table, emit_report, run_condition, run_suite
 from fedtab.federation import FederationConfig, aggregate_parametric, run_federated
@@ -77,7 +77,7 @@ def benchmark():
     reports, timings = {}, {}
     suite_start = time.perf_counter()
     for key in cfg.datasets:
-        data = encode(load_dataset(specs[key]), specs[key].schema)
+        data = load_dataset(specs[key])
         for model in cfg.models:
             for condition in cfg.conditions:
                 cell_start = time.perf_counter()
@@ -404,7 +404,7 @@ def _suite_output_bytes(cfg: ExperimentConfig, specs, out_dir: Path) -> tuple[by
 
 
 def _warm_start_check(spec):
-    data = encode(load_dataset(spec), spec.schema)
+    data = load_dataset(spec)
     parts = build_client_partitions(data, spec.schema, 1, 0.2, seed=5, stats_scope="client")
     fed_cfg = FederationConfig(
         model_kind="logistic",

@@ -10,7 +10,7 @@ import pytest
 
 import fedtab.dataset
 import fedtab.schemas
-from _oracles import per_cell_encode, round_robin_partition
+from _oracles import csv_binarize, csv_read_table, per_cell_encode, round_robin_partition
 from _synth import (
     grades_dataset_spec,
     write_dataset_a_like,
@@ -21,19 +21,15 @@ from fedtab.dataset import (
     ColumnSpec,
     EncodedDataset,
     FeatureSchema,
-    RawTable,
-    binarize_grade_target,
     build_client_partitions,
     check_client_split,
-    encode,
-    load_table,
     partition_clients,
+    read_encoded,
     standardize,
     stratified_split,
     stratified_split_indices,
 )
 from fedtab.errors import (
-    ColumnNotFoundError,
     DataError,
     EmptyFitSetError,
     EmptyTableError,
@@ -50,6 +46,7 @@ from fedtab.errors import (
 )
 from fedtab.schemas import (
     DATA_FILES,
+    DatasetSpec,
     academic_outcome_schema,
     builtin_dataset,
     load_dataset,
@@ -75,72 +72,90 @@ def write(tmp_path, text, name="t.csv"):
     return path
 
 
+def write_rows(path, header, rows, delimiter=";"):
+    """A delimited file of ``rows`` under ``header``."""
+    lines = [delimiter.join(header), *(delimiter.join(row) for row in rows)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def read_rows(tmp_path, schema, rows, pass_threshold=None):
+    """The one reader's table of ``rows``, cells in schema column order."""
+    path = write_rows(tmp_path / "rows.csv", schema.column_names, rows, schema.delimiter)
+    return read_encoded(path, schema, pass_threshold)
+
+
 def test_load_reorders_columns_to_schema(tmp_path):
     path = write(tmp_path, "color;label;x\nred;yes;1.5\nblue;no;2.5\n")
-    raw = load_table(path, tiny_schema())
-    assert raw.header == ("x", "color", "label")
-    assert raw.rows == (("1.5", "red", "yes"), ("2.5", "blue", "no"))
+    data = read_encoded(path, tiny_schema())
+    assert data.feature_names == ("x", "color=blue", "color=red")
+    assert data.features.tolist() == [[1.5, 0.0, 1.0], [2.5, 1.0, 0.0]]
+    assert data.labels.tolist() == [1, 0]
 
 
 def test_load_strips_quotes_and_whitespace(tmp_path):
     path = write(tmp_path, 'x; color ;label\n"1.5" ; "red";yes\n')
-    raw = load_table(path, tiny_schema())
-    assert raw.rows == (("1.5", "red", "yes"),)
+    data = read_encoded(path, tiny_schema())
+    assert data.feature_names == ("x", "color=red")
+    assert data.features.tolist() == [[1.5, 1.0]]
 
 
 def test_load_header_mismatch(tmp_path):
     path = write(tmp_path, "x;colour;label\n1;red;yes\n")
     with pytest.raises(HeaderMismatchError) as err:
-        load_table(path, tiny_schema())
+        read_encoded(path, tiny_schema())
     assert "color" in str(err.value) and "colour" in str(err.value)
 
 
 def test_load_duplicate_header(tmp_path):
     path = write(tmp_path, "x;x;label\n1;2;yes\n")
     with pytest.raises(HeaderMismatchError):
-        load_table(path, tiny_schema())
+        read_encoded(path, tiny_schema())
 
 
 def test_load_ragged_row_reports_line(tmp_path):
     path = write(tmp_path, "x;color;label\n1;red;yes\n2;blue\n")
     with pytest.raises(RaggedRowError) as err:
-        load_table(path, tiny_schema())
+        read_encoded(path, tiny_schema())
     assert "line 3" in str(err.value)
 
 
 def test_load_empty_variants(tmp_path):
-    with pytest.raises(EmptyTableError):
-        load_table(write(tmp_path, "", "a.csv"), tiny_schema())
-    with pytest.raises(EmptyTableError):
-        load_table(write(tmp_path, "x;color;label\n", "b.csv"), tiny_schema())
+    with pytest.raises(EmptyTableError, match="file is empty"):
+        read_encoded(write(tmp_path, "", "a.csv"), tiny_schema())
+    with pytest.raises(EmptyTableError, match="no data rows"):
+        read_encoded(write(tmp_path, "x;color;label\n", "b.csv"), tiny_schema())
     with pytest.raises(FileNotFoundError):
-        load_table(tmp_path / "missing.csv", tiny_schema())
+        read_encoded(tmp_path / "missing.csv", tiny_schema())
 
 
-def test_binarize_threshold_boundary():
-    raw = RawTable(("g", "x"), (("9", "a"), ("10", "b"), ("0", "c"), ("20", "d")))
-    out = binarize_grade_target(raw, "g", 10)
-    assert [r[0] for r in out.rows] == ["fail", "pass", "fail", "pass"]
-    # untouched column and row order preserved
-    assert [r[1] for r in out.rows] == ["a", "b", "c", "d"]
-
-
-def test_binarize_errors():
-    raw = RawTable(("g",), (("9.5",),))
-    with pytest.raises(NonIntegerGradeError):
-        binarize_grade_target(raw, "g", 10)
-    with pytest.raises(ColumnNotFoundError):
-        binarize_grade_target(raw, "h", 10)
-
-
-def test_fit_stats_population_std_hand_value():
-    schema = tiny_schema()
-    raw = RawTable(
-        ("x", "color", "label"),
-        (("1", "r", "no"), ("2", "r", "yes"), ("3", "b", "no"), ("4", "b", "yes"),
-         ("100", "g", "no")),
+def grade_schema() -> FeatureSchema:
+    return FeatureSchema(
+        (ColumnSpec("g", "target"), ColumnSpec("x", "categorical")), ("fail", "pass")
     )
-    (data,) = standardize(encode(raw, schema), schema, [0, 1, 2, 3], [range(5)])
+
+
+def test_binarize_threshold_boundary(tmp_path):
+    rows = [("9", "a"), ("10", "b"), ("0", "c"), ("20", "d")]
+    data = read_rows(tmp_path, grade_schema(), rows, pass_threshold=10)
+    assert data.labels.tolist() == [0, 1, 0, 1]  # fail, pass, fail, pass
+    # the other column and the row order are untouched
+    assert data.feature_names == ("x=a", "x=b", "x=c", "x=d")
+    assert np.array_equal(data.features, np.eye(4))
+
+
+def test_binarize_errors(tmp_path):
+    with pytest.raises(NonIntegerGradeError, match="row 1: grade '9.5' is not an integer"):
+        read_rows(tmp_path, grade_schema(), [("9.5", "a")], pass_threshold=10)
+    with pytest.raises(InvalidConfigError):  # only the target column can hold grades
+        DatasetSpec("g", tmp_path / "g.csv", grade_schema(), grade_column="x")
+
+
+def test_fit_stats_population_std_hand_value(tmp_path):
+    schema = tiny_schema()
+    rows = [("1", "r", "no"), ("2", "r", "yes"), ("3", "b", "no"), ("4", "b", "yes"),
+            ("100", "g", "no")]
+    (data,) = standardize(read_rows(tmp_path, schema, rows), schema, [0, 1, 2, 3], [range(5)])
     # mean 2.5 and population std sqrt(1.25) over rows 0-3; row 4 is not a
     # fit row, so its value must leave the statistics alone
     scale = math.sqrt(1.25)
@@ -153,11 +168,8 @@ def test_encode_zscore_onehot_and_target(tmp_path):
     pinned = FeatureSchema(
         schema.columns, schema.target_classes, schema.delimiter, {"color": ("b", "r")}
     )
-    raw = RawTable(
-        ("x", "color", "label"),
-        (("1", "r", "no"), ("3", "b", "yes"), ("2", "g", "no")),
-    )
-    unscaled = encode(raw, pinned)
+    rows = [("1", "r", "no"), ("3", "b", "yes"), ("2", "g", "no")]
+    unscaled = read_rows(tmp_path, pinned, rows)
     assert unscaled.feature_names == ("x", "color=b", "color=r")
     assert unscaled.features[:, 0].tolist() == [1.0, 3.0, 2.0]
     (data,) = standardize(unscaled, pinned, [0, 1], [[0, 1, 2]])
@@ -169,43 +181,39 @@ def test_encode_zscore_onehot_and_target(tmp_path):
     assert data.features[2].tolist()[1:] == [0.0, 0.0]
     assert data.labels.tolist() == [0, 1, 0]
     # without a pinned vocabulary the levels come from the whole table
-    assert encode(raw, schema).feature_names == ("x", "color=b", "color=g", "color=r")
+    assert read_rows(tmp_path, schema, rows).feature_names == ("x", "color=b", "color=g", "color=r")
 
 
-def test_encode_constant_column_maps_to_zero():
+def test_encode_constant_column_maps_to_zero(tmp_path):
     schema = FeatureSchema(
         (ColumnSpec("x", "continuous"), ColumnSpec("label", "target")), ("no", "yes")
     )
-    raw = RawTable(("x", "label"), (("7", "no"), ("7", "yes"), ("7", "no")))
-    (data,) = standardize(encode(raw, schema), schema, [0, 1, 2], [[0, 1, 2]])
+    data = read_rows(tmp_path, schema, [("7", "no"), ("7", "yes"), ("7", "no")])
+    (data,) = standardize(data, schema, [0, 1, 2], [[0, 1, 2]])
     assert np.all(data.features[:, 0] == 0.0)
     assert not np.any(np.signbit(data.features[:, 0]))
 
 
-def test_encode_pinned_vocabulary_fixes_width():
+def test_encode_pinned_vocabulary_fixes_width(tmp_path):
     schema = tiny_schema()
     pinned = FeatureSchema(
         schema.columns, schema.target_classes, schema.delimiter,
         {"color": ("b", "g", "r")},
     )
-    raw = RawTable(("x", "color", "label"), (("1", "r", "no"), ("2", "r", "yes")))
-    data = encode(raw, pinned)
+    data = read_rows(tmp_path, pinned, [("1", "r", "no"), ("2", "r", "yes")])
     assert data.feature_names == ("x", "color=b", "color=g", "color=r")
     assert data.n_features == 4
 
 
-def test_encode_errors():
+def test_encode_errors(tmp_path):
     schema = tiny_schema()
-    raw = RawTable(("x", "color", "label"), (("2", "r", "no"), ("one", "r", "yes")))
     with pytest.raises(NonNumericCellError, match="column 'x', row 2: 'one' is not numeric"):
-        encode(raw, schema)
-    nan_raw = RawTable(("x", "color", "label"), (("nan", "r", "no"),))
+        read_rows(tmp_path, schema, [("2", "r", "no"), ("one", "r", "yes")])
     with pytest.raises(NonNumericCellError, match="non-finite"):
-        encode(nan_raw, schema)
-    bad_target = RawTable(("x", "color", "label"), (("1", "r", "maybe"),))
+        read_rows(tmp_path, schema, [("nan", "r", "no")])
     with pytest.raises(UnknownTargetClassError):
-        encode(bad_target, schema)
-    good = encode(RawTable(("x", "color", "label"), (("1", "r", "no"),)), schema)
+        read_rows(tmp_path, schema, [("1", "r", "maybe")])
+    good = read_rows(tmp_path, schema, [("1", "r", "no")])
     with pytest.raises(EmptyFitSetError):
         standardize(good, schema, [], [[0]])
     for rows in ([1], [-1]):  # no silent wrap of negative rows
@@ -220,22 +228,21 @@ def test_encode_errors():
          ColumnSpec("label", "target")),
         ("no", "yes"),
     )
-    clash_raw = RawTable(("c=v", "c", "label"), (("1", "v", "no"), ("5", "w", "yes")))
     with pytest.raises(ShapeMismatchError, match="unique"):
-        encode(clash_raw, clash)
+        read_rows(tmp_path, clash, [("1", "v", "no"), ("5", "w", "yes")])
 
 
-def test_stats_depend_only_on_fit_rows():
+def test_stats_depend_only_on_fit_rows(tmp_path):
     schema = tiny_schema()
     pinned = FeatureSchema(
         schema.columns, schema.target_classes, schema.delimiter,
         {"color": ("b", "g", "k", "r")},
     )
     base = [("1", "r", "no"), ("2", "r", "yes"), ("3", "b", "no")]
-    raw_a = RawTable(("x", "color", "label"), tuple(base + [("50", "g", "yes")]))
-    raw_b = RawTable(("x", "color", "label"), tuple(base + [("-9", "k", "yes")]))
-    (a,) = standardize(encode(raw_a, pinned), pinned, [0, 1, 2], [[0, 1, 2]])
-    (b,) = standardize(encode(raw_b, pinned), pinned, [0, 1, 2], [[0, 1, 2]])
+    a = read_rows(tmp_path, pinned, base + [("50", "g", "yes")])
+    b = read_rows(tmp_path, pinned, base + [("-9", "k", "yes")])
+    (a,) = standardize(a, pinned, [0, 1, 2], [[0, 1, 2]])
+    (b,) = standardize(b, pinned, [0, 1, 2], [[0, 1, 2]])
     assert np.array_equal(a.features, b.features)
 
 
@@ -345,21 +352,22 @@ def test_client_split_check_matches_the_dealt_clients(test_fraction):
 
 @pytest.fixture(scope="module")
 def grades_raw(tmp_path_factory):
+    """The grades table's cells, read by the csv reference reader, and its spec."""
     path = write_grades_csv(tmp_path_factory.mktemp("ds") / "grades.csv", n=240, seed=3)
     spec = grades_dataset_spec(path)
-    return load_dataset(spec), spec
+    return csv_binarize(csv_read_table(path, spec.schema), "grade", spec.pass_threshold), spec
 
 
 def test_build_partitions_shapes_and_provenance(grades_raw):
     raw, spec = grades_raw
     parts = build_client_partitions(
-        encode(raw, spec.schema), spec.schema, 3, 0.2, seed=9, stats_scope="client"
+        load_dataset(spec), spec.schema, 3, 0.2, seed=9, stats_scope="client"
     )
     assert len(parts) == 3
     widths = {p.train.n_features for p in parts} | {p.test.n_features for p in parts}
     assert len(widths) == 1, "every client must encode to the same width"
     covered = np.sort(np.concatenate([np.concatenate([p.train_rows, p.test_rows]) for p in parts]))
-    assert np.array_equal(covered, np.arange(raw.n_rows))
+    assert np.array_equal(covered, np.arange(len(raw.rows)))
     for p in parts:
         assert p.train.n_samples + p.test.n_samples in (80, 81)  # 240 / 3 clients
         assert np.intersect1d(p.train_rows, p.test_rows).size == 0
@@ -368,7 +376,7 @@ def test_build_partitions_shapes_and_provenance(grades_raw):
 def test_build_partitions_width_matches_hand_count(grades_raw):
     raw, spec = grades_raw
     parts = build_client_partitions(
-        encode(raw, spec.schema), spec.schema, 3, 0.2, seed=9, stats_scope="client"
+        load_dataset(spec), spec.schema, 3, 0.2, seed=9, stats_scope="client"
     )
     # independent width count: distinct levels per categorical column plus
     # one slot per continuous column
@@ -380,7 +388,7 @@ def test_build_partitions_width_matches_hand_count(grades_raw):
 @pytest.mark.parametrize("scope", ["client", "pooled"])
 def test_client_too_small_to_split_is_a_config_error(grades_raw, scope):
     raw, spec = grades_raw
-    data = encode(raw, spec.schema)
+    data = load_dataset(spec)
     # 240 rows over 120 clients: 2 rows each, and round(0.2 * 2) = 0 test rows
     with pytest.raises(TooManyClientsError) as caught:
         build_client_partitions(data, spec.schema, 120, 0.2, seed=9, stats_scope=scope)
@@ -410,7 +418,7 @@ def _zscores_from_cells(raw, name, fit_rows, rows):
 def test_pooled_scope_shares_statistics(grades_raw):
     raw, spec = grades_raw
     parts = build_client_partitions(
-        encode(raw, spec.schema), spec.schema, 3, 0.2, seed=9, stats_scope="pooled"
+        load_dataset(spec), spec.schema, 3, 0.2, seed=9, stats_scope="pooled"
     )
     pooled_rows = np.concatenate([p.train_rows for p in parts])
     names = parts[0].train.feature_names
@@ -429,7 +437,7 @@ def test_pooled_scope_shares_statistics(grades_raw):
 def test_client_scope_statistics_differ(grades_raw):
     raw, spec = grades_raw
     parts = build_client_partitions(
-        encode(raw, spec.schema), spec.schema, 3, 0.2, seed=9, stats_scope="client"
+        load_dataset(spec), spec.schema, 3, 0.2, seed=9, stats_scope="client"
     )
     j = parts[0].train.feature_names.index("prev_score")
     for p in parts:
@@ -444,17 +452,17 @@ def test_client_scope_statistics_differ(grades_raw):
 
 @pytest.mark.parametrize("scope", ["client", "pooled"])
 def test_build_partitions_encodes_once(grades_raw, monkeypatch, scope):
-    """One encode serves every build: partition builds never re-encode."""
+    """One read serves every build: partition builds never re-encode."""
     raw, spec = grades_raw
     calls = []
-    real_encode = fedtab.dataset.encode
+    real_assemble = fedtab.dataset._assemble
 
-    def counting_encode(*args, **kwargs):
+    def counting_assemble(*args, **kwargs):
         calls.append(1)
-        return real_encode(*args, **kwargs)
+        return real_assemble(*args, **kwargs)
 
-    monkeypatch.setattr(fedtab.dataset, "encode", counting_encode)
-    data = fedtab.dataset.encode(raw, spec.schema)
+    monkeypatch.setattr(fedtab.dataset, "_assemble", counting_assemble)
+    data = load_dataset(spec)
     for seed in (9, 10):
         build_client_partitions(data, spec.schema, 3, 0.2, seed=seed, stats_scope=scope)
     assert len(calls) == 1
@@ -462,58 +470,60 @@ def test_build_partitions_encodes_once(grades_raw, monkeypatch, scope):
 
 def test_encoded_table_is_read_only(grades_raw):
     raw, spec = grades_raw
-    data = encode(raw, spec.schema)
+    data = load_dataset(spec)
     with pytest.raises(ValueError):
         data.features[0, 0] = 1.0
     with pytest.raises(ValueError):
         data.labels[0] = 0
 
 
-def test_encode_reports_first_bad_cell_by_table_row(grades_raw):
+def test_encode_reports_first_bad_cell_by_table_row(grades_raw, tmp_path):
     raw, spec = grades_raw
     continuous = [c.name for c in spec.schema.feature_columns("continuous")]
     rows = [list(r) for r in raw.rows]
     rows[200][raw.column_index(continuous[0])] = "n/a"  # first column in schema order wins
     rows[5][raw.column_index(continuous[1])] = "inf"
     rows[3][raw.column_index(spec.schema.target_column)] = "maybe"
-    broken = RawTable(raw.header, tuple(tuple(r) for r in rows))
+    path = write_rows(tmp_path / "broken.csv", raw.header, rows)
     with pytest.raises(NonNumericCellError) as err:
-        encode(broken, spec.schema)
+        read_encoded(path, spec.schema)
     assert str(err.value) == f"column {continuous[0]!r}, row 201: 'n/a' is not numeric"
 
 
-def test_encode_reports_first_bad_cell_of_a_column_in_row_order():
+def test_encode_reports_first_bad_cell_of_a_column_in_row_order(tmp_path):
     schema = tiny_schema()
-    header = ("x", "color", "label")
     # a non-finite cell above a non-numeric one is the one reported
-    raw = RawTable(header, (("1", "r", "no"), ("-inf", "r", "yes"), ("one", "b", "no")))
+    rows = [("1", "r", "no"), ("-inf", "r", "yes"), ("one", "b", "no")]
     with pytest.raises(NonNumericCellError) as err:
-        encode(raw, schema)
+        read_rows(tmp_path, schema, rows)
     assert str(err.value) == "column 'x', row 2: non-finite value '-inf'"
-    raw = RawTable(header, (("1", "r", "no"), ("two", "r", "yes"), ("nan", "b", "no")))
+    rows = [("1", "r", "no"), ("two", "r", "yes"), ("nan", "b", "no")]
     with pytest.raises(NonNumericCellError) as err:
-        encode(raw, schema)
+        read_rows(tmp_path, schema, rows)
     assert str(err.value) == "column 'x', row 2: 'two' is not numeric"
-    raw = RawTable(header, (("1", "r", "no"), ("2", "r", "maybe"), ("3", "b", "never")))
+    rows = [("1", "r", "no"), ("2", "r", "maybe"), ("3", "b", "never")]
     with pytest.raises(UnknownTargetClassError) as err:
-        encode(raw, schema)
+        read_rows(tmp_path, schema, rows)
     assert str(err.value) == "row 2: target 'maybe' not in ['no', 'yes']"
 
 
 @pytest.mark.parametrize("table", ["grades", "A", "B", "pinned"])
 def test_encode_matches_per_cell_oracle(table, grades_raw, tmp_path):
     if table == "grades":
-        raw, schema = grades_raw[0], grades_raw[1].schema
+        raw, spec = grades_raw
+        got, schema = load_dataset(spec), spec.schema
     elif table == "pinned":  # "b" lies outside the pinned levels
         schema = replace(tiny_schema(), vocabularies={"color": ("r", "g")})
-        raw = RawTable(("x", "color", "label"),
-                       (("1.5", "g", "no"), ("-2", "b", "yes"), ("3e2", "r", "yes")))
+        rows = (("1.5", "g", "no"), ("-2", "b", "yes"), ("3e2", "r", "yes"))
+        got, raw = read_rows(tmp_path, schema, rows), csv_read_table(tmp_path / "rows.csv", schema)
     else:
         write = write_dataset_a_like if table == "A" else write_dataset_b_like
         spec = builtin_dataset(table, str(tmp_path))
         write(tmp_path / DATA_FILES[table], n=500, seed=2)
-        raw, schema = load_dataset(spec), spec.schema
-    got = encode(raw, schema)
+        raw = csv_read_table(spec.path, spec.schema)
+        if spec.grade_column is not None:
+            raw = csv_binarize(raw, spec.grade_column, spec.pass_threshold)
+        got, schema = load_dataset(spec), spec.schema
     columns = [(c.name, c.kind) for c in schema.columns]
     features, labels, names = per_cell_encode(
         raw.rows, columns, schema.target_classes, schema.vocabularies
@@ -523,21 +533,18 @@ def test_encode_matches_per_cell_oracle(table, grades_raw, tmp_path):
     assert got.labels.tobytes() == labels.tobytes()
 
 
-def test_pipeline_is_leakage_free(grades_raw):
+def test_pipeline_is_leakage_free(grades_raw, tmp_path):
     """Perturbing a test row must not move any training feature."""
     raw, spec = grades_raw
     parts = build_client_partitions(
-        encode(raw, spec.schema), spec.schema, 3, 0.2, seed=4, stats_scope="client"
+        load_dataset(spec), spec.schema, 3, 0.2, seed=4, stats_scope="client"
     )
     victim = int(parts[1].test_rows[0])
-    col = raw.column_index("prev_score")
-    rows = list(raw.rows)
-    row = list(rows[victim])
-    row[col] = "99.875"
-    rows[victim] = tuple(row)
-    perturbed = RawTable(raw.header, tuple(rows))
-    parts2 = build_client_partitions(
-        encode(perturbed, spec.schema), spec.schema, 3, 0.2, seed=4, stats_scope="client"
+    rows = [list(r) for r in raw.rows]
+    rows[victim][raw.column_index("prev_score")] = "99.875"
+    path = write_rows(tmp_path / "perturbed.csv", raw.header, rows)
+    parts2 = build_client_partitions(  # the raw grades are already binarized
+        read_encoded(path, spec.schema), spec.schema, 3, 0.2, seed=4, stats_scope="client"
     )
     for p, q in zip(parts, parts2):
         assert np.array_equal(p.train_rows, q.train_rows)

@@ -23,7 +23,7 @@ import fedtab.experiment
 from fedtab import federation
 from fedtab.attack import AttackConfig
 from fedtab.config import ExperimentConfig, OutputConfig, config_from_dict
-from fedtab.dataset import build_client_partitions, encode
+from fedtab.dataset import build_client_partitions
 from fedtab.errors import InvalidConfigError
 from fedtab.experiment import (
     RESULT_COLUMNS,
@@ -40,7 +40,7 @@ from fedtab.experiment import (
 from fedtab.federation import FederationConfig, run_federated
 from fedtab.metrics import MetricsReport
 from fedtab.models import Forest, LinearModel, train_forest, train_logreg
-from fedtab.schemas import load_dataset, load_encoded
+from fedtab.schemas import load_dataset
 
 
 def report(acc, rec=0.5, f1=0.5, auc=0.5, n=40):
@@ -73,14 +73,14 @@ def test_mean_reports_averages_fields():
 def grades(tmp_path_factory):
     path = write_grades_csv(tmp_path_factory.mktemp("exp") / "grades.csv", n=300, seed=31)
     spec = grades_dataset_spec(path)
-    return spec, encode(load_dataset(spec), spec.schema)
+    return spec, load_dataset(spec)
 
 
 @pytest.fixture(scope="module")
 def outcomes(tmp_path_factory):
     path = write_outcomes_csv(tmp_path_factory.mktemp("exp") / "outcomes.csv", n=360, seed=37)
     spec = outcomes_dataset_spec(path)
-    return spec, encode(load_dataset(spec), spec.schema)
+    return spec, load_dataset(spec)
 
 
 def small_cfg(**overrides):
@@ -376,11 +376,11 @@ def test_only_federated_cells_score_local_models(grades, monkeypatch, condition)
 def test_run_suite_encodes_each_table_once(grades, outcomes, monkeypatch):
     calls = []
 
-    def counting_load_encoded(spec):
+    def counting_load_dataset(spec):
         calls.append(spec)
-        return load_encoded(spec)
+        return load_dataset(spec)
 
-    monkeypatch.setattr(fedtab.experiment, "load_encoded", counting_load_encoded)
+    monkeypatch.setattr(fedtab.experiment, "load_dataset", counting_load_dataset)
     cfg = small_cfg(
         datasets=("A", "B"),
         models=("logistic", "forest"),

@@ -11,7 +11,7 @@ from _oracles import exact_weighted_average
 from _synth import grades_dataset_spec, write_grades_csv
 from fedtab import federation
 from fedtab.attack import AttackConfig, flip_count
-from fedtab.dataset import build_client_partitions, concat_datasets, encode
+from fedtab.dataset import build_client_partitions, concat_datasets
 from fedtab.errors import EmptyInputError, InvalidConfigError, ShapeMismatchError
 from fedtab.federation import (
     FederationConfig,
@@ -41,7 +41,7 @@ def linear(values, bias, kind="logistic", n_classes=2):
 def partitions(tmp_path_factory):
     path = write_grades_csv(tmp_path_factory.mktemp("fed") / "grades.csv", n=300, seed=21)
     spec = grades_dataset_spec(path)
-    data = encode(load_dataset(spec), spec.schema)
+    data = load_dataset(spec)
     return build_client_partitions(data, spec.schema, 3, 0.2, seed=2, stats_scope="client")
 
 

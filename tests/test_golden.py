@@ -7,10 +7,11 @@ digests were pinned, on the tiny full grid and on the real-size forest and
 linear workloads, whose forest, SVM and logistic bytes at that size no
 smaller test reaches.  Each workload is checked once more with the compiled
 kernels forced off, ``train_svm`` on its Python loop and ``train_forest`` on
-its numpy split search, and once with the one-pass table reader declining
-every file, so each table goes through ``load_dataset`` and ``encode``; every
-path must give the pinned bytes.  It reads ``bench/`` and writes nothing
-there.
+its numpy split search, once with each table read by the csv reference
+reader of ``_oracles`` instead of the package's reader, and once from
+stand-ins rewritten with every string cell quoted, as the UCI copy of table
+A is; every path must give the pinned bytes.  It reads ``bench/`` and writes
+nothing there.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from pathlib import Path
 
 import pytest
 
-import fedtab.schemas
+import fedtab.experiment
+from _oracles import csv_load_dataset
+from _synth import quote_strings
 from fedtab.config import config_from_dict
 from fedtab.experiment import run_suite
 
@@ -39,7 +42,7 @@ def _bench_harness(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["small_grid", "forest_B", "linear_B"])
-def test_outputs_match_golden_digests(name, tmp_path, monkeypatch):
+def test_outputs_match_golden_digests(name, tmp_path, monkeypatch, quoted=False):
     harness = _bench_harness(monkeypatch)
     golden = harness.load_golden()
     if harness.versions() != golden["versions"]:
@@ -48,6 +51,9 @@ def test_outputs_match_golden_digests(name, tmp_path, monkeypatch):
     pinned = golden["workloads"][workload.name]["0"]
     data_dir, out_dir = tmp_path / "data", tmp_path / "out"
     assert harness.write_standins(workload.tables, 0, data_dir) == pinned["inputs"]
+    if quoted:
+        for path in data_dir.iterdir():
+            quote_strings(path)
 
     out_dir.mkdir()
     run_suite(config_from_dict(harness.grid_config(workload, data_dir, out_dir)))
@@ -67,5 +73,10 @@ def test_outputs_match_golden_digests_with_the_kernel_off(name, tmp_path, monkey
 
 @pytest.mark.parametrize("name", ["small_grid", "forest_B", "linear_B"])
 def test_outputs_match_golden_digests_on_the_csv_path(name, tmp_path, monkeypatch):
-    monkeypatch.setattr(fedtab.schemas, "read_encoded", lambda *args: None)
+    monkeypatch.setattr(fedtab.experiment, "load_dataset", csv_load_dataset)
     test_outputs_match_golden_digests(name, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["small_grid", "forest_B", "linear_B"])
+def test_outputs_match_golden_digests_from_quoted_tables(name, tmp_path, monkeypatch):
+    test_outputs_match_golden_digests(name, tmp_path, monkeypatch, quoted=True)
