@@ -17,7 +17,6 @@ from .dataset import (
     concat_datasets,
     partition_clients,
     standardize,
-    stratified_split,
 )
 from .errors import FedtabError
 from .experiment import (
@@ -101,7 +100,6 @@ __all__ = [
     "run_suite",
     "save_model",
     "standardize",
-    "stratified_split",
     "train_forest",
     "train_logreg",
     "train_svm",

@@ -9,8 +9,11 @@ module to name the first fault.  Categorical vocabularies are dataset-level
 metadata, pinned in the schema or taken from the whole table, so encoded
 width is identical across all participants.  ``standardize`` then z-scores
 the continuous columns with statistics from the fit rows a caller names
-(training rows), which keeps the encoding strictly leakage-free, and
-``partition_clients`` deals rows to clients by class.
+(training rows), which keeps the encoding strictly leakage-free.
+``build_client_partitions`` deals rows to clients by class
+(``partition_clients``), splits each client once
+(``stratified_split_indices``) and standardizes that one split both ways:
+per client for the federated setting, pooled for the centralized one.
 """
 
 from __future__ import annotations
@@ -167,12 +170,6 @@ class EncodedDataset:
     @property
     def n_features(self) -> int:
         return int(self.features.shape[1])
-
-    def subset(self, indices: Sequence[int] | np.ndarray) -> "EncodedDataset":
-        idx = np.asarray(indices, dtype=np.int64)
-        return EncodedDataset(
-            self.features[idx], self.labels[idx], self.n_classes, self.feature_names
-        )
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_classes)
@@ -464,14 +461,6 @@ def stratified_split_indices(
     return train_idx, test_idx
 
 
-def stratified_split(
-    data: EncodedDataset, test_fraction: float, seed: int
-) -> tuple[EncodedDataset, EncodedDataset]:
-    """Class-stratified train/test split of an encoded dataset."""
-    train_idx, test_idx = stratified_split_indices(data.labels, test_fraction, seed)
-    return data.subset(train_idx), data.subset(test_idx)
-
-
 def partition_clients(
     data: EncodedDataset, n_clients: int, seed: int
 ) -> list[np.ndarray]:
@@ -545,19 +534,19 @@ def build_client_partitions(
     n_clients: int,
     test_fraction: float,
     seed: int,
-    stats_scope: str = "client",
-) -> list[ClientPartition]:
+) -> tuple[list[ClientPartition], ClientPartition]:
     """Deal a ``read_encoded`` result to clients for one experiment context.
 
     The caller reads each table once and passes it to every build.  Steps:
     deal rows to clients, split each client's rows into train/test, then
-    standardize.  With ``stats_scope`` 'client' the result is one partition
-    per client, each z-scored with statistics fitted on its own training
-    rows (the federated setting, no raw sharing).  With 'pooled' it is one
-    partition, client 0, holding every client's train rows and test rows in
-    client order, z-scored with statistics fitted on the sorted union of the
-    training rows (the centralized setting).  One-hot width is identical in
-    both scopes.
+    standardize that one split twice.  Returns ``(clients, pooled)``.
+    ``clients`` holds one partition per client, each z-scored with
+    statistics fitted on its own training rows (the federated setting, no
+    raw sharing).  ``pooled`` is client 0 holding every client's train rows
+    and then test rows, in client order, z-scored with statistics fitted on
+    the sorted union of the training rows (the centralized setting), so the
+    centralized and federated cells train on exactly the same rows.
+    One-hot width is identical in both.
 
     Derived seeds: the deal uses ``seed`` itself and client k's split uses
     ``seed XOR k``.  Every array of the result is read-only, like
@@ -568,8 +557,6 @@ def build_client_partitions(
     configuration error (``check_client_split``); a table lacking a class
     is a data error.
     """
-    if stats_scope not in ("client", "pooled"):
-        raise InvalidConfigError(f"unknown stats_scope {stats_scope!r}")
     if np.any(data.class_counts() == 0):
         raise StratificationImpossibleError("a target class has no rows in the table")
 
@@ -581,13 +568,13 @@ def build_client_partitions(
             data.labels[rows], test_fraction, seed ^ k
         )
         split_rows.append((rows[local_train], rows[local_test]))
-    if stats_scope == "pooled":  # one client: all train rows, all test rows, in client order
-        split_rows = [tuple(map(np.concatenate, zip(*split_rows)))]
 
-    partitions = []
-    for k, (train_rows, test_rows) in enumerate(split_rows):
+    def partition(k: int, train_rows: np.ndarray, test_rows: np.ndarray) -> ClientPartition:
         train, test = standardize(data, schema, np.sort(train_rows), (train_rows, test_rows))
-        for array in (train.features, train.labels, test.features, test.labels, train_rows, test_rows):
+        for array in (train.features, train.labels, test.features, test.labels,
+                      train_rows, test_rows):
             array.flags.writeable = False
-        partitions.append(ClientPartition(k, train, test, train_rows, test_rows))
-    return partitions
+        return ClientPartition(k, train, test, train_rows, test_rows)
+
+    clients = [partition(k, *rows) for k, rows in enumerate(split_rows)]
+    return clients, partition(0, *map(np.concatenate, zip(*split_rows)))

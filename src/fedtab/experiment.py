@@ -35,7 +35,6 @@ import numpy as np
 from .attack import AttackConfig
 from .config import CONDITIONS, ExperimentConfig
 from .dataset import (
-    ClientPartition,
     EncodedDataset,
     FeatureSchema,
     build_client_partitions,
@@ -76,17 +75,18 @@ def mean_reports(reports: list[MetricsReport]) -> MetricsReport:
 
 
 class SharedWork:
-    """The work every cell of one (table, master seed) shares, built on first use.
+    """The work every cell of one (table, master seed) shares.
 
-    Per statistics scope, the read-only partitions: one per client for
-    'client', the one pooled partition for 'pooled'.  Partitions depend on
-    the encoded table, the seed, ``n_clients``, ``test_fraction`` and the
-    scope only, which are the constructor's arguments, so no model or
-    condition can need another set.  ``round_one`` holds the round-one
-    local models that federated runs on the 'client' partitions trained
-    (see ``run_federated``).  Central runs keep none: their clean and
-    poisoned runs share no round one, so a dict would only hold both
-    central models until the seed ends.
+    ``clients`` and ``pooled`` are the one ``build_client_partitions``
+    result: one read-only partition per client, z-scored on its own
+    training rows, and the one pooled partition of the same rows.  They
+    depend on the encoded table, the seed, ``n_clients`` and
+    ``test_fraction`` only, which are the constructor's arguments, so no
+    model or condition can need another set.  ``round_one`` holds the
+    round-one local models that federated runs on ``clients`` trained (see
+    ``run_federated``).  Central runs keep none: their clean and poisoned
+    runs share no round one, so a dict would only hold both central models
+    until the seed ends.
     """
 
     def __init__(
@@ -99,12 +99,7 @@ class SharedWork:
     ) -> None:
         self.inputs = (data, schema, n_clients, test_fraction, master_seed)
         self.round_one: dict = {}
-        self._partitions: dict[str, list[ClientPartition]] = {}
-
-    def partitions(self, stats_scope: str) -> list[ClientPartition]:
-        if stats_scope not in self._partitions:
-            self._partitions[stats_scope] = build_client_partitions(*self.inputs, stats_scope)
-        return self._partitions[stats_scope]
+        self.clients, self.pooled = build_client_partitions(*self.inputs)
 
 
 def run_condition_detailed(
@@ -144,9 +139,9 @@ def run_condition_detailed(
 
     central = condition.startswith("central")
     if central:  # one client holding the pooled rows, one round
-        partitions, round_one, budgets, malicious = shared.partitions("pooled"), None, (1,), (0,)
+        partitions, round_one, budgets, malicious = [shared.pooled], None, (1,), (0,)
     else:
-        partitions, round_one = shared.partitions("client"), shared.round_one
+        partitions, round_one = shared.clients, shared.round_one
         budgets, malicious = cfg.round_budgets, cfg.malicious_clients
     attack = None
     if condition.endswith("poisoned"):
@@ -276,13 +271,13 @@ def run_suite(
     split is checked then too (``check_client_split``), so an ``n_clients``
     too large for any table fails before any cell runs.  Seeds are the next
     loop: every cell of one (table, seed) shares one ``SharedWork`` (the
-    partitions of each statistics scope and the federated round-one
-    models), which is dropped when the seed ends.  ``progress`` gets
-    ``<dataset>/<model>/<condition>`` before each (seed, cell).  Each cell
-    keeps one ``(seed, report, logs)`` per seed, as ``run_condition_detailed``
-    returns them; reports are averaged and round-log lines written in
-    (dataset, model, condition, seed) order, so the outputs do not depend on
-    the loop order.  Writes the results table and optional round log as
+    one client split, with its client and pooled partitions, and the
+    federated round-one models), which is dropped when the seed ends.
+    ``progress`` gets ``<dataset>/<model>/<condition>`` before each (seed,
+    cell).  Each cell keeps one ``(seed, report, logs)`` per seed, as
+    ``run_condition_detailed`` returns them; reports are averaged and
+    round-log lines written in (dataset, model, condition, seed) order, so
+    the outputs do not depend on the loop order.  Writes the results table and optional round log as
     configured; an output path that names a directory, or whose parent
     directory does not exist, raises ``InvalidConfigError`` before any table
     is read.

@@ -2,9 +2,9 @@
 
 Both tables are published as zip archives in the UCI repository.  The
 fetcher downloads each archive, digs the relevant csv out (one archive
-nests a second zip), stores it under a canonical name, and verifies the
-result: it must read as the built-in schema's table, with the published
-record count.  The sha256 of each stored file is printed so it can be
+nests a second zip) and verifies it: it must read as the built-in schema's
+table, with the published record count.  Only then is it stored under its
+canonical name.  The sha256 of each stored file is printed so it can be
 pinned with --sha256 on later runs.
 """
 
@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
+import tempfile
 import urllib.error
 import urllib.request
 import zipfile
@@ -65,20 +67,26 @@ def fetch_dataset(
     timeout: float = 60.0,
     report=print,
 ) -> Path:
-    """Download one table into ``dest`` and verify it; returns the file path."""
+    """Download one table into ``dest`` and verify it; returns the file path.
+
+    The download is checked against the ``sha256`` pin and verified in a
+    temporary directory under ``dest``, then moved onto the canonical name.
+    On any failure the file already at that name stays as it was.
+    """
     dest = Path(dest)
     dest.mkdir(parents=True, exist_ok=True)
     target = dest / DATA_FILES[key]
 
     payload = _download(ARCHIVE_URLS[key], timeout)
     content = _extract_member(payload, ARCHIVE_MEMBERS[key])
-    target.write_bytes(content)
-
     digest = hashlib.sha256(content).hexdigest()
     if sha256 is not None and digest != sha256.lower():
-        target.unlink()
         raise FetchError(f"dataset {key}: sha256 mismatch: got {digest}, expected {sha256}")
-    verify_dataset(key, dest)
+    with tempfile.TemporaryDirectory(dir=dest) as staging:
+        staged = Path(staging) / DATA_FILES[key]
+        staged.write_bytes(content)
+        verify_dataset(key, staging)
+        os.replace(staged, target)
     report(f"dataset {key}: wrote {target} ({len(content)} bytes, sha256 {digest})")
     return target
 

@@ -89,22 +89,14 @@ def academic_outcome_schema() -> FeatureSchema:
 class DatasetSpec:
     """Everything needed to load one dataset: key, file, schema, binarization.
 
-    A ``grade_column``, when given, must be the schema's target column: its
-    integer grades become 'pass' at ``pass_threshold`` or above, else 'fail'.
+    With a ``pass_threshold`` the target column holds integer grades, which
+    become 'pass' at the threshold or above, else 'fail'.
     """
 
     key: str
     path: Path
     schema: FeatureSchema
-    grade_column: str | None = None
-    pass_threshold: int = GRADE_PASS_THRESHOLD
-
-    def __post_init__(self) -> None:
-        if self.grade_column not in (None, self.schema.target_column):
-            raise InvalidConfigError(
-                f"grade_column {self.grade_column!r} must be the target column "
-                f"{self.schema.target_column!r}"
-            )
+    pass_threshold: int | None = None
 
 
 DATASET_KEYS = ("A", "B")
@@ -118,7 +110,7 @@ def builtin_dataset(key: str, data_dir: str | Path) -> DatasetSpec:
             key="A",
             path=Path(data_dir) / DATA_FILES["A"],
             schema=student_performance_schema(),
-            grade_column="G3",
+            pass_threshold=GRADE_PASS_THRESHOLD,
         )
     if key == "B":
         return DatasetSpec(
@@ -130,6 +122,5 @@ def builtin_dataset(key: str, data_dir: str | Path) -> DatasetSpec:
 
 
 def load_dataset(spec: DatasetSpec) -> EncodedDataset:
-    """The spec's file, encoded, with a declared grade column binarized to pass/fail."""
-    threshold = None if spec.grade_column is None else spec.pass_threshold
-    return read_encoded(spec.path, spec.schema, threshold)
+    """The spec's file, encoded, with a graded target binarized to pass/fail."""
+    return read_encoded(spec.path, spec.schema, spec.pass_threshold)

@@ -464,8 +464,8 @@ def csv_encode(raw: RawTable, schema):
 def csv_load_dataset(spec):
     """A spec's table read through the csv module, cell by cell: the reference reader."""
     raw = csv_read_table(spec.path, spec.schema)
-    if spec.grade_column is not None:
-        raw = csv_binarize(raw, spec.grade_column, spec.pass_threshold)
+    if spec.pass_threshold is not None:
+        raw = csv_binarize(raw, spec.schema.target_column, spec.pass_threshold)
     return csv_encode(raw, spec.schema)
 
 

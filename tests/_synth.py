@@ -55,7 +55,6 @@ def grades_dataset_spec(path: Path) -> DatasetSpec:
         key="synthetic-grades",
         path=path,
         schema=grades_schema(),
-        grade_column="grade",
         pass_threshold=10,
     )
 

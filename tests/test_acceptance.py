@@ -405,7 +405,7 @@ def _suite_output_bytes(cfg: ExperimentConfig, specs, out_dir: Path) -> tuple[by
 
 def _warm_start_check(spec):
     data = load_dataset(spec)
-    parts = build_client_partitions(data, spec.schema, 1, 0.2, seed=5, stats_scope="client")
+    parts, _ = build_client_partitions(data, spec.schema, 1, 0.2, seed=5)
     fed_cfg = FederationConfig(
         model_kind="logistic",
         rounds=5,

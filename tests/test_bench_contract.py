@@ -4,7 +4,9 @@
 probes read call arguments by parameter name (``a["cfg"]``).  A renamed
 function or parameter breaks the trace only when the benchmark runs, so
 this reads ``spans.py`` as text (it is not imported, and nothing under
-``bench/`` is written) and checks both against the package.
+``bench/`` is written) and checks both against the package.  It also
+checks the row bound behind ``metrics.small_input_share`` against the
+metrics module's own.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import ast
 import importlib
 import inspect
 from pathlib import Path
+
+import fedtab.metrics
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -51,3 +55,15 @@ def test_spans_targets_resolve_and_probes_read_real_parameters():
         params = set(inspect.signature(fn).parameters)
         missing = reads[probe] - params
         assert not missing, f"{probe} reads {sorted(missing)}, not parameters of {func_name}"
+
+
+def test_spans_small_input_bound_is_the_metrics_branch_bound():
+    # spans counts a compute_report at or below SMALL_INPUT_ROWS rows as the small branch
+    tree = ast.parse(SPANS.read_text(encoding="utf-8"))
+    [bound] = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["SMALL_INPUT_ROWS"]
+    ]
+    assert bound == fedtab.metrics._SMALL

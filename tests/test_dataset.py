@@ -26,7 +26,6 @@ from fedtab.dataset import (
     partition_clients,
     read_encoded,
     standardize,
-    stratified_split,
     stratified_split_indices,
 )
 from fedtab.errors import (
@@ -46,7 +45,6 @@ from fedtab.errors import (
 )
 from fedtab.schemas import (
     DATA_FILES,
-    DatasetSpec,
     academic_outcome_schema,
     builtin_dataset,
     load_dataset,
@@ -147,8 +145,6 @@ def test_binarize_threshold_boundary(tmp_path):
 def test_binarize_errors(tmp_path):
     with pytest.raises(NonIntegerGradeError, match="row 1: grade '9.5' is not an integer"):
         read_rows(tmp_path, grade_schema(), [("9.5", "a")], pass_threshold=10)
-    with pytest.raises(InvalidConfigError):  # only the target column can hold grades
-        DatasetSpec("g", tmp_path / "g.csv", grade_schema(), grade_column="x")
 
 
 def test_fit_stats_population_std_hand_value(tmp_path):
@@ -255,11 +251,11 @@ def _labeled_dataset(labels):
 def test_stratified_split_worked_example():
     # classes of sizes 6 and 4 at fraction 0.2: floors (1, 0), overall target
     # round(2.0) = 2, largest remainder (0.8 for the class of 4) takes the top-up
-    data = _labeled_dataset([0] * 6 + [1] * 4)
-    train, test = stratified_split(data, 0.2, seed=3)
-    assert test.n_samples == 2
-    assert test.class_counts().tolist() == [1, 1]
-    assert train.class_counts().tolist() == [5, 3]
+    labels = np.array([0] * 6 + [1] * 4)
+    train_idx, test_idx = stratified_split_indices(labels, 0.2, seed=3)
+    assert test_idx.size == 2
+    assert np.bincount(labels[test_idx]).tolist() == [1, 1]
+    assert np.bincount(labels[train_idx]).tolist() == [5, 3]
 
 
 def test_stratified_split_partition_properties():
@@ -284,13 +280,13 @@ def test_stratified_split_partition_properties():
 
 
 def test_stratified_split_rejects_degenerate_cases():
-    data = _labeled_dataset([0, 1])
+    labels = np.array([0, 1])
     with pytest.raises(InvalidFractionError):
-        stratified_split(data, 0.0, seed=0)
+        stratified_split_indices(labels, 0.0, seed=0)
     with pytest.raises(InvalidFractionError):
-        stratified_split(data, 1.0, seed=0)
+        stratified_split_indices(labels, 1.0, seed=0)
     with pytest.raises(StratificationImpossibleError):
-        stratified_split(data, 0.9, seed=0)  # round(1.8) = 2 empties the train side
+        stratified_split_indices(labels, 0.9, seed=0)  # round(1.8) = 2 empties the train side
 
 
 def test_partition_clients_balance():
@@ -360,9 +356,7 @@ def grades_raw(tmp_path_factory):
 
 def test_build_partitions_shapes_and_provenance(grades_raw):
     raw, spec = grades_raw
-    parts = build_client_partitions(
-        load_dataset(spec), spec.schema, 3, 0.2, seed=9, stats_scope="client"
-    )
+    parts, _ = build_client_partitions(load_dataset(spec), spec.schema, 3, 0.2, seed=9)
     assert len(parts) == 3
     widths = {p.train.n_features for p in parts} | {p.test.n_features for p in parts}
     assert len(widths) == 1, "every client must encode to the same width"
@@ -375,9 +369,7 @@ def test_build_partitions_shapes_and_provenance(grades_raw):
 
 def test_build_partitions_width_matches_hand_count(grades_raw):
     raw, spec = grades_raw
-    parts = build_client_partitions(
-        load_dataset(spec), spec.schema, 3, 0.2, seed=9, stats_scope="client"
-    )
+    parts, _ = build_client_partitions(load_dataset(spec), spec.schema, 3, 0.2, seed=9)
     # independent width count: distinct levels per categorical column plus
     # one slot per continuous column
     support_levels = len(set(raw.column("support")))
@@ -385,24 +377,24 @@ def test_build_partitions_width_matches_hand_count(grades_raw):
     assert parts[0].train.n_features == 3 + support_levels + campus_levels
 
 
-@pytest.mark.parametrize("scope", ["client", "pooled"])
-def test_client_too_small_to_split_is_a_config_error(grades_raw, scope):
+def test_client_too_small_to_split_is_a_config_error(grades_raw):
     raw, spec = grades_raw
     data = load_dataset(spec)
     # 240 rows over 120 clients: 2 rows each, and round(0.2 * 2) = 0 test rows
     with pytest.raises(TooManyClientsError) as caught:
-        build_client_partitions(data, spec.schema, 120, 0.2, seed=9, stats_scope=scope)
+        build_client_partitions(data, spec.schema, 120, 0.2, seed=9)
     message = str(caught.value)
     for part in ("client 0 ", "n_clients 120", "2 rows", "test_fraction 0.2"):
         assert part in message
     with pytest.raises(TooManyClientsError):  # 3 rows each, round(0.9 * 3) = 3: no train row
-        build_client_partitions(data, spec.schema, 80, 0.9, seed=9, stats_scope=scope)
-    parts = build_client_partitions(data, spec.schema, 80, 0.2, seed=9, stats_scope=scope)
-    assert sum(p.test.n_samples for p in parts) == 80  # one test row per 3-row client
+        build_client_partitions(data, spec.schema, 80, 0.9, seed=9)
+    clients, pooled = build_client_partitions(data, spec.schema, 80, 0.2, seed=9)
+    assert sum(p.test.n_samples for p in clients) == 80  # one test row per 3-row client
+    assert pooled.test.n_samples == 80
     lacking = EncodedDataset(data.features, np.zeros_like(data.labels), data.n_classes,
                              data.feature_names)
     with pytest.raises(StratificationImpossibleError) as caught:  # a data error, exit 2
-        build_client_partitions(lacking, spec.schema, 120, 0.2, seed=9, stats_scope=scope)
+        build_client_partitions(lacking, spec.schema, 120, 0.2, seed=9)
     assert isinstance(caught.value, DataError)
 
 
@@ -417,28 +409,22 @@ def _zscores_from_cells(raw, name, fit_rows, rows):
 
 def test_pooled_scope_shares_statistics(grades_raw):
     raw, spec = grades_raw
-    parts = build_client_partitions(
-        load_dataset(spec), spec.schema, 3, 0.2, seed=9, stats_scope="pooled"
-    )
-    pooled_rows = np.concatenate([p.train_rows for p in parts])
-    names = parts[0].train.feature_names
-    for p in parts:
-        for rows, data in ((p.train_rows, p.train), (p.test_rows, p.test)):
-            for col in spec.schema.feature_columns("continuous"):
-                expected = _zscores_from_cells(raw, col.name, pooled_rows, rows)
-                assert np.array_equal(data.features[:, names.index(col.name)], expected)
-            for col in spec.schema.feature_columns("categorical"):
-                cells = np.array(raw.column(col.name))[rows]
-                for level in sorted(set(raw.column(col.name))):
-                    got = data.features[:, names.index(f"{col.name}={level}")]
-                    assert np.array_equal(got, (cells == level).astype(np.float64))
+    _, pooled = build_client_partitions(load_dataset(spec), spec.schema, 3, 0.2, seed=9)
+    names = pooled.train.feature_names
+    for rows, data in ((pooled.train_rows, pooled.train), (pooled.test_rows, pooled.test)):
+        for col in spec.schema.feature_columns("continuous"):
+            expected = _zscores_from_cells(raw, col.name, pooled.train_rows, rows)
+            assert np.array_equal(data.features[:, names.index(col.name)], expected)
+        for col in spec.schema.feature_columns("categorical"):
+            cells = np.array(raw.column(col.name))[rows]
+            for level in sorted(set(raw.column(col.name))):
+                got = data.features[:, names.index(f"{col.name}={level}")]
+                assert np.array_equal(got, (cells == level).astype(np.float64))
 
 
 def test_client_scope_statistics_differ(grades_raw):
     raw, spec = grades_raw
-    parts = build_client_partitions(
-        load_dataset(spec), spec.schema, 3, 0.2, seed=9, stats_scope="client"
-    )
+    parts, _ = build_client_partitions(load_dataset(spec), spec.schema, 3, 0.2, seed=9)
     j = parts[0].train.feature_names.index("prev_score")
     for p in parts:
         for rows, data in ((p.train_rows, p.train), (p.test_rows, p.test)):
@@ -450,8 +436,7 @@ def test_client_scope_statistics_differ(grades_raw):
     assert own != other
 
 
-@pytest.mark.parametrize("scope", ["client", "pooled"])
-def test_build_partitions_encodes_once(grades_raw, monkeypatch, scope):
+def test_build_partitions_encodes_once(grades_raw, monkeypatch):
     """One read serves every build: partition builds never re-encode."""
     raw, spec = grades_raw
     calls = []
@@ -464,7 +449,7 @@ def test_build_partitions_encodes_once(grades_raw, monkeypatch, scope):
     monkeypatch.setattr(fedtab.dataset, "_assemble", counting_assemble)
     data = load_dataset(spec)
     for seed in (9, 10):
-        build_client_partitions(data, spec.schema, 3, 0.2, seed=seed, stats_scope=scope)
+        build_client_partitions(data, spec.schema, 3, 0.2, seed=seed)
     assert len(calls) == 1
 
 
@@ -521,8 +506,8 @@ def test_encode_matches_per_cell_oracle(table, grades_raw, tmp_path):
         spec = builtin_dataset(table, str(tmp_path))
         write(tmp_path / DATA_FILES[table], n=500, seed=2)
         raw = csv_read_table(spec.path, spec.schema)
-        if spec.grade_column is not None:
-            raw = csv_binarize(raw, spec.grade_column, spec.pass_threshold)
+        if spec.pass_threshold is not None:
+            raw = csv_binarize(raw, spec.schema.target_column, spec.pass_threshold)
         got, schema = load_dataset(spec), spec.schema
     columns = [(c.name, c.kind) for c in schema.columns]
     features, labels, names = per_cell_encode(
@@ -536,15 +521,13 @@ def test_encode_matches_per_cell_oracle(table, grades_raw, tmp_path):
 def test_pipeline_is_leakage_free(grades_raw, tmp_path):
     """Perturbing a test row must not move any training feature."""
     raw, spec = grades_raw
-    parts = build_client_partitions(
-        load_dataset(spec), spec.schema, 3, 0.2, seed=4, stats_scope="client"
-    )
+    parts, _ = build_client_partitions(load_dataset(spec), spec.schema, 3, 0.2, seed=4)
     victim = int(parts[1].test_rows[0])
     rows = [list(r) for r in raw.rows]
     rows[victim][raw.column_index("prev_score")] = "99.875"
     path = write_rows(tmp_path / "perturbed.csv", raw.header, rows)
-    parts2 = build_client_partitions(  # the raw grades are already binarized
-        read_encoded(path, spec.schema), spec.schema, 3, 0.2, seed=4, stats_scope="client"
+    parts2, _ = build_client_partitions(  # the raw grades are already binarized
+        read_encoded(path, spec.schema), spec.schema, 3, 0.2, seed=4
     )
     for p, q in zip(parts, parts2):
         assert np.array_equal(p.train_rows, q.train_rows)

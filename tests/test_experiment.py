@@ -163,9 +163,7 @@ def test_forest_federation_runs_once_per_cell(grades, monkeypatch):
     assert sorted(trained) == [4 ^ c for c in range(cfg.n_clients)]  # one forest per client
     monkeypatch.undo()
 
-    partitions = build_client_partitions(
-        data, spec.schema, cfg.n_clients, cfg.test_fraction, 4, "client"
-    )
+    partitions, _ = build_client_partitions(data, spec.schema, cfg.n_clients, cfg.test_fraction, 4)
     attack = AttackConfig(
         flip_fraction=cfg.flip_fraction,
         malicious_clients=frozenset(cfg.malicious_clients),
@@ -215,9 +213,7 @@ def test_budgets_with_equal_local_epochs_share_one_run(
     assert len(local_epochs) == distinct_epochs
     assert len(calls) == distinct_epochs
 
-    partitions = build_client_partitions(
-        data, spec.schema, cfg.n_clients, cfg.test_fraction, 4, "client"
-    )
+    partitions, _ = build_client_partitions(data, spec.schema, cfg.n_clients, cfg.test_fraction, 4)
     attack = AttackConfig(
         flip_fraction=cfg.flip_fraction,
         malicious_clients=frozenset(cfg.malicious_clients),
@@ -430,9 +426,9 @@ def test_run_suite_builds_shared_work_once_per_seed(grades, outcomes, monkeypatc
     builds, forests, round_ones = [], [], []
     build = fedtab.experiment.build_client_partitions
 
-    def counting_build(data, schema, n_clients, test_fraction, seed, stats_scope="client"):
-        parts = build(data, schema, n_clients, test_fraction, seed, stats_scope)
-        builds.append((current[0], stats_scope, parts))
+    def counting_build(data, schema, n_clients, test_fraction, seed):
+        parts = build(data, schema, n_clients, test_fraction, seed)
+        builds.append(((schema, seed), parts))
         return parts
 
     def counting_forest(train, train_cfg):
@@ -454,9 +450,9 @@ def test_run_suite_builds_shared_work_once_per_seed(grades, outcomes, monkeypatc
     run_suite(cfg, datasets={"A": spec_a, "B": spec_b})
 
     seeds = [(spec.key, seed) for spec in (spec_a, spec_b) for seed in cfg.seeds]
-    assert sorted((s, scope) for s, scope, _ in builds) == sorted(
-        (s, scope) for s in seeds for scope in ("client", "pooled")
-    )
+    # exactly one build per (table, seed): both scopes come from it
+    assert [key for key, _ in builds] == [(spec.schema, s) for spec in (spec_a, spec_b)
+                                          for s in cfg.seeds]
     # every client clean, then the malicious clients poisoned
     client_models = cfg.n_clients + len(cfg.malicious_clients)
     per_seed = 2 + client_models  # plus central clean and central poisoned
@@ -466,9 +462,10 @@ def test_run_suite_builds_shared_work_once_per_seed(grades, outcomes, monkeypatc
     assert len(set(round_ones)) == len(round_ones)
     # plus central clean and central poisoned: one round of the pooled client
     assert len(round_ones) == len(seeds) * (len(local_epochs) * client_models + 2)
-    _, _, parts = builds[0]
-    with pytest.raises(ValueError):
-        parts[0].train.features[0, 0] = 1.0
+    clients, pooled = builds[0][1]
+    for part in (clients[0], pooled):
+        with pytest.raises(ValueError):
+            part.train.features[0, 0] = 1.0
 
 
 def _held_models(root) -> int:
@@ -513,10 +510,17 @@ def test_pooled_scope_is_one_partition_of_the_pooled_rows(request, table, master
     train_rows, test_rows, train, test = central_split_oracle(
         data, spec.schema, cfg.n_clients, cfg.test_fraction, master_seed
     )
-    [part] = build_client_partitions(
-        data, spec.schema, cfg.n_clients, cfg.test_fraction, master_seed, "pooled"
+    clients, part = build_client_partitions(
+        data, spec.schema, cfg.n_clients, cfg.test_fraction, master_seed
     )
     assert part.client_id == 0
+    # the pooled partition holds the clients' rows of the same split, in client order
+    for rows in ("train_rows", "test_rows"):
+        expected = np.concatenate([getattr(c, rows) for c in clients])
+        assert np.array_equal(getattr(part, rows), expected)
+    for side in ("train", "test"):
+        labels = np.concatenate([getattr(c, side).labels for c in clients])
+        assert np.array_equal(getattr(part, side).labels, labels)
     pairs = [
         (part.train.features, train.features), (part.train.labels, train.labels),
         (part.test.features, test.features), (part.test.labels, test.labels),

@@ -42,7 +42,7 @@ def partitions(tmp_path_factory):
     path = write_grades_csv(tmp_path_factory.mktemp("fed") / "grades.csv", n=300, seed=21)
     spec = grades_dataset_spec(path)
     data = load_dataset(spec)
-    return build_client_partitions(data, spec.schema, 3, 0.2, seed=2, stats_scope="client")
+    return build_client_partitions(data, spec.schema, 3, 0.2, seed=2)[0]
 
 
 def test_aggregate_hand_value():

@@ -1,17 +1,22 @@
-"""Offline checks of ``fetch.verify_dataset`` on stand-ins of the real tables.
+"""Offline checks of ``fetch.verify_dataset`` and ``fetch.fetch_dataset`` on stand-ins.
 
 No download happens here: each stand-in is written at the published row
 count, so the check a fetched file must pass can be exercised without the
-network.
+network, and ``fetch_dataset`` is handed an in-memory archive of one.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
+import zipfile
+
 import pytest
 
 from _synth import quote_strings, write_dataset_a_like, write_dataset_b_like
+from fedtab import fetch
 from fedtab.errors import NonNumericCellError
-from fedtab.fetch import FetchError, verify_dataset
+from fedtab.fetch import ARCHIVE_MEMBERS, FetchError, fetch_dataset, verify_dataset
 from fedtab.schemas import DATA_FILES, EXPECTED_ROWS
 
 WRITERS = {"A": write_dataset_a_like, "B": write_dataset_b_like}
@@ -52,3 +57,39 @@ def test_standin_with_a_bad_cell_fails_as_the_reader_does(tmp_path):
     path.write_text(header + ";".join(cells) + "".join(rest), encoding="utf-8")
     with pytest.raises(NonNumericCellError, match="'Application mode', row 1: 'n/a' is not numeric"):
         verify_dataset("B", tmp_path)
+
+
+def standin_archive(tmp_path, drop_last_row=False):
+    """A zip holding a real-size stand-in of table A under its archive member name."""
+    lines = real_size_standin("A", tmp_path).read_bytes().splitlines(keepends=True)
+    content = b"".join(lines[:-1] if drop_last_row else lines)
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        archive.writestr(f"student/{ARCHIVE_MEMBERS['A']}", content)
+    return buffer.getvalue(), content
+
+
+def test_fetch_publishes_a_verified_download(tmp_path, monkeypatch):
+    archive, content = standin_archive(tmp_path)
+    monkeypatch.setattr(fetch, "_download", lambda url, timeout: archive)
+    dest, said, digest = tmp_path / "data", [], hashlib.sha256(content).hexdigest()
+    target = fetch_dataset("A", dest, digest.upper(), report=said.append)
+    assert target == dest / DATA_FILES["A"] and target.read_bytes() == content
+    assert [p.name for p in dest.iterdir()] == [DATA_FILES["A"]]  # no staging directory left
+    assert len(said) == 1 and digest in said[0]
+
+
+@pytest.mark.parametrize("fault", ["one row short", "wrong pin"])
+def test_failed_fetch_keeps_the_earlier_file(fault, tmp_path, monkeypatch):
+    good, content = standin_archive(tmp_path)
+    monkeypatch.setattr(fetch, "_download", lambda url, timeout: good)
+    dest = tmp_path / "data"
+    target = fetch_dataset("A", dest, report=lambda line: None)
+
+    bad = standin_archive(tmp_path, drop_last_row=True)[0] if fault == "one row short" else good
+    monkeypatch.setattr(fetch, "_download", lambda url, timeout: bad)
+    pin = "0" * 64 if fault == "wrong pin" else None
+    with pytest.raises(FetchError, match="rows, found" if pin is None else "sha256 mismatch"):
+        fetch_dataset("A", dest, pin, report=lambda line: None)
+    assert target.read_bytes() == content
+    assert [p.name for p in dest.iterdir()] == [DATA_FILES["A"]]

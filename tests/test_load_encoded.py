@@ -15,7 +15,7 @@ import pytest
 from _oracles import csv_load_dataset
 from _synth import write_dataset_a_like, write_dataset_b_like
 from fedtab.dataset import ColumnSpec, FeatureSchema
-from fedtab.errors import InvalidConfigError, UnreadableFileError
+from fedtab.errors import UnreadableFileError
 from fedtab.schemas import DatasetSpec, builtin_dataset, load_dataset
 
 HEADER = "x;color;label\n"
@@ -39,7 +39,7 @@ def grade_spec(path) -> DatasetSpec:
          ColumnSpec("g", "target")),
         ("fail", "pass"),
     )
-    return DatasetSpec("graded", path, schema, grade_column="g", pass_threshold=10)
+    return DatasetSpec("graded", path, schema, pass_threshold=10)
 
 
 def outcome(read):
@@ -186,13 +186,6 @@ def test_grade_table_matches_csv_path(case, tmp_path):
     path = tmp_path / "g.csv"
     path.write_text(GRADE_CASES[case], encoding="utf-8")
     assert_same(grade_spec(path))
-
-
-def test_grade_column_that_is_not_the_target_is_a_config_error(tmp_path):
-    spec = tiny_spec(tmp_path / "g.csv")
-    with pytest.raises(InvalidConfigError, match="grade_column 'x' must be the target column"):
-        DatasetSpec(spec.key, spec.path, spec.schema, grade_column="x")
-    assert DatasetSpec(spec.key, spec.path, spec.schema, grade_column="label").grade_column
 
 
 def test_undecodable_and_missing_files_match_csv_path(tmp_path):
