@@ -46,15 +46,14 @@ from .metrics import MetricsReport
 from .models import TrainConfig
 from .schemas import DatasetSpec, builtin_dataset, load_dataset
 
-METRIC_NAMES = ("Accuracy", "Recall", "F1-Score", "AUCROC")
 MODEL_LABELS = {"forest": "Random forest", "svm": "SVM", "logistic": "Logistic regression"}
-_METRIC_FIELDS = {
-    "Accuracy": "accuracy_pct",
-    "Recall": "recall",
-    "F1-Score": "f1",
-    "AUCROC": "auc_roc",
+# display name -> (MetricsReport field, display decimals), in report order
+METRICS = {
+    "Accuracy": ("accuracy_pct", 2),
+    "Recall": ("recall", 4),
+    "F1-Score": ("f1", 4),
+    "AUCROC": ("auc_roc", 4),
 }
-_DECIMALS = {"Accuracy": 2, "Recall": 4, "F1-Score": 4, "AUCROC": 4}
 
 
 def epochs_for_budget(epoch_budget: int, rounds: int) -> int:
@@ -217,7 +216,7 @@ class ResultsTable:
 def _round_cell(value: float | None, metric: str) -> float | None:
     if value is None:
         return None
-    return round(value, _DECIMALS[metric])
+    return round(value, METRICS[metric][1])
 
 
 def build_results_table(
@@ -234,8 +233,7 @@ def build_results_table(
     for ds in datasets:
         for model in models:
             label = MODEL_LABELS[model]
-            for metric in METRIC_NAMES:
-                field_name = _METRIC_FIELDS[metric]
+            for metric, (field_name, _) in METRICS.items():
 
                 def value_of(condition: str) -> float | None:
                     report = cell_reports.get((ds, model, condition))
@@ -346,7 +344,7 @@ def _round_log_lines(
 def _format_cell(value: float | None, metric: str) -> str:
     if value is None:
         return ""
-    return f"{value:.{_DECIMALS[metric]}f}"
+    return f"{value:.{METRICS[metric][1]}f}"
 
 
 def emit_report(table: ResultsTable, fmt: str, path: str | Path | None = None) -> str:

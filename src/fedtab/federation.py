@@ -24,6 +24,7 @@ from .dataset import ClientPartition, EncodedDataset, concat_datasets
 from .errors import EmptyInputError, InvalidConfigError, ShapeMismatchError
 from .metrics import MetricsReport, accuracy, compute_report
 from .models import (
+    MODEL_KINDS,
     Forest,
     LinearModel,
     Model,
@@ -49,7 +50,7 @@ class FederationConfig:
     train_cfg: TrainConfig
 
     def __post_init__(self) -> None:
-        if self.model_kind not in ("logistic", "svm", "forest"):
+        if self.model_kind not in MODEL_KINDS:
             raise InvalidConfigError(f"unknown model_kind {self.model_kind!r}")
         if self.rounds < 1:
             raise InvalidConfigError(f"rounds must be at least 1, got {self.rounds}")

@@ -15,6 +15,17 @@ matrix) with exact tie and edge-case semantics:
   0-based sorted position p has twice-mean-rank 2p + c + 1, an integer.
   So 2U is an exact integer and the AUC is one division of the exact
   half-integer U by n+ n-, the same float the pairwise count gives.
+
+Accuracy, recall and F1 each have one formula.  Recall and F1 read one
+per-class tally of hits, support and predicted counts; accuracy reads the
+hit count.  A result goes by the labels and the row count only, never by
+the input's type.  Two choices go by row count:
+
+- the tally: an int ndarray pair of up to ``_SMALL`` rows is counted in
+  Python with ``list.count``, any other input through one numpy confusion
+  matrix.  Counts are exact, so the method changes the speed only;
+- the accuracy rounding: ``100 * c / n`` up to ``_SMALL`` rows and
+  ``100 * (c / n)`` above, which differ in the last bit for some (c, n).
 """
 
 from __future__ import annotations
@@ -54,42 +65,12 @@ class MetricsReport:
             raise ValueError(f"n_samples must be positive, got {self.n_samples}")
 
 
-# below this size the label metrics run on plain python ints; numpy's
-# per-call overhead dwarfs the actual work for tiny inputs
+# up to this many rows int ndarray labels become python int lists: numpy's
+# per-call overhead dwarfs the counting there
 _SMALL = 64
 
 # frozenset(range(k)) per class count, for one-call label range checks
 _LABEL_SETS: dict[int, frozenset[int]] = {}
-
-
-def _small_pair(pred, truth) -> tuple[list[int], list[int]] | None:
-    """Fast-path extraction for small 1-d integer arrays, else None."""
-    if not (isinstance(pred, np.ndarray) and isinstance(truth, np.ndarray)):
-        return None
-    if pred.ndim != 1 or truth.ndim != 1 or pred.dtype.kind != "i" or truth.dtype.kind != "i":
-        return None
-    n = len(pred)
-    if n > _SMALL:
-        return None
-    if n != len(truth):
-        raise LengthMismatchError(f"pred has {n} entries, truth has {len(truth)}")
-    if n == 0:
-        raise EmptyInputError("metrics need at least one sample")
-    return pred.tolist(), truth.tolist()
-
-
-def _small_tallies(p: list[int], t: list[int], n_classes: int):
-    """Range-check small label lists; return (hits.count, t.count, p.count)."""
-    labels = _LABEL_SETS.get(n_classes)
-    if labels is None:
-        if n_classes < 2:
-            raise ValueError(f"n_classes must be at least 2, got {n_classes}")
-        labels = _LABEL_SETS[n_classes] = frozenset(range(n_classes))
-    if not (labels.issuperset(p) and labels.issuperset(t)):
-        raise ValueError("labels outside [0, n_classes)")
-    # the truth labels of the correctly predicted samples
-    hits = list(compress(t, map(eq, p, t)))
-    return hits.count, t.count, p.count
 
 
 def _as_labels(values, name: str) -> np.ndarray:
@@ -104,88 +85,101 @@ def _as_labels(values, name: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _check_pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
-    p = _as_labels(pred, "pred")
-    t = _as_labels(truth, "truth")
-    if p.shape[0] != t.shape[0]:
-        raise LengthMismatchError(f"pred has {p.shape[0]} entries, truth has {t.shape[0]}")
-    if p.shape[0] == 0:
+def _pair(pred, truth) -> tuple[list[int], list[int]] | tuple[np.ndarray, np.ndarray]:
+    """The checked labels: int lists for plain int ndarrays of up to ``_SMALL``
+    rows, int64 arrays for any other input."""
+    if (
+        type(pred) is np.ndarray is type(truth)
+        and pred.ndim == truth.ndim == 1 and pred.dtype.kind == truth.dtype.kind == "i"
+        and len(pred) <= _SMALL
+    ):
+        p, t = pred.tolist(), truth.tolist()
+    else:
+        p, t = _as_labels(pred, "pred"), _as_labels(truth, "truth")
+    n = len(p)
+    if n != len(t):
+        raise LengthMismatchError(f"pred has {n} entries, truth has {len(t)}")
+    if n == 0:
         raise EmptyInputError("metrics need at least one sample")
     return p, t
 
 
-def _confusion(pred: np.ndarray, truth: np.ndarray, n_classes: int) -> np.ndarray:
+def _label_set(n_classes: int) -> frozenset[int]:
     if n_classes < 2:
         raise ValueError(f"n_classes must be at least 2, got {n_classes}")
-    if pred.min() < 0 or pred.max() >= n_classes:
-        raise ValueError("pred labels outside [0, n_classes)")
-    if truth.min() < 0 or truth.max() >= n_classes:
-        raise ValueError("truth labels outside [0, n_classes)")
-    # confusion[i, j] counts samples with truth i predicted j
-    flat = truth * n_classes + pred
-    return np.bincount(flat, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
+    return _LABEL_SETS.setdefault(n_classes, frozenset(range(n_classes)))
+
+
+def _check_range(labels: np.ndarray, n_classes: int, name: str) -> None:
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ValueError(f"{name} labels outside [0, n_classes)")
+
+
+def _tally(p, t, n_classes: int):
+    """Range-check a checked pair; return its per-class count lookups
+    (hits, support, predicted), each called with a class index."""
+    labels = _LABEL_SETS.get(n_classes) or _label_set(n_classes)
+    if isinstance(p, list):
+        if not labels.issuperset(p + t):
+            raise ValueError("labels outside [0, n_classes)")
+        # the truth labels of the correctly predicted samples
+        hits = list(compress(t, map(eq, p, t)))
+        return hits.count, t.count, p.count
+    _check_range(p, n_classes, "pred")
+    _check_range(t, n_classes, "truth")
+    # cm[i, j] counts samples with truth i predicted j
+    cm = np.bincount(t * n_classes + p, minlength=n_classes**2).reshape(n_classes, n_classes)
+    return tuple(v.tolist().__getitem__ for v in (cm.diagonal(), cm.sum(axis=1), cm.sum(axis=0)))
+
+
+def _accuracy(correct: int, n: int) -> float:
+    # the pinned goldens hold both roundings; ROADMAP item 3 retires the split
+    return 100.0 * correct / n if n <= _SMALL else 100.0 * (correct / n)
+
+
+def _recall(hits_of, support_of, n_classes: int) -> float:
+    total = 0.0
+    present = 0
+    for c in range(n_classes):
+        support = support_of(c)
+        if support:
+            total += hits_of(c) / support
+            present += 1
+    return total / present
+
+
+def _f1(hits_of, support_of, predicted_of, n_classes: int) -> float:
+    total = 0.0
+    present = 0
+    for c in range(n_classes):
+        support = support_of(c)
+        if support:
+            # F1 = 2 TP / (support + predicted); the denominator is
+            # positive whenever the class occurs in truth
+            total += 2.0 * hits_of(c) / (support + predicted_of(c))
+            present += 1
+    return total / present
 
 
 def accuracy(pred, truth) -> float:
     """Fraction of exact matches, in percent."""
-    small = _small_pair(pred, truth)
-    if small is not None:
-        p, t = small
-        return 100.0 * sum(map(eq, p, t)) / len(p)
-    p, t = _check_pair(pred, truth)
-    return 100.0 * float(np.mean(p == t))
-
-
-def _recall_of(cm: np.ndarray) -> float:
-    support = cm.sum(axis=1)
-    present = support > 0
-    per_class = cm.diagonal()[present] / support[present]
-    return float(np.mean(per_class))
-
-
-def _f1_of(cm: np.ndarray) -> float:
-    tp = cm.diagonal().astype(np.float64)
-    support = cm.sum(axis=1)
-    predicted = cm.sum(axis=0)
-    present = support > 0
-    per_class = 2.0 * tp[present] / (support + predicted)[present]
-    return float(np.mean(per_class))
+    p, t = _pair(pred, truth)
+    correct = sum(map(eq, p, t)) if isinstance(p, list) else int(np.count_nonzero(p == t))
+    return _accuracy(correct, len(t))
 
 
 def recall_macro(pred, truth, n_classes: int) -> float:
     """Mean per-class recall over the classes present in truth."""
-    small = _small_pair(pred, truth)
-    if small is not None:
-        hits_of, support_of, _ = _small_tallies(*small, n_classes)
-        total = 0.0
-        present = 0
-        for c in range(n_classes):
-            support = support_of(c)
-            if support:
-                total += hits_of(c) / support
-                present += 1
-        return total / present
-    p, t = _check_pair(pred, truth)
-    return _recall_of(_confusion(p, t, n_classes))
+    p, t = _pair(pred, truth)
+    hits_of, support_of, _ = _tally(p, t, n_classes)
+    return _recall(hits_of, support_of, n_classes)
 
 
 def f1_macro(pred, truth, n_classes: int) -> float:
     """Mean per-class F1 over the classes present in truth; 0/0 counts as 0."""
-    small = _small_pair(pred, truth)
-    if small is not None:
-        hits_of, support_of, predicted_of = _small_tallies(*small, n_classes)
-        total = 0.0
-        present = 0
-        for c in range(n_classes):
-            support = support_of(c)
-            if support:
-                # F1 = 2 TP / (support + predicted); the denominator is
-                # positive whenever the class occurs in truth
-                total += 2.0 * hits_of(c) / (support + predicted_of(c))
-                present += 1
-        return total / present
-    p, t = _check_pair(pred, truth)
-    return _f1_of(_confusion(p, t, n_classes))
+    p, t = _pair(pred, truth)
+    hits_of, support_of, predicted_of = _tally(p, t, n_classes)
+    return _f1(hits_of, support_of, predicted_of, n_classes)
 
 
 def _binary_auc(scores: np.ndarray, positive: np.ndarray) -> float | None:
@@ -220,10 +214,8 @@ def auc_roc(scores, truth, n_classes: int) -> float:
     t = _as_labels(truth, "truth")
     if t.size == 0:
         raise EmptyInputError("metrics need at least one sample")
-    if n_classes < 2:
-        raise ValueError(f"n_classes must be at least 2, got {n_classes}")
-    if t.min() < 0 or t.max() >= n_classes:
-        raise ValueError("truth labels outside [0, n_classes)")
+    _label_set(n_classes)
+    _check_range(t, n_classes, "truth")
     return _auc(scores, t, n_classes)
 
 
@@ -264,23 +256,16 @@ def _auc(scores, t: np.ndarray, n_classes: int) -> float:
 def compute_report(pred, truth, scores, n_classes: int) -> MetricsReport:
     """Bundle the four metrics for one prediction set.
 
-    The labels are checked once.  Above ``_SMALL`` rows recall and F1 share
-    one confusion matrix; at or below it the three label metrics take their
-    own small-input path, as when called alone.
+    The labels are checked and counted once; each metric is the same
+    formula its function alone uses.
     """
-    p, t = _check_pair(pred, truth)
-    if t.shape[0] > _SMALL:
-        cm = _confusion(p, t, n_classes)
-        accuracy_pct = 100.0 * float(np.mean(p == t))
-        recall, f1 = _recall_of(cm), _f1_of(cm)
-    else:
-        accuracy_pct = accuracy(p, t)
-        recall = recall_macro(p, t, n_classes)
-        f1 = f1_macro(p, t, n_classes)
+    p, t = _pair(pred, truth)
+    hits_of, support_of, predicted_of = _tally(p, t, n_classes)
+    n = len(t)
     return MetricsReport(
-        accuracy_pct=accuracy_pct,
-        recall=recall,
-        f1=f1,
-        auc_roc=_auc(scores, t, n_classes),
-        n_samples=int(t.shape[0]),
+        accuracy_pct=_accuracy(sum(map(hits_of, range(n_classes))), n),
+        recall=_recall(hits_of, support_of, n_classes),
+        f1=_f1(hits_of, support_of, predicted_of, n_classes),
+        auc_roc=_auc(scores, np.asarray(t), n_classes),
+        n_samples=n,
     )

@@ -124,21 +124,50 @@ def test_compute_report_bundles_all_four():
     assert report.n_samples == 4
 
 
+def _label_forms(labels: np.ndarray):
+    """The same labels as a list, an int32 array and an integral float64 array."""
+    return labels.tolist(), labels.astype(np.int32), labels.astype(np.float64)
+
+
 @pytest.mark.parametrize("n", [63, 64, 65, 300])
-@pytest.mark.parametrize("n_classes", [2, 3, 5])
+@pytest.mark.parametrize("n_classes", [2, 3, 5, 9])
 def test_compute_report_equals_the_metrics_called_alone(n, n_classes):
     rng = np.random.default_rng(n * 10 + n_classes)
     truth = rng.integers(0, n_classes, n)
     pred = np.where(rng.random(n) < 0.6, truth, rng.integers(0, n_classes, n))
     scores = np.round(rng.random((n, n_classes)), 2)
+    column = scores if n_classes > 2 else scores[:, 1]
     report = compute_report(pred, truth, scores, n_classes)
     assert report == MetricsReport(
         accuracy_pct=accuracy(pred, truth),
         recall=recall_macro(pred, truth, n_classes),
         f1=f1_macro(pred, truth, n_classes),
-        auc_roc=auc_roc(scores if n_classes > 2 else scores[:, 1], truth, n_classes),
+        auc_roc=auc_roc(column, truth, n_classes),
         n_samples=n,
     )
+    # every input form gives the int64 arrays' floats bit for bit
+    for p, t in zip(_label_forms(pred), _label_forms(truth)):
+        assert compute_report(p, t, scores, n_classes) == report
+        assert accuracy(p, t) == report.accuracy_pct
+        assert recall_macro(p, t, n_classes) == report.recall
+        assert f1_macro(p, t, n_classes) == report.f1
+        assert auc_roc(column, t, n_classes) == report.auc_roc
+
+
+@pytest.mark.parametrize(("n", "correct"), [(63, 5), (65, 3)])
+def test_accuracy_rounding_goes_by_row_count(n, correct):
+    # up to 64 rows accuracy is 100 * c / n, above it 100 * (c / n); for
+    # these (c, n) the two differ in the last bit
+    assert 100.0 * correct / n != 100.0 * (correct / n)
+    expected = 100.0 * correct / n if n <= 64 else 100.0 * (correct / n)
+    truth = np.zeros(n, dtype=np.int64)
+    truth[-1] = 1
+    pred = truth.copy()
+    pred[: n - correct] = 1
+    scores = np.linspace(0.0, 1.0, n)
+    for p, t in [(pred, truth), *zip(_label_forms(pred), _label_forms(truth))]:
+        assert accuracy(p, t) == expected
+        assert compute_report(p, t, scores, 2).accuracy_pct == expected
 
 
 @pytest.mark.parametrize("n", [4, 100])
