@@ -2,7 +2,8 @@
 
 A configuration names which datasets, models, conditions, round budgets and
 seeds make up a run.  Every field has a sensible default, so an empty file
-(or none at all) reproduces the full benchmark grid.
+(or none at all) reproduces the full benchmark grid.  A condition's name is
+a key of ``CONDITIONS``, the one table that says what each condition runs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,38 @@ from typing import Any, get_args, get_origin, get_type_hints
 from .errors import InvalidConfigError
 from .models import DEFAULT_TRAIN_CONFIGS, MODEL_KINDS, TrainConfig
 
-CONDITIONS = ("central_clean", "central_poisoned", "fl_clean", "fl_poisoned")
+
+@dataclass(frozen=True)
+class Condition:
+    """What one grid condition runs.
+
+    ``pooled``: one client holding the pooled partition, for one round,
+    with no round log (standard ML); otherwise the clients, at every round
+    budget.  ``poisoned``: the malicious clients flip their training labels
+    before round one; a pooled run's one client is malicious, a federated
+    run's are ``malicious_clients``.
+    """
+
+    pooled: bool
+    poisoned: bool
+
+
+# condition name -> Condition; the default ``conditions``, in this order (the round log's)
+CONDITIONS: dict[str, Condition] = {
+    "central_clean": Condition(pooled=True, poisoned=False),
+    "central_poisoned": Condition(pooled=True, poisoned=True),
+    "fl_clean": Condition(pooled=False, poisoned=False),
+    "fl_poisoned": Condition(pooled=False, poisoned=True),
+}
+
+
+def condition_of(name: str) -> Condition:
+    """The ``Condition`` that ``CONDITIONS`` registers as ``name``."""
+    if name not in CONDITIONS:
+        raise InvalidConfigError(f"unknown condition {name!r}; expected one of {tuple(CONDITIONS)}")
+    return CONDITIONS[name]
+
+
 OUTPUT_FORMATS = ("delimited", "structured", "human")
 FL_AVERAGING = ("final", "per_round")
 
@@ -43,7 +75,7 @@ class ExperimentConfig:
     datasets: tuple[str, ...] = ("A", "B")
     data_dir: str = "data"
     models: tuple[str, ...] = MODEL_KINDS
-    conditions: tuple[str, ...] = CONDITIONS
+    conditions: tuple[str, ...] = tuple(CONDITIONS)
     round_budgets: tuple[int, ...] = (2, 4, 6, 8, 10)
     n_clients: int = 3
     test_fraction: float = 0.2
@@ -71,8 +103,7 @@ class ExperimentConfig:
         if not self.conditions:
             raise InvalidConfigError("at least one condition is required")
         for c in self.conditions:
-            if c not in CONDITIONS:
-                raise InvalidConfigError(f"unknown condition {c!r}; expected one of {CONDITIONS}")
+            condition_of(c)
         if not self.round_budgets or any(r < 1 for r in self.round_budgets):
             raise InvalidConfigError("round_budgets must be non-empty positive integers")
         if not self.seeds:

@@ -1,22 +1,15 @@
 """Experiment driver: the four-condition grid and the results table.
 
-Conditions:
+``config.CONDITIONS`` names each condition and says what it runs (a
+``Condition``: pooled or federated, clean or poisoned):
 
-- central_clean: pool every client's training split, train once, evaluate
-  on the pooled test split.
-- central_poisoned: the same, but a share of the pooled training labels is
-  flipped first.
-- fl_clean: federated rounds over the clients; the reported figure is the
-  mean of the final-round evaluation across the configured round budgets.
-- fl_poisoned: federated with the malicious clients flipping their local
-  training labels before round one.
+- central_clean: standard ML on every client's training rows pooled;
+- central_poisoned: the same with a share of those labels flipped;
+- fl_clean: federated averaging over the clients, reported as the mean
+  over the configured round budgets;
+- fl_poisoned: the same with the malicious clients' labels flipped.
 
-All four run through ``run_federated``.  A central cell is a federation of
-one client, the pooled partition, for one round, with that client
-malicious when poisoned: with one client and one round, federated
-averaging is the client's own model, trained with the master seed for the
-whole epoch budget.
-
+All four run through ``run_federated`` (see ``run_condition_detailed``).
 Total optimization effort is held fixed across budgets: a budget of R
 rounds trains round(epoch_budget / R) local epochs per round.  Every
 derived seed folds the master seed in, so one master seed pins the whole
@@ -33,7 +26,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .attack import AttackConfig
-from .config import CONDITIONS, ExperimentConfig
+from .config import ExperimentConfig, condition_of
 from .dataset import (
     EncodedDataset,
     FeatureSchema,
@@ -83,8 +76,8 @@ class SharedWork:
     ``test_fraction`` only, which are the constructor's arguments, so no
     model or condition can need another set.  ``round_one`` holds the
     round-one local models that federated runs on ``clients`` trained (see
-    ``run_federated``).  Central runs keep none: their clean and poisoned
-    runs share no round one, so a dict would only hold both central models
+    ``run_federated``).  Pooled runs keep none: their clean and poisoned
+    runs share no round one, so a dict would only hold both pooled models
     until the seed ends.
     """
 
@@ -112,12 +105,15 @@ def run_condition_detailed(
 ) -> tuple[MetricsReport, dict[int, RoundLog]]:
     """Run one cell; ``shared`` is the seed's ``SharedWork``, fresh when not given.
 
-    Returns ``(report, logs)``: ``logs`` maps each round budget to its
+    ``condition`` is a name in ``CONDITIONS``; its ``Condition`` says what
+    runs.  Returns ``(report, logs)``: ``logs`` maps each round budget to its
     ``RoundLog``, and ``report`` is the mean over budgets of each log's
     final-round global report (``fl_average`` 'final') or of its per-round
-    mean ('per_round').  A central cell federates the pooled partition
+    mean ('per_round').  A pooled cell federates the pooled partition
     alone for one round, with client 0 malicious when poisoned, and
-    returns its report with empty ``logs``: it writes no round log.  A
+    returns its report with empty ``logs``: it writes no round log.  (With
+    one client and one round, federated averaging is the client's own
+    model, trained with the master seed for the whole epoch budget.)  A
     federated cell runs each trajectory once.  Each budget's ``TrainConfig``
     is built once: the model's settings with the master seed and the
     budget's local epochs (``epochs_for_budget``; a forest ignores epochs
@@ -128,23 +124,20 @@ def run_condition_detailed(
     one ``run_federated`` at the longest of them, and each budget's
     ``RoundLog`` is that run's first ``budget`` records with its flip masks.
     """
-    if condition not in CONDITIONS:
-        raise InvalidConfigError(f"unknown condition {condition!r}")
+    cond = condition_of(condition)
     inputs = (data, dataset.schema, cfg.n_clients, cfg.test_fraction, master_seed)
     if shared is None:
         shared = SharedWork(*inputs)
     elif shared.inputs != inputs:
         raise ValueError("shared work was built for another table, seed or client split")
 
-    central = condition.startswith("central")
-    if central:  # one client holding the pooled rows, one round
+    if cond.pooled:  # one client holding the pooled rows, one round
         partitions, round_one, budgets, malicious = [shared.pooled], None, (1,), (0,)
     else:
         partitions, round_one = shared.clients, shared.round_one
         budgets, malicious = cfg.round_budgets, cfg.malicious_clients
-    attack = None
-    if condition.endswith("poisoned"):
-        attack = AttackConfig(cfg.flip_fraction, frozenset(malicious), cfg.attack_seed ^ master_seed)
+    attack = (AttackConfig(cfg.flip_fraction, frozenset(malicious), cfg.attack_seed ^ master_seed)
+              if cond.poisoned else None)
 
     groups: dict[TrainConfig, list[int]] = {}
     for budget in budgets:
@@ -155,15 +148,16 @@ def run_condition_detailed(
     logs: dict[int, RoundLog] = {}
     for train_cfg, group in groups.items():
         fed_cfg = FederationConfig(model_kind, max(group), train_cfg)
-        # a central cell emits no round log, so nothing reads its local accuracy
-        run = run_federated(partitions, fed_cfg, attack, round_one, local_accuracy=not central)[1]
+        # a pooled cell emits no round log, so nothing reads its local accuracy
+        run = run_federated(partitions, fed_cfg, attack, round_one,
+                            local_accuracy=not cond.pooled)[1]
         logs.update((b, RoundLog(run.records[:b], run.flip_masks)) for b in group)
     report = mean_reports([
         logs[b].records[-1].global_metrics if cfg.fl_average == "final"
         else mean_reports([r.global_metrics for r in logs[b].records])
         for b in budgets
     ])
-    return report, {} if central else logs
+    return report, {} if cond.pooled else logs
 
 
 def run_condition(
@@ -400,7 +394,11 @@ def emit_report(table: ResultsTable, fmt: str, path: str | Path | None = None) -
 
 
 def parse_report(text: str) -> ResultsTable:
-    """Parse a delimited report back into a table (inverse of emit_report)."""
+    """Parse a delimited report back into a table (inverse of emit_report).
+
+    A row whose metric is not in ``METRICS``, or a non-empty cell that is
+    not a number, raises ``InvalidConfigError`` naming the line.
+    """
     rows = []
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     if not lines:
@@ -414,6 +412,11 @@ def parse_report(text: str) -> ResultsTable:
         if len(parts) != len(expected):
             raise InvalidConfigError(f"report line has {len(parts)} fields: {ln!r}")
         dataset, model, metric = parts[:3]
-        cells = tuple(float(p) if p else None for p in parts[3:])
+        if metric not in METRICS:
+            raise InvalidConfigError(f"report line has unknown metric {metric!r}: {ln!r}")
+        try:
+            cells = tuple(float(p) if p else None for p in parts[3:])
+        except ValueError:
+            raise InvalidConfigError(f"report line has a non-numeric cell: {ln!r}") from None
         rows.append(ResultRow(dataset, model, metric, cells))
     return ResultsTable(tuple(rows))

@@ -92,6 +92,16 @@ def test_usage_error_is_a_config_error(argv, capsys):
     assert err.startswith("usage: fedtab") and "error: " in err
 
 
+def test_run_unknown_condition_names_the_choices(capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["run", "--condition", "bogus"])
+    assert caught.value.code == EXIT_CONFIG
+    assert capsys.readouterr().err.endswith(
+        "fedtab run: error: argument --condition: invalid choice: 'bogus' (choose from "
+        "'central_clean', 'central_poisoned', 'fl_clean', 'fl_poisoned')\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["run", "--help"]])
 def test_help_and_version_exit_0(argv, capsys):
     with pytest.raises(SystemExit) as caught:

@@ -22,7 +22,7 @@ from _synth import (
 import fedtab.experiment
 from fedtab import federation
 from fedtab.attack import AttackConfig
-from fedtab.config import ExperimentConfig, OutputConfig, config_from_dict
+from fedtab.config import CONDITIONS, ExperimentConfig, OutputConfig, config_from_dict
 from fedtab.dataset import build_client_partitions
 from fedtab.errors import InvalidConfigError
 from fedtab.experiment import (
@@ -292,6 +292,23 @@ def test_emit_delimited_round_trips_and_is_stable():
     assert parsed.rows == table.rows
 
 
+_HEADER = ",".join(("Dataset", "Model", "Metric") + RESULT_COLUMNS)
+
+
+def test_parse_report_rejects_a_metric_emit_report_cannot_write():
+    line = "A,SVM,Precision,1.0,2.0,3.0,4.0,5.0,6.0"
+    with pytest.raises(InvalidConfigError, match="unknown metric 'Precision'") as caught:
+        parse_report(f"{_HEADER}\n{line}\n")
+    assert line in str(caught.value)
+
+
+def test_parse_report_rejects_a_non_numeric_cell():
+    line = "A,SVM,Recall,0.5,x,,0.5,0.5,"
+    with pytest.raises(InvalidConfigError, match="non-numeric cell") as caught:
+        parse_report(f"{_HEADER}\n{line}\n")
+    assert line in str(caught.value)
+
+
 def test_emit_structured_and_human_formats():
     table = build_results_table(_cell_reports(), ("A",), ("logistic",))
     payload = json.loads(emit_report(table, "structured"))
@@ -500,6 +517,48 @@ def test_central_cells_keep_no_models_in_shared_work(grades):
     assert _held_models(shared) == 0
     run_condition_detailed(cfg, spec, data, "forest", "fl_clean", 3, shared)
     assert _held_models(shared) == len(shared.round_one) == cfg.n_clients  # the walk sees models
+
+
+_UNKNOWN = (
+    "unknown condition 'fl_bogus'; expected one of "
+    "('central_clean', 'central_poisoned', 'fl_clean', 'fl_poisoned')"
+)
+
+
+def test_unknown_condition_is_a_config_error_before_any_partition(grades, monkeypatch):
+    with pytest.raises(InvalidConfigError) as caught:
+        ExperimentConfig(conditions=("fl_bogus",))
+    assert str(caught.value) == _UNKNOWN
+
+    def no_partitions(*args):
+        raise AssertionError("a partition was built for an unknown condition")
+
+    monkeypatch.setattr(fedtab.experiment, "build_client_partitions", no_partitions)
+    spec, data = grades
+    with pytest.raises(InvalidConfigError) as caught:
+        run_condition_detailed(small_cfg(), spec, data, "logistic", "fl_bogus", 3)
+    assert str(caught.value) == _UNKNOWN
+
+
+@pytest.mark.parametrize("original", ["central_poisoned", "fl_poisoned"])
+def test_a_condition_is_its_data_not_its_name(grades, monkeypatch, original):
+    # a copy registered under another name runs as the original does
+    copy = f"copy_of_{original}"
+    monkeypatch.setitem(CONDITIONS, copy, CONDITIONS[original])
+    spec, data = grades
+    cfg = small_cfg(conditions=(original, copy))
+    assert cfg.conditions == (original, copy)
+    expected_report, expected_logs = run_condition_detailed(cfg, spec, data, "svm", original, 3)
+    got_report, got_logs = run_condition_detailed(cfg, spec, data, "svm", copy, 3)
+    assert got_report == expected_report
+    assert got_logs.keys() == expected_logs.keys()
+    assert bool(got_logs) == (original == "fl_poisoned")
+    for budget, log in got_logs.items():
+        assert log.records == expected_logs[budget].records
+        masks = expected_logs[budget].flip_masks
+        assert log.flip_masks.keys() == masks.keys() == set(cfg.malicious_clients)
+        for client, mask in log.flip_masks.items():
+            assert mask.tobytes() == masks[client].tobytes()
 
 
 @pytest.mark.parametrize("master_seed", [3, 8])
