@@ -23,7 +23,6 @@ from .experiment import (
     ResultsTable,
     build_results_table,
     emit_report,
-    parse_report,
     run_condition,
     run_suite,
 )
@@ -49,7 +48,6 @@ from .models import (
     train_svm,
 )
 from .schemas import DatasetSpec, builtin_dataset, load_dataset
-from .serialize import load_model, save_model
 
 __version__ = "0.1.0"
 
@@ -89,8 +87,6 @@ __all__ = [
     "flip_labels",
     "load_config",
     "load_dataset",
-    "load_model",
-    "parse_report",
     "partition_clients",
     "predict_labels",
     "predict_scores",
@@ -98,7 +94,6 @@ __all__ = [
     "run_condition",
     "run_federated",
     "run_suite",
-    "save_model",
     "standardize",
     "train_forest",
     "train_logreg",

@@ -130,6 +130,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
+    cfg.output.check_paths()  # as run does, before it reads a table
     for key in cfg.datasets:
         builtin_dataset(key, cfg.data_dir)  # raises on an unknown key, as run does
     print(f"{args.config}: OK")

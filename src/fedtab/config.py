@@ -69,6 +69,19 @@ class OutputConfig:
         ):
             raise InvalidConfigError(f"output.round_log names the report file {self.path!r}")
 
+    def check_paths(self) -> None:
+        """Reject an output path that names a directory or a missing parent directory.
+
+        ``run`` and ``validate`` both call this before any table is read.  It
+        reads the file system, so building the config does not call it.
+        """
+        for name in ("path", "round_log"):
+            path = getattr(self, name)
+            if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+                raise InvalidConfigError(
+                    f"output.{name} {path!r} is not a file in an existing directory"
+                )
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:

@@ -270,16 +270,10 @@ def run_suite(
     ``run_condition_detailed`` returns them; reports are averaged and
     round-log lines written in (dataset, model, condition, seed) order, so
     the outputs do not depend on the loop order.  Writes the results table and optional round log as
-    configured; an output path that names a directory, or whose parent
-    directory does not exist, raises ``InvalidConfigError`` before any table
-    is read.
+    configured; a bad output path (``OutputConfig.check_paths``) raises
+    ``InvalidConfigError`` before any table is read.
     """
-    for name in ("path", "round_log"):
-        path = getattr(cfg.output, name)
-        if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
-            raise InvalidConfigError(
-                f"output.{name} {path!r} is not a file in an existing directory"
-            )
+    cfg.output.check_paths()
     specs = dict(datasets) if datasets is not None else {
         key: builtin_dataset(key, cfg.data_dir) for key in cfg.datasets
     }
@@ -392,31 +386,3 @@ def emit_report(table: ResultsTable, fmt: str, path: str | Path | None = None) -
         Path(path).write_text(text, encoding="utf-8")
     return text
 
-
-def parse_report(text: str) -> ResultsTable:
-    """Parse a delimited report back into a table (inverse of emit_report).
-
-    A row whose metric is not in ``METRICS``, or a non-empty cell that is
-    not a number, raises ``InvalidConfigError`` naming the line.
-    """
-    rows = []
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    if not lines:
-        raise InvalidConfigError("report has no header line")
-    header = lines[0].split(",")
-    expected = list(("Dataset", "Model", "Metric") + RESULT_COLUMNS)
-    if header != expected:
-        raise InvalidConfigError(f"unexpected report header: {header}")
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(expected):
-            raise InvalidConfigError(f"report line has {len(parts)} fields: {ln!r}")
-        dataset, model, metric = parts[:3]
-        if metric not in METRICS:
-            raise InvalidConfigError(f"report line has unknown metric {metric!r}: {ln!r}")
-        try:
-            cells = tuple(float(p) if p else None for p in parts[3:])
-        except ValueError:
-            raise InvalidConfigError(f"report line has a non-numeric cell: {ln!r}") from None
-        rows.append(ResultRow(dataset, model, metric, cells))
-    return ResultsTable(tuple(rows))

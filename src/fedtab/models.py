@@ -12,8 +12,8 @@
   into compiled C where ``fedtab.kernel`` can build it, else node by node
   in Python and numpy, with the same trees either way (see
   ``train_forest``).  A tree is a ``Tree`` of parallel node arrays in
-  depth-first preorder, the one layout that growth builds, prediction
-  walks level by level and model files store.
+  depth-first preorder, the one layout that growth builds and prediction
+  walks level by level.
 
 The bias terms are never regularized.  Training with epochs = 0 returns the
 initial parameters unchanged, which is what federated warm starts rely on.
@@ -188,26 +188,10 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return ez / ez.sum(axis=1, keepdims=True)
 
 
-def logistic_loss(model: LinearModel, X: np.ndarray, y: np.ndarray, l2: float) -> float:
-    """Mean cross-entropy plus (l2 / 2) * ||W||^2; the bias is not penalized."""
-    z = X @ model.weights.T + model.bias
-    if model.n_classes == 2:
-        margin = z[:, 0]
-        target = y.astype(np.float64)
-        # stable form of log(1 + exp(z)) - y * z
-        ce = np.maximum(margin, 0.0) - margin * target + np.log1p(np.exp(-np.abs(margin)))
-        data_term = float(np.mean(ce))
-    else:
-        logz = z - _row_max(z)
-        log_norm = np.log(np.exp(logz).sum(axis=1))
-        data_term = float(np.mean(log_norm - logz[np.arange(y.shape[0]), y]))
-    return data_term + 0.5 * l2 * float(np.sum(model.weights**2))
-
-
 def logistic_gradient(
     model: LinearModel, X: np.ndarray, y: np.ndarray, l2: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of logistic_loss with respect to (weights, bias)."""
+    """Gradient in (weights, bias) of the mean cross-entropy plus (l2 / 2) * ||W||^2."""
     n = X.shape[0]
     z = X @ model.weights.T + model.bias
     if model.n_classes == 2:
@@ -234,14 +218,6 @@ def train_logreg(
         weights = weights - cfg.learning_rate * grad_w
         bias = bias - cfg.learning_rate * grad_b
     return LinearModel(weights, bias, "logistic", train.n_classes)
-
-
-def hinge_objective(model: LinearModel, X: np.ndarray, y: np.ndarray, l2: float) -> float:
-    """Mean multi-row hinge loss plus (l2 / 2) * ||W||^2, for monitoring."""
-    signed = _signed_targets(y, model.n_classes)
-    margins = X @ model.weights.T + model.bias
-    hinge = np.maximum(0.0, 1.0 - signed * margins)
-    return float(np.mean(hinge.sum(axis=1))) + 0.5 * l2 * float(np.sum(model.weights**2))
 
 
 def _signed_targets(y: np.ndarray, n_classes: int) -> np.ndarray:
@@ -273,7 +249,7 @@ def train_svm(
 
     Python draws the permutations, in the same order on either path below,
     and checks the decay; each epoch then runs in one of two ways with the
-    same bytes.  ``kernel_path()`` says which:
+    same bytes.  ``kernel.path()`` says which:
 
     - compiled (``fedtab.kernel``): the epoch is one call into C, which
       takes the dots from the BLAS routine numpy's ``weights.dot(x)`` calls
@@ -338,19 +314,6 @@ def _python_svm_epoch(X: np.ndarray, signed: np.ndarray, weights: np.ndarray, bi
         bias[:] = b
 
     return run
-
-
-def kernel_path() -> str:
-    """``"compiled"`` when ``train_svm`` and ``train_forest`` run C; else which runs Python.
-
-    ``"python: <reason>"`` when both do, ``"python for train_forest:
-    <reason>"`` when only the forest's checks failed.  The first call builds
-    or loads the kernels and checks both, as the first ``train_svm`` and
-    ``train_forest`` do.
-    """
-    from . import kernel
-
-    return kernel.path()
 
 
 def _gini(counts: np.ndarray, size) -> np.ndarray:
@@ -493,7 +456,7 @@ def train_forest(train: EncodedDataset, cfg: TrainConfig) -> Forest:
     Tree ``t`` draws its bootstrap rows, then every node's feature subset,
     from its own ``default_rng((seed, t))``.  Each tree grows in one of two
     ways with the same bytes, the way ``train_svm`` runs its epochs
-    (``kernel_path()`` says which):
+    (``kernel.path()`` says which):
 
     - compiled (``kernel.tree_grower``): one C call per tree runs
       ``_grow_tree``'s stack and leaf tests, draws each subset from the

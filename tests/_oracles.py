@@ -6,7 +6,11 @@ kernel rewritten for speed, the plain array form it must match.  Nothing
 at module level imports from the package, so agreement between these and
 the fast implementations is meaningful evidence.  The csv reader imports
 only the package's error classes and ``EncodedDataset``, inside its
-functions, so that it raises and returns what the package's reader must.
+functions, so that it raises and returns what the package's reader must;
+``parse_report`` likewise builds the package's ``ResultsTable``.  The
+objectives ``logistic_loss`` and ``hinge_objective`` call the package's
+``_row_max`` and ``_signed_targets``, imported inside them, so the tests
+that use them check those helpers too.
 The one exception is the central-cell oracle at the end: it checks how the
 package composes its own steps, not the steps, so it calls them in their
 old, separate order.
@@ -121,6 +125,34 @@ def reduction_softmax(z):
     return ez / ez.sum(axis=1, keepdims=True)
 
 
+def logistic_loss(model, X, y, l2: float) -> float:
+    """Mean cross-entropy plus (l2 / 2) * ||W||^2; the bias is not penalized."""
+    from fedtab.models import _row_max
+
+    z = X @ model.weights.T + model.bias
+    if model.n_classes == 2:
+        margin = z[:, 0]
+        target = y.astype(np.float64)
+        # stable form of log(1 + exp(z)) - y * z
+        ce = np.maximum(margin, 0.0) - margin * target + np.log1p(np.exp(-np.abs(margin)))
+        data_term = float(np.mean(ce))
+    else:
+        logz = z - _row_max(z)
+        log_norm = np.log(np.exp(logz).sum(axis=1))
+        data_term = float(np.mean(log_norm - logz[np.arange(y.shape[0]), y]))
+    return data_term + 0.5 * l2 * float(np.sum(model.weights**2))
+
+
+def hinge_objective(model, X, y, l2: float) -> float:
+    """Mean multi-row hinge loss plus (l2 / 2) * ||W||^2."""
+    from fedtab.models import _signed_targets
+
+    signed = _signed_targets(y, model.n_classes)
+    margins = X @ model.weights.T + model.bias
+    hinge = np.maximum(0.0, 1.0 - signed * margins)
+    return float(np.mean(hinge.sum(axis=1))) + 0.5 * l2 * float(np.sum(model.weights**2))
+
+
 def exact_weighted_average(vectors, counts):
     """Fraction-exact FedAvg of plain float lists; returns floats."""
     total = sum(counts)
@@ -181,8 +213,8 @@ def per_feature_tree(X, y, rows, depth, rng, n_classes, max_depth, min_leaf):
     sorted on its own, scored at its valid cuts, and replaces the best split
     so far only on a strictly larger gain.  ``train_forest`` searches the
     whole subset in one pass and must grow these trees bit for bit.  Returns
-    the tree in the serialized model format: ``{"counts": [...]}`` for a
-    leaf, else feature, threshold, left and right.
+    the tree as nested dicts: ``{"counts": [...]}`` for a leaf, else
+    feature, threshold, left and right.
     """
     counts = np.bincount(y[rows], minlength=n_classes)
     n = rows.shape[0]
@@ -244,7 +276,7 @@ def per_feature_forest(X, y, n_classes, n_trees, max_depth, min_leaf, seed):
 
 
 def _preorder(node, out):
-    """Flatten an oracle tree, nested as in format 1, to preorder node dicts."""
+    """Flatten a nested oracle tree to preorder node dicts."""
     i = len(out)
     out.append(node)
     if "counts" not in node:
@@ -280,6 +312,79 @@ def assert_same_tree_bytes(trees, others):
             got, want = getattr(tree, name), getattr(other, name)
             assert (got.dtype, got.shape) == (want.dtype, want.shape), name
             assert got.tobytes() == want.tobytes(), name
+
+
+def assert_walkable_tree(tree, n_classes, n_features):
+    """Assert that a tree's node arrays are ones the prediction walk can follow.
+
+    Only ``train_forest`` builds trees, and the compiled walk reads their
+    arrays unchecked, so every grown tree must hold these: integer node
+    arrays of one length in depth-first preorder, each split's children
+    after it and inside the tree, one parent per node but the root, leaves
+    marked -1 with no children and a zero threshold, one row of
+    ``n_classes`` non-negative counts per node, a non-empty row at each
+    leaf, and a split's counts the sum of its children's.
+    """
+    feature, threshold, left, right, counts = (
+        tree.feature, tree.threshold, tree.left, tree.right, tree.counts
+    )
+    for name, a in (("feature", feature), ("threshold", threshold), ("left", left), ("right", right)):
+        assert a.ndim == 1, f"{name} is not one-dimensional"
+    n = feature.size
+    assert n >= 1 and threshold.size == left.size == right.size == n, "node arrays differ in length"
+    for name, a in (("feature", feature), ("left", left), ("right", right), ("counts", counts)):
+        assert a.dtype.kind == "i", f"{name} is not an integer array"
+    assert threshold.dtype.kind == "f", "threshold is not a float array"
+    assert counts.shape == (n, n_classes), "counts are not one row of n_classes per node"
+    assert counts.min() >= 0, "a class count is negative"
+    assert feature.min() >= -1 and feature.max() < n_features, "a feature is out of range"
+    leaf = feature == -1
+    assert np.all(left[leaf] == -1) and np.all(right[leaf] == -1), "a leaf has children"
+    assert np.all(threshold[leaf] == 0.0), "a leaf has a threshold"
+    assert np.all(counts[leaf].sum(axis=1) > 0), "a leaf no training row reached"
+    split = np.flatnonzero(~leaf)
+    assert np.all(np.isfinite(threshold[split])), "a split threshold is not finite"
+    children = np.concatenate([left[split], right[split]])
+    parents = np.concatenate([split, split])
+    assert np.all(children > parents), "a child does not come after its parent"
+    assert np.all(children < n), "a child is past the last node"
+    assert np.array_equal(left[split], split + 1), "a left child does not follow its parent"
+    assert np.array_equal(np.sort(children), np.arange(1, n)), "a node has not one parent"
+    assert np.array_equal(counts[split], counts[left[split]] + counts[right[split]]), (
+        "a split's counts are not its children's sum"
+    )
+
+
+def parse_report(text: str):
+    """Parse a delimited report back into a ``ResultsTable``: ``emit_report``'s inverse.
+
+    A row whose metric is not in ``METRICS``, or a non-empty cell that is
+    not a number, raises ``InvalidConfigError`` naming the line.
+    """
+    from fedtab.errors import InvalidConfigError
+    from fedtab.experiment import METRICS, RESULT_COLUMNS, ResultRow, ResultsTable
+
+    rows = []
+    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+    if not lines:
+        raise InvalidConfigError("report has no header line")
+    header = lines[0].split(",")
+    expected = list(("Dataset", "Model", "Metric") + RESULT_COLUMNS)
+    if header != expected:
+        raise InvalidConfigError(f"unexpected report header: {header}")
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != len(expected):
+            raise InvalidConfigError(f"report line has {len(parts)} fields: {ln!r}")
+        dataset, model, metric = parts[:3]
+        if metric not in METRICS:
+            raise InvalidConfigError(f"report line has unknown metric {metric!r}: {ln!r}")
+        try:
+            cells = tuple(float(p) if p else None for p in parts[3:])
+        except ValueError:
+            raise InvalidConfigError(f"report line has a non-numeric cell: {ln!r}") from None
+        rows.append(ResultRow(dataset, model, metric, cells))
+    return ResultsTable(tuple(rows))
 
 
 def round_robin_partition(labels, n_clients: int, seed: int) -> list[np.ndarray]:

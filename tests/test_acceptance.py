@@ -24,6 +24,7 @@ import pytest
 
 from _oracles import (
     exact_weighted_average,
+    logistic_loss,
     naive_accuracy,
     naive_auc,
     naive_f1_macro,
@@ -38,7 +39,7 @@ from fedtab.errors import NoPositivePairsError
 from fedtab.experiment import build_results_table, emit_report, run_condition, run_suite
 from fedtab.federation import FederationConfig, aggregate_parametric, run_federated
 from fedtab.metrics import accuracy, auc_roc, f1_macro, recall_macro
-from fedtab.models import LinearModel, TrainConfig, logistic_gradient, logistic_loss, train_logreg
+from fedtab.models import LinearModel, TrainConfig, logistic_gradient, train_logreg
 from fedtab.schemas import builtin_dataset, load_dataset
 
 # reference centralized-clean accuracy, in percent, with tolerance bands

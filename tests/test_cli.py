@@ -11,11 +11,11 @@ from pathlib import Path
 import pytest
 
 import fedtab
+from _oracles import parse_report
 from _synth import write_dataset_a_like, write_dataset_b_like
 from fedtab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, _run_config, build_parser, main
 from fedtab.config import ExperimentConfig
 from fedtab.errors import InvalidConfigError
-from fedtab.experiment import parse_report
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +211,39 @@ def test_run_checks_every_table_split_before_any_cell(tmp_path, capsys):
     assert not out.exists() and not log.exists()
 
 
+@pytest.mark.parametrize("key", ["path", "round_log"])
+@pytest.mark.parametrize("target", ["existing directory", "missing parent"])
+def test_validate_rejects_an_output_path_run_rejects(tmp_path, capsys, key, target):
+    path = tmp_path if target == "existing directory" else tmp_path / "missing" / "r.csv"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"output: {{{key}: {json.dumps(str(path))}}}\n", encoding="utf-8")
+    assert main(["validate", "--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "OK" not in captured.out
+    assert captured.err == (
+        f"configuration error: output.{key} {str(path)!r} is not a file in an existing directory\n"
+    )
+
+
+@pytest.mark.parametrize("key", ["path", "round_log"])
+@pytest.mark.parametrize("target", ["new file", "existing file", "bare name"])
+def test_validate_accepts_an_output_path_run_accepts(tmp_path, monkeypatch, capsys, key, target):
+    # the shared check rejects directories and missing parents, nothing else;
+    # a bare name's parent is the working directory
+    monkeypatch.chdir(tmp_path)
+    path = "r.csv" if target == "bare name" else str(tmp_path / "r.csv")
+    if target == "existing file":
+        (tmp_path / "r.csv").write_text("old\n", encoding="utf-8")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"output: {{{key}: {json.dumps(path)}}}\n", encoding="utf-8")
+    assert main(["validate", "--config", str(cfg)]) == EXIT_OK
+    assert capsys.readouterr().out == f"{cfg}: OK\n"
+    # validate reads the file system but writes nothing
+    want = "old\n" if target == "existing file" else None
+    out = tmp_path / "r.csv"
+    assert (out.read_text(encoding="utf-8") if out.exists() else None) == want
+
+
 @pytest.mark.parametrize("flag", ["--output", "--round-log"])
 @pytest.mark.parametrize("target", ["existing directory", "missing parent"])
 def test_run_bad_output_path_is_a_config_error_before_any_cell(
@@ -341,12 +374,16 @@ def test_run_round_log_export(tmp_path, data_dir):
 
 @pytest.mark.parametrize(
     "module, unloaded",
-    [("fedtab", ("yaml",)), ("fedtab.cli", ("fedtab.fetch", "urllib.request"))],
+    [
+        ("fedtab", ("yaml", "fedtab.kernel", "numpy.random")),
+        ("fedtab.cli", ("fedtab.fetch", "urllib.request", "fedtab.kernel", "numpy.random")),
+    ],
     ids=["package-without-yaml", "cli-without-fetch"],
 )
 def test_import_leaves_optional_modules_unloaded(module, unloaded):
     # start-up cost: PyYAML is for config files only, the download code for
-    # fetch-data only; a fresh interpreter shows what an import really loads
+    # fetch-data only, the compiled kernels and numpy.random for training
+    # only; a fresh interpreter shows what an import really loads
     src = str(Path(fedtab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}

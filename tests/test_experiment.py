@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import central_report_oracle, central_split_oracle
+from _oracles import central_report_oracle, central_split_oracle, parse_report
 from _synth import (
     grades_dataset_spec,
     outcomes_dataset_spec,
@@ -32,7 +32,6 @@ from fedtab.experiment import (
     emit_report,
     epochs_for_budget,
     mean_reports,
-    parse_report,
     run_condition,
     run_condition_detailed,
     run_suite,

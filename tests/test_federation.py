@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from _oracles import exact_weighted_average
-from _synth import grades_dataset_spec, write_grades_csv
+from _synth import (
+    grades_dataset_spec,
+    write_dataset_a_like,
+    write_dataset_b_like,
+    write_grades_csv,
+)
 from fedtab import federation
 from fedtab.attack import AttackConfig, flip_count
-from fedtab.dataset import build_client_partitions, concat_datasets
+from fedtab.dataset import (
+    ClientPartition,
+    EncodedDataset,
+    build_client_partitions,
+    concat_datasets,
+)
 from fedtab.errors import EmptyInputError, InvalidConfigError, ShapeMismatchError
 from fedtab.federation import (
     FederationConfig,
@@ -22,6 +32,7 @@ from fedtab.federation import (
 )
 from fedtab.metrics import compute_report
 from fedtab.models import (
+    DEFAULT_TRAIN_CONFIGS,
     Forest,
     LinearModel,
     TrainConfig,
@@ -30,7 +41,7 @@ from fedtab.models import (
     train_forest,
     train_logreg,
 )
-from fedtab.schemas import load_dataset
+from fedtab.schemas import builtin_dataset, load_dataset
 
 
 def linear(values, bias, kind="logistic", n_classes=2):
@@ -306,3 +317,53 @@ def test_client_configs_are_derived_once_before_round_one(partitions, monkeypatc
     monkeypatch.setattr(federation, "replace", counting_replace)
     run_federated(partitions, _fed_cfg("svm", rounds=3, epochs=2, seed=9))
     assert derived == [{"seed": 9 ^ p.client_id} for p in partitions]
+
+
+def _rows(data, start, stop):
+    return EncodedDataset(
+        data.features[start:stop], data.labels[start:stop], data.n_classes, data.feature_names
+    )
+
+
+def _shared_scaling_clients(clients, pooled):
+    """The clients holding their slices of the pooled partition, scaled by the pooled fit."""
+    shared, train_at, test_at = [], 0, 0
+    for c in clients:
+        train_end, test_end = train_at + c.train.n_samples, test_at + c.test.n_samples
+        assert np.array_equal(pooled.train_rows[train_at:train_end], c.train_rows)
+        assert np.array_equal(pooled.test_rows[test_at:test_end], c.test_rows)
+        shared.append(ClientPartition(
+            c.client_id, _rows(pooled.train, train_at, train_end),
+            _rows(pooled.test, test_at, test_end), c.train_rows, c.test_rows,
+        ))
+        train_at, test_at = train_end, test_end
+    assert (train_at, test_at) == (pooled.train.n_samples, pooled.test.n_samples)
+    return shared
+
+
+@pytest.mark.parametrize(
+    "key, write, n",
+    [("A", write_dataset_a_like, 395), ("B", write_dataset_b_like, 4424)],
+    ids=["A", "B"],
+)
+def test_shared_scaling_fedavg_is_central_gradient_descent(tmp_path, key, write, n):
+    # With one full-batch epoch per round, a FedAvg round is
+    # sum_k (n_k / n) (w - lr g_k) = w - lr g_pooled: one central step.  So
+    # with every client scaled by the pooled fit the two runs differ only by
+    # rounding; with each client scaled by its own fit they do not.
+    spec = builtin_dataset(key, str(tmp_path))
+    write(spec.path, n=n)
+    data = load_dataset(spec)
+    clients, pooled = build_client_partitions(data, spec.schema, 3, 0.2, seed=0)
+    rounds, tolerance = 300, 1e-12
+    cfg = DEFAULT_TRAIN_CONFIGS["logistic"]
+    central = train_logreg(pooled.train, replace(cfg, epochs=rounds))
+    fed_cfg = FederationConfig("logistic", rounds, replace(cfg, epochs=1))
+
+    def gap(partitions):
+        model, _ = run_federated(partitions, fed_cfg, local_accuracy=False)
+        return max(np.abs(model.weights - central.weights).max(),
+                   np.abs(model.bias - central.bias).max())
+
+    assert gap(_shared_scaling_clients(clients, pooled)) <= tolerance
+    assert gap(clients) > 1e6 * tolerance

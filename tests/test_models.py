@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import gc
 
 import numpy as np
@@ -11,6 +12,9 @@ import pytest
 from _oracles import (
     assert_same_tree_bytes,
     assert_trees_match,
+    assert_walkable_tree,
+    hinge_objective,
+    logistic_loss,
     per_feature_forest,
     reduction_softmax,
     vectorized_svm,
@@ -20,24 +24,19 @@ from fedtab import kernel
 from fedtab.dataset import EncodedDataset
 from fedtab.errors import InvalidConfigError, ShapeMismatchError
 from fedtab.models import (
-    Forest,
     LinearModel,
     TrainConfig,
     _grow_tree,
     _preorder_tree,
     _softmax,
     _subset_size,
-    hinge_objective,
     logistic_gradient,
-    logistic_loss,
     predict_labels,
     predict_scores,
-    kernel_path,
     train_forest,
     train_logreg,
     train_svm,
 )
-from fedtab.serialize import dumps
 
 
 def single_sample(x, label, n_classes=2):
@@ -224,7 +223,7 @@ def test_svm_python_loop_matches_vectorized_reference(
 ):
     # the two tests above run whichever path loads, the compiled one where a
     # C compiler exists; this runs the Python loop on the same cases
-    assert kernel_path() == "python: forced off by the test"
+    assert kernel.path() == "python: forced off by the test"
     data = blob_dataset(40, n_classes=n_classes, n_features=n_features, seed=4, spread=spread)
     _check_svm_against_oracle(data, n_classes, warm)
 
@@ -421,7 +420,7 @@ def test_grow_tree_three_and_nine_classes_on_repeated_values():
 def test_grow_tree_cases_on_the_numpy_split(case, kernel_off):
     # the cases above run whichever grower loads, the compiled one where a
     # C compiler exists; this runs the Python one, on the numpy split, on them
-    assert kernel_path() == "python: forced off by the test"
+    assert kernel.path() == "python: forced off by the test"
     case()
 
 
@@ -450,7 +449,7 @@ def test_forest_on_the_numpy_split_matches_per_feature_oracle(
 ):
     # the test above runs whichever grower loads, the compiled one where a
     # C compiler exists; this runs the Python one on the same cases
-    assert kernel_path() == "python: forced off by the test"
+    assert kernel.path() == "python: forced off by the test"
     test_forest_matches_per_feature_oracle_bit_exactly(n_classes, min_leaf, max_depth)
 
 
@@ -474,14 +473,164 @@ def test_forest_growth_limits_and_bootstrap_mass():
         assert tree.counts[leaves].sum() == data.n_samples
 
 
+@pytest.mark.parametrize("n_classes", [2, 3, 9])
+def test_grown_trees_are_walkable(n_classes, each_path):
+    # repeated values, single-row leaves and deep trees on both growers
+    data = blob_dataset(30, n_classes=n_classes, n_features=6, seed=n_classes, spread=3.0)
+    X = data.features.copy()
+    X[:, ::2] = np.round(X[:, ::2])
+    data = EncodedDataset(X, data.labels, n_classes, data.feature_names)
+    for min_leaf, max_depth in ((1, 40), (3, 4)):
+        cfg = TrainConfig(n_trees=5, max_depth=max_depth, min_leaf=min_leaf, seed=n_classes)
+        forest = train_forest(data, cfg)
+        for tree in forest.trees:
+            assert_walkable_tree(tree, n_classes, data.n_features)
+            assert tree.counts[0].sum() == data.n_samples
+
+
+def _walkable_fixture():
+    data = blob_dataset(30, n_classes=3, seed=3, spread=3.0)
+    tree = train_forest(data, TrainConfig(n_trees=2, max_depth=4, seed=1)).trees[1]
+    assert tree.feature[0] >= 0 and tree.feature[tree.left[0]] >= 0
+    names = ("feature", "threshold", "left", "right", "counts")
+    arrays = {name: getattr(tree, name).copy() for name in names}
+    return dataclasses.replace(tree, **arrays), data.n_features
+
+
+def _first_leaf(tree):
+    return int(np.flatnonzero(tree.feature == -1)[0])
+
+
+# each fault returns the broken tree, and the check must name what broke
+def _child_before_parent(t, n_features):
+    t.right[t.left[0]] = 0
+    return t
+
+
+def _child_is_parent(t, n_features):
+    t.left[0] = 0
+    return t
+
+
+def _child_past_end(t, n_features):
+    t.right[0] = t.feature.size
+    return t
+
+
+def _left_child_not_next(t, n_features):
+    t.left[0] = t.right[0]
+    return t
+
+
+def _shared_child(t, n_features):
+    t.right[0] = t.left[0]
+    return t
+
+
+def _feature_too_large(t, n_features):
+    t.feature[0] = n_features
+    return t
+
+
+def _feature_below_leaf_marker(t, n_features):
+    t.feature[0] = -2
+    return t
+
+
+def _leaf_with_children(t, n_features):
+    t.left[_first_leaf(t)] = 0
+    return t
+
+
+def _leaf_with_threshold(t, n_features):
+    t.threshold[_first_leaf(t)] = 0.5
+    return t
+
+
+def _nan_threshold(t, n_features):
+    t.threshold[0] = np.nan
+    return t
+
+
+def _empty_leaf_counts(t, n_features):
+    # a leaf no training row reached would score 0 / 0 for every class
+    t.counts[_first_leaf(t)] = 0
+    return t
+
+
+def _negative_counts(t, n_features):
+    t.counts[0, 0] = -1
+    return t
+
+
+def _counts_not_children_sum(t, n_features):
+    t.counts[0, 0] += 1
+    return t
+
+
+def _unequal_lengths(t, n_features):
+    return dataclasses.replace(t, threshold=t.threshold[:-1])
+
+
+def _nested_arrays(t, n_features):
+    return dataclasses.replace(t, left=t.left[None, :])
+
+
+def _float_features(t, n_features):
+    return dataclasses.replace(t, feature=t.feature.astype(np.float64))
+
+
+def _counts_too_wide(t, n_features):
+    return dataclasses.replace(t, counts=np.hstack([t.counts, t.counts[:, :1]]))
+
+
+def _counts_too_narrow(t, n_features):
+    return dataclasses.replace(t, counts=t.counts[:, :-1])
+
+
+_WALK_FAULTS = [
+    (_child_before_parent, "does not come after its parent"),
+    (_child_is_parent, "does not come after its parent"),
+    (_child_past_end, "past the last node"),
+    (_left_child_not_next, "left child does not follow"),
+    (_shared_child, "not one parent"),
+    (_feature_too_large, "feature is out of range"),
+    (_feature_below_leaf_marker, "feature is out of range"),
+    (_leaf_with_children, "leaf has children"),
+    (_leaf_with_threshold, "leaf has a threshold"),
+    (_nan_threshold, "threshold is not finite"),
+    (_empty_leaf_counts, "no training row reached"),
+    (_negative_counts, "count is negative"),
+    (_counts_not_children_sum, "children's sum"),
+    (_unequal_lengths, "differ in length"),
+    (_nested_arrays, "not one-dimensional"),
+    (_float_features, "not an integer"),
+    (_counts_too_wide, "one row of n_classes"),
+    (_counts_too_narrow, "one row of n_classes"),
+]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message", _WALK_FAULTS, ids=[f.__name__.lstrip("_") for f, _ in _WALK_FAULTS]
+)
+def test_walk_check_catches_each_fault(corrupt, message):
+    # the check above is evidence only if it rejects each way a tree can break
+    tree, n_features = _walkable_fixture()
+    assert_walkable_tree(tree, 3, n_features)  # the untouched tree passes
+    with pytest.raises(AssertionError, match=message):
+        assert_walkable_tree(corrupt(tree, n_features), 3, n_features)
+
+
 def test_forest_deterministic_and_tree_order_independent():
     data = blob_dataset(30, n_classes=2, seed=12)
     cfg = TrainConfig(n_trees=3, max_depth=4, min_leaf=2, seed=7)
     a = train_forest(data, cfg)
     b = train_forest(data, cfg)
-    assert dumps(a) == dumps(b)
+    assert (a.n_classes, a.n_features) == (b.n_classes, b.n_features) == (2, data.n_features)
+    assert_same_tree_bytes(a.trees, b.trees)
     first_only = train_forest(data, TrainConfig(n_trees=1, max_depth=4, min_leaf=2, seed=7))
-    assert dumps(Forest((a.trees[0],), 2, data.n_features)) == dumps(first_only)
+    assert (first_only.n_classes, first_only.n_features) == (2, data.n_features)
+    assert_same_tree_bytes(a.trees[:1], first_only.trees)
 
 
 def test_forest_scores_are_distributions_and_accurate():

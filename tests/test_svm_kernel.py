@@ -24,7 +24,7 @@ from _oracles import assert_same_tree_bytes, assert_trees_match, per_feature_for
 from _synth import blob_dataset
 from fedtab import kernel
 from fedtab.dataset import EncodedDataset
-from fedtab.models import LinearModel, TrainConfig, kernel_path, train_forest, train_svm
+from fedtab.models import LinearModel, TrainConfig, train_forest, train_svm
 
 requires_cc = pytest.mark.skipif(kernel.compiler() is None, reason="no C compiler on PATH")
 
@@ -86,7 +86,7 @@ def _assert_oracle_bytes():
 
 @requires_cc
 def test_kernel_builds_once_into_a_private_cache(fresh_cache):
-    assert kernel_path() == "compiled"
+    assert kernel.path() == "compiled"
     (built,) = _cached(fresh_cache)
     assert stat.S_IMODE(fresh_cache.stat().st_mode) == 0o700
     assert fresh_cache.stat().st_uid == os.getuid()
@@ -94,7 +94,7 @@ def test_kernel_builds_once_into_a_private_cache(fresh_cache):
     _assert_oracle_bytes()
     mtime = built.stat().st_mtime_ns
     kernel._loaded = None
-    assert kernel_path() == "compiled"  # loaded from the cache, not rebuilt
+    assert kernel.path() == "compiled"  # loaded from the cache, not rebuilt
     assert _cached(fresh_cache) == [built] and built.stat().st_mtime_ns == mtime
 
 
@@ -106,7 +106,7 @@ def test_cache_falls_back_to_home_and_tightens_its_mode(tmp_path, monkeypatch):
     cache = tmp_path / ".cache" / "fedtab"
     cache.mkdir(parents=True, mode=0o755)
     cache.chmod(0o755)
-    assert kernel_path() == "compiled"
+    assert kernel.path() == "compiled"
     assert len(_cached(cache)) == 1
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
 
@@ -126,13 +126,13 @@ def _wide_forest():
 def test_no_compiler_falls_back_with_the_same_bytes(fresh_cache, monkeypatch):
     compiled = None
     if kernel.compiler() is not None:  # the compiled grower's trees, then no compiler
-        assert kernel_path() == "compiled"
+        assert kernel.path() == "compiled"
         compiled = _wide_forest()
         for built in _cached(fresh_cache):
             built.unlink()
         monkeypatch.setattr(kernel, "_loaded", None)
     monkeypatch.setattr(kernel, "compiler", lambda: None)
-    assert kernel_path() == "python: no C compiler (cc) on PATH"
+    assert kernel.path() == "python: no C compiler (cc) on PATH"
     assert _cached(fresh_cache) == []
     _assert_oracle_bytes()
     if compiled is not None:
@@ -144,7 +144,7 @@ def test_failing_compiler_falls_back_with_the_same_bytes(fresh_cache, tmp_path, 
     failing.write_text("#!/bin/sh\necho 'cc: error: no space left' >&2\nexit 1\n", encoding="utf-8")
     failing.chmod(0o700)
     monkeypatch.setattr(kernel, "compiler", lambda: str(failing))
-    assert kernel_path() == f"python: {failing} failed: cc: error: no space left"
+    assert kernel.path() == f"python: {failing} failed: cc: error: no space left"
     assert _cached(fresh_cache) == []  # the failed build left nothing behind
     _assert_oracle_bytes()
 
@@ -154,7 +154,7 @@ def test_no_writable_cache_falls_back_with_the_same_bytes(tmp_path, monkeypatch)
     blocker.write_text("", encoding="utf-8")
     monkeypatch.setattr(kernel, "_cache_dirs", lambda: iter([blocker / "fedtab"]))
     monkeypatch.setattr(kernel, "_loaded", None)
-    assert kernel_path() == "python: no cache directory only this user can write"
+    assert kernel.path() == "python: no cache directory only this user can write"
     _assert_oracle_bytes()
 
 
@@ -163,7 +163,7 @@ def test_dots_that_differ_from_numpy_fall_back_with_the_same_bytes(
     fresh_cache, tmp_path, monkeypatch
 ):
     monkeypatch.setattr(kernel, "SOURCE", _plain_loop_source(tmp_path))
-    assert kernel_path() == "python: compiled dots differ from numpy's weights.dot"
+    assert kernel.path() == "python: compiled dots differ from numpy's weights.dot"
     assert not fresh_cache.exists() or list(fresh_cache.iterdir()) == []  # nothing published
     _assert_oracle_bytes()
 
@@ -173,7 +173,7 @@ def test_dots_that_differ_from_numpy_fall_back_with_the_same_bytes(
 def test_damaged_cached_kernel_is_rebuilt_or_rejected(
     damage, fresh_cache, tmp_path, monkeypatch
 ):
-    assert kernel_path() == "compiled"
+    assert kernel.path() == "compiled"
     (built,) = _cached(fresh_cache)
     good = built.read_bytes()
     if damage == "truncated":
@@ -190,7 +190,7 @@ def test_damaged_cached_kernel_is_rebuilt_or_rejected(
     built.write_bytes(bad)
 
     monkeypatch.setattr(kernel, "_loaded", None)
-    assert kernel_path() == "compiled"  # rebuilt
+    assert kernel.path() == "compiled"  # rebuilt
     assert _cached(fresh_cache) == [built] and built.read_bytes() != bad
     _assert_oracle_bytes()
 
@@ -198,7 +198,7 @@ def test_damaged_cached_kernel_is_rebuilt_or_rejected(
     built.write_bytes(bad)
     monkeypatch.setattr(kernel, "_loaded", None)
     monkeypatch.setattr(kernel, "compiler", lambda: None)
-    assert kernel_path() == "python: no C compiler (cc) on PATH"  # rejected, not loaded
+    assert kernel.path() == "python: no C compiler (cc) on PATH"  # rejected, not loaded
     assert _cached(fresh_cache) == []
     _assert_oracle_bytes()
 
@@ -227,7 +227,7 @@ def test_build_lacking_a_symbol_falls_back_once_with_the_same_bytes(
     renamed = tmp_path / "renamed.c"
     renamed.write_text(source.replace(f"{symbol}(", f"{symbol}_renamed("), encoding="utf-8")
     monkeypatch.setattr(kernel, "SOURCE", renamed)
-    reason = kernel_path()
+    reason = kernel.path()
     assert reason.startswith("python: compiled kernel lacks a symbol: ")
     assert reason.endswith(f"undefined symbol: {symbol}")
     assert kernel._loaded == reason.removeprefix("python: ")  # no rebuild at the next call
@@ -262,13 +262,13 @@ def test_a_split_unlike_best_split_puts_only_the_forest_on_python(
     mutated = tmp_path / f"{mutant}.c"
     mutated.write_text(source.replace(original, mutated_text), encoding="utf-8")
     monkeypatch.setattr(kernel, "SOURCE", mutated)
-    assert kernel_path() == "python for train_forest: compiled trees differ from models._grow_tree"
+    assert kernel.path() == "python for train_forest: compiled trees differ from models._grow_tree"
     assert kernel.load() is not None  # the SVM epoch passed its check and stays compiled
     _assert_oracle_bytes()
 
 
 def _assert_forest_falls_back_alone(reason, tmp_path, monkeypatch):
-    assert kernel_path() == f"python for train_forest: {reason}"
+    assert kernel.path() == f"python for train_forest: {reason}"
     assert kernel.load() is not None  # the SVM epoch stays compiled
     _assert_oracle_bytes()
     test_golden.test_outputs_match_golden_digests("forest_B", tmp_path, monkeypatch)
@@ -313,7 +313,7 @@ def test_a_grower_that_outgrows_its_buffers_puts_only_the_forest_on_python(
 
     monkeypatch.setattr(kernel._Kernel, "tree_grower", overflowing_grower)
     reason = "compiled trees differ from models._grow_tree"
-    assert kernel_path() == f"python for train_forest: {reason}"
+    assert kernel.path() == f"python for train_forest: {reason}"
     assert kernel.load() is not None  # the SVM epoch stays compiled
     _assert_oracle_bytes()
 
@@ -330,7 +330,7 @@ def test_svm_training_runs_no_forest_check(monkeypatch):
     for seed in (0, 1):
         train_forest(data, TrainConfig(n_trees=2, max_depth=3, seed=seed))
     assert checks == [1]  # at the first forest only
-    assert kernel_path() == "compiled" and checks == [1]
+    assert kernel.path() == "compiled" and checks == [1]
 
 
 def test_the_exported_symbols_are_the_bound_ones(monkeypatch):
