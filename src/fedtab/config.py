@@ -236,6 +236,10 @@ def read_config_file(path: str | Path) -> dict[str, Any]:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise InvalidConfigError(f"config file not found: {path}") from None
+    except OSError as err:  # a directory, no permission
+        raise InvalidConfigError(f"cannot read config file {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise InvalidConfigError(f"{path}: not UTF-8 text ({err.reason})") from None
     try:
         payload = yaml.safe_load(text)
     except (yaml.YAMLError, ValueError) as err:  # ValueError: an integer of over 4300 digits

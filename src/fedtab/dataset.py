@@ -5,11 +5,11 @@ schema order at load time, so downstream code never depends on file column
 order.  One reader, ``read_encoded``, turns a file into unscaled features
 in one ``np.loadtxt`` pass that reads quotes as the csv module does; a
 file it cannot read goes to ``_raise_fault``, which walks it with the csv
-module to name the first fault.  Categorical vocabularies are dataset-level
-metadata, pinned in the schema or taken from the whole table, so encoded
-width is identical across all participants.  ``standardize`` then z-scores
-the continuous columns with statistics from the fit rows a caller names
-(training rows), which keeps the encoding strictly leakage-free.
+module to name the first fault.  Categorical levels are dataset-level
+metadata, taken from the whole table, so encoded width is identical across
+all participants.  ``standardize`` then z-scores the continuous columns
+with statistics from the fit rows a caller names (training rows), which
+keeps the encoding strictly leakage-free.
 ``build_client_partitions`` deals rows to clients by class
 (``partition_clients``), splits each client once
 (``stratified_split_indices``) and standardizes that one split both ways:
@@ -49,6 +49,42 @@ KIND_CONTINUOUS = "continuous"
 KIND_CATEGORICAL = "categorical"
 KIND_TARGET = "target"
 _KINDS = (KIND_CONTINUOUS, KIND_CATEGORICAL, KIND_TARGET)
+_DELIMITER = ";"  # both benchmark tables
+
+# every random stream the grid draws, by role; see derive_seed
+SEED_ROLES = ("deal", "split", "attack", "flip", "train")
+
+
+def derive_seed(role: str, *parts: int) -> int:
+    """The seed of one random stream: the only code that combines seeds.
+
+    Each role names one stream, its parts and its consumer:
+
+    - ``"deal"``, (master seed): ``partition_clients``'s class shuffles;
+    - ``"split"``, (master seed, client): that client's test-row picks in
+      ``stratified_split_indices``;
+    - ``"attack"``, (attack seed, master seed): the base that each
+      ``"flip"`` seed derives from, in ``run_condition_detailed``;
+    - ``"flip"``, (attack base, client): that client's ``flip_labels``;
+    - ``"train"``, (master seed, client): that client's ``TrainConfig``
+      seed, so its SVM epoch order and, through ``(seed, tree)`` tuples,
+      its forest bootstraps and feature draws.
+
+    The value is the XOR of ``parts``; the role does not yet enter it.  So
+    streams collide: the deal, client 0's split, client 0's training (the
+    central cells' too) and, at attack seed 0, client 0's flips all draw
+    from ``default_rng(master seed)``; client k's split and training share
+    one seed; and (seed, k) gives what (seed XOR k, 0) gives, so master
+    seeds reuse each other's client streams.  Making the streams
+    independent changes every result, so it waits for a re-baseline.
+    An unknown ``role`` raises ``ValueError``.
+    """
+    if role not in SEED_ROLES:
+        raise ValueError(f"unknown seed role {role!r}; expected one of {SEED_ROLES}")
+    value = 0
+    for part in parts:
+        value ^= part
+    return value
 
 
 @dataclass(frozen=True)
@@ -67,17 +103,13 @@ class ColumnSpec:
 class FeatureSchema:
     """Column declarations plus the ordered list of target class values.
 
-    ``vocabularies`` optionally pins the level set of categorical columns.
-    A column without a pinned level set takes the sorted distinct values of
-    the whole table being encoded.  Either way the levels are public dataset
-    metadata, like the schema itself, and every participant of one table
-    encodes to the same width.
+    A categorical column's levels are the sorted distinct values of the
+    whole table being encoded: public dataset metadata, like the schema
+    itself, so every participant of one table encodes to the same width.
     """
 
     columns: tuple[ColumnSpec, ...]
     target_classes: tuple[str, ...]
-    delimiter: str = ";"
-    vocabularies: Mapping[str, tuple[str, ...]] | None = None
 
     def __post_init__(self) -> None:
         names = [c.name for c in self.columns]
@@ -90,15 +122,6 @@ class FeatureSchema:
             raise InvalidConfigError("need at least two target classes")
         if len(set(self.target_classes)) != len(self.target_classes):
             raise InvalidConfigError("duplicate target class values")
-        if len(self.delimiter) != 1:
-            raise InvalidConfigError(f"delimiter must be a single character, got {self.delimiter!r}")
-        if self.vocabularies is not None:
-            categorical = {c.name for c in self.columns if c.kind == KIND_CATEGORICAL}
-            for col, levels in self.vocabularies.items():
-                if col not in categorical:
-                    raise InvalidConfigError(f"vocabulary given for non-categorical column {col!r}")
-                if len(set(levels)) != len(levels) or not levels:
-                    raise InvalidConfigError(f"vocabulary for {col!r} must be non-empty and unique")
 
     @property
     def target_column(self) -> str:
@@ -208,7 +231,6 @@ def _assemble(
     labels: np.ndarray,
 ) -> EncodedDataset:
     """``read_encoded``'s result from parsed continuous columns and clean categorical cells."""
-    pinned = schema.vocabularies or {}
     blocks: list[np.ndarray] = []
     names: list[str] = []
     for col in schema.feature_columns():
@@ -217,11 +239,9 @@ def _assemble(
             names.append(col.name)
         else:
             cells = strings[col.name]
-            levels = pinned.get(col.name) or tuple(sorted(set(cells)))
-            codes = _codes(cells, levels)
+            levels = tuple(sorted(set(cells)))
             onehot = np.zeros((len(cells), len(levels)), dtype=np.float64)
-            hit = np.flatnonzero(codes >= 0)
-            onehot[hit, codes[hit]] = 1.0
+            onehot[np.arange(len(cells)), _codes(cells, levels)] = 1.0
             blocks.append(onehot)
             names.extend(f"{col.name}={v}" for v in levels)
 
@@ -246,17 +266,17 @@ def read_encoded(
     Every cell is stripped of surrounding whitespace and then of one pair
     of surrounding quotes.  Continuous columns are parsed as ``float()``
     parses them and must be finite, categorical columns are one-hot over
-    the schema's vocabulary, or over the column's sorted distinct values
-    when the schema pins none, with values outside it mapping to an
-    all-zero block, and the target becomes its index in
-    ``schema.target_classes``.  With ``pass_threshold`` the target holds
+    the column's sorted distinct values, and the target becomes its index
+    in ``schema.target_classes``.  With ``pass_threshold`` the target holds
     integer grades, and a grade passes when it is at least the threshold.
     Blank lines are skipped and a leading UTF-8 byte order mark is dropped.
     Features and labels are read-only, so one table can serve every
     experiment built on it.
 
-    A file this pass cannot read goes to ``_raise_fault``, which names its
-    first fault.
+    A missing file raises ``FileNotFoundError``, and a path that cannot be
+    read as a file (a directory, a path through a regular file, no
+    permission) raises ``UnreadableFileError``.  A file this pass cannot
+    read goes to ``_raise_fault``, which names its first fault.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -272,13 +292,13 @@ def read_encoded(
             and text.count("\r") == text.count("\r\n") and max(map(len, lines)) <= limit
         )
         source = iter(lines) if typed else io.StringIO(text, newline="")
-        header = _checked_header(path, next(csv.reader(source, delimiter=schema.delimiter)), schema)
+        header = _checked_header(path, next(csv.reader(source, delimiter=_DELIMITER)), schema)
         continuous = {c.name for c in schema.feature_columns(KIND_CONTINUOUS)}
         dtype = [(name, np.float64 if typed and name in continuous else object) for name in header]
         with warnings.catch_warnings():  # a table without rows is a fault, found below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             table = np.loadtxt(
-                source, dtype=dtype, delimiter=schema.delimiter, quotechar='"', comments=None,
+                source, dtype=dtype, delimiter=_DELIMITER, quotechar='"', comments=None,
                 ndmin=1,
             )
         if not table.size:
@@ -303,6 +323,10 @@ def read_encoded(
         labels = _codes(strings[schema.target_column], schema.target_classes)
         if (labels < 0).any() or not all(np.isfinite(v).all() for v in floats.values()):
             raise ValueError("an unknown target or a non-finite number")
+    except FileNotFoundError:
+        raise
+    except OSError as err:
+        raise UnreadableFileError(f"{path}: cannot read: {err.strerror}") from None
     except (csv.Error, StopIteration, ValueError):  # a decode error is a ValueError too
         _raise_fault(path, schema, pass_threshold)
     return _assemble(schema, floats, strings, labels)
@@ -319,7 +343,7 @@ def _raise_fault(path: str | Path, schema: FeatureSchema, pass_threshold: int | 
     and a target outside the declared classes, each named by its data row.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle, delimiter=schema.delimiter)
+        reader = csv.reader(handle, delimiter=_DELIMITER)
         try:
             raw_header = next(reader, None)
             if raw_header is None:
@@ -440,11 +464,6 @@ def stratified_split_indices(
         )
         for c in by_remainder[:shortfall]:
             takes[c] += 1
-    for c in classes:
-        if takes[c] > sizes[c]:
-            raise StratificationImpossibleError(
-                f"class {c} has {sizes[c]} rows, cannot place {takes[c]} in test"
-            )
 
     rng = np.random.default_rng(seed)
     test_parts = []
@@ -455,10 +474,7 @@ def stratified_split_indices(
     test_idx = np.sort(np.concatenate(test_parts))
     mask = np.zeros(n, dtype=bool)
     mask[test_idx] = True
-    train_idx = np.flatnonzero(~mask)
-    if train_idx.size == 0 or test_idx.size == 0:
-        raise StratificationImpossibleError("split produced an empty side")
-    return train_idx, test_idx
+    return np.flatnonzero(~mask), test_idx
 
 
 def partition_clients(
@@ -548,9 +564,10 @@ def build_client_partitions(
     centralized and federated cells train on exactly the same rows.
     One-hot width is identical in both.
 
-    Derived seeds: the deal uses ``seed`` itself and client k's split uses
-    ``seed XOR k``.  Every array of the result is read-only, like
-    ``read_encoded``'s, so one build can serve every experiment on that split.
+    Seeds: the deal draws from ``derive_seed("deal", seed)`` and client
+    k's split from ``derive_seed("split", seed, k)``.  Every array of the
+    result is read-only, like ``read_encoded``'s, so one build can serve
+    every experiment on that split.
 
     A client whose rows ``test_fraction`` cannot split into a non-empty
     train and a non-empty test side raises ``TooManyClientsError``, a
@@ -560,12 +577,12 @@ def build_client_partitions(
     if np.any(data.class_counts() == 0):
         raise StratificationImpossibleError("a target class has no rows in the table")
 
-    client_rows = partition_clients(data, n_clients, seed)
+    client_rows = partition_clients(data, n_clients, derive_seed("deal", seed))
     check_client_split(data.n_samples, n_clients, test_fraction)
     split_rows: list[tuple[np.ndarray, np.ndarray]] = []
     for k, rows in enumerate(client_rows):
         local_train, local_test = stratified_split_indices(
-            data.labels[rows], test_fraction, seed ^ k
+            data.labels[rows], test_fraction, derive_seed("split", seed, k)
         )
         split_rows.append((rows[local_train], rows[local_test]))
 

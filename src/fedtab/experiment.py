@@ -12,8 +12,8 @@
 All four run through ``run_federated`` (see ``run_condition_detailed``).
 Total optimization effort is held fixed across budgets: a budget of R
 rounds trains round(epoch_budget / R) local epochs per round.  Every
-derived seed folds the master seed in, so one master seed pins the whole
-grid.
+random stream's seed comes from ``dataset.derive_seed`` with the master
+seed among its parts, so one master seed pins the whole grid.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .dataset import (
     FeatureSchema,
     build_client_partitions,
     check_client_split,
+    derive_seed,
 )
 from .errors import InvalidConfigError
 from .federation import FederationConfig, RoundLog, run_federated
@@ -136,7 +137,8 @@ def run_condition_detailed(
     else:
         partitions, round_one = shared.clients, shared.round_one
         budgets, malicious = cfg.round_budgets, cfg.malicious_clients
-    attack = (AttackConfig(cfg.flip_fraction, frozenset(malicious), cfg.attack_seed ^ master_seed)
+    attack = (AttackConfig(cfg.flip_fraction, frozenset(malicious),
+                           derive_seed("attack", cfg.attack_seed, master_seed))
               if cond.poisoned else None)
 
     groups: dict[TrainConfig, list[int]] = {}

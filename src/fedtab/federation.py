@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .attack import AttackConfig, flip_labels
-from .dataset import ClientPartition, EncodedDataset, concat_datasets
+from .dataset import ClientPartition, EncodedDataset, concat_datasets, derive_seed
 from .errors import EmptyInputError, InvalidConfigError, ShapeMismatchError
 from .metrics import MetricsReport, accuracy, compute_report
 from .models import (
@@ -159,10 +159,10 @@ def run_federated(
 
     ``cfg.train_cfg`` holds the local-training settings: its ``epochs``
     are the local epochs per round and its ``seed`` the master seed.  Each
-    client trains with a copy seeded ``cfg.train_cfg.seed`` XOR client id;
-    that copy and the client's flip config (seed = attack seed XOR client
-    id) are derived once, before round one, and keep clients decorrelated
-    but reproducible.  A forest federation takes one round: client forests
+    client trains with a copy seeded ``derive_seed("train", master seed,
+    client id)``; that copy and the client's flip config (seeded
+    ``derive_seed("flip", attack seed, client id)``) are derived once,
+    before round one.  A forest federation takes one round: client forests
     ignore the global model and epochs, so each client trains once, the
     union is evaluated once, and every later round repeats round one's
     record.
@@ -197,11 +197,11 @@ def run_federated(
     for p in partitions:
         data, flip_cfg = p.train, None
         if attack is not None and p.client_id in attack.malicious_clients:
-            flip_cfg = replace(attack, seed=attack.seed ^ p.client_id)
+            flip_cfg = replace(attack, seed=derive_seed("flip", attack.seed, p.client_id))
             labels, log.flip_masks[p.client_id] = flip_labels(data.labels, data.n_classes, flip_cfg)
             data = EncodedDataset(data.features, labels, data.n_classes, data.feature_names)
-        train_cfg = replace(cfg.train_cfg, seed=cfg.train_cfg.seed ^ p.client_id)
-        clients.append((p, data, flip_cfg, train_cfg))
+        seed = derive_seed("train", cfg.train_cfg.seed, p.client_id)
+        clients.append((p, data, flip_cfg, replace(cfg.train_cfg, seed=seed)))
 
     pooled_test: EncodedDataset | None = None
     global_model: Model | None = None

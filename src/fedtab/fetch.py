@@ -19,7 +19,7 @@ import urllib.request
 import zipfile
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, InvalidConfigError
 from .schemas import DATA_FILES, EXPECTED_ROWS, builtin_dataset, load_dataset
 
 ARCHIVE_URLS = {
@@ -71,10 +71,16 @@ def fetch_dataset(
 
     The download is checked against the ``sha256`` pin and verified in a
     temporary directory under ``dest``, then moved onto the canonical name.
-    On any failure the file already at that name stays as it was.
+    On any failure the file already at that name stays as it was.  A
+    ``dest`` that cannot be made a directory (a regular file, say) is a
+    configuration error, raised before any download.
     """
     dest = Path(dest)
-    dest.mkdir(parents=True, exist_ok=True)
+    try:
+        dest.mkdir(parents=True, exist_ok=True)
+    except OSError as err:  # a regular file in the way, no permission
+        raise InvalidConfigError(f"fetch destination {dest} is not a usable directory: "
+                                 f"{err.strerror}") from None
     target = dest / DATA_FILES[key]
 
     payload = _download(ARCHIVE_URLS[key], timeout)

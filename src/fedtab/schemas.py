@@ -74,7 +74,7 @@ def _schema(
     """Columns in file ``order``: ``target``, the ``categorical`` ones, the rest continuous."""
     kinds = {**dict.fromkeys(categorical, KIND_CATEGORICAL), target: KIND_TARGET}
     columns = tuple(ColumnSpec(name, kinds.get(name, KIND_CONTINUOUS)) for name in order)
-    return FeatureSchema(columns, classes, delimiter=";")
+    return FeatureSchema(columns, classes)
 
 
 def student_performance_schema() -> FeatureSchema:

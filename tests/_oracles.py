@@ -405,15 +405,13 @@ def round_robin_partition(labels, n_clients: int, seed: int) -> list[np.ndarray]
     return [np.sort(np.asarray(b, dtype=np.int64)) for b in buckets]
 
 
-def per_cell_encode(rows, columns, target_classes, vocabularies=None):
+def per_cell_encode(rows, columns, target_classes):
     """Unscaled features, labels and feature names, one Python step per cell.
 
     ``columns`` lists (name, kind) in the rows' column order, kind being
     "continuous", "categorical" or "target"; categorical levels are the
-    pinned ``vocabularies`` entry or the column's sorted distinct values,
-    and a value outside them encodes to an all-zero block.
+    column's sorted distinct values.
     """
-    vocabularies = vocabularies or {}
     blocks, names, labels = [], [], None
     for j, (name, kind) in enumerate(columns):
         if kind == "continuous":
@@ -423,7 +421,7 @@ def per_cell_encode(rows, columns, target_classes, vocabularies=None):
             blocks.append(block)
             names.append(name)
         elif kind == "categorical":
-            levels = vocabularies.get(name) or sorted({row[j] for row in rows})
+            levels = sorted({row[j] for row in rows})
             block = np.zeros((len(rows), len(levels)))
             for i, row in enumerate(rows):
                 for k, level in enumerate(levels):
@@ -481,7 +479,7 @@ def csv_read_table(path, schema) -> RawTable:
     from fedtab.errors import EmptyTableError, HeaderMismatchError, RaggedRowError
 
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle, delimiter=schema.delimiter, quotechar='"')
+        reader = csv.reader(handle, delimiter=";", quotechar='"')
         records = _records(path, reader)
         try:
             raw_header = next(records)
@@ -559,9 +557,7 @@ def csv_encode(raw: RawTable, schema):
                 f"row {i + 1}: target {cell!r} not in {list(schema.target_classes)}"
             )
     columns = [(c.name, c.kind) for c in schema.columns]
-    features, labels, names = per_cell_encode(
-        raw.rows, columns, schema.target_classes, schema.vocabularies
-    )
+    features, labels, names = per_cell_encode(raw.rows, columns, schema.target_classes)
     features.flags.writeable = labels.flags.writeable = False
     return EncodedDataset(features, labels, len(schema.target_classes), tuple(names))
 

@@ -26,7 +26,7 @@ def grades_schema() -> FeatureSchema:
         ColumnSpec("campus", "categorical"),
         ColumnSpec("grade", "target"),
     )
-    return FeatureSchema(columns, ("fail", "pass"), delimiter=";")
+    return FeatureSchema(columns, ("fail", "pass"))
 
 
 def write_grades_csv(path: Path, n: int = 360, seed: int = 7) -> Path:
@@ -68,7 +68,7 @@ def outcomes_schema() -> FeatureSchema:
         ColumnSpec("mode", "categorical"),
         ColumnSpec("outcome", "target"),
     )
-    return FeatureSchema(columns, ("left", "stay", "done"), delimiter=";")
+    return FeatureSchema(columns, ("left", "stay", "done"))
 
 
 def write_outcomes_csv(path: Path, n: int = 450, seed: int = 11) -> Path:

@@ -180,6 +180,47 @@ def test_run_unreadable_data_is_a_data_error(tmp_path, capsys, fault):
     assert err.startswith(f"data error: {path}: ")
 
 
+@pytest.mark.parametrize("fault", ["a directory", "not UTF-8"])
+def test_validate_unreadable_config_is_a_config_error(tmp_path, capsys, fault):
+    cfg = tmp_path / "cfg.yaml"
+    if fault == "a directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(b"seeds: [1]\n# \xff\n")
+    assert main(["validate", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and str(cfg) in err
+
+
+@pytest.mark.parametrize("fault", ["table is a directory", "data dir is a file"])
+def test_run_unreadable_table_path_is_a_data_error(tmp_path, capsys, fault):
+    if fault == "table is a directory":
+        data_dir = tmp_path
+        (data_dir / "student-mat.csv").mkdir()
+    else:
+        data_dir = tmp_path / "data"
+        data_dir.write_text("not a directory\n", encoding="utf-8")
+    code = main([
+        "run", "--dataset", "A", "--model", "logistic", "--condition", "central_clean",
+        "--data-dir", str(data_dir), "--quiet",
+    ])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"data error: {data_dir / 'student-mat.csv'}: ")
+
+
+def test_fetch_to_a_file_is_a_config_error(tmp_path, monkeypatch, capsys):
+    from fedtab import fetch
+
+    def no_download(url, timeout):
+        raise AssertionError("downloaded before checking the destination")
+
+    monkeypatch.setattr(fetch, "_download", no_download)
+    dest = tmp_path / "data"
+    dest.write_text("a file\n", encoding="utf-8")
+    assert main(["fetch-data", "--dest", str(dest)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"configuration error: fetch destination {dest}")
+
+
 def test_run_client_too_small_to_split_is_a_config_error(tmp_path, capsys):
     write_dataset_a_like(tmp_path / "student-mat.csv", n=395, seed=41)
     out = tmp_path / "out.csv"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,7 +59,6 @@ def tiny_schema() -> FeatureSchema:
             ColumnSpec("label", "target"),
         ),
         ("no", "yes"),
-        delimiter=";",
     )
 
 
@@ -70,16 +68,16 @@ def write(tmp_path, text, name="t.csv"):
     return path
 
 
-def write_rows(path, header, rows, delimiter=";"):
-    """A delimited file of ``rows`` under ``header``."""
-    lines = [delimiter.join(header), *(delimiter.join(row) for row in rows)]
+def write_rows(path, header, rows):
+    """A ';'-delimited file of ``rows`` under ``header``."""
+    lines = [";".join(header), *(";".join(row) for row in rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
 def read_rows(tmp_path, schema, rows, pass_threshold=None):
     """The one reader's table of ``rows``, cells in schema column order."""
-    path = write_rows(tmp_path / "rows.csv", schema.column_names, rows, schema.delimiter)
+    path = write_rows(tmp_path / "rows.csv", schema.column_names, rows)
     return read_encoded(path, schema, pass_threshold)
 
 
@@ -161,23 +159,16 @@ def test_fit_stats_population_std_hand_value(tmp_path):
 
 def test_encode_zscore_onehot_and_target(tmp_path):
     schema = tiny_schema()
-    pinned = FeatureSchema(
-        schema.columns, schema.target_classes, schema.delimiter, {"color": ("b", "r")}
-    )
     rows = [("1", "r", "no"), ("3", "b", "yes"), ("2", "g", "no")]
-    unscaled = read_rows(tmp_path, pinned, rows)
-    assert unscaled.feature_names == ("x", "color=b", "color=r")
+    unscaled = read_rows(tmp_path, schema, rows)
+    # the levels come from the whole table, sorted
+    assert unscaled.feature_names == ("x", "color=b", "color=g", "color=r")
     assert unscaled.features[:, 0].tolist() == [1.0, 3.0, 2.0]
-    (data,) = standardize(unscaled, pinned, [0, 1], [[0, 1, 2]])
+    (data,) = standardize(unscaled, schema, [0, 1], [[0, 1, 2]])
     # mean 2, std 1 over fit rows
     assert data.features[:, 0] == pytest.approx([-1.0, 1.0, 0.0], abs=1e-15)
-    assert data.features[0].tolist()[1:] == [0.0, 1.0]
-    assert data.features[1].tolist()[1:] == [1.0, 0.0]
-    # a level outside the pinned vocabulary encodes to an all-zero block
-    assert data.features[2].tolist()[1:] == [0.0, 0.0]
+    assert data.features[:, 1:].tolist() == [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     assert data.labels.tolist() == [0, 1, 0]
-    # without a pinned vocabulary the levels come from the whole table
-    assert read_rows(tmp_path, schema, rows).feature_names == ("x", "color=b", "color=g", "color=r")
 
 
 def test_encode_constant_column_maps_to_zero(tmp_path):
@@ -188,17 +179,6 @@ def test_encode_constant_column_maps_to_zero(tmp_path):
     (data,) = standardize(data, schema, [0, 1, 2], [[0, 1, 2]])
     assert np.all(data.features[:, 0] == 0.0)
     assert not np.any(np.signbit(data.features[:, 0]))
-
-
-def test_encode_pinned_vocabulary_fixes_width(tmp_path):
-    schema = tiny_schema()
-    pinned = FeatureSchema(
-        schema.columns, schema.target_classes, schema.delimiter,
-        {"color": ("b", "g", "r")},
-    )
-    data = read_rows(tmp_path, pinned, [("1", "r", "no"), ("2", "r", "yes")])
-    assert data.feature_names == ("x", "color=b", "color=g", "color=r")
-    assert data.n_features == 4
 
 
 def test_encode_errors(tmp_path):
@@ -230,15 +210,11 @@ def test_encode_errors(tmp_path):
 
 def test_stats_depend_only_on_fit_rows(tmp_path):
     schema = tiny_schema()
-    pinned = FeatureSchema(
-        schema.columns, schema.target_classes, schema.delimiter,
-        {"color": ("b", "g", "k", "r")},
-    )
     base = [("1", "r", "no"), ("2", "r", "yes"), ("3", "b", "no")]
-    a = read_rows(tmp_path, pinned, base + [("50", "g", "yes")])
-    b = read_rows(tmp_path, pinned, base + [("-9", "k", "yes")])
-    (a,) = standardize(a, pinned, [0, 1, 2], [[0, 1, 2]])
-    (b,) = standardize(b, pinned, [0, 1, 2], [[0, 1, 2]])
+    a = read_rows(tmp_path, schema, base + [("50", "g", "yes")])
+    b = read_rows(tmp_path, schema, base + [("-9", "k", "yes")])
+    (a,) = standardize(a, schema, [0, 1, 2], [[0, 1, 2]])
+    (b,) = standardize(b, schema, [0, 1, 2], [[0, 1, 2]])
     assert np.array_equal(a.features, b.features)
 
 
@@ -492,15 +468,11 @@ def test_encode_reports_first_bad_cell_of_a_column_in_row_order(tmp_path):
     assert str(err.value) == "row 2: target 'maybe' not in ['no', 'yes']"
 
 
-@pytest.mark.parametrize("table", ["grades", "A", "B", "pinned"])
+@pytest.mark.parametrize("table", ["grades", "A", "B"])
 def test_encode_matches_per_cell_oracle(table, grades_raw, tmp_path):
     if table == "grades":
         raw, spec = grades_raw
         got, schema = load_dataset(spec), spec.schema
-    elif table == "pinned":  # "b" lies outside the pinned levels
-        schema = replace(tiny_schema(), vocabularies={"color": ("r", "g")})
-        rows = (("1.5", "g", "no"), ("-2", "b", "yes"), ("3e2", "r", "yes"))
-        got, raw = read_rows(tmp_path, schema, rows), csv_read_table(tmp_path / "rows.csv", schema)
     else:
         write = write_dataset_a_like if table == "A" else write_dataset_b_like
         spec = builtin_dataset(table, str(tmp_path))
@@ -510,9 +482,7 @@ def test_encode_matches_per_cell_oracle(table, grades_raw, tmp_path):
             raw = csv_binarize(raw, spec.schema.target_column, spec.pass_threshold)
         got, schema = load_dataset(spec), spec.schema
     columns = [(c.name, c.kind) for c in schema.columns]
-    features, labels, names = per_cell_encode(
-        raw.rows, columns, schema.target_classes, schema.vocabularies
-    )
+    features, labels, names = per_cell_encode(raw.rows, columns, schema.target_classes)
     assert got.feature_names == tuple(names)
     assert got.features.tobytes() == features.tobytes()
     assert got.labels.tobytes() == labels.tobytes()
@@ -547,7 +517,7 @@ def _expected_schema(order, continuous, categorical, target, classes):
         assert [name in continuous, name in categorical, name == target].count(True) == 1, name
         kinds.append("continuous" if name in continuous else
                      "categorical" if name in categorical else "target")
-    return FeatureSchema(tuple(map(ColumnSpec, order, kinds)), classes, delimiter=";")
+    return FeatureSchema(tuple(map(ColumnSpec, order, kinds)), classes)
 
 
 def test_builtin_schemas_keep_their_columns():

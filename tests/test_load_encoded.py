@@ -22,13 +22,11 @@ HEADER = "x;color;label\n"
 GRADE_HEADER = "x;color;g\n"
 
 
-def tiny_spec(path, delimiter=";", vocabularies=None) -> DatasetSpec:
+def tiny_spec(path) -> DatasetSpec:
     schema = FeatureSchema(
         (ColumnSpec("x", "continuous"), ColumnSpec("color", "categorical"),
          ColumnSpec("label", "target")),
         ("no", "yes"),
-        delimiter=delimiter,
-        vocabularies=vocabularies,
     )
     return DatasetSpec("tiny", path, schema)
 
@@ -149,23 +147,6 @@ def test_quoted_cells_read_as_their_unquoted_values(tmp_path):
     want = outcome(lambda: load_dataset(tiny_spec(plain)))
     assert want[0] == "ok"
     assert assert_same(tiny_spec(quoted)) == want
-
-
-def test_pinned_vocabulary_matches_csv_path(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text(HEADER + "1.5;red;yes\n2;blue;no\n3; green ;no\n", encoding="utf-8")
-    spec = tiny_spec(path, vocabularies={"color": ("green", "red", "violet")})
-    result = assert_same(spec)
-    assert result[-2] == ("x", "color=green", "color=red", "color=violet")
-
-
-@pytest.mark.parametrize("delimiter", [",", "\t", " "])
-def test_other_delimiters_match_csv_path(delimiter, tmp_path):
-    path = tmp_path / "t.csv"
-    bodies = ["1.5;red;yes\n2;blue;no\n", "1.5;;red;yes\n", " 1.5;red;yes\n", '"1;5";red;yes\n']
-    for body in bodies:
-        path.write_text((HEADER + body).replace(";", delimiter), encoding="utf-8")
-        assert_same(tiny_spec(path, delimiter=delimiter))
 
 
 GRADE_CASES = {
