@@ -37,7 +37,7 @@ from .federation import (
 )
 from .metrics import MetricsReport, accuracy, auc_roc, compute_report, f1_macro, recall_macro
 from .models import (
-    DEFAULT_TRAIN_CONFIGS,
+    TRAIN_SETTINGS,
     Forest,
     LinearModel,
     TrainConfig,
@@ -56,7 +56,6 @@ __all__ = [
     "CONDITIONS",
     "ClientPartition",
     "ColumnSpec",
-    "DEFAULT_TRAIN_CONFIGS",
     "DatasetSpec",
     "EncodedDataset",
     "ExperimentConfig",
@@ -70,6 +69,7 @@ __all__ = [
     "ResultsTable",
     "RoundLog",
     "RoundRecord",
+    "TRAIN_SETTINGS",
     "TrainConfig",
     "accuracy",
     "aggregate_forests",

@@ -130,7 +130,7 @@ void fedtab_draw(bitgen_t *bitgen, int64_t d, int64_t size, int64_t *out, uint8_
  * distinct values, which values[offsets[f] .. offsets[f + 1]) holds in
  * ascending order; -0.0 and 0.0 are one value.  rows holds the tree's n_rows
  * bootstrap rows; each split partitions a node's slice of it in place.
- * subset holds d features.  work holds n_rows + 4 * n_classes int64s for
+ * subset holds d features.  work holds n_rows + 3 * n_classes int64s for
  * fedtab_split, then d int64s whose first d bytes are zero (WORK_SEEN), then
  * a (K, n_classes) histogram, K the most distinct values of any feature
  * (WORK_HISTOGRAM). */
@@ -151,8 +151,8 @@ typedef struct {
     int64_t *work;
 } ranked_tree;
 
-#define WORK_SEEN(t) ((uint8_t *)((t)->work + (t)->n_rows + 4 * (t)->n_classes))
-#define WORK_HISTOGRAM(t) ((t)->work + (t)->n_rows + 4 * (t)->n_classes + (t)->d)
+#define WORK_SEEN(t) ((uint8_t *)((t)->work + (t)->n_rows + 3 * (t)->n_classes))
+#define WORK_HISTOGRAM(t) ((t)->work + (t)->n_rows + 3 * (t)->n_classes + (t)->d)
 
 /* Dense ranks of the column holding column[row * stride] for row in [0, n),
  * given `order`, its rows in ascending order of value: ranks[row] is the
@@ -173,42 +173,15 @@ int64_t fedtab_rank(const double *column, int64_t stride, const int64_t *order, 
     return k;
 }
 
-/* numpy's pairwise sum of a contiguous float64 array, which its
- * sum(axis=-1) reduces each row with */
-static double pairwise_sum(const double *a, int64_t n)
+/* models._gini: 1 - the sum of (counts / size) ** 2, added in class order */
+static double gini(const int64_t *counts, int64_t n_classes, int64_t size)
 {
-    if (n < 8) {
-        double res = -0.0;
-        for (int64_t i = 0; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8], res;
-        int64_t i;
-        for (int j = 0; j < 8; j++)
-            r[j] = a[j];
-        for (i = 8; i < n - n % 8; i += 8)
-            for (int j = 0; j < 8; j++)
-                r[j] += a[i + j];
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    int64_t half = n / 2;
-    half -= half % 8;
-    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
-}
-
-/* models._gini: 1 - sum((counts / size) ** 2) */
-static double gini(const int64_t *counts, int64_t n_classes, int64_t size, double *squares)
-{
+    double sum = 0.0;
     for (int64_t c = 0; c < n_classes; c++) {
-        double ratio = (double)counts[c] / (double)size;
-        squares[c] = ratio * ratio;
+        const double ratio = (double)counts[c] / (double)size;
+        sum += ratio * ratio;
     }
-    return 1.0 - pairwise_sum(squares, n_classes);
+    return 1.0 - sum;
 }
 
 /* Split the node holding rows[start .. start + n) on the features
@@ -229,13 +202,12 @@ static int64_t fedtab_split(ranked_tree *t, int64_t start, int64_t n, int64_t n_
     int64_t *rows = t->rows + start;
     int64_t *right_rows = t->work, *counts = right_rows + t->n_rows;
     int64_t *left = counts + n_classes, *right = left + n_classes;
-    double *squares = (double *)(right + n_classes);
     int64_t *hist = WORK_HISTOGRAM(t);
 
     memset(counts, 0, (size_t)n_classes * sizeof *counts);
     for (int64_t i = 0; i < n; i++)
         counts[y[rows[i]]]++;
-    const double parent = gini(counts, n_classes, n, squares);
+    const double parent = gini(counts, n_classes, n);
 
     double best = 0.0;
     int64_t best_f = -1, lo_rank = 0, hi_rank = 0;
@@ -261,8 +233,8 @@ static int64_t fedtab_split(ranked_tree *t, int64_t start, int64_t n, int64_t n_
                 const int64_t nr = n - nl;
                 for (int64_t c = 0; c < n_classes; c++)
                     right[c] = counts[c] - left[c];
-                const double gl = gini(left, n_classes, nl, squares);
-                const double gr = gini(right, n_classes, nr, squares);
+                const double gl = gini(left, n_classes, nl);
+                const double gr = gini(right, n_classes, nr);
                 const double weighted = ((double)nl * gl + (double)nr * gr) / (double)n;
                 const double gain = parent - weighted;
                 if (gain > best) { /* the first maximum, and only a positive gain */

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
 from .errors import InvalidConfigError
-from .models import DEFAULT_TRAIN_CONFIGS, MODEL_KINDS, TrainConfig
+from .models import MODEL_KINDS, TRAIN_SETTINGS, TrainConfig
 
 
 @dataclass(frozen=True)
@@ -158,8 +158,14 @@ class ExperimentConfig:
                 f"train_overrides.{model} cannot set {derived}: every run derives epochs "
                 f"from epoch_budget (and round_budgets) and seeds from seeds"
             )
-        payload = {**vars(DEFAULT_TRAIN_CONFIGS[model]), **overrides}
-        merged = _read(TrainConfig, payload, f"train_overrides.{model}")
+        settings = TRAIN_SETTINGS[model]
+        ignored = sorted(set(overrides) - set(settings), key=str)
+        if ignored:
+            raise InvalidConfigError(
+                f"train_overrides.{model} cannot set {ignored}: the {model} model reads "
+                f"only {list(settings)}"
+            )
+        merged = _read(TrainConfig, {**settings, **overrides}, f"train_overrides.{model}")
         # train_svm's first epoch decays weights by 1 - learning_rate * l2
         if model == "svm" and 1.0 - merged.learning_rate * merged.l2 <= 0.0:
             raise InvalidConfigError(

@@ -571,8 +571,9 @@ def build_client_partitions(
 
     A client whose rows ``test_fraction`` cannot split into a non-empty
     train and a non-empty test side raises ``TooManyClientsError``, a
-    configuration error (``check_client_split``); a table lacking a class
-    is a data error.
+    configuration error (``check_client_split``); a table lacking a class,
+    and test rows of a single class, on which AUC is undefined, are data
+    errors.
     """
     if np.any(data.class_counts() == 0):
         raise StratificationImpossibleError("a target class has no rows in the table")
@@ -585,6 +586,13 @@ def build_client_partitions(
             data.labels[rows], test_fraction, derive_seed("split", seed, k)
         )
         split_rows.append((rows[local_train], rows[local_test]))
+    pooled_rows = [np.concatenate(side) for side in zip(*split_rows)]
+    test_counts = np.bincount(data.labels[pooled_rows[1]], minlength=data.n_classes)
+    if np.count_nonzero(test_counts) < 2:
+        raise StratificationImpossibleError(
+            f"the test rows hold a single class (class counts {test_counts.tolist()}); "
+            f"AUC is undefined"
+        )
 
     def partition(k: int, train_rows: np.ndarray, test_rows: np.ndarray) -> ClientPartition:
         train, test = standardize(data, schema, np.sort(train_rows), (train_rows, test_rows))
@@ -594,4 +602,4 @@ def build_client_partitions(
         return ClientPartition(k, train, test, train_rows, test_rows)
 
     clients = [partition(k, *rows) for k, rows in enumerate(split_rows)]
-    return clients, partition(0, *map(np.concatenate, zip(*split_rows)))
+    return clients, partition(0, *pooled_rows)

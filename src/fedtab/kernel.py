@@ -19,8 +19,8 @@ arithmetic.  The tree grower draws each node's features from the tree's own
 ``Generator``, through numpy's ``bitgen_t``, as ``rng.choice`` does, and
 counts classes over each column's value ranks, computed once per forest
 (``_Kernel.rank_features``); it scores each cut with the expressions of
-``models._best_split``, summing the class squares in the order numpy's
-pairwise sum does.
+``models._best_split``, adding the class squares in class order, as
+``models._gini`` does.
 
 Each kernel is checked in each process before its first use.  The shared
 object's dots are compared bitwise with ``weights.dot`` when it opens; a
@@ -56,12 +56,13 @@ _BLAS_SYMBOLS = ("scipy_cblas_ddot64_", "scipy_cblas_dgemv64_")
 _CHECK_WIDTHS = (1, 2, 3, 5, 8, 16, 39, 64)
 _TAG = 32  # a built file ends with the sha256 of the bytes before it
 
-# Nodes whose split moves if the class squares are summed in any order but
-# numpy's: (features, labels, classes, min_leaf, seed), where a tree's root
-# draws from default_rng(seed) the two features that show it.  Three classes
-# sum as (a0 + a1) + a2 and split feature 0 at -1.5 of features [0, 1]; nine
-# take numpy's eight-way unrolled pairwise sum and split feature 2 at -0.5 of
-# features [1, 2].
+# Nodes whose split moves if the class squares are added in any order but
+# class order: (features, labels, classes, min_leaf, seed), where a tree's
+# root draws from default_rng(seed) the two features that show it.  Three
+# classes add as (a0 + a1) + a2 and split feature 0 at -1.5 of features
+# [0, 1]; nine add as (...(a0 + a1) + ...) + a8 and split feature 2 at 1.5 of
+# features [1, 2], where grouping them otherwise, as numpy's pairwise sum
+# does from eight values, moves the split.
 _SUM_ORDER_NODES = (
     (
         np.array([[-1.0, 0.0, 5.0], [-2.0, -2.0, 1.0], [-0.0, 2.0, -1.0], [-2.0, 2.0, -4.0],
@@ -199,8 +200,8 @@ class _Kernel:
         most of whose ranks are absent from a small node's histogram.  Two
         seeded blocks of 2 and 3 classes have two equal best columns, both
         drawn at the root, so a split that takes any maximum but the first
-        one shows.  The ``_SUM_ORDER_NODES`` show class squares summed in
-        another order than numpy's.  The small blocks grow one split each.
+        one shows.  The ``_SUM_ORDER_NODES`` show class squares added in
+        another order than class order.  The small blocks grow one split each.
         """
         from .models import TrainConfig, _grow_tree, _preorder_tree, _subset_size
 
@@ -299,7 +300,7 @@ class _Kernel:
         subset = np.empty(d, dtype=np.int64)
         child = np.empty(2 * n_classes, dtype=np.int64)
         most = int(np.diff(offsets).max(initial=0))  # the most distinct values of a feature
-        work = np.zeros(N + 4 * n_classes + d + most * n_classes, dtype=np.int64)
+        work = np.zeros(N + 3 * n_classes + d + most * n_classes, dtype=np.int64)
         arrays = (ranks, values, offsets, y, subset, child, work)
         # one forest's ranks and one tree's buffers; grow sets its rows before each tree
         tree = _RankedTree(

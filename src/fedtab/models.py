@@ -59,10 +59,12 @@ class TrainConfig:
             raise InvalidConfigError(f"min_leaf must be at least 1, got {self.min_leaf}")
 
 
-DEFAULT_TRAIN_CONFIGS = {
-    "logistic": TrainConfig(learning_rate=0.1, epochs=300, l2=1e-3),
-    "svm": TrainConfig(learning_rate=0.05, epochs=300, l2=1e-3),
-    "forest": TrainConfig(n_trees=100, max_depth=12, min_leaf=2),
+# model kind -> the TrainConfig fields its trainer reads besides epochs and
+# seed, with their defaults; a model starts from TrainConfig(**its settings)
+TRAIN_SETTINGS = {
+    "logistic": {"learning_rate": 0.1, "l2": 1e-3},
+    "svm": {"learning_rate": 0.05, "l2": 1e-3},
+    "forest": {"n_trees": 100, "max_depth": 12, "min_leaf": 2},
 }
 
 
@@ -209,15 +211,29 @@ def logistic_gradient(
 def train_logreg(
     train: EncodedDataset, cfg: TrainConfig, init: LinearModel | None = None
 ) -> LinearModel:
-    """Full-batch gradient descent; deterministic, no randomness involved."""
+    """Full-batch gradient descent; deterministic, no randomness involved.
+
+    Raises InvalidConfigError when the parameters stop being finite: the
+    learning rate is too large for the data.
+    """
     weights, bias = _initial_params(init, "logistic", train)
     X, y = train.features, train.labels
     for _ in range(cfg.epochs):
-        model = LinearModel(weights, bias, "logistic", train.n_classes)
+        model = _logistic_model(weights, bias, train.n_classes, cfg)
         grad_w, grad_b = logistic_gradient(model, X, y, cfg.l2)
         weights = weights - cfg.learning_rate * grad_w
         bias = bias - cfg.learning_rate * grad_b
-    return LinearModel(weights, bias, "logistic", train.n_classes)
+    return _logistic_model(weights, bias, train.n_classes, cfg)
+
+
+def _logistic_model(weights, bias, n_classes: int, cfg: TrainConfig) -> LinearModel:
+    try:
+        return LinearModel(weights, bias, "logistic", n_classes)
+    except ValueError:  # LinearModel's only ValueError: parameters that are not finite
+        raise InvalidConfigError(
+            f"logistic training diverged: its parameters are not finite at learning_rate "
+            f"{cfg.learning_rate}"
+        ) from None
 
 
 def _signed_targets(y: np.ndarray, n_classes: int) -> np.ndarray:
@@ -317,8 +333,13 @@ def _python_svm_epoch(X: np.ndarray, signed: np.ndarray, weights: np.ndarray, bi
 
 
 def _gini(counts: np.ndarray, size) -> np.ndarray:
+    """1 - the sum of (counts / size) ** 2 over the last axis, added in class order.
+
+    ``sum`` would add eight or more classes pairwise; a cumsum adds them one
+    after another, as the compiled grower does.
+    """
     ratios = counts / size
-    return 1.0 - (ratios * ratios).sum(axis=-1)
+    return 1.0 - np.cumsum(ratios * ratios, axis=-1)[..., -1]
 
 
 def _grow_tree(
@@ -411,8 +432,9 @@ def _best_split(
 
     - Gini is computed elementwise, and only at the boundary cuts that
       search scores, so each gain is the same expression on the same
-      counts; the counts left of a boundary do not depend on how the sort
-      orders equal values;
+      counts, its class squares added in class order (``_gini``) as the
+      compiled grower adds them; the counts left of a boundary do not
+      depend on how the sort orders equal values;
     - ties keep its order: the argmax returns the first maximum, which is
       the first cut within a feature and the earliest feature in subset
       order, as its strict ``>`` scan does, and a split needs a gain

@@ -203,7 +203,10 @@ def vectorized_svm(X, labels, n_classes, epochs, learning_rate, l2, seed, weight
 
 def _gini(counts, size):
     ratios = counts / np.asarray(size, dtype=np.float64)
-    return 1.0 - np.sum(ratios * ratios, axis=-1)
+    total = np.zeros(ratios.shape[:-1])
+    for c in range(ratios.shape[-1]):  # the class squares in class order
+        total = total + ratios[..., c] * ratios[..., c]
+    return 1.0 - total
 
 
 def per_feature_tree(X, y, rows, depth, rng, n_classes, max_depth, min_leaf):

@@ -180,6 +180,44 @@ def test_run_unreadable_data_is_a_data_error(tmp_path, capsys, fault):
     assert err.startswith(f"data error: {path}: ")
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("condition", ["central_clean", "fl_clean"])
+def test_run_diverging_logistic_training_is_a_config_error(tmp_path, capsys, condition):
+    write_dataset_b_like(tmp_path / "student-dropout.csv", n=60, seed=3)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("train_overrides: {logistic: {learning_rate: 1.0e+300}}\n", encoding="utf-8")
+    code = main([
+        "run", "--config", str(cfg), "--dataset", "B", "--model", "logistic",
+        "--condition", condition, "--rounds", "1", "--data-dir", str(tmp_path), "--quiet",
+    ])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.endswith(
+        "configuration error: logistic training diverged: its parameters are not finite at "
+        "learning_rate 1e+300\n"
+    )
+
+
+def test_run_test_rows_of_one_class_are_a_data_error(tmp_path, capsys):
+    # one row passes: the stratified split keeps it for training, so no
+    # test row does and AUC is undefined
+    path = write_dataset_a_like(tmp_path / "student-mat.csv", n=200, seed=19)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    cells = [row.rsplit(";", 1) for row in rows]
+    grades = ["12"] + [str(min(int(grade), 9)) for _, grade in cells[1:]]
+    path.write_text("\n".join([header, *(f"{head};{grade}" for (head, _), grade
+                                         in zip(cells, grades))]) + "\n", encoding="utf-8")
+    code = main([
+        "run", "--dataset", "A", "--model", "logistic", "--condition", "central_clean",
+        "--data-dir", str(tmp_path),
+    ])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == (
+        "data error: the test rows hold a single class (class counts [39, 0]); "
+        "AUC is undefined\n"
+    )  # no progress line: no cell started
+
+
 @pytest.mark.parametrize("fault", ["a directory", "not UTF-8"])
 def test_validate_unreadable_config_is_a_config_error(tmp_path, capsys, fault):
     cfg = tmp_path / "cfg.yaml"

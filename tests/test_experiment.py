@@ -38,7 +38,7 @@ from fedtab.experiment import (
 )
 from fedtab.federation import FederationConfig, run_federated
 from fedtab.metrics import MetricsReport
-from fedtab.models import Forest, LinearModel, train_forest, train_logreg
+from fedtab.models import Forest, LinearModel, TrainConfig, train_forest, train_logreg
 from fedtab.schemas import load_dataset
 
 
@@ -687,3 +687,21 @@ def test_config_round_trip_and_validation():
     config_from_dict({"train_overrides": {"logistic": {"learning_rate": 10.0, "l2": 0.1}}})
     with pytest.raises(InvalidConfigError):
         config_from_dict({"malicious_clients": [7]})
+
+
+@pytest.mark.parametrize("model, name, value, settings, default", [
+    ("forest", "learning_rate", 0.5, "['n_trees', 'max_depth', 'min_leaf']",
+     dict(n_trees=100, max_depth=12, min_leaf=2)),
+    ("svm", "n_trees", 7, "['learning_rate', 'l2']", dict(learning_rate=0.05, l2=1e-3)),
+    ("logistic", "min_leaf", 9, "['learning_rate', 'l2']", dict(learning_rate=0.1, l2=1e-3)),
+])
+def test_train_overrides_take_only_the_settings_the_model_reads(
+    model, name, value, settings, default
+):
+    with pytest.raises(InvalidConfigError) as caught:
+        config_from_dict({"train_overrides": {model: {name: value}}})
+    assert str(caught.value) == (
+        f"train_overrides.{model} cannot set ['{name}']: the {model} model reads only {settings}"
+    )
+    # every model still starts from the TrainConfig it always did
+    assert ExperimentConfig().train_config(model) == TrainConfig(**default, epochs=300, seed=0)

@@ -32,7 +32,7 @@ from fedtab.federation import (
 )
 from fedtab.metrics import compute_report
 from fedtab.models import (
-    DEFAULT_TRAIN_CONFIGS,
+    TRAIN_SETTINGS,
     Forest,
     LinearModel,
     TrainConfig,
@@ -356,7 +356,7 @@ def test_shared_scaling_fedavg_is_central_gradient_descent(tmp_path, key, write,
     data = load_dataset(spec)
     clients, pooled = build_client_partitions(data, spec.schema, 3, 0.2, seed=0)
     rounds, tolerance = 300, 1e-12
-    cfg = DEFAULT_TRAIN_CONFIGS["logistic"]
+    cfg = TrainConfig(**TRAIN_SETTINGS["logistic"])
     central = train_logreg(pooled.train, replace(cfg, epochs=rounds))
     fed_cfg = FederationConfig("logistic", rounds, replace(cfg, epochs=1))
 

@@ -24,6 +24,7 @@ from fedtab import kernel
 from fedtab.dataset import EncodedDataset
 from fedtab.errors import InvalidConfigError, ShapeMismatchError
 from fedtab.models import (
+    TRAIN_SETTINGS,
     LinearModel,
     TrainConfig,
     _grow_tree,
@@ -378,19 +379,19 @@ def test_grow_tree_midpoint_rounding_up_to_hi_falls_back_to_lo():
     assert tree.counts[tree.right[0]].tolist() == [0, 2]
 
 
-def test_grow_tree_class_squares_sum_in_numpys_order():
-    # these nodes split elsewhere when the class squares are summed in
-    # another order: numpy sums three as (a0 + a1) + a2 and nine with its
-    # eight-way unrolled pairwise sum
+def test_grow_tree_class_squares_sum_in_class_order():
+    # these nodes split elsewhere when the class squares are added in
+    # another order: three as (a0 + a1) + a2, nine one after another, where
+    # numpy's pairwise sum would split the nine-class node at feature 2, -0.5
     nodes = kernel._SUM_ORDER_NODES
-    for (X, y, n_classes, min_leaf, seed), want in zip(nodes, [(0, -1.5), (2, -0.5)]):
+    for (X, y, n_classes, min_leaf, seed), want in zip(nodes, [(0, -1.5), (2, 1.5)]):
         cfg = TrainConfig(max_depth=1, min_leaf=min_leaf)
         tree = _grow(X, y, np.arange(y.size), np.random.default_rng(seed), n_classes, cfg)
         assert (tree.feature[0], tree.threshold[0]) == want
 
 
 def test_grow_tree_three_and_nine_classes_on_repeated_values():
-    # nine classes reach numpy's unrolled pairwise sum over the class squares
+    # from eight classes numpy's sum would add the class squares pairwise
     rng = np.random.default_rng(3)
     for n_classes in (3, 9):
         for trial in range(20):
@@ -412,7 +413,7 @@ def test_grow_tree_three_and_nine_classes_on_repeated_values():
         test_grow_tree_no_positive_gain_gives_a_leaf,
         test_grow_tree_signed_zero_ties_split_alike,
         test_grow_tree_midpoint_rounding_up_to_hi_falls_back_to_lo,
-        test_grow_tree_class_squares_sum_in_numpys_order,
+        test_grow_tree_class_squares_sum_in_class_order,
         test_grow_tree_three_and_nine_classes_on_repeated_values,
     ],
     ids=lambda case: case.__name__.removeprefix("test_grow_tree_"),
@@ -733,3 +734,32 @@ def test_train_config_validation():
         TrainConfig(min_leaf=0)
     with pytest.raises(InvalidConfigError):
         TrainConfig(n_trees=0)
+
+
+_TRAINERS = {"logistic": train_logreg, "svm": train_svm, "forest": train_forest}
+# a value for every setting, unlike any model's default
+_OTHER_VALUES = {"learning_rate": 0.37, "l2": 0.25, "n_trees": 7, "max_depth": 2, "min_leaf": 9}
+
+
+def _trained_bytes(model_kind, cfg):
+    model = _TRAINERS[model_kind](blob_dataset(20, n_classes=3, spread=3.0), cfg)
+    if isinstance(model, LinearModel):
+        return [model.weights.tobytes(), model.bias.tobytes()]
+    return [getattr(tree, name).tobytes() for tree in model.trees
+            for name in ("feature", "threshold", "left", "right", "counts")]
+
+
+@pytest.mark.parametrize("model_kind", sorted(TRAIN_SETTINGS))
+def test_train_settings_are_what_the_trainer_reads(model_kind):
+    # train_overrides accept a model's TRAIN_SETTINGS only: every other field
+    # (epochs and seed aside, which every run derives) must change nothing,
+    # and each setting must change something
+    settings = TRAIN_SETTINGS[model_kind]
+    base = TrainConfig(**settings, epochs=3, seed=5)
+    want = _trained_bytes(model_kind, base)
+    ignored = {name: value for name, value in _OTHER_VALUES.items() if name not in settings}
+    assert set(ignored) | set(settings) | {"epochs", "seed"} == set(vars(base))
+    assert _trained_bytes(model_kind, dataclasses.replace(base, **ignored)) == want
+    for name in settings:
+        changed = dataclasses.replace(base, **{name: _OTHER_VALUES[name]})
+        assert _trained_bytes(model_kind, changed) != want, name

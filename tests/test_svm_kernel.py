@@ -241,13 +241,20 @@ _SPLIT_MUTANTS = {
     # ">=" keeps the last of equal gains, and a zero gain, where numpy's
     # argmax and "> 0" keep the first positive one
     "last_maximum": ("if (gain > best)", "if (gain >= best)"),
-    # below 8 classes numpy sums the class squares left to right
+    # the class squares are added in class order...
     "squares_summed_right_to_left": (
-        "for (int64_t i = 0; i < n; i++)\n            res += a[i];",
-        "for (int64_t i = n - 1; i >= 0; i--)\n            res += a[i];",
+        "for (int64_t c = 0; c < n_classes; c++) {\n        const double ratio",
+        "for (int64_t c = n_classes - 1; c >= 0; c--) {\n        const double ratio",
     ),
-    # from 8 classes numpy sums them in eight interleaved partial sums
-    "squares_summed_without_the_unroll": ("if (n < 8) {", "if (n <= 128) {"),
+    # ...one after another, not in groups as numpy's pairwise sum adds eight or more
+    "squares_summed_even_and_odd_apart": (
+        "double sum = 0.0;\n    for (int64_t c = 0; c < n_classes; c++) {\n"
+        "        const double ratio = (double)counts[c] / (double)size;\n"
+        "        sum += ratio * ratio;\n    }\n    return 1.0 - sum;",
+        "double sums[2] = {0.0, 0.0};\n    for (int64_t c = 0; c < n_classes; c++) {\n"
+        "        const double ratio = (double)counts[c] / (double)size;\n"
+        "        sums[c % 2] += ratio * ratio;\n    }\n    return 1.0 - (sums[0] + sums[1]);",
+    ),
 }
 
 
