@@ -1,6 +1,7 @@
 /* fedtab's compiled kernels: one epoch of the linear SVM (models.train_svm)
- * step for step, and one forest tree grown as models._grow_tree grows it,
- * each node split where models._best_split splits it.
+ * step for step, one forest tree grown as models._grow_tree grows it, each
+ * node split where models._best_split splits it, and the leaves one tree
+ * routes rows to, as models._leaf_index finds them.
  *
  * Built by fedtab.kernel with -ffp-contract=off, so every + and * rounds
  * once, as in Python and numpy.  The SVM dots go through the BLAS routines
@@ -345,4 +346,22 @@ int64_t fedtab_grow(ranked_tree *t, bitgen_t *bitgen, int64_t n_subset, int64_t 
         }
     }
     return n_nodes;
+}
+
+/* The leaf each of the n rows of the row-major (n, d) block X reaches in a
+ * tree of preorder node arrays, as models._leaf_index walks it: a split
+ * node sends a row left when x[feature] <= threshold.  models.Tree has
+ * checked that every feature lies in [-1, d) and every split node's children
+ * come after it inside the tree, so each walk ends at a leaf. */
+void fedtab_route(int64_t n, int64_t d, const double *X, const int64_t *feature,
+                  const double *threshold, const int64_t *left, const int64_t *right,
+                  int64_t *leaf)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const double *x = X + i * d;
+        int64_t node = 0;
+        while (feature[node] >= 0)
+            node = x[feature[node]] <= threshold[node] ? left[node] : right[node];
+        leaf[i] = node;
+    }
 }

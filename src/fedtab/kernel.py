@@ -1,39 +1,44 @@
 """The compiled kernels: build, cache, check and call ``_kernel.c``.
 
-``_kernel.c`` holds two kernels: one epoch of ``models.train_svm``, and the
-growth of one ``models.train_forest`` tree, node by node, in a single call.
-``models`` imports this module and asks for the kernels at the first
-``train_svm`` or ``train_forest`` call, never at package import, so runs
-that train neither pay nothing.  On first use the C source is compiled with
+``_kernel.c`` holds three kernels: one epoch of ``models.train_svm``, the
+growth of one ``models.train_forest`` tree, node by node, in a single call,
+and the leaves one tree routes a block of rows to, for
+``models.predict_scores``.  ``models`` imports this module and asks for the
+kernels at the first ``train_svm``, ``train_forest`` or forest
+``predict_scores`` call, never at package import, so runs that use none of
+them pay nothing.  On first use the C source is compiled with
 ``cc`` into a per-user cache directory, under a name keyed by the sha256 of
 the source and the flags, and published with an atomic ``os.replace``;
 later processes load the cached file.  A built file ends with the sha256 of
 its own bytes, checked before it is loaded, since a truncated shared object
 can crash the dynamic loader.
 
-Both kernels reproduce their Python counterparts bit for bit by
+Each kernel reproduces its Python counterpart bit for bit by
 construction.  The SVM epoch takes its dot products from the BLAS routines
 numpy's ``weights.dot(x)`` calls, found among the dependencies of numpy's
 own extension module, and does the rest of each step in plain double
 arithmetic.  The tree grower draws each node's features from the tree's own
 ``Generator``, through numpy's ``bitgen_t``, as ``rng.choice`` does, and
-counts classes over each column's value ranks, computed once per forest
-(``_Kernel.rank_features``); it scores each cut with the expressions of
-``models._best_split``, adding the class squares in class order, as
-``models._gini`` does.
+counts classes over each column's value ranks (``_Kernel.rank_features``),
+computed once per read-only block, one block at a time; it scores each cut
+with the expressions of ``models._best_split``, adding the class squares in
+class order, as ``models._gini`` does.  The route compares each row's value
+with the node's threshold by ``<=``, as ``models._leaf_index`` does, and
+does no arithmetic.
 
 Each kernel is checked in each process before its first use.  The shared
 object's dots are compared bitwise with ``weights.dot`` when it opens; a
 file that fails is neither published nor used.  The first ``train_forest``
 compares the draws with ``rng.choice`` and the generator state it leaves,
-and seeded trees, node array for node array, with ``models._grow_tree``'s.
-So SVM-only runs never pay for the forest's checks.
+seeded trees, node array for node array, with ``models._grow_tree``'s, and
+those trees' routes with ``models._leaf_index``'s.  So SVM-only runs never
+pay for the forest's checks.
 
 If there is no compiler, a symbol is missing, no cache directory can be
-written or a dot differs, both ``train_svm`` and ``train_forest`` run their
-Python paths; if only a forest check fails, only ``train_forest`` does.
-Either way they are slower, never different.  ``path()`` says which path
-runs, and why.
+written or a dot differs, ``train_svm``, ``train_forest`` and the forest's
+``predict_scores`` run their Python paths; if only a forest check fails,
+only the forest's do.  Either way they are slower, never different.
+``path()`` says which path runs, and why.
 """
 
 from __future__ import annotations
@@ -45,13 +50,17 @@ import math
 import os
 import stat
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-SYMBOLS = ("fedtab_svm_epoch", "fedtab_svm_dots", "fedtab_draw", "fedtab_grow", "fedtab_rank")
+SYMBOLS = (
+    "fedtab_svm_epoch", "fedtab_svm_dots", "fedtab_draw", "fedtab_grow", "fedtab_rank",
+    "fedtab_route",
+)
 _BLAS_SYMBOLS = ("scipy_cblas_ddot64_", "scipy_cblas_dgemv64_")
 _CHECK_WIDTHS = (1, 2, 3, 5, 8, 16, 39, 64)
 _TAG = 32  # a built file ends with the sha256 of the bytes before it
@@ -114,7 +123,7 @@ class _Kernel:
         self._lib = lib
         self._blas = blas
         try:
-            self._epoch, self._dots, self._draw, self._grow, self._rank = (
+            self._epoch, self._dots, self._draw, self._grow, self._rank, self._route = (
                 getattr(lib, name) for name in SYMBOLS
             )
         except AttributeError as err:  # a build of some other source
@@ -130,8 +139,12 @@ class _Kernel:
         self._grow.restype = i64
         self._rank.argtypes = [ptr, i64, ptr, i64, ptr, ptr]
         self._rank.restype = i64
+        self._route.argtypes = [i64] * 2 + [ptr] * 6
+        self._route.restype = None
         self._forest_checked = False
         self._forest_fallback: str | None = None
+        # the last read-only block ranked, as a weak reference, and its ranks
+        self._ranked: tuple[weakref.ref, tuple] | None = None
 
     def dots_match_numpy(self) -> bool:
         rng = np.random.default_rng(0)
@@ -160,9 +173,7 @@ class _Kernel:
     def _check_forest(self) -> str | None:
         if not self.draws_match_numpy():
             return "compiled feature draws differ from numpy's rng.choice"
-        if not self.trees_match_python():
-            return "compiled trees differ from models._grow_tree"
-        return None
+        return self.check_trees()
 
     def draws_match_numpy(self) -> bool:
         """Compare the compiled draws with ``rng.choice(d, size, replace=False)``.
@@ -192,18 +203,22 @@ class _Kernel:
                    seen.ctypes.data)
         return out
 
-    def trees_match_python(self) -> bool:
-        """Compare seeded compiled trees with ``models._grow_tree``'s, array for array.
+    def check_trees(self) -> str | None:
+        """Compare seeded compiled trees with ``models._grow_tree``'s, and their routes.
 
-        A rounded block of 3 classes and 11 features has repeated values,
-        signed zeros, a constant column and a column of distinct values,
-        most of whose ranks are absent from a small node's histogram.  Two
-        seeded blocks of 2 and 3 classes have two equal best columns, both
-        drawn at the root, so a split that takes any maximum but the first
-        one shows.  The ``_SUM_ORDER_NODES`` show class squares added in
-        another order than class order.  The small blocks grow one split each.
+        Returns why the compiled trees or routes differ, or None.  Each tree
+        is compared array for array, then routes its block's rows, one row
+        at each split's threshold and those rows negated, as
+        ``models._leaf_index`` does.  A rounded block of 3 classes and 11
+        features has repeated values, signed zeros, a constant column and a
+        column of distinct values, most of whose ranks are absent from a
+        small node's histogram.  Two seeded blocks of 2 and 3 classes have
+        two equal best columns, both drawn at the root, so a split that takes
+        any maximum but the first one shows.  The ``_SUM_ORDER_NODES`` show
+        class squares added in another order than class order.  The small
+        blocks grow one split each.
         """
-        from .models import TrainConfig, _grow_tree, _preorder_tree, _subset_size
+        from .models import TrainConfig, _grow_tree, _leaf_index, _preorder_tree, _subset_size
 
         data = np.random.default_rng(1)
         n, d = 40, 11
@@ -224,20 +239,25 @@ class _Kernel:
             trees.append((X, y, data.integers(0, n, size=n), n_classes, 1, 1, 1))
         for X, y, n_classes, min_leaf, seed in _SUM_ORDER_NODES:
             trees.append((X, y, np.arange(y.size), n_classes, min_leaf, 1, seed))
+        differ = "compiled trees differ from models._grow_tree"
         for X, y, rows, n_classes, min_leaf, max_depth, seed in trees:
             size = _subset_size(X.shape[1])
             grow = self.tree_grower(X, y, n_classes, size, min_leaf, max_depth)
             try:
                 got = _preorder_tree(*grow(rows.copy(), np.random.default_rng(seed)))
-            except RuntimeError:  # outgrew the buffers any tree of max_depth fits in
-                return False
+            except (RuntimeError, ValueError):  # outgrew its buffers, or not a tree
+                return differ
             cfg = TrainConfig(max_depth=max_depth, min_leaf=min_leaf)
             want = _grow_tree(X, y, rows, np.random.default_rng(seed), n_classes, cfg)
             for name in ("feature", "threshold", "left", "right", "counts"):
                 a, b = getattr(got, name), getattr(want, name)
                 if a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes():
-                    return False
-        return True
+                    return differ
+            at = np.repeat(got.threshold[got.feature >= 0, None], X.shape[1], axis=1)
+            block = np.concatenate((X, at, -at))
+            if self.route(got, block).tobytes() != _leaf_index(got, block).tobytes():
+                return "compiled routes differ from models._leaf_index"
+        return None
 
     def runner(self, X, targets, weights, bias):
         n, d = X.shape
@@ -287,6 +307,30 @@ class _Kernel:
             offsets[f + 1] = offsets[f] + k
         return ranks, np.concatenate(values) if values else np.empty(0), offsets
 
+    def ranked(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``rank_features(X)``, reused while the same read-only block comes back.
+
+        The forests of one pooled block (a seed's clean and poisoned central
+        cells) rank it once.  Only a block that is read-only and owns its
+        data is kept, through a weak reference, and only one: a new block's
+        ranks replace the last one's, and they go when their block does.
+        """
+        kept = self._ranked
+        if kept is not None and kept[0]() is X and not X.flags.writeable:
+            return kept[1]
+        self._ranked = None  # one block's ranks at a time, even while ranking the next
+        ranked = self.rank_features(X)
+        if not X.flags.writeable and X.flags.owndata:
+            for array in ranked:
+                array.flags.writeable = False
+            self._ranked = (weakref.ref(X, self._forget), ranked)
+        return ranked
+
+    def _forget(self, ref: weakref.ref) -> None:
+        kept = self._ranked
+        if kept is not None and kept[0] is ref:
+            self._ranked = None
+
     def tree_grower(self, X, y, n_classes, n_subset, min_leaf, max_depth):
         """``grow(rows, rng)`` for one forest's trees: see ``tree_grower``."""
         check_forest_inputs(X, y, n_classes, min_leaf)
@@ -296,7 +340,7 @@ class _Kernel:
         min_leaf = min(min_leaf, N)
         if not 0 <= n_subset <= d < 2**31:
             raise ValueError(f"expected 0 <= n_subset <= d < 2**31, got {n_subset} of {d}")
-        ranks, values, offsets = self.rank_features(X)
+        ranks, values, offsets = self.ranked(X)
         subset = np.empty(d, dtype=np.int64)
         child = np.empty(2 * n_classes, dtype=np.int64)
         most = int(np.diff(offsets).max(initial=0))  # the most distinct values of a feature
@@ -334,6 +378,21 @@ class _Kernel:
             return tuple(a[:n_nodes].copy() for a in (feature, threshold, right, counts))
 
         return grow
+
+    def route(self, tree, X: np.ndarray) -> np.ndarray:
+        """The leaf each row of ``X`` reaches in ``tree``, walked in C: see ``leaf_router``."""
+        from .models import Tree
+
+        if not isinstance(tree, Tree):  # a Tree has checked that every walk ends at a leaf
+            raise ValueError(f"expected a models.Tree, got {type(tree).__name__}")
+        if X.ndim != 2 or X.dtype != np.float64 or not X.flags.c_contiguous:
+            raise ValueError("features must be a C-contiguous 2-d float64 array")
+        if tree.feature.max() >= X.shape[1]:
+            raise ValueError(f"the tree splits on a feature past the block's {X.shape[1]}")
+        leaf = np.empty(X.shape[0], dtype=np.int64)
+        nodes = (tree.feature, tree.threshold, tree.left, tree.right)
+        self._route(*X.shape, X.ctypes.data, *(a.ctypes.data for a in nodes), leaf.ctypes.data)
+        return leaf
 
 
 def _check_indices(name: str, array, top: int) -> None:
@@ -510,25 +569,45 @@ def epoch_runner(X, targets, weights, bias):
 def tree_grower(X, y, n_classes: int, n_subset: int, min_leaf: int, max_depth: int):
     """A ``grow(rows, rng)`` for one forest's trees in C, or None for Python.
 
-    ``X`` and ``y`` are as ``check_forest_inputs`` says; their ranks are
-    computed here, once for all the forest's trees.  ``grow`` grows one tree
-    on ``rows``, the tree's N writeable int64 bootstrap rows, which it
+    ``X`` and ``y`` are as ``check_forest_inputs`` says; ``X``'s ranks are
+    computed here, once for all the forest's trees, and kept for the next
+    forest while ``X`` is the same read-only block (``_Kernel.ranked``).
+    ``grow`` grows one tree on ``rows``, the tree's N writeable int64 bootstrap rows, which it
     reorders, drawing each node's ``n_subset`` features from ``rng`` as
     ``rng.choice`` would, and returns its preorder ``(feature, threshold,
     right, counts)`` arrays, as ``models._grow_tree`` builds them.  The
     first call in a process runs the forest's checks; None when one fails.
     """
-    kernel = load()
-    if kernel is None or kernel.forest_fallback() is not None:
+    kernel = _forest_kernel()
+    if kernel is None:
         return None
     return kernel.tree_grower(X, y, n_classes, n_subset, min_leaf, max_depth)
 
 
-def path() -> str:
-    """``"compiled"`` when both kernels run C; else which runs Python, and why.
+def leaf_router():
+    """A ``route(tree, X)`` walking one tree's rows in C, or None for Python.
 
-    ``"python: <reason>"`` when both do, ``"python for train_forest: <reason>"``
-    when only the forest does.  The first call runs the forest's checks.
+    ``route`` returns ``models._leaf_index(tree, X)``: the int64 index of the
+    leaf each row of the C-contiguous float64 block ``X`` reaches in the
+    ``models.Tree`` ``tree``.  None when the kernel is missing or a forest
+    check fails, as for ``tree_grower``.
+    """
+    kernel = _forest_kernel()
+    return None if kernel is None else kernel.route
+
+
+def _forest_kernel() -> _Kernel | None:
+    """The kernels when the forest's compiled checks pass, else None."""
+    kernel = load()
+    return None if kernel is None or kernel.forest_fallback() is not None else kernel
+
+
+def path() -> str:
+    """``"compiled"`` when every kernel runs C; else which runs Python, and why.
+
+    ``"python: <reason>"`` when all do, ``"python for train_forest: <reason>"``
+    when only the forest's growth and routing do.  The first call runs the
+    forest's checks.
     """
     kernel = load()
     if kernel is None:

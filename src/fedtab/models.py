@@ -13,7 +13,7 @@
   in Python and numpy, with the same trees either way (see
   ``train_forest``).  A tree is a ``Tree`` of parallel node arrays in
   depth-first preorder, the one layout that growth builds and prediction
-  walks level by level.
+  walks, row by row in C or level by level in numpy (``predict_scores``).
 
 The bias terms are never regularized.  Training with epochs = 0 returns the
 initial parameters unchanged, which is what federated warm starts rely on.
@@ -106,6 +106,12 @@ class Tree:
     ``left[i]`` and ``right[i]`` come after it.  A leaf has ``feature`` -1,
     children -1 and threshold 0.  ``counts[i]`` holds the class counts of the
     training rows that reached node ``i``; a leaf's counts are its scores.
+
+    The compiled walk reads these arrays unchecked, so a tree keeps
+    read-only copies and raises ValueError unless they have one entry per
+    node, int64 dtypes (``threshold`` float64), ``feature`` at least -1 and
+    each split node's children after it inside the tree, so every walk ends
+    at a leaf.  ``Forest`` checks the features against its width.
     """
 
     feature: np.ndarray
@@ -113,6 +119,28 @@ class Tree:
     left: np.ndarray
     right: np.ndarray
     counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("feature", "threshold", "left", "right", "counts"):
+            array = getattr(self, name)
+            dtype = np.float64 if name == "threshold" else np.int64
+            if not isinstance(array, np.ndarray) or array.dtype != dtype:
+                raise ValueError(f"a tree's {name} must be a {np.dtype(dtype)} array")
+            array = array.copy()  # private, so nothing else can write it
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        feature, left, right = self.feature, self.left, self.right
+        n = feature.shape[0] if feature.ndim == 1 else 0
+        if n == 0 or any(a.shape != (n,) for a in (self.threshold, left, right)):
+            raise ValueError("a tree's node arrays must be 1-d, non-empty and of one length")
+        if self.counts.ndim != 2 or self.counts.shape[0] != n:
+            raise ValueError(f"a tree's counts must be ({n}, n_classes), got {self.counts.shape}")
+        if feature.min() < -1:
+            raise ValueError("a tree's features must be -1 (a leaf) or a column index")
+        split = np.flatnonzero(feature >= 0)
+        for children in (left[split], right[split]):
+            if not np.all((split < children) & (children < n)):
+                raise ValueError("a split node's children must come after it, inside the tree")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +154,15 @@ class Forest:
             raise InvalidConfigError("a forest needs at least one tree")
         if self.n_classes < 2 or self.n_features < 1:
             raise InvalidConfigError("invalid forest dimensions")
+        for tree in self.trees:
+            if not isinstance(tree, Tree):
+                raise ValueError(f"a forest holds Trees, got {type(tree).__name__}")
+            if tree.counts.shape[1] != self.n_classes:
+                raise ValueError(
+                    f"a tree counts {tree.counts.shape[1]} classes, the forest {self.n_classes}"
+                )
+            if tree.feature.max() >= self.n_features:
+                raise ValueError(f"a tree's features must lie in [-1, {self.n_features})")
 
 
 Model = LinearModel | Forest
@@ -218,11 +255,14 @@ def train_logreg(
     """
     weights, bias = _initial_params(init, "logistic", train)
     X, y = train.features, train.labels
-    for _ in range(cfg.epochs):
-        model = _logistic_model(weights, bias, train.n_classes, cfg)
-        grad_w, grad_b = logistic_gradient(model, X, y, cfg.l2)
-        weights = weights - cfg.learning_rate * grad_w
-        bias = bias - cfg.learning_rate * grad_b
+    # a diverging run overflows on its way to the non-finite parameters that
+    # _logistic_model turns into InvalidConfigError: no numpy warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            model = _logistic_model(weights, bias, train.n_classes, cfg)
+            grad_w, grad_b = logistic_gradient(model, X, y, cfg.l2)
+            weights = weights - cfg.learning_rate * grad_w
+            bias = bias - cfg.learning_rate * grad_b
     return _logistic_model(weights, bias, train.n_classes, cfg)
 
 
@@ -483,7 +523,8 @@ def train_forest(train: EncodedDataset, cfg: TrainConfig) -> Forest:
     - compiled (``kernel.tree_grower``): one C call per tree runs
       ``_grow_tree``'s stack and leaf tests, draws each subset from the
       tree's bit generator as ``rng.choice`` does, and counts classes over
-      value ranks computed once per forest, scoring the cuts with
+      value ranks computed once per read-only block (so once for the
+      forests that share one), scoring the cuts with
       ``_best_split``'s expressions, rounded as numpy rounds them;
     - Python (``_grow_tree``), when the kernel cannot be built, loaded or
       trusted.
@@ -516,7 +557,9 @@ def _leaf_index(tree: Tree, X: np.ndarray) -> np.ndarray:
 
     The rows still at a split node gather that node's feature and threshold
     and step to its left or right child.  Children come after their parent,
-    so the walk ends within ``len(tree.feature)`` steps.
+    so the walk ends within ``len(tree.feature)`` steps.  ``predict_scores``
+    walks here when the compiled route cannot be built, loaded or trusted;
+    it is also the reference that route is checked against.
     """
     leaf = np.zeros(X.shape[0], dtype=np.int64)
     rows = np.flatnonzero(tree.feature[leaf] >= 0)
@@ -529,7 +572,15 @@ def _leaf_index(tree: Tree, X: np.ndarray) -> np.ndarray:
 
 
 def predict_scores(model: Model, features: np.ndarray) -> np.ndarray:
-    """(n, n_classes) score matrix; probabilities except for SVM margins."""
+    """(n, n_classes) score matrix; probabilities except for SVM margins.
+
+    A forest's score is the mean over its trees of the class shares of the
+    leaf each row reaches.  The leaves are found in C (``kernel.leaf_router``:
+    one call per tree walks every row from the root by ``x[feature] <=
+    threshold``) where the forest's compiled checks pass, else by
+    ``_leaf_index``.  The walk does no arithmetic, so both give the same
+    leaves, and numpy adds the scores in tree order either way.
+    """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeMismatchError(f"features must be 2-d, got shape {X.shape}")
@@ -552,10 +603,14 @@ def predict_scores(model: Model, features: np.ndarray) -> np.ndarray:
             raise ShapeMismatchError(
                 f"forest expects {model.n_features} features, got {X.shape[1]}"
             )
+        from . import kernel
+
+        route = kernel.leaf_router() or _leaf_index
+        X = np.ascontiguousarray(X)  # as the compiled route reads it
         total = np.zeros((X.shape[0], model.n_classes))
         for tree in model.trees:
             scores = tree.counts / tree.counts.sum(axis=1, keepdims=True)
-            total += scores[_leaf_index(tree, X)]
+            total += scores[route(tree, X)]
         return total / len(model.trees)
     raise ShapeMismatchError(f"unknown model type {type(model).__name__}")
 

@@ -180,7 +180,7 @@ def test_run_unreadable_data_is_a_data_error(tmp_path, capsys, fault):
     assert err.startswith(f"data error: {path}: ")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("condition", ["central_clean", "fl_clean"])
 def test_run_diverging_logistic_training_is_a_config_error(tmp_path, capsys, condition):
     write_dataset_b_like(tmp_path / "student-dropout.csv", n=60, seed=3)

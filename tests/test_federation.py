@@ -129,9 +129,14 @@ def test_aggregate_forests_unions_trees(partitions):
     assert union.trees[:3] == forests[0].trees
     with pytest.raises(EmptyInputError):
         aggregate_forests([])
-    other = Forest(forests[0].trees, forests[0].n_classes + 1, forests[0].n_features)
+    # the same trees counting one more class, which no row reached
+    wider = tuple(replace(t, counts=np.pad(t.counts, ((0, 0), (0, 1)))) for t in forests[0].trees)
+    other = Forest(wider, forests[0].n_classes + 1, forests[0].n_features)
     with pytest.raises(ShapeMismatchError):
         aggregate_forests([forests[0], other])
+    narrower = Forest(forests[0].trees, forests[0].n_classes, forests[0].n_features + 1)
+    with pytest.raises(ShapeMismatchError):
+        aggregate_forests([forests[0], narrower])
 
 
 def test_evaluate_global_matches_manual_concat(partitions):

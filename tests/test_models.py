@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import gc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,8 +26,10 @@ from fedtab.dataset import EncodedDataset
 from fedtab.errors import InvalidConfigError, ShapeMismatchError
 from fedtab.models import (
     TRAIN_SETTINGS,
+    Forest,
     LinearModel,
     TrainConfig,
+    Tree,
     _grow_tree,
     _preorder_tree,
     _softmax,
@@ -489,13 +492,20 @@ def test_grown_trees_are_walkable(n_classes, each_path):
             assert tree.counts[0].sum() == data.n_samples
 
 
+_TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
+
+
 def _walkable_fixture():
+    """A grown tree's node arrays as writeable copies: a ``Tree`` refuses broken ones."""
     data = blob_dataset(30, n_classes=3, seed=3, spread=3.0)
     tree = train_forest(data, TrainConfig(n_trees=2, max_depth=4, seed=1)).trees[1]
     assert tree.feature[0] >= 0 and tree.feature[tree.left[0]] >= 0
-    names = ("feature", "threshold", "left", "right", "counts")
-    arrays = {name: getattr(tree, name).copy() for name in names}
-    return dataclasses.replace(tree, **arrays), data.n_features
+    arrays = {name: getattr(tree, name).copy() for name in _TREE_ARRAYS}
+    return SimpleNamespace(**arrays), data.n_features
+
+
+def _with(t, **arrays):
+    return SimpleNamespace(**{**vars(t), **arrays})
 
 
 def _first_leaf(tree):
@@ -570,23 +580,23 @@ def _counts_not_children_sum(t, n_features):
 
 
 def _unequal_lengths(t, n_features):
-    return dataclasses.replace(t, threshold=t.threshold[:-1])
+    return _with(t, threshold=t.threshold[:-1])
 
 
 def _nested_arrays(t, n_features):
-    return dataclasses.replace(t, left=t.left[None, :])
+    return _with(t, left=t.left[None, :])
 
 
 def _float_features(t, n_features):
-    return dataclasses.replace(t, feature=t.feature.astype(np.float64))
+    return _with(t, feature=t.feature.astype(np.float64))
 
 
 def _counts_too_wide(t, n_features):
-    return dataclasses.replace(t, counts=np.hstack([t.counts, t.counts[:, :1]]))
+    return _with(t, counts=np.hstack([t.counts, t.counts[:, :1]]))
 
 
 def _counts_too_narrow(t, n_features):
-    return dataclasses.replace(t, counts=t.counts[:, :-1])
+    return _with(t, counts=t.counts[:, :-1])
 
 
 _WALK_FAULTS = [
@@ -620,6 +630,84 @@ def test_walk_check_catches_each_fault(corrupt, message):
     assert_walkable_tree(tree, 3, n_features)  # the untouched tree passes
     with pytest.raises(AssertionError, match=message):
         assert_walkable_tree(corrupt(tree, n_features), 3, n_features)
+
+
+def _float32_threshold(t, n_features):
+    return _with(t, threshold=t.threshold.astype(np.float32))
+
+
+def _int32_counts(t, n_features):
+    return _with(t, counts=t.counts.astype(np.int32))
+
+
+def _flat_counts(t, n_features):
+    return _with(t, counts=t.counts[:, 0].copy())
+
+
+def _counts_of_fewer_nodes(t, n_features):
+    return _with(t, counts=t.counts[:-1])
+
+
+def _no_nodes(t, n_features):
+    return SimpleNamespace(**{name: getattr(t, name)[:0] for name in _TREE_ARRAYS})
+
+
+# the faults that would send a walk astray, read past an array, or misread a
+# dtype: a Tree, or the Forest that holds it, must refuse each one
+_TREE_FAULTS = [
+    (_child_before_parent, "children must come after it"),
+    (_child_is_parent, "children must come after it"),
+    (_child_past_end, "children must come after it"),
+    (_feature_too_large, r"features must lie in \[-1, "),
+    (_feature_below_leaf_marker, "features must be -1"),
+    (_unequal_lengths, "of one length"),
+    (_nested_arrays, "of one length"),
+    (_no_nodes, "non-empty"),
+    (_float_features, "feature must be a int64 array"),
+    (_float32_threshold, "threshold must be a float64 array"),
+    (_int32_counts, "counts must be a int64 array"),
+    (_flat_counts, r"counts must be \(11, n_classes\)"),
+    (_counts_of_fewer_nodes, r"counts must be \(11, n_classes\)"),
+    (_counts_too_wide, "a tree counts 4 classes, the forest 3"),
+    (_counts_too_narrow, "a tree counts 2 classes, the forest 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message", _TREE_FAULTS, ids=[f.__name__.lstrip("_") for f, _ in _TREE_FAULTS]
+)
+def test_a_forest_refuses_a_tree_no_walk_can_follow(corrupt, message):
+    tree, n_features = _walkable_fixture()
+    assert tree.feature.size == 11
+    Forest((Tree(**vars(tree)),), 3, n_features)  # the untouched arrays make a tree
+    with pytest.raises(ValueError, match=message):
+        Forest((Tree(**vars(corrupt(tree, n_features))),), 3, n_features)
+
+
+def test_a_tree_keeps_read_only_copies_of_its_arrays():
+    arrays, n_features = _walkable_fixture()
+    tree = Tree(**vars(arrays))
+    for name in _TREE_ARRAYS:
+        kept = getattr(tree, name)
+        assert not kept.flags.writeable and kept.tobytes() == getattr(arrays, name).tobytes()
+        assert not np.shares_memory(kept, getattr(arrays, name))
+    arrays.left[0] = 0  # a later write to the caller's array leaves the tree as checked
+    assert tree.left[0] == 1
+    with pytest.raises(ValueError, match="read-only"):
+        tree.left[0] = 0
+
+
+def test_malformed_trees_fail_before_any_walk():
+    # a root that is its own left child would walk forever; feature 5 of a
+    # 1-feature forest would read past each row
+    feature, threshold, counts = np.array([0, -1, -1]), np.array([0.5, 0.0, 0.0]), np.ones((3, 2))
+    counts = counts.astype(np.int64)
+    with pytest.raises(ValueError, match="children must come after it"):
+        Tree(feature, threshold, np.array([0, -1, -1]), np.array([2, -1, -1]), counts)
+    tree = Tree(np.array([5, -1, -1]), threshold, np.array([1, -1, -1]), np.array([2, -1, -1]),
+                counts)
+    with pytest.raises(ValueError, match=r"features must lie in \[-1, 1\)"):
+        Forest((tree,), 2, 1)
 
 
 def test_forest_deterministic_and_tree_order_independent():

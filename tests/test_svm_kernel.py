@@ -282,6 +282,22 @@ def _assert_forest_falls_back_alone(reason, tmp_path, monkeypatch):
 
 
 @requires_cc
+def test_a_route_unlike_leaf_index_puts_only_the_forest_on_python(
+    fresh_cache, tmp_path, monkeypatch
+):
+    # "<" sends a row at a split's threshold right, where _leaf_index sends it left
+    source = kernel.SOURCE.read_text(encoding="utf-8")
+    test = "x[feature[node]] <= threshold[node]"
+    assert source.count(test) == 1
+    mutated = tmp_path / "strict_route.c"
+    mutated.write_text(source.replace(test, "x[feature[node]] < threshold[node]"), encoding="utf-8")
+    monkeypatch.setattr(kernel, "SOURCE", mutated)
+    reason = "compiled routes differ from models._leaf_index"
+    _assert_forest_falls_back_alone(reason, tmp_path, monkeypatch)
+    assert kernel.leaf_router() is None  # predict_scores walks in numpy
+
+
+@requires_cc
 def test_draws_that_differ_from_rng_choice_put_only_the_forest_on_python(
     fresh_cache, tmp_path, monkeypatch
 ):
