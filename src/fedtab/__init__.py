@@ -20,7 +20,7 @@ from .dataset import (
 )
 from .errors import FedtabError
 from .experiment import (
-    ResultsTable,
+    ResultRow,
     build_results_table,
     emit_report,
     run_condition,
@@ -66,7 +66,7 @@ __all__ = [
     "LinearModel",
     "MetricsReport",
     "OutputConfig",
-    "ResultsTable",
+    "ResultRow",
     "RoundLog",
     "RoundRecord",
     "TRAIN_SETTINGS",

@@ -121,8 +121,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         def progress(cell: str) -> None:
             print(f"[{time.monotonic() - start:7.1f}s] {cell}", file=sys.stderr)
 
-    table = run_suite(cfg, progress=progress)
-    print(emit_report(table, "human"), end="")
+    rows = run_suite(cfg, progress=progress)
+    print(emit_report(rows, "human"), end="")
     if cfg.output.path is not None:
         print(f"results written to {cfg.output.path}", file=sys.stderr)
     return EXIT_OK
@@ -130,9 +130,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    cfg.output.check_paths()  # as run does, before it reads a table
-    for key in cfg.datasets:
-        builtin_dataset(key, cfg.data_dir)  # raises on an unknown key, as run does
+    # as run does: an unknown key raises, then the output paths are checked against the tables
+    cfg.output.check_paths([builtin_dataset(key, cfg.data_dir).path for key in cfg.datasets])
     print(f"{args.config}: OK")
     return EXIT_OK
 

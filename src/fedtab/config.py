@@ -9,7 +9,7 @@ a key of ``CONDITIONS``, the one table that says what each condition runs.
 from __future__ import annotations
 
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
@@ -69,18 +69,26 @@ class OutputConfig:
         ):
             raise InvalidConfigError(f"output.round_log names the report file {self.path!r}")
 
-    def check_paths(self) -> None:
-        """Reject an output path that names a directory or a missing parent directory.
+    def check_paths(self, tables: Iterable[str | Path]) -> None:
+        """Reject an output path that names a directory, a missing parent directory or a table.
 
-        ``run`` and ``validate`` both call this before any table is read.  It
-        reads the file system, so building the config does not call it.
+        ``tables`` are the run's input table paths; an output path that
+        resolves to one of them would overwrite it.  ``run`` and ``validate``
+        both call this before any table is read.  It reads the file system,
+        so building the config does not call it.
         """
+        inputs = {Path(table).resolve(): str(table) for table in tables}
         for name in ("path", "round_log"):
             path = getattr(self, name)
-            if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            if path is None:
+                continue
+            if Path(path).is_dir() or not Path(path).parent.is_dir():
                 raise InvalidConfigError(
                     f"output.{name} {path!r} is not a file in an existing directory"
                 )
+            table = inputs.get(Path(path).resolve())
+            if table is not None:
+                raise InvalidConfigError(f"output.{name} {path!r} is the input table {table!r}")
 
 
 @dataclass(frozen=True)

@@ -168,15 +168,12 @@ def run_condition(
     model_kind: str,
     condition: str,
     master_seed: int,
-    data: EncodedDataset | None = None,
+    data: EncodedDataset,
 ) -> MetricsReport:
     """Run one (dataset, model, condition) cell for one master seed.
 
-    ``data`` is the table's ``load_dataset`` result; it is read when not
-    given.
+    ``data`` is the table's ``load_dataset`` result.
     """
-    if data is None:
-        data = load_dataset(dataset)
     return run_condition_detailed(cfg, dataset, data, model_kind, condition, master_seed)[0]
 
 
@@ -204,58 +201,42 @@ _CONVENTIONS = (
 )
 
 
-@dataclass(frozen=True)
-class ResultsTable:
-    rows: tuple[ResultRow, ...]
-
-
-def _round_cell(value: float | None, metric: str) -> float | None:
-    if value is None:
-        return None
-    return round(value, METRICS[metric][1])
-
-
 def build_results_table(
     cell_reports: Mapping[tuple[str, str, str], MetricsReport],
     datasets: tuple[str, ...],
     models: tuple[str, ...],
-) -> ResultsTable:
+) -> tuple[ResultRow, ...]:
     """Arrange per-condition reports into the six-column results layout.
 
+    Each cell is rounded to its metric's decimals in ``METRICS``.
     Differences are recomputed from the rounded condition columns, so the
     printed table is internally consistent at display precision.
     """
     rows = []
     for ds in datasets:
         for model in models:
-            label = MODEL_LABELS[model]
-            for metric, (field_name, _) in METRICS.items():
-
-                def value_of(condition: str) -> float | None:
-                    report = cell_reports.get((ds, model, condition))
-                    return None if report is None else getattr(report, field_name)
-
-                standard = _round_cell(value_of("central_clean"), metric)
-                fl = _round_cell(value_of("fl_clean"), metric)
-                standard_p = _round_cell(value_of("central_poisoned"), metric)
-                fl_p = _round_cell(value_of("fl_poisoned"), metric)
-                diff = None if standard is None or fl is None else _round_cell(standard - fl, metric)
+            reports = [cell_reports.get((ds, model, condition)) for condition in
+                       ("central_clean", "fl_clean", "central_poisoned", "fl_poisoned")]
+            for metric, (field_name, decimals) in METRICS.items():
+                standard, fl, standard_p, fl_p = (
+                    None if r is None else round(getattr(r, field_name), decimals) for r in reports
+                )
+                diff = None if standard is None or fl is None else round(standard - fl, decimals)
                 diff_p = (
                     None
                     if standard_p is None or fl_p is None
-                    else _round_cell(abs(fl_p - standard_p), metric)
+                    else round(abs(fl_p - standard_p), decimals)
                 )
-                rows.append(
-                    ResultRow(ds, label, metric, (standard, fl, diff, standard_p, fl_p, diff_p))
-                )
-    return ResultsTable(tuple(rows))
+                cells = (standard, fl, diff, standard_p, fl_p, diff_p)
+                rows.append(ResultRow(ds, MODEL_LABELS[model], metric, cells))
+    return tuple(rows)
 
 
 def run_suite(
     cfg: ExperimentConfig,
     datasets: Mapping[str, DatasetSpec] | None = None,
     progress: Callable[[str], None] | None = None,
-) -> ResultsTable:
+) -> tuple[ResultRow, ...]:
     """Run the whole grid: dataset x model x condition, averaged over seeds.
 
     ``datasets`` may inject pre-built specs (tests do); by default the
@@ -271,14 +252,16 @@ def run_suite(
     cell).  Each cell keeps one ``(seed, report, logs)`` per seed, as
     ``run_condition_detailed`` returns them; reports are averaged and
     round-log lines written in (dataset, model, condition, seed) order, so
-    the outputs do not depend on the loop order.  Writes the results table and optional round log as
-    configured; a bad output path (``OutputConfig.check_paths``) raises
-    ``InvalidConfigError`` before any table is read.
+    the outputs do not depend on the loop order.  Returns the results rows
+    and writes the report (``emit_report``) and optional round log as
+    configured; a bad output path (``OutputConfig.check_paths``), one that
+    names an input table too, raises ``InvalidConfigError`` before any table
+    is read.
     """
-    cfg.output.check_paths()
     specs = dict(datasets) if datasets is not None else {
         key: builtin_dataset(key, cfg.data_dir) for key in cfg.datasets
     }
+    cfg.output.check_paths(specs[key].path for key in cfg.datasets)
     tables = {key: load_dataset(specs[key]) for key in cfg.datasets}
     for data in tables.values():
         check_client_split(data.n_samples, cfg.n_clients, cfg.test_fraction)
@@ -295,16 +278,16 @@ def run_suite(
             del shared  # this seed's partitions and models go now, not at the next rebinding
 
     cell_reports = {cell: mean_reports([r for _, r, _ in runs]) for cell, runs in results.items()}
-    table = build_results_table(cell_reports, cfg.datasets, cfg.models)
+    rows = build_results_table(cell_reports, cfg.datasets, cfg.models)
     if cfg.output.path is not None:
-        emit_report(table, cfg.output.format, cfg.output.path)
+        Path(cfg.output.path).write_text(emit_report(rows, cfg.output.format), encoding="utf-8")
     if cfg.output.round_log is not None:
         lines = [line for cell, runs in results.items() for seed, _, logs in runs
                  for line in _round_log_lines(*cell, seed, logs)]
         Path(cfg.output.round_log).write_text(
             "".join(line + "\n" for line in lines), encoding="utf-8"
         )
-    return table
+    return rows
 
 
 def _round_log_lines(
@@ -331,22 +314,13 @@ def _round_log_lines(
     return lines
 
 
-def _format_cell(value: float | None, metric: str) -> str:
-    if value is None:
-        return ""
-    return f"{value:.{METRICS[metric][1]}f}"
+def emit_report(rows: tuple[ResultRow, ...], fmt: str) -> str:
+    """Render the results rows as ``fmt`` text; byte-identical output for equal rows.
 
-
-def emit_report(table: ResultsTable, fmt: str, path: str | Path | None = None) -> str:
-    """Render the results table; byte-identical output for equal tables."""
-    if fmt == "delimited":
-        lines = [f"# {c}" for c in _CONVENTIONS]
-        lines.append(",".join(("Dataset", "Model", "Metric") + RESULT_COLUMNS))
-        for row in table.rows:
-            cells = [_format_cell(v, row.metric) for v in row.cells]
-            lines.append(",".join([row.dataset, row.model, row.metric] + cells))
-        text = "\n".join(lines) + "\n"
-    elif fmt == "structured":
+    ``delimited`` and ``human`` lay out one table: the header, then each
+    row's cells formatted to its metric's decimals, a missing value blank.
+    """
+    if fmt == "structured":
         payload = {
             "conventions": list(_CONVENTIONS),
             "columns": list(RESULT_COLUMNS),
@@ -355,36 +329,24 @@ def emit_report(table: ResultsTable, fmt: str, path: str | Path | None = None) -
                     "dataset": row.dataset,
                     "model": row.model,
                     "metric": row.metric,
-                    "values": {
-                        col: row.cells[j] for j, col in enumerate(RESULT_COLUMNS)
-                    },
+                    "values": dict(zip(RESULT_COLUMNS, row.cells)),
                 }
-                for row in table.rows
+                for row in rows
             ],
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    table = [("Dataset", "Model", "Metric") + RESULT_COLUMNS] + [
+        (row.dataset, row.model, row.metric)
+        + tuple("" if v is None else f"{v:.{METRICS[row.metric][1]}f}" for v in row.cells)
+        for row in rows
+    ]
+    lines = [f"# {c}" for c in _CONVENTIONS]
+    if fmt == "delimited":
+        lines += [",".join(cells) for cells in table]
     elif fmt == "human":
-        headers = ("Dataset", "Model", "Metric") + RESULT_COLUMNS
-        body = [
-            (row.dataset, row.model, row.metric)
-            + tuple(_format_cell(v, row.metric) for v in row.cells)
-            for row in table.rows
-        ]
-        widths = [
-            max(len(headers[j]), *(len(r[j]) for r in body)) if body else len(headers[j])
-            for j in range(len(headers))
-        ]
-        sep = "  "
-        lines = [f"# {c}" for c in _CONVENTIONS]
-        lines.append(sep.join(h.ljust(widths[j]) for j, h in enumerate(headers)).rstrip())
-        lines.append(sep.join("-" * widths[j] for j in range(len(headers))))
-        for r in body:
-            lines.append(sep.join(r[j].ljust(widths[j]) for j in range(len(headers))).rstrip())
-        text = "\n".join(lines) + "\n"
+        widths = [max(map(len, column)) for column in zip(*table)]
+        padded = ["  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip() for cells in table]
+        lines += [padded[0], "  ".join("-" * w for w in widths), *padded[1:]]
     else:
         raise InvalidConfigError(f"unknown report format {fmt!r}")
-
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
-
+    return "\n".join(lines) + "\n"

@@ -184,13 +184,21 @@ def run_federated(
     and every record's ``local_train_accuracy`` is empty; ``round_one`` must
     then be None, since its entries carry the accuracy.
 
-    Every round's global model is scored by ``evaluate_global`` on the
-    client test sets pooled in client order.  The pool is built once, when
-    round one's models are trained; a one-client run (a central cell)
-    scores that client's test set itself, uncopied.
+    The partitions are taken in client-id order, whatever order they come
+    in, so the global model (a forest's tree order too) and every record's
+    per-client tuples do not depend on the list's order; a repeated client
+    id is a ValueError.  Every round's global model is scored by
+    ``evaluate_global`` on the client test sets pooled in client-id order.
+    The pool is built once, when round one's models are trained; a
+    one-client run (a central cell) scores that client's test set itself,
+    uncopied.
     """
     if not local_accuracy and round_one is not None:
         raise ValueError("round_one holds local accuracies: pass None without them")
+    partitions = sorted(partitions, key=lambda p: p.client_id)
+    ids = [p.client_id for p in partitions]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"client ids repeat: {sorted({i for i in ids if ids.count(i) > 1})}")
     log = RoundLog()
     round_one = {} if round_one is None else round_one
     clients = []  # (partition, train set after any flips, flip config or None, TrainConfig)

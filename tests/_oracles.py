@@ -7,7 +7,7 @@ at module level imports from the package, so agreement between these and
 the fast implementations is meaningful evidence.  The csv reader imports
 only the package's error classes and ``EncodedDataset``, inside its
 functions, so that it raises and returns what the package's reader must;
-``parse_report`` likewise builds the package's ``ResultsTable``.  The
+``parse_report`` likewise builds the package's ``ResultRow``s.  The
 objectives ``logistic_loss`` and ``hinge_objective`` call the package's
 ``_row_max`` and ``_signed_targets``, imported inside them, so the tests
 that use them check those helpers too.
@@ -359,13 +359,13 @@ def assert_walkable_tree(tree, n_classes, n_features):
 
 
 def parse_report(text: str):
-    """Parse a delimited report back into a ``ResultsTable``: ``emit_report``'s inverse.
+    """Parse a delimited report back into its ``ResultRow``s: ``emit_report``'s inverse.
 
     A row whose metric is not in ``METRICS``, or a non-empty cell that is
     not a number, raises ``InvalidConfigError`` naming the line.
     """
     from fedtab.errors import InvalidConfigError
-    from fedtab.experiment import METRICS, RESULT_COLUMNS, ResultRow, ResultsTable
+    from fedtab.experiment import METRICS, RESULT_COLUMNS, ResultRow
 
     rows = []
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
@@ -387,7 +387,7 @@ def parse_report(text: str):
         except ValueError:
             raise InvalidConfigError(f"report line has a non-numeric cell: {ln!r}") from None
         rows.append(ResultRow(dataset, model, metric, cells))
-    return ResultsTable(tuple(rows))
+    return tuple(rows)
 
 
 def round_robin_partition(labels, n_clients: int, seed: int) -> list[np.ndarray]:

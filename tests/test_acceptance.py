@@ -87,14 +87,14 @@ def benchmark():
                 )
                 timings[(key, model, condition)] = time.perf_counter() - cell_start
     total = time.perf_counter() - suite_start
-    table = build_results_table(reports, cfg.datasets, cfg.models)
+    rows = build_results_table(reports, cfg.datasets, cfg.models)
     return SimpleNamespace(
         cfg=cfg,
         specs=specs,
         reports=reports,
         timings=timings,
         total=total,
-        text=emit_report(table, "delimited"),
+        text=emit_report(rows, "delimited"),
     )
 
 

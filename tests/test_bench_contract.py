@@ -98,7 +98,7 @@ def test_harness_condition_columns_are_the_columns_the_report_fills():
         accuracy_pct=50.0, recall=0.5, f1=0.5, auc_roc=0.5, n_samples=4
     )
     for condition, column in columns.items():
-        table = experiment.build_results_table({("A", "svm", condition): report}, ("A",), ("svm",))
-        for row in table.rows:
+        rows = experiment.build_results_table({("A", "svm", condition): report}, ("A",), ("svm",))
+        for row in rows:
             filled = [j for j, cell in enumerate(row.cells) if cell is not None]
             assert filled == [column], (condition, experiment.RESULT_COLUMNS[column])

@@ -125,8 +125,8 @@ def test_run_executes_grid_and_writes_output(tmp_path, data_dir, capsys):
         "--quiet",
     ])
     assert code == EXIT_OK
-    table = parse_report(out.read_text(encoding="utf-8"))
-    assert {r.metric for r in table.rows} == {"Accuracy", "Recall", "F1-Score", "AUCROC"}
+    rows = parse_report(out.read_text(encoding="utf-8"))
+    assert {r.metric for r in rows} == {"Accuracy", "Recall", "F1-Score", "AUCROC"}
     printed = capsys.readouterr().out
     assert "Standard ML" in printed  # human summary on stdout
 
@@ -471,3 +471,28 @@ def test_import_leaves_optional_modules_unloaded(module, unloaded):
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("key, flag", [("path", "--output"), ("round_log", "--round-log")])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_an_output_path_naming_an_input_table_is_a_config_error(
+    tmp_path, capsys, command, key, flag
+):
+    table = write_dataset_a_like(tmp_path / "student-mat.csv", n=150, seed=41)
+    before = table.read_bytes()
+    path = f"{tmp_path}/./student-mat.csv"
+    if command == "run":
+        argv = ["run", "--dataset", "A", "--model", "logistic", "--condition", "central_clean",
+                "--data-dir", str(tmp_path), flag, path]
+    else:
+        cfg = tmp_path / "cfg.yaml"
+        payload = {"datasets": ["A"], "data_dir": str(tmp_path), "output": {key: path}}
+        cfg.write_text(json.dumps(payload), encoding="utf-8")  # JSON is YAML
+        argv = ["validate", "--config", str(cfg)]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"configuration error: output.{key} {path!r} is the input table {str(table)!r}\n"
+    )
+    assert "OK" not in captured.out
+    assert table.read_bytes() == before

@@ -259,14 +259,14 @@ def _cell_reports():
 
 
 def test_results_table_layout_and_rounding():
-    table = build_results_table(_cell_reports(), ("A",), ("logistic",))
-    assert len(table.rows) == 4  # one per metric
-    acc = table.rows[0]
+    rows = build_results_table(_cell_reports(), ("A",), ("logistic",))
+    assert len(rows) == 4  # one per metric
+    acc = rows[0]
     assert (acc.dataset, acc.model, acc.metric) == ("A", "Logistic regression", "Accuracy")
     assert acc.cells[0] == 94.81  # accuracy rounds to 2 decimals
     assert acc.cells[1] == 93.64
     assert acc.cells[2] == pytest.approx(94.81 - 93.64, abs=1e-9)  # from rounded operands
-    rec = table.rows[1]
+    rec = rows[1]
     assert rec.metric == "Recall"
     assert rec.cells[0] == 0.9412  # other metrics round to 4 decimals
     assert rec.cells[5] == pytest.approx(abs(0.8602 - 0.5877), abs=1e-9)
@@ -274,21 +274,19 @@ def test_results_table_layout_and_rounding():
 
 def test_results_table_missing_conditions_leave_blanks():
     cells = {("A", "svm", "central_clean"): report(80.0)}
-    table = build_results_table(cells, ("A",), ("svm",))
-    row = table.rows[0]
+    row = build_results_table(cells, ("A",), ("svm",))[0]
     assert row.cells[0] == 80.0
     assert row.cells[1] is None and row.cells[2] is None and row.cells[5] is None
 
 
 def test_emit_delimited_round_trips_and_is_stable():
-    table = build_results_table(_cell_reports(), ("A",), ("logistic",))
-    text = emit_report(table, "delimited")
-    again = emit_report(table, "delimited")
+    rows = build_results_table(_cell_reports(), ("A",), ("logistic",))
+    text = emit_report(rows, "delimited")
+    again = emit_report(rows, "delimited")
     assert text == again, "emitting the same table twice must be byte-identical"
     header = [ln for ln in text.splitlines() if not ln.startswith("#")][0]
     assert header.split(",")[3:] == list(RESULT_COLUMNS)
-    parsed = parse_report(text)
-    assert parsed.rows == table.rows
+    assert parse_report(text) == rows
 
 
 _HEADER = ",".join(("Dataset", "Model", "Metric") + RESULT_COLUMNS)
@@ -309,14 +307,14 @@ def test_parse_report_rejects_a_non_numeric_cell():
 
 
 def test_emit_structured_and_human_formats():
-    table = build_results_table(_cell_reports(), ("A",), ("logistic",))
-    payload = json.loads(emit_report(table, "structured"))
+    rows = build_results_table(_cell_reports(), ("A",), ("logistic",))
+    payload = json.loads(emit_report(rows, "structured"))
     assert payload["columns"] == list(RESULT_COLUMNS)
     assert payload["rows"][0]["values"]["Standard ML"] == 94.81
-    human = emit_report(table, "human")
+    human = emit_report(rows, "human")
     assert "Standard Poisoned" in human and "Logistic regression" in human
     with pytest.raises(InvalidConfigError):
-        emit_report(table, "latex")
+        emit_report(rows, "latex")
 
 
 def test_run_suite_writes_outputs(tmp_path, grades):
@@ -328,10 +326,9 @@ def test_run_suite_writes_outputs(tmp_path, grades):
         output=OutputConfig(path=str(out_path), format="delimited", round_log=str(log_path)),
     )
     seen = []
-    table = run_suite(cfg, datasets={"A": spec}, progress=seen.append)
+    rows = run_suite(cfg, datasets={"A": spec}, progress=seen.append)
     assert seen == ["A/logistic/central_clean", "A/logistic/fl_clean", "A/logistic/fl_poisoned"]
-    parsed = parse_report(out_path.read_text(encoding="utf-8"))
-    assert parsed.rows == table.rows
+    assert parse_report(out_path.read_text(encoding="utf-8")) == rows
     lines = [json.loads(ln) for ln in log_path.read_text(encoding="utf-8").splitlines()]
     rounds = [ln for ln in lines if ln["type"] == "round"]
     flips = [ln for ln in lines if ln["type"] == "flips"]
@@ -639,8 +636,8 @@ def test_run_suite_cells_match_standalone_cells(grades, outcomes, tmp_path, monk
                 means[(key, model, condition)] = mean_reports(seed_reports)
     assert len(suite_reports) == len(cfg.datasets) * len(cfg.models) * 4 * len(cfg.seeds)
     assert log_path.read_text(encoding="utf-8") == "".join(ln + "\n" for ln in lines)
-    table = build_results_table(means, cfg.datasets, cfg.models)
-    assert report_path.read_text(encoding="utf-8") == emit_report(table, "delimited")
+    rows = build_results_table(means, cfg.datasets, cfg.models)
+    assert report_path.read_text(encoding="utf-8") == emit_report(rows, "delimited")
 
     spec, data = grades
     seed_3 = SharedWork(data, spec.schema, cfg.n_clients, cfg.test_fraction, 3)

@@ -372,3 +372,29 @@ def test_shared_scaling_fedavg_is_central_gradient_descent(tmp_path, key, write,
 
     assert gap(_shared_scaling_clients(clients, pooled)) <= tolerance
     assert gap(clients) > 1e6 * tolerance
+
+
+def _model_bytes(model):
+    if isinstance(model, Forest):
+        return b"".join(getattr(tree, f.name).tobytes() for tree in model.trees
+                        for f in fields(tree))
+    return model.weights.tobytes() + model.bias.tobytes()
+
+
+@pytest.mark.parametrize("model_kind", ["forest", "logistic", "svm"])
+def test_run_federated_does_not_depend_on_partition_order(partitions, model_kind):
+    attack = AttackConfig(flip_fraction=0.5, malicious_clients=frozenset({1}), seed=6)
+    cfg = _fed_cfg(model_kind, rounds=3, epochs=3)
+    model, log = run_federated(partitions, cfg, attack)
+    shuffled = [partitions[i] for i in (2, 0, 1)]
+    shuffled_model, shuffled_log = run_federated(shuffled, cfg, attack)
+    assert _model_bytes(shuffled_model) == _model_bytes(model)
+    assert shuffled_log.records == log.records
+    assert list(shuffled_log.flip_masks) == list(log.flip_masks) == [1]
+    assert np.array_equal(shuffled_log.flip_masks[1], log.flip_masks[1])
+
+
+def test_run_federated_rejects_a_repeated_client_id(partitions):
+    twin = replace(partitions[0], client_id=partitions[2].client_id)
+    with pytest.raises(ValueError, match=rf"client ids repeat: \[{partitions[2].client_id}\]"):
+        run_federated([*partitions, twin], _fed_cfg("logistic", rounds=1, epochs=1))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import re
 import zipfile
 
 import pytest
@@ -59,14 +60,20 @@ def test_standin_with_a_bad_cell_fails_as_the_reader_does(tmp_path):
         verify_dataset("B", tmp_path)
 
 
+def zip_of(members):
+    """The bytes of a zip archive holding ``members``, a name -> content mapping."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        for name, content in members.items():
+            archive.writestr(name, content)
+    return buffer.getvalue()
+
+
 def standin_archive(tmp_path, drop_last_row=False):
     """A zip holding a real-size stand-in of table A under its archive member name."""
     lines = real_size_standin("A", tmp_path).read_bytes().splitlines(keepends=True)
     content = b"".join(lines[:-1] if drop_last_row else lines)
-    buffer = io.BytesIO()
-    with zipfile.ZipFile(buffer, "w") as archive:
-        archive.writestr(f"student/{ARCHIVE_MEMBERS['A']}", content)
-    return buffer.getvalue(), content
+    return zip_of({f"student/{ARCHIVE_MEMBERS['A']}": content}), content
 
 
 def test_fetch_publishes_a_verified_download(tmp_path, monkeypatch):
@@ -93,3 +100,25 @@ def test_failed_fetch_keeps_the_earlier_file(fault, tmp_path, monkeypatch):
         fetch_dataset("A", dest, pin, report=lambda line: None)
     assert target.read_bytes() == content
     assert [p.name for p in dest.iterdir()] == [DATA_FILES["A"]]
+
+
+def test_fetch_finds_the_table_in_a_nested_zip(tmp_path, monkeypatch):
+    # the table A download holds its csv files inside a second zip
+    content = real_size_standin("A", tmp_path).read_bytes()
+    archive = zip_of({
+        "README.txt": b"about\n",
+        "decoy.zip": zip_of({"other.csv": b"a\n"}),  # searched first, holds no table
+        "student.zip": zip_of({ARCHIVE_MEMBERS["A"]: content}),
+    })
+    monkeypatch.setattr(fetch, "_download", lambda url, timeout: archive)
+    target = fetch_dataset("A", tmp_path / "data", report=lambda line: None)
+    assert target.read_bytes() == content
+
+
+def test_fetch_names_a_member_found_at_neither_level(tmp_path, monkeypatch):
+    archive = zip_of({"README.txt": b"about\n", "student.zip": zip_of({"other.csv": b"a\n"})})
+    monkeypatch.setattr(fetch, "_download", lambda url, timeout: archive)
+    dest = tmp_path / "data"
+    with pytest.raises(FetchError, match=re.escape(f"does not contain {ARCHIVE_MEMBERS['A']!r}")):
+        fetch_dataset("A", dest, report=lambda line: None)
+    assert list(dest.iterdir()) == []

@@ -1,4 +1,4 @@
-"""Print code lines per file and in total under ``src/fedtab``.
+"""Print code lines per file, per language and in total under ``src/fedtab``.
 
 A Python line counts when it holds a token other than a comment or a
 docstring (the string that opens a module, class or function body).  A C
@@ -52,19 +52,22 @@ def c_lines(source: str) -> int:
     return sum(1 for line in stripped.splitlines() if line.strip())
 
 
+_COUNTERS = {".py": ("python", python_lines), ".c": ("c", c_lines)}
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "fedtab"
-    total = 0
+    subtotals = {language: 0 for language, _ in _COUNTERS.values()}
     for path in sorted(root.rglob("*")):
-        if path.suffix == ".py":
-            count = python_lines(path.read_text(encoding="utf-8"))
-        elif path.suffix == ".c":
-            count = c_lines(path.read_text(encoding="utf-8"))
-        else:
+        if path.suffix not in _COUNTERS:
             continue
-        total += count
+        language, count_lines = _COUNTERS[path.suffix]
+        count = count_lines(path.read_text(encoding="utf-8"))
+        subtotals[language] += count
         print(f"{count:6d}  {path.relative_to(root)}")
-    print(f"{total:6d}  total")
+    for language, count in subtotals.items():
+        print(f"{count:6d}  {language}")
+    print(f"{sum(subtotals.values()):6d}  total")
     return 0
 
 
