@@ -289,7 +289,8 @@ def read_encoded(
         # into float64 fields.  Other text goes to numpy whole, numbers as text.
         typed = (
             text != "" and text.isascii() and '"' not in text and "_" not in text
-            and text.count("\r") == text.count("\r\n") and max(map(len, lines)) <= limit
+            and ("\r" not in text or text.count("\r") == text.count("\r\n"))
+            and max(map(len, lines)) <= limit
         )
         source = iter(lines) if typed else io.StringIO(text, newline="")
         header = _checked_header(path, next(csv.reader(source, delimiter=_DELIMITER)), schema)
@@ -415,13 +416,24 @@ def standardize(
         if outside.size:
             raise IndexError(f"row {outside[0]} outside [0, {data.n_samples})")
 
+    continuous = np.zeros(data.n_features, dtype=bool)
+    continuous[[data.feature_names.index(c.name)
+                for c in schema.feature_columns(KIND_CONTINUOUS)]] = True
+    # One row per column, fit rows in the order given: an axis-1 reduction
+    # over a contiguous row sums pairwise, as the 1-d np.mean and np.std of
+    # that column would, so the statistics keep their bytes.
+    fitted = np.take(data.features.T, fit, axis=1)
+    mean, scale = fitted.mean(axis=1), fitted.std(axis=1)  # population form, divisor n
+    del fitted  # before the blocks exist, so the copies never all live at once
+    flat = continuous & (scale == 0.0)  # encode to 0.0 on every row
+    # (x - 0.0) / 1.0 is x bit for bit, -0.0 included: other columns pass through
+    mean[~continuous] = 0.0
+    scale[~continuous | flat] = 1.0
     blocks = [data.features[idx] for idx in picks]
-    for col in schema.feature_columns(KIND_CONTINUOUS):
-        j = data.feature_names.index(col.name)
-        fitted = data.features[fit, j]
-        mean, scale = np.mean(fitted), np.std(fitted)  # population form, divisor n
-        for block in blocks:
-            block[:, j] = 0.0 if scale == 0.0 else (block[:, j] - mean) / scale
+    for block in blocks:
+        np.subtract(block, mean, out=block)
+        np.divide(block, scale, out=block)
+        block[:, flat] = 0.0
     return [
         EncodedDataset(block, data.labels[idx], data.n_classes, data.feature_names)
         for block, idx in zip(blocks, picks)

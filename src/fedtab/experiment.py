@@ -19,7 +19,7 @@ seed among its parts, so one master seed pins the whole grid.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -309,7 +309,8 @@ def _round_log_lines(
                 **base, "type": "round", "round": record.round_index,
                 "train_counts": list(record.train_counts),
                 "local_train_accuracy": list(record.local_train_accuracy),
-                "global": asdict(record.global_metrics),
+                "global": {f.name: getattr(record.global_metrics, f.name)
+                           for f in fields(MetricsReport)},
             }, sort_keys=True))
     return lines
 

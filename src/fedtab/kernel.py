@@ -299,10 +299,12 @@ class _Kernel:
         ranks = np.empty((d, N), dtype=np.int32)
         distinct = np.empty(N)
         values, offsets = [], np.zeros(d + 1, dtype=np.int64)
+        # each .ctypes access builds a helper object, so take the addresses once
+        x_at, ranks_at, distinct_at = X.ctypes.data, ranks.ctypes.data, distinct.ctypes.data
         for f in range(d):
             order = np.argsort(X[:, f])
-            k = self._rank(X.ctypes.data + f * X.itemsize, d, order.ctypes.data, N,
-                           ranks[f].ctypes.data, distinct.ctypes.data)
+            k = self._rank(x_at + f * X.itemsize, d, order.ctypes.data, N,
+                           ranks_at + f * N * ranks.itemsize, distinct_at)
             values.append(distinct[:k].copy())
             offsets[f + 1] = offsets[f] + k
         return ranks, np.concatenate(values) if values else np.empty(0), offsets

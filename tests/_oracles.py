@@ -573,6 +573,26 @@ def csv_load_dataset(spec):
     return csv_encode(raw, spec.schema)
 
 
+def standardize_oracle(data, schema, fit_rows, row_sets):
+    """``dataset.standardize``'s blocks, z-scored one continuous column at a time.
+
+    Each column's mean and population std are the 1-d ``np.mean`` and
+    ``np.std`` of its fit rows, gathered in the order given; a zero-spread
+    column encodes to 0.0 and every other column is copied.  Returns one
+    (features, labels) pair per row set; no argument is checked.
+    """
+    fit = np.asarray(fit_rows, dtype=np.int64)
+    picks = [np.asarray(rows, dtype=np.int64) for rows in row_sets]
+    blocks = [data.features[idx] for idx in picks]
+    for col in schema.feature_columns("continuous"):
+        j = data.feature_names.index(col.name)
+        fitted = data.features[fit, j]
+        mean, scale = np.mean(fitted), np.std(fitted)
+        for block in blocks:
+            block[:, j] = 0.0 if scale == 0.0 else (block[:, j] - mean) / scale
+    return [(block, data.labels[idx]) for block, idx in zip(blocks, picks)]
+
+
 def central_split_oracle(data, schema, n_clients: int, test_fraction: float, seed: int):
     """The centralized train and test sets as the old two-stage rule built them.
 

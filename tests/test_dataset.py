@@ -9,7 +9,13 @@ import pytest
 
 import fedtab.dataset
 import fedtab.schemas
-from _oracles import csv_binarize, csv_read_table, per_cell_encode, round_robin_partition
+from _oracles import (
+    csv_binarize,
+    csv_read_table,
+    per_cell_encode,
+    round_robin_partition,
+    standardize_oracle,
+)
 from _synth import (
     grades_dataset_spec,
     write_dataset_a_like,
@@ -216,6 +222,85 @@ def test_stats_depend_only_on_fit_rows(tmp_path):
     (a,) = standardize(a, schema, [0, 1, 2], [[0, 1, 2]])
     (b,) = standardize(b, schema, [0, 1, 2], [[0, 1, 2]])
     assert np.array_equal(a.features, b.features)
+
+
+def _assert_same_bytes(blocks, oracle):
+    assert len(blocks) == len(oracle)
+    for block, (features, labels) in zip(blocks, oracle):
+        for got, want in ((block.features, features), (block.labels, labels)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def real_size_tables(tmp_path_factory):
+    """Both stand-ins at the real tables' sizes, each read once, with its schema."""
+    root = tmp_path_factory.mktemp("real_size")
+    tables = {}
+    for key, write_table, n in (("A", write_dataset_a_like, 395),
+                                ("B", write_dataset_b_like, 4424)):
+        spec = builtin_dataset(key, str(root))
+        write_table(spec.path, n=n)
+        tables[key] = load_dataset(spec), spec.schema
+    return tables
+
+
+@pytest.mark.parametrize("key", ["A", "B"])
+def test_partitions_match_the_per_column_oracle(real_size_tables, key):
+    data, schema = real_size_tables[key]
+    for n_clients in (1, 3, 5):
+        for seed in range(4):
+            clients, pooled = build_client_partitions(data, schema, n_clients, 0.2, seed)
+            for part in (*clients, pooled):
+                expected = standardize_oracle(data, schema, np.sort(part.train_rows),
+                                              (part.train_rows, part.test_rows))
+                _assert_same_bytes((part.train, part.test), expected)
+
+
+def test_standardize_matches_the_per_column_oracle_bit_for_bit():
+    # 20001 fit rows, past numpy's 8192-element buffer, given shuffled: the
+    # statistics sum the fit rows in the order given
+    rng = np.random.default_rng(5)
+    n, n_fit = 24000, 20001
+    fit = rng.permutation(n)[:n_fit]
+    names = ("c=p", "wide", "flat", "c=q", "signed", "negzero")
+    columns = dict.fromkeys(names)
+    columns["wide"] = rng.normal(1e6, 3.0, n)
+    # zero spread on the fit rows only, so other rows hold other values
+    columns["flat"] = rng.normal(0.0, 1.0, n)
+    columns["flat"][fit] = 7.25
+    # equal counts of 1 and -1 on the fit rows make the mean exactly +0.0,
+    # so a -0.0 entry z-scores to -0.0
+    signed = np.resize([1.0, -1.0, -0.0, 0.0, 2.0, -2.0], n)
+    columns["signed"] = signed[rng.permutation(n)]
+    columns["signed"][fit] = np.append(np.resize([1.0, -1.0, -0.0, 0.0], n_fit - 1), 0.0)
+    columns["negzero"] = np.full(n, -0.0)
+    onehot = rng.integers(0, 2, n).astype(np.float64)
+    columns["c=p"] = np.where(rng.random(n) < 0.1, -0.0, onehot)
+    columns["c=q"] = 1.0 - onehot
+    features = np.column_stack([columns[name] for name in names])
+    labels = rng.integers(0, 2, n)
+    features.flags.writeable = labels.flags.writeable = False
+    data = EncodedDataset(features, labels, 2, names)
+    schema = FeatureSchema(
+        (ColumnSpec("c", "categorical"), ColumnSpec("wide", "continuous"),
+         ColumnSpec("flat", "continuous"), ColumnSpec("signed", "continuous"),
+         ColumnSpec("negzero", "continuous"), ColumnSpec("y", "target")),
+        ("a", "b"),
+    )
+    rest = np.setdiff1d(np.arange(n), fit)
+    row_sets = (fit, rest, rng.permutation(n), np.array([3, 3, 0]), np.array([], np.int64))
+
+    blocks = standardize(data, schema, fit, row_sets)
+    _assert_same_bytes(blocks, standardize_oracle(data, schema, fit, row_sets))
+    onehot_cols = [names.index("c=p"), names.index("c=q")]
+    for block, rows in zip(blocks, row_sets):
+        assert block.features[:, onehot_cols].tobytes() == features[rows][:, onehot_cols].tobytes()
+        for name in ("flat", "negzero"):  # zero spread encodes to +0.0 on every row
+            column = block.features[:, names.index(name)]
+            assert np.all(column == 0.0) and not np.signbit(column).any()
+    for name in ("signed", "c=p"):  # -0.0 entries come back as -0.0
+        assert np.signbit(blocks[0].features[:, names.index(name)]).any()
 
 
 def _labeled_dataset(labels):
