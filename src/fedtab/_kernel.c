@@ -3,10 +3,12 @@
  * node split where models._best_split splits it, and the leaves one tree
  * routes rows to, as models._leaf_index finds them.
  *
- * Built by fedtab.kernel with -ffp-contract=off, so every + and * rounds
- * once, as in Python and numpy.  The SVM dots go through the BLAS routines
- * numpy's weights.dot(x) calls, passed in as function pointers: 64-bit-integer
- * cblas_ddot for one weight row, row-major no-transpose cblas_dgemv for more.
+ * Built by fedtab.kernel at -O3 with -ffp-contract=off and no fast-math
+ * flag, so every + and * rounds once, as in Python and numpy: the compiler
+ * may vectorize element-wise loops but never fuses or reorders a sum.  The
+ * SVM dots go through the BLAS routines numpy's weights.dot(x) calls, passed
+ * in as function pointers: 64-bit-integer cblas_ddot for one weight row,
+ * row-major no-transpose cblas_dgemv for more.
  */
 #include <stdint.h>
 #include <string.h>
@@ -35,22 +37,27 @@ void fedtab_svm_dots(int64_t rows, int64_t d, const double *w, const double *x,
     }
 }
 
-/* The steps of one epoch over the samples in `order`; updates w and bias in place. */
+/* The steps of one epoch over the samples in `order`; updates w and bias in place.
+ * Weight row r's target is +1 for the rows of class r and -1 for the rest;
+ * one weight row (two classes) has +1 for class 1, as models._signed_targets
+ * builds them. */
 void fedtab_svm_epoch(int64_t n_steps, int64_t rows, int64_t d, const int64_t *order,
-                      const double *X, const double *targets, double lr, double decay,
+                      const double *X, const int64_t *labels, double lr, double decay,
                       double *w, double *bias, double *dots, double *step,
                       ddot_fn ddot, dgemv_fn dgemv)
 {
+    const int64_t first = rows == 1; /* the class of weight row 0 */
     double scale = 1.0;
     for (int64_t k = 0; k < n_steps; k++) {
         const double *x = X + order[k] * d;
-        const double *t = targets + order[k] * rows;
+        const int64_t label = labels[order[k]];
         double s = scale;
         int formed = 0;
         fedtab_svm_dots(rows, d, w, x, dots, ddot, dgemv);
         scale *= decay;
         for (int64_t r = 0; r < rows; r++) {
-            if (t[r] * (s * dots[r] + bias[r]) < 1.0) {
+            const double t = label == first + r ? 1.0 : -1.0;
+            if (t * (s * dots[r] + bias[r]) < 1.0) {
                 double *wr = w + r * d;
                 if (!formed) {
                     double a = lr / scale;
@@ -58,13 +65,13 @@ void fedtab_svm_epoch(int64_t n_steps, int64_t rows, int64_t d, const int64_t *o
                         step[j] = a * x[j];
                     formed = 1;
                 }
-                if (t[r] > 0.0)
+                if (t > 0.0)
                     for (int64_t j = 0; j < d; j++)
                         wr[j] += step[j];
                 else
                     for (int64_t j = 0; j < d; j++)
                         wr[j] -= step[j];
-                bias[r] += lr * t[r];
+                bias[r] += lr * t;
             }
         }
     }

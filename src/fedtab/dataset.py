@@ -416,9 +416,10 @@ def standardize(
         if outside.size:
             raise IndexError(f"row {outside[0]} outside [0, {data.n_samples})")
 
-    continuous = np.zeros(data.n_features, dtype=bool)
-    continuous[[data.feature_names.index(c.name)
-                for c in schema.feature_columns(KIND_CONTINUOUS)]] = True
+    names = {c.name for c in schema.feature_columns(KIND_CONTINUOUS)}
+    continuous = np.array([name in names for name in data.feature_names], dtype=bool)
+    if np.count_nonzero(continuous) != len(names):
+        raise ValueError("a continuous schema column is not among the features")
     # One row per column, fit rows in the order given: an axis-1 reduction
     # over a contiguous row sums pairwise, as the 1-d np.mean and np.std of
     # that column would, so the statistics keep their bytes.
@@ -548,12 +549,22 @@ class ClientPartition:
     def __post_init__(self) -> None:
         if self.client_id < 0:
             raise InvalidConfigError("client_id must be non-negative")
-        if set(self.train_rows.tolist()) & set(self.test_rows.tolist()):
+        if _overlap(self.train_rows, self.test_rows):
             raise ValueError("train and test rows overlap")
         if self.train_rows.shape[0] != self.train.n_samples:
             raise ShapeMismatchError("train_rows must match train data")
         if self.test_rows.shape[0] != self.test.n_samples:
             raise ShapeMismatchError("test_rows must match test data")
+
+
+def _overlap(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when the integer row arrays ``a`` and ``b`` share a row: one mark per row."""
+    if a.size == 0 or b.size == 0:
+        return False
+    low = min(a.min(), b.min())
+    mark = np.zeros(max(a.max(), b.max()) - low + 1, dtype=bool)
+    mark[a - low] = True
+    return bool(mark[b - low].any())
 
 
 def build_client_partitions(

@@ -6,25 +6,29 @@ and the leaves one tree routes a block of rows to, for
 ``models.predict_scores``.  ``models`` imports this module and asks for the
 kernels at the first ``train_svm``, ``train_forest`` or forest
 ``predict_scores`` call, never at package import, so runs that use none of
-them pay nothing.  On first use the C source is compiled with
-``cc`` into a per-user cache directory, under a name keyed by the sha256 of
-the source and the flags, and published with an atomic ``os.replace``;
+them pay nothing.  On first use the C source is compiled with ``cc`` at
+``FLAGS`` into a per-user cache directory, under a name keyed by the sha256
+of the source and the flags, and published with an atomic ``os.replace``;
 later processes load the cached file.  A built file ends with the sha256 of
 its own bytes, checked before it is loaded, since a truncated shared object
 can crash the dynamic loader.
 
 Each kernel reproduces its Python counterpart bit for bit by
-construction.  The SVM epoch takes its dot products from the BLAS routines
-numpy's ``weights.dot(x)`` calls, found among the dependencies of numpy's
-own extension module, and does the rest of each step in plain double
-arithmetic.  The tree grower draws each node's features from the tree's own
-``Generator``, through numpy's ``bitgen_t``, as ``rng.choice`` does, and
-counts classes over each column's value ranks (``_Kernel.rank_features``),
-computed once per read-only block, one block at a time; it scores each cut
-with the expressions of ``models._best_split``, adding the class squares in
-class order, as ``models._gini`` does.  The route compares each row's value
-with the node's threshold by ``<=``, as ``models._leaf_index`` does, and
-does no arithmetic.
+construction.  ``FLAGS`` build at ``-O3``, which vectorizes element-wise
+loops, with ``-ffp-contract=off`` and no fast-math flag, so every ``+`` and
+``*`` still rounds once and no sum is reordered.  The SVM epoch takes its
+dot products from the BLAS routines numpy's ``weights.dot(x)`` calls, found
+among the dependencies of numpy's own extension module, forms each weight
+row's +1/-1 target from the sample's int64 label, as
+``models._signed_targets`` does, and does the rest of each step in plain
+double arithmetic.  The tree grower draws each node's features from the
+tree's own ``Generator``, through numpy's ``bitgen_t``, as ``rng.choice``
+does, and counts classes over each column's value ranks
+(``_Kernel.rank_features``), computed once per read-only block, one block at
+a time; it scores each cut with the expressions of ``models._best_split``,
+adding the class squares in class order, as ``models._gini`` does.  The
+route compares each row's value with the node's threshold by ``<=``, as
+``models._leaf_index`` does, and does no arithmetic.
 
 Each kernel is checked in each process before its first use.  The shared
 object's dots are compared bitwise with ``weights.dot`` when it opens; a
@@ -56,7 +60,7 @@ from pathlib import Path
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_kernel.c")
-FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 SYMBOLS = (
     "fedtab_svm_epoch", "fedtab_svm_dots", "fedtab_draw", "fedtab_grow", "fedtab_rank",
     "fedtab_route",
@@ -259,16 +263,19 @@ class _Kernel:
                 return "compiled routes differ from models._leaf_index"
         return None
 
-    def runner(self, X, targets, weights, bias):
+    def runner(self, X, labels, weights, bias):
         n, d = X.shape
         rows = weights.shape[0]
-        shapes = [(X, (n, d)), (targets, (n, rows)), (weights, (rows, d)), (bias, (rows,))]
+        shapes = [(X, (n, d)), (weights, (rows, d)), (bias, (rows,))]
         for array, shape in shapes:
             if array.shape != shape or array.dtype != np.float64 or not array.flags.c_contiguous:
                 raise ValueError(f"expected a C-contiguous float64 array of shape {shape}")
+        if labels.shape != (n,):
+            raise ValueError(f"expected {n} labels, got shape {labels.shape}")
+        _check_indices("labels", labels, 2 if rows == 1 else rows)
         if not (weights.flags.writeable and bias.flags.writeable):
             raise ValueError("weights and bias must be writeable")
-        arrays = (X, targets, weights, bias, np.empty(rows), np.empty(d))  # last two: scratch
+        arrays = (X, labels, weights, bias, np.empty(rows), np.empty(d))  # last two: scratch
         inputs, outputs = [a.ctypes.data for a in arrays[:2]], [a.ctypes.data for a in arrays[2:]]
         epoch, blas = self._epoch, self._blas
 
@@ -557,15 +564,18 @@ def load() -> _Kernel | None:
     return _loaded if isinstance(_loaded, _Kernel) else None
 
 
-def epoch_runner(X, targets, weights, bias):
+def epoch_runner(X, labels, weights, bias):
     """A ``run(order, lr, decay)`` doing one SVM epoch in C, or None for Python.
 
-    ``X`` (n, d), ``targets`` (n, rows), ``weights`` (rows, d) and ``bias``
-    (rows,) are C-contiguous float64; ``run`` updates ``weights`` and
-    ``bias`` in place.  ``order`` must be a permutation of ``range(n)``.
+    ``X`` (n, d), ``weights`` (rows, d) and ``bias`` (rows,) are
+    C-contiguous float64 and ``labels`` n C-contiguous int64 classes, in
+    ``[0, 2)`` for one weight row, else in ``[0, rows)``; the kernel forms
+    the +1/-1 targets from them, as ``models._signed_targets`` does.
+    ``run`` updates ``weights`` and ``bias`` in place.  ``order`` must be a
+    permutation of ``range(n)``.
     """
     kernel = load()
-    return None if kernel is None else kernel.runner(X, targets, weights, bias)
+    return None if kernel is None else kernel.runner(X, labels, weights, bias)
 
 
 def tree_grower(X, y, n_classes: int, n_subset: int, min_leaf: int, max_depth: int):

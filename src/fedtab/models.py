@@ -223,8 +223,18 @@ def _row_max(z: np.ndarray) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
+    """Each row's exponentials over their sum, added one class after another.
+
+    Column adds cost far less than numpy's reduction over narrow rows, as in
+    ``_row_max``.  Below eight classes ``ez.sum(axis=1)`` adds in this order
+    too, so the bytes are the same; from eight it adds pairwise, which this
+    fold may differ from in the last bits (``_gini`` adds in class order too).
+    """
     ez = np.exp(z - _row_max(z))
-    return ez / ez.sum(axis=1, keepdims=True)
+    total = ez[:, 0].copy()
+    for j in range(1, ez.shape[1]):
+        total += ez[:, j]
+    return ez / total[:, None]
 
 
 def logistic_gradient(
@@ -308,18 +318,20 @@ def train_svm(
     same bytes.  ``kernel.path()`` says which:
 
     - compiled (``fedtab.kernel``): the epoch is one call into C, which
-      takes the dots from the BLAS routine numpy's ``weights.dot(x)`` calls
-      and does the rest in double arithmetic rounded as Python rounds it;
-    - Python (``_python_svm_epoch``), when the kernel cannot be built,
-      loaded or trusted.
+      takes the labels and forms each step's targets itself, as
+      ``_signed_targets`` forms them, takes the dots from the BLAS routine
+      numpy's ``weights.dot(x)`` calls and does the rest in double
+      arithmetic rounded as Python rounds it;
+    - Python (``_python_svm_epoch``, on ``_signed_targets``), when the
+      kernel cannot be built, loaded or trusted.
     """
     weights, bias = _initial_params(init, "svm", train)
     from . import kernel  # imported, and built, at the first SVM or forest training only
 
     X = np.ascontiguousarray(train.features, dtype=np.float64)
-    signed = np.ascontiguousarray(_signed_targets(train.labels, train.n_classes))
-    run_epoch = kernel.epoch_runner(X, signed, weights, bias) or _python_svm_epoch(
-        X, signed, weights, bias
+    y = np.ascontiguousarray(train.labels, dtype=np.int64)
+    run_epoch = kernel.epoch_runner(X, y, weights, bias) or _python_svm_epoch(
+        X, _signed_targets(y, train.n_classes), weights, bias
     )
     rng = np.random.default_rng(cfg.seed)
     for epoch in range(1, cfg.epochs + 1):

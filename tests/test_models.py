@@ -767,12 +767,13 @@ def test_linear_models_learn_blobs():
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
-def _softmax_cases():
+def _softmax_cases(classes):
     rng = np.random.default_rng(31)
-    for k in range(3, 10):
+    for k in classes:
         yield rng.normal(0.0, 3.0, (40, k))
         yield np.round(rng.normal(0.0, 1.0, (40, k)), 0)  # tied rows and tied maxima
         yield rng.choice([-700.0, 700.0, -699.5, 0.0], size=(40, k))
+        yield np.exp(rng.uniform(-30.0, 6.0, (40, k))) * rng.choice([-1.0, 1.0], (40, k))
         yield np.zeros((0, k))
     # maxima that appear as both -0.0 and 0.0, in either order
     yield np.array([[-0.0, 0.0, -5.0], [0.0, -0.0, -1.0], [-0.0, 0.0, -0.0]])
@@ -781,10 +782,23 @@ def _softmax_cases():
 
 
 def test_softmax_matches_the_row_reduction_form_bit_for_bit():
-    for z in _softmax_cases():
+    # below eight classes numpy's row sum adds in class order, as _softmax's fold
+    for z in _softmax_cases(range(2, 8)):
         got = _softmax(z)
         assert got.shape == z.shape
         assert got.tobytes() == reduction_softmax(z).tobytes(), z
+
+
+def test_softmax_adds_eight_or_more_classes_in_class_order():
+    # numpy's row sum adds eight or more values pairwise; _softmax adds them
+    # one after another, which cumsum's last column does too
+    differs = False
+    for z in _softmax_cases(range(8, 12)):
+        ez = np.exp(z - z.max(axis=1, keepdims=True))
+        want = ez / np.cumsum(ez, axis=1)[:, -1:]
+        assert _softmax(z).tobytes() == want.tobytes(), z
+        differs |= want.tobytes() != (ez / ez.sum(axis=1, keepdims=True)).tobytes()
+    assert differs  # the fold is pinned, not numpy's pairwise sum
 
 
 def test_multiclass_loss_matches_the_row_reduction_form_bit_for_bit():

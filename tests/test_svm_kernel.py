@@ -24,7 +24,14 @@ from _oracles import assert_same_tree_bytes, assert_trees_match, per_feature_for
 from _synth import blob_dataset
 from fedtab import kernel
 from fedtab.dataset import EncodedDataset
-from fedtab.models import LinearModel, TrainConfig, train_forest, train_svm
+from fedtab.models import (
+    LinearModel,
+    TrainConfig,
+    _python_svm_epoch,
+    _signed_targets,
+    train_forest,
+    train_svm,
+)
 
 requires_cc = pytest.mark.skipif(kernel.compiler() is None, reason="no C compiler on PATH")
 
@@ -205,16 +212,62 @@ def test_damaged_cached_kernel_is_rebuilt_or_rejected(
 
 @requires_cc
 def test_runner_refuses_what_the_kernel_would_misread(fresh_cache):
-    X, targets, bias = np.zeros((4, 3)), np.ones((4, 2)), np.zeros(2)
+    X, labels, bias = np.zeros((4, 3)), np.array([0, 1, 1, 0]), np.zeros(2)
     with pytest.raises(ValueError, match="C-contiguous float64"):
-        kernel.epoch_runner(X, targets, np.zeros((3, 2)).T, bias)  # Fortran order
+        kernel.epoch_runner(X, labels, np.zeros((3, 2)).T, bias)  # Fortran order
     with pytest.raises(ValueError, match="C-contiguous float64"):
-        kernel.epoch_runner(X, targets, np.zeros((2, 4)), bias)  # wrong width
-    run = kernel.epoch_runner(X, targets, np.zeros((2, 3)), bias)
+        kernel.epoch_runner(X, labels, np.zeros((2, 4)), bias)  # wrong width
+    with pytest.raises(ValueError, match="C-contiguous 1-d int64"):
+        kernel.epoch_runner(X, labels.astype(np.float64), np.zeros((2, 3)), bias)
+    with pytest.raises(ValueError, match="expected 4 labels"):
+        kernel.epoch_runner(X, labels[:3], np.zeros((2, 3)), bias)
+    # one weight row serves classes 0 and 1, and two rows serve theirs: 2 names no class
+    with pytest.raises(ValueError, match=r"lie in \[0, 2\)"):
+        kernel.epoch_runner(X, np.array([0, 2, 1, 0]), np.zeros((2, 3)), bias)
+    with pytest.raises(ValueError, match=r"lie in \[0, 2\)"):
+        kernel.epoch_runner(X, np.array([0, 1, 2, 0]), np.zeros((1, 3)), np.zeros(1))
+    with pytest.raises(ValueError, match=r"lie in \[0, 2\)"):
+        kernel.epoch_runner(X, np.array([0, -1, 1, 0]), np.zeros((2, 3)), bias)
+    run = kernel.epoch_runner(X, labels, np.zeros((2, 3)), bias)
     for order in ([0, 1, 2, 4], [0, -1, 2, 3], [0, 1, 2]):
         with pytest.raises(ValueError, match="order of the 4 sample indices"):
             run(np.array(order), 0.1, 0.9)
     run(np.array([3, 1, 2, 0]), 0.1, 0.9)
+
+
+@requires_cc
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_compiled_epoch_forms_the_targets_python_reads(n_classes):
+    # one weight row (label 1 is its positive class) and three rows, warm and
+    # at the B stand-in's width, so every update kind and sign runs
+    rows = 1 if n_classes == 2 else n_classes
+    data = blob_dataset(40, n_classes=n_classes, n_features=39, seed=4, spread=16.0)
+    X, y = data.features, data.labels
+    rng = np.random.default_rng(12)
+    start_w, start_b = rng.normal(0.0, 0.5, (rows, 39)), rng.normal(0.0, 0.5, rows)
+    compiled_w, compiled_b = start_w.copy(), start_b.copy()
+    python_w, python_b = start_w.copy(), start_b.copy()
+    compiled = kernel.epoch_runner(X, y, compiled_w, compiled_b)
+    assert compiled is not None, kernel.path()
+    python = _python_svm_epoch(X, _signed_targets(y, n_classes), python_w, python_b)
+    for epoch in range(1, 6):
+        order = rng.permutation(y.size)
+        for run in (compiled, python):
+            run(order, 0.05 / epoch, 1.0 - 0.05 / epoch * 0.1)
+        assert compiled_w.tobytes() == python_w.tobytes()
+        assert compiled_b.tobytes() == python_b.tobytes()
+    assert not np.array_equal(compiled_w, start_w)
+
+
+# flags that fuse multiply-adds or let the compiler reorder sums, either of
+# which moves the kernels' bytes away from numpy's
+_UNSAFE_FLAGS = ("-ffast-math", "-Ofast", "-mfma")
+
+
+def test_build_flags_keep_every_rounding():
+    assert "-ffp-contract=off" in kernel.FLAGS
+    unsafe = [f for f in kernel.FLAGS if f in _UNSAFE_FLAGS or f.startswith("-march=")]
+    assert unsafe == []
 
 
 @requires_cc
