@@ -357,18 +357,18 @@ int64_t fedtab_grow(ranked_tree *t, bitgen_t *bitgen, int64_t n_subset, int64_t 
 
 /* The leaf each of the n rows of the row-major (n, d) block X reaches in a
  * tree of preorder node arrays, as models._leaf_index walks it: a split
- * node sends a row left when x[feature] <= threshold.  models.Tree has
- * checked that every feature lies in [-1, d) and every split node's children
- * come after it inside the tree, so each walk ends at a leaf. */
+ * node sends a row to node + 1 when x[feature] <= threshold, else to
+ * right[node].  models.Tree has checked that every feature lies in [-1, d)
+ * and node + 1 < right[node] < n at every split, so each walk ends at a
+ * leaf. */
 void fedtab_route(int64_t n, int64_t d, const double *X, const int64_t *feature,
-                  const double *threshold, const int64_t *left, const int64_t *right,
-                  int64_t *leaf)
+                  const double *threshold, const int64_t *right, int64_t *leaf)
 {
     for (int64_t i = 0; i < n; i++) {
         const double *x = X + i * d;
         int64_t node = 0;
         while (feature[node] >= 0)
-            node = x[feature[node]] <= threshold[node] ? left[node] : right[node];
+            node = x[feature[node]] <= threshold[node] ? node + 1 : right[node];
         leaf[i] = node;
     }
 }

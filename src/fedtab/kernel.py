@@ -143,7 +143,7 @@ class _Kernel:
         self._grow.restype = i64
         self._rank.argtypes = [ptr, i64, ptr, i64, ptr, ptr]
         self._rank.restype = i64
-        self._route.argtypes = [i64] * 2 + [ptr] * 6
+        self._route.argtypes = [i64] * 2 + [ptr] * 5
         self._route.restype = None
         self._forest_checked = False
         self._forest_fallback: str | None = None
@@ -222,7 +222,7 @@ class _Kernel:
         class squares added in another order than class order.  The small
         blocks grow one split each.
         """
-        from .models import TrainConfig, _grow_tree, _leaf_index, _preorder_tree, _subset_size
+        from .models import TrainConfig, _grow_tree, _leaf_index, _subset_size
 
         data = np.random.default_rng(1)
         n, d = 40, 11
@@ -248,12 +248,12 @@ class _Kernel:
             size = _subset_size(X.shape[1])
             grow = self.tree_grower(X, y, n_classes, size, min_leaf, max_depth)
             try:
-                got = _preorder_tree(*grow(rows.copy(), np.random.default_rng(seed)))
+                got = grow(rows.copy(), np.random.default_rng(seed))
             except (RuntimeError, ValueError):  # outgrew its buffers, or not a tree
                 return differ
             cfg = TrainConfig(max_depth=max_depth, min_leaf=min_leaf)
             want = _grow_tree(X, y, rows, np.random.default_rng(seed), n_classes, cfg)
-            for name in ("feature", "threshold", "left", "right", "counts"):
+            for name in ("feature", "threshold", "right", "counts"):
                 a, b = getattr(got, name), getattr(want, name)
                 if a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes():
                     return differ
@@ -342,6 +342,8 @@ class _Kernel:
 
     def tree_grower(self, X, y, n_classes, n_subset, min_leaf, max_depth):
         """``grow(rows, rng)`` for one forest's trees: see ``tree_grower``."""
+        from .models import Tree
+
         check_forest_inputs(X, y, n_classes, min_leaf)
         N, d = X.shape
         # a node holds at most N rows, so min_leaf >= N makes every node a leaf; the
@@ -384,7 +386,8 @@ class _Kernel:
                                 stack_capacity)
             if n_nodes < 0:
                 raise RuntimeError("a tree outgrew its node or stack buffer")
-            return tuple(a[:n_nodes].copy() for a in (feature, threshold, right, counts))
+            # views of the buffers: the Tree keeps the only copy
+            return Tree(feature[:n_nodes], threshold[:n_nodes], right[:n_nodes], counts[:n_nodes])
 
         return grow
 
@@ -399,7 +402,7 @@ class _Kernel:
         if tree.feature.max() >= X.shape[1]:
             raise ValueError(f"the tree splits on a feature past the block's {X.shape[1]}")
         leaf = np.empty(X.shape[0], dtype=np.int64)
-        nodes = (tree.feature, tree.threshold, tree.left, tree.right)
+        nodes = (tree.feature, tree.threshold, tree.right)
         self._route(*X.shape, X.ctypes.data, *(a.ctypes.data for a in nodes), leaf.ctypes.data)
         return leaf
 
@@ -586,9 +589,11 @@ def tree_grower(X, y, n_classes: int, n_subset: int, min_leaf: int, max_depth: i
     forest while ``X`` is the same read-only block (``_Kernel.ranked``).
     ``grow`` grows one tree on ``rows``, the tree's N writeable int64 bootstrap rows, which it
     reorders, drawing each node's ``n_subset`` features from ``rng`` as
-    ``rng.choice`` would, and returns its preorder ``(feature, threshold,
-    right, counts)`` arrays, as ``models._grow_tree`` builds them.  The
-    first call in a process runs the forest's checks; None when one fails.
+    ``rng.choice`` would, and returns the ``models.Tree`` that
+    ``models._grow_tree`` grows, built from views of the preorder
+    ``feature``, ``threshold``, ``right`` and ``counts`` the C code writes.
+    The first call in a process runs the forest's checks; None when one
+    fails.
     """
     kernel = _forest_kernel()
     if kernel is None:
@@ -601,8 +606,9 @@ def leaf_router():
 
     ``route`` returns ``models._leaf_index(tree, X)``: the int64 index of the
     leaf each row of the C-contiguous float64 block ``X`` reaches in the
-    ``models.Tree`` ``tree``.  None when the kernel is missing or a forest
-    check fails, as for ``tree_grower``.
+    ``models.Tree`` ``tree``, stepping from a split node ``i`` to ``i + 1``
+    or ``right[i]``.  None when the kernel is missing or a forest check
+    fails, as for ``tree_grower``.
     """
     kernel = _forest_kernel()
     return None if kernel is None else kernel.route

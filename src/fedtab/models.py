@@ -11,9 +11,10 @@
   ceil(sqrt(d)) feature subset at every node; each tree grows in one call
   into compiled C where ``fedtab.kernel`` can build it, else node by node
   in Python and numpy, with the same trees either way (see
-  ``train_forest``).  A tree is a ``Tree`` of parallel node arrays in
-  depth-first preorder, the one layout that growth builds and prediction
-  walks, row by row in C or level by level in numpy (``predict_scores``).
+  ``train_forest``).  A tree is a ``Tree`` of four parallel node arrays in
+  depth-first preorder, the one layout that both growers build and
+  prediction walks, row by row in C or level by level in numpy
+  (``predict_scores``).
 
 The bias terms are never regularized.  Training with epochs = 0 returns the
 initial parameters unchanged, which is what federated warm starts rely on.
@@ -99,29 +100,31 @@ class LinearModel:
 
 @dataclass(frozen=True, eq=False)
 class Tree:
-    """One CART tree as parallel node arrays in depth-first preorder.
+    """One CART tree as four parallel node arrays in depth-first preorder.
 
-    Node 0 is the root.  A split node ``i`` sends a row left when its
-    ``feature[i]`` value is at most ``threshold[i]``; its children
-    ``left[i]`` and ``right[i]`` come after it.  A leaf has ``feature`` -1,
-    children -1 and threshold 0.  ``counts[i]`` holds the class counts of the
-    training rows that reached node ``i``; a leaf's counts are its scores.
+    Node 0 is the root.  A split node ``i`` sends a row to its left child,
+    ``i + 1`` in preorder, when its ``feature[i]`` value is at most
+    ``threshold[i]``, else to its right child ``right[i]``, which follows the
+    whole left subtree.  A leaf has ``feature`` -1, ``right`` -1 and
+    threshold 0.  ``counts[i]`` holds the class counts of the training rows
+    that reached node ``i``; a leaf's counts are its scores.  Both growers
+    build these arrays, and both walks read them.
 
     The compiled walk reads these arrays unchecked, so a tree keeps
     read-only copies and raises ValueError unless they have one entry per
     node, int64 dtypes (``threshold`` float64), ``feature`` at least -1 and
-    each split node's children after it inside the tree, so every walk ends
-    at a leaf.  ``Forest`` checks the features against its width.
+    ``i + 1 < right[i] < n`` at each split node ``i``: every step goes to a
+    later node inside the tree, so every walk ends at a leaf.  ``Forest``
+    checks the features against its width.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
     right: np.ndarray
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("feature", "threshold", "left", "right", "counts"):
+        for name in ("feature", "threshold", "right", "counts"):
             array = getattr(self, name)
             dtype = np.float64 if name == "threshold" else np.int64
             if not isinstance(array, np.ndarray) or array.dtype != dtype:
@@ -129,18 +132,17 @@ class Tree:
             array = array.copy()  # private, so nothing else can write it
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        feature, left, right = self.feature, self.left, self.right
+        feature, right = self.feature, self.right
         n = feature.shape[0] if feature.ndim == 1 else 0
-        if n == 0 or any(a.shape != (n,) for a in (self.threshold, left, right)):
+        if n == 0 or any(a.shape != (n,) for a in (self.threshold, right)):
             raise ValueError("a tree's node arrays must be 1-d, non-empty and of one length")
         if self.counts.ndim != 2 or self.counts.shape[0] != n:
             raise ValueError(f"a tree's counts must be ({n}, n_classes), got {self.counts.shape}")
         if feature.min() < -1:
             raise ValueError("a tree's features must be -1 (a leaf) or a column index")
         split = np.flatnonzero(feature >= 0)
-        for children in (left[split], right[split]):
-            if not np.all((split < children) & (children < n)):
-                raise ValueError("a split node's children must come after it, inside the tree")
+        if not np.all((split + 1 < right[split]) & (right[split] < n)):
+            raise ValueError("a split node i's right child must lie after i + 1, inside the tree")
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,23 +267,27 @@ def train_logreg(
     """
     weights, bias = _initial_params(init, "logistic", train)
     X, y = train.features, train.labels
-    # a diverging run overflows on its way to the non-finite parameters that
-    # _logistic_model turns into InvalidConfigError: no numpy warning first
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # see _linear_model
         for _ in range(cfg.epochs):
-            model = _logistic_model(weights, bias, train.n_classes, cfg)
+            model = _linear_model("logistic", weights, bias, train.n_classes, cfg)
             grad_w, grad_b = logistic_gradient(model, X, y, cfg.l2)
             weights = weights - cfg.learning_rate * grad_w
             bias = bias - cfg.learning_rate * grad_b
-    return _logistic_model(weights, bias, train.n_classes, cfg)
+    return _linear_model("logistic", weights, bias, train.n_classes, cfg)
 
 
-def _logistic_model(weights, bias, n_classes: int, cfg: TrainConfig) -> LinearModel:
+def _linear_model(kind: str, weights, bias, n_classes: int, cfg: TrainConfig) -> LinearModel:
+    """The trained ``LinearModel``; InvalidConfigError when its parameters are not finite.
+
+    A diverging run overflows on its way there, so both linear trainers
+    train under ``np.errstate(over="ignore", invalid="ignore")``: the error
+    comes with no numpy warning first.
+    """
     try:
-        return LinearModel(weights, bias, "logistic", n_classes)
+        return LinearModel(weights, bias, kind, n_classes)
     except ValueError:  # LinearModel's only ValueError: parameters that are not finite
         raise InvalidConfigError(
-            f"logistic training diverged: its parameters are not finite at learning_rate "
+            f"{kind} training diverged: its parameters are not finite at learning_rate "
             f"{cfg.learning_rate}"
         ) from None
 
@@ -311,7 +317,8 @@ def train_svm(
     in place: negation is exact, so ``(-a) * x == -(a * x)`` and
     ``w + (-v) == w - v``, signed zeros included.  Its bias moves by
     ``lr * t``.  It starts, as ``train_logreg`` does, from zeros or from
-    float64 C-ordered copies of ``init`` (``_initial_params``).
+    float64 C-ordered copies of ``init`` (``_initial_params``), and raises
+    InvalidConfigError, as it does, when the parameters stop being finite.
 
     Python draws the permutations, in the same order on either path below,
     and checks the decay; each epoch then runs in one of two ways with the
@@ -334,13 +341,14 @@ def train_svm(
         X, _signed_targets(y, train.n_classes), weights, bias
     )
     rng = np.random.default_rng(cfg.seed)
-    for epoch in range(1, cfg.epochs + 1):
-        lr = cfg.learning_rate / epoch
-        decay = 1.0 - lr * cfg.l2
-        if decay <= 0.0:
-            raise InvalidConfigError("learning_rate * l2 too large; weights would vanish")
-        run_epoch(rng.permutation(train.n_samples), lr, decay)
-    return LinearModel(weights, bias, "svm", train.n_classes)
+    with np.errstate(over="ignore", invalid="ignore"):  # see _linear_model
+        for epoch in range(1, cfg.epochs + 1):
+            lr = cfg.learning_rate / epoch
+            decay = 1.0 - lr * cfg.l2
+            if decay <= 0.0:
+                raise InvalidConfigError("learning_rate * l2 too large; weights would vanish")
+            run_epoch(rng.permutation(train.n_samples), lr, decay)
+    return _linear_model("svm", weights, bias, train.n_classes, cfg)
 
 
 def _python_svm_epoch(X: np.ndarray, signed: np.ndarray, weights: np.ndarray, bias: np.ndarray):
@@ -402,16 +410,17 @@ def _grow_tree(
     n_classes: int,
     cfg: TrainConfig,
 ) -> Tree:
-    """Grow one tree on ``rows`` depth-first in Python, one ``_best_split`` per node.
+    """Grow one ``Tree`` on ``rows`` depth-first in Python, one ``_best_split`` per node.
 
     Nodes are taken from an explicit stack, a split node's left child before
-    its right, so the tree comes out in preorder and every node draws its
-    feature subset from ``rng`` in the order of a recursive grower.  A node
-    is a slice of one copy of ``rows``; a split reorders the slice into the
-    rows going left, then right, each in their original order, as the
-    compiled grower does.  Nothing the grower builds refers back to itself,
-    so a finished tree and its training block are freed without waiting for
-    the cyclic collector.
+    its right, so the tree comes out in preorder, each left child right
+    after its parent, and every node draws its feature subset from ``rng``
+    in the order of a recursive grower.  A split node learns its ``right``
+    when that child comes off the stack.  A node is a slice of one copy of
+    ``rows``; a split reorders the slice into the rows going left, then
+    right, each in their original order, as the compiled grower does.
+    Nothing the grower builds refers back to itself, so a finished tree and
+    its training block are freed without waiting for the cyclic collector.
 
     ``train_forest`` grows its trees here when the compiled grower cannot be
     built, loaded or trusted; it is also the reference that grower's trees
@@ -454,19 +463,12 @@ def _grow_tree(
         stack.append((middle, stop, (node_counts - left_counts).tolist(), depth + 1,
                       len(nodes) - 1))
         stack.append((start, middle, left_counts.tolist(), depth + 1, -1))
-    return _preorder_tree(*(np.array(column) for column in zip(*nodes)))
+    return Tree(*(np.array(column) for column in zip(*nodes)))
 
 
 def _subset_size(d: int) -> int:
     """How many of the d features each node draws: ceil(sqrt(d))."""
     return math.ceil(math.sqrt(d))
-
-
-def _preorder_tree(feature, threshold, right, counts) -> Tree:
-    """The ``Tree`` of preorder node arrays, its ``left`` worked out from ``feature``."""
-    # preorder puts a split node's left child right after it
-    left = np.where(feature >= 0, np.arange(1, feature.size + 1), -1)
-    return Tree(feature, threshold, left, right, counts)
 
 
 def _best_split(
@@ -528,9 +530,10 @@ def train_forest(train: EncodedDataset, cfg: TrainConfig) -> Forest:
     """Bagged CART trees; per-tree seeding makes tree order irrelevant.
 
     Tree ``t`` draws its bootstrap rows, then every node's feature subset,
-    from its own ``default_rng((seed, t))``.  Each tree grows in one of two
-    ways with the same bytes, the way ``train_svm`` runs its epochs
-    (``kernel.path()`` says which):
+    from its own ``default_rng((seed, t))``.  Each tree grows into a
+    ``Tree`` in one of two ways with the same bytes, the grower picked once
+    per forest the way ``train_svm`` picks its epoch (``kernel.path()`` says
+    which):
 
     - compiled (``kernel.tree_grower``): one C call per tree runs
       ``_grow_tree``'s stack and leaf tests, draws each subset from the
@@ -552,33 +555,32 @@ def train_forest(train: EncodedDataset, cfg: TrainConfig) -> Forest:
     from . import kernel  # imported, and built, at the first SVM or forest training only
 
     size = _subset_size(train.n_features)
-    grow = kernel.tree_grower(X, y, train.n_classes, size, cfg.min_leaf, cfg.max_depth)
+    grow = kernel.tree_grower(X, y, train.n_classes, size, cfg.min_leaf, cfg.max_depth) or (
+        lambda rows, rng: _grow_tree(X, y, rows, rng, train.n_classes, cfg)
+    )
     trees = []
     for t in range(cfg.n_trees):
         rng = np.random.default_rng((cfg.seed, t))
-        bootstrap = rng.integers(0, n, size=n)
-        if grow is None:
-            trees.append(_grow_tree(X, y, bootstrap, rng, train.n_classes, cfg))
-        else:
-            trees.append(_preorder_tree(*grow(bootstrap, rng)))
+        trees.append(grow(rng.integers(0, n, size=n), rng))
     return Forest(tuple(trees), train.n_classes, train.n_features)
 
 
 def _leaf_index(tree: Tree, X: np.ndarray) -> np.ndarray:
     """The leaf each row of ``X`` reaches, walking all rows one level per step.
 
-    The rows still at a split node gather that node's feature and threshold
-    and step to its left or right child.  Children come after their parent,
-    so the walk ends within ``len(tree.feature)`` steps.  ``predict_scores``
-    walks here when the compiled route cannot be built, loaded or trusted;
-    it is also the reference that route is checked against.
+    The rows still at a split node ``i`` gather its feature and threshold
+    and step to its left child ``i + 1`` or its right child ``right[i]``.
+    Both come after ``i`` (``Tree``), so the walk ends within
+    ``len(tree.feature)`` steps.  ``predict_scores`` walks here when the
+    compiled route cannot be built, loaded or trusted; it is also the
+    reference that route is checked against.
     """
     leaf = np.zeros(X.shape[0], dtype=np.int64)
     rows = np.flatnonzero(tree.feature[leaf] >= 0)
     while rows.size:
         at = leaf[rows]
         go_left = X[rows, tree.feature[at]] <= tree.threshold[at]
-        leaf[rows] = np.where(go_left, tree.left[at], tree.right[at])
+        leaf[rows] = np.where(go_left, at + 1, tree.right[at])
         rows = rows[tree.feature[leaf[rows]] >= 0]
     return leaf
 

@@ -303,7 +303,7 @@ def assert_trees_match(trees, oracle_trees, context=None):
             else:
                 assert tree.feature[i] == node["feature"], (context, i)
                 assert json.dumps(float(tree.threshold[i])) == json.dumps(node["threshold"])
-                assert tree.left[i] == node["left"], (context, i)
+                assert node["left"] == i + 1, (context, i)  # the Tree holds no left array
                 assert tree.right[i] == node["right"], (context, i)
 
 
@@ -311,7 +311,7 @@ def assert_same_tree_bytes(trees, others):
     """Assert that two runs grew the same node arrays: dtypes, shapes and bytes."""
     assert len(trees) == len(others)
     for tree, other in zip(trees, others):
-        for name in ("feature", "threshold", "left", "right", "counts"):
+        for name in ("feature", "threshold", "right", "counts"):
             got, want = getattr(tree, name), getattr(other, name)
             assert (got.dtype, got.shape) == (want.dtype, want.shape), name
             assert got.tobytes() == want.tobytes(), name
@@ -322,38 +322,36 @@ def assert_walkable_tree(tree, n_classes, n_features):
 
     Only ``train_forest`` builds trees, and the compiled walk reads their
     arrays unchecked, so every grown tree must hold these: integer node
-    arrays of one length in depth-first preorder, each split's children
-    after it and inside the tree, one parent per node but the root, leaves
-    marked -1 with no children and a zero threshold, one row of
-    ``n_classes`` non-negative counts per node, a non-empty row at each
-    leaf, and a split's counts the sum of its children's.
+    arrays of one length in depth-first preorder, each split ``i``'s left
+    child ``i + 1`` and its right child after that and inside the tree,
+    one parent per node but the root, leaves marked -1 with no right child
+    and a zero threshold, one row of ``n_classes`` non-negative counts per
+    node, a non-empty row at each leaf, and a split's counts the sum of its
+    children's.
     """
-    feature, threshold, left, right, counts = (
-        tree.feature, tree.threshold, tree.left, tree.right, tree.counts
-    )
-    for name, a in (("feature", feature), ("threshold", threshold), ("left", left), ("right", right)):
+    feature, threshold, right, counts = tree.feature, tree.threshold, tree.right, tree.counts
+    for name, a in (("feature", feature), ("threshold", threshold), ("right", right)):
         assert a.ndim == 1, f"{name} is not one-dimensional"
     n = feature.size
-    assert n >= 1 and threshold.size == left.size == right.size == n, "node arrays differ in length"
-    for name, a in (("feature", feature), ("left", left), ("right", right), ("counts", counts)):
+    assert n >= 1 and threshold.size == right.size == n, "node arrays differ in length"
+    for name, a in (("feature", feature), ("right", right), ("counts", counts)):
         assert a.dtype.kind == "i", f"{name} is not an integer array"
     assert threshold.dtype.kind == "f", "threshold is not a float array"
     assert counts.shape == (n, n_classes), "counts are not one row of n_classes per node"
     assert counts.min() >= 0, "a class count is negative"
     assert feature.min() >= -1 and feature.max() < n_features, "a feature is out of range"
     leaf = feature == -1
-    assert np.all(left[leaf] == -1) and np.all(right[leaf] == -1), "a leaf has children"
+    assert np.all(right[leaf] == -1), "a leaf has a right child"
     assert np.all(threshold[leaf] == 0.0), "a leaf has a threshold"
     assert np.all(counts[leaf].sum(axis=1) > 0), "a leaf no training row reached"
     split = np.flatnonzero(~leaf)
     assert np.all(np.isfinite(threshold[split])), "a split threshold is not finite"
-    children = np.concatenate([left[split], right[split]])
-    parents = np.concatenate([split, split])
-    assert np.all(children > parents), "a child does not come after its parent"
-    assert np.all(children < n), "a child is past the last node"
-    assert np.array_equal(left[split], split + 1), "a left child does not follow its parent"
+    assert np.all(right[split] > split), "a child does not come after its parent"
+    assert np.all(right[split] < n), "a child is past the last node"
+    assert np.all(right[split] > split + 1), "a right child is its left child: no left subtree"
+    children = np.concatenate([split + 1, right[split]])
     assert np.array_equal(np.sort(children), np.arange(1, n)), "a node has not one parent"
-    assert np.array_equal(counts[split], counts[left[split]] + counts[right[split]]), (
+    assert np.array_equal(counts[split], counts[split + 1] + counts[right[split]]), (
         "a split's counts are not its children's sum"
     )
 

@@ -180,20 +180,32 @@ def test_run_unreadable_data_is_a_data_error(tmp_path, capsys, fault):
     assert err.startswith(f"data error: {path}: ")
 
 
+# model -> (its overrides, the learning rate the error names)
+_DIVERGING = {
+    "logistic": ("{learning_rate: 1.0e+300}", "1e+300"),
+    "svm": ("{l2: 0.0, learning_rate: 1.0e+308}", "1e+308"),
+}
+
+
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model", sorted(_DIVERGING))
 @pytest.mark.parametrize("condition", ["central_clean", "fl_clean"])
-def test_run_diverging_logistic_training_is_a_config_error(tmp_path, capsys, condition):
+def test_run_diverging_logistic_training_is_a_config_error(
+    tmp_path, capsys, condition, model, each_path
+):
+    # the SVM diverges alike, on the compiled and the Python epoch
     write_dataset_b_like(tmp_path / "student-dropout.csv", n=60, seed=3)
+    overrides, rate = _DIVERGING[model]
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("train_overrides: {logistic: {learning_rate: 1.0e+300}}\n", encoding="utf-8")
+    cfg.write_text(f"train_overrides: {{{model}: {overrides}}}\n", encoding="utf-8")
     code = main([
-        "run", "--config", str(cfg), "--dataset", "B", "--model", "logistic",
+        "run", "--config", str(cfg), "--dataset", "B", "--model", model,
         "--condition", condition, "--rounds", "1", "--data-dir", str(tmp_path), "--quiet",
     ])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.endswith(
-        "configuration error: logistic training diverged: its parameters are not finite at "
-        "learning_rate 1e+300\n"
+        f"configuration error: {model} training diverged: its parameters are not finite at "
+        f"learning_rate {rate}\n"
     )
 
 

@@ -31,7 +31,6 @@ from fedtab.models import (
     TrainConfig,
     Tree,
     _grow_tree,
-    _preorder_tree,
     _softmax,
     _subset_size,
     logistic_gradient,
@@ -258,15 +257,16 @@ def test_svm_raises_when_the_decay_would_vanish(each_path):
 def _grow(X, y, rows, rng, n_classes, cfg):
     """One tree as ``train_forest`` grows it: in C where the grower loads, else ``_grow_tree``.
 
-    A compiled tree must equal ``_grow_tree``'s on a twin generator, node
-    arrays and generator state alike.
+    A compiled ``Tree`` must equal ``_grow_tree``'s on a twin generator,
+    node arrays and generator state alike.
     """
     size = _subset_size(X.shape[1])
     grow = kernel.tree_grower(X, y, n_classes, size, cfg.min_leaf, cfg.max_depth)
     if grow is None:
         return _grow_tree(X, y, rows, rng, n_classes, cfg)
     twin = copy.deepcopy(rng)
-    tree = _preorder_tree(*grow(rows.copy(), rng))
+    tree = grow(rows.copy(), rng)
+    assert isinstance(tree, Tree)
     assert_same_tree_bytes([tree], [_grow_tree(X, y, rows, twin, n_classes, cfg)])
     assert rng.bit_generator.state == twin.bit_generator.state
     return tree
@@ -281,7 +281,7 @@ def test_grow_tree_split_oracle():
     assert tree.feature[0] != -1
     assert tree.feature[0] == 0
     assert tree.threshold[0] == 2.5
-    assert tree.counts[tree.left[0]].tolist() == [2, 0]
+    assert tree.counts[1].tolist() == [2, 0]
     assert tree.counts[tree.right[0]].tolist() == [0, 2]
 
 
@@ -344,7 +344,7 @@ def test_grow_tree_at_twice_min_leaf_splits_only_at_the_middle():
         y = np.array(y)
         tree = _grow(np.array(x)[:, None], y, np.arange(6), rng, 2, cfg)
         assert tree.threshold[0] == 3.5
-        assert tree.counts[tree.left[0]].tolist() == [1, 2]
+        assert tree.counts[1].tolist() == [1, 2]
         assert tree.counts[tree.right[0]].tolist() == [0, 3]
         # equal values either side of the middle cut: no valid cut at all
         tree = _grow(np.array(tied)[:, None], y, np.arange(6), rng, 2, cfg)
@@ -378,7 +378,7 @@ def test_grow_tree_midpoint_rounding_up_to_hi_falls_back_to_lo():
     cfg = TrainConfig(max_depth=1, min_leaf=1)
     tree = _grow(X, np.array([0, 0, 1, 1]), np.arange(4), np.random.default_rng(0), 2, cfg)
     assert tree.threshold[0].tobytes() == lo.tobytes()
-    assert tree.counts[tree.left[0]].tolist() == [2, 0]
+    assert tree.counts[1].tolist() == [2, 0]
     assert tree.counts[tree.right[0]].tolist() == [0, 2]
 
 
@@ -466,7 +466,7 @@ def test_forest_growth_limits_and_bootstrap_mass():
         # children follow their parent, so one pass in node order fills depth
         depth = np.zeros(tree.feature.size, dtype=np.int64)
         for i in np.flatnonzero(tree.feature >= 0):
-            depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+            depth[i + 1] = depth[tree.right[i]] = depth[i] + 1
         leaves = np.flatnonzero(tree.feature == -1)
         assert all(depth[leaves] <= 3)
         # every leaf born of a split respects min_leaf, and each bootstrap
@@ -492,14 +492,14 @@ def test_grown_trees_are_walkable(n_classes, each_path):
             assert tree.counts[0].sum() == data.n_samples
 
 
-_TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts")
+_TREE_ARRAYS = ("feature", "threshold", "right", "counts")
 
 
 def _walkable_fixture():
     """A grown tree's node arrays as writeable copies: a ``Tree`` refuses broken ones."""
     data = blob_dataset(30, n_classes=3, seed=3, spread=3.0)
     tree = train_forest(data, TrainConfig(n_trees=2, max_depth=4, seed=1)).trees[1]
-    assert tree.feature[0] >= 0 and tree.feature[tree.left[0]] >= 0
+    assert tree.feature[0] >= 0 and tree.feature[1] >= 0  # the root and its left child split
     arrays = {name: getattr(tree, name).copy() for name in _TREE_ARRAYS}
     return SimpleNamespace(**arrays), data.n_features
 
@@ -514,12 +514,12 @@ def _first_leaf(tree):
 
 # each fault returns the broken tree, and the check must name what broke
 def _child_before_parent(t, n_features):
-    t.right[t.left[0]] = 0
+    t.right[1] = 0
     return t
 
 
 def _child_is_parent(t, n_features):
-    t.left[0] = 0
+    t.right[0] = 0
     return t
 
 
@@ -528,13 +528,15 @@ def _child_past_end(t, n_features):
     return t
 
 
-def _left_child_not_next(t, n_features):
-    t.left[0] = t.right[0]
+def _empty_left_subtree(t, n_features):
+    # the right child is the left one, node 1
+    t.right[0] = 1
     return t
 
 
 def _shared_child(t, n_features):
-    t.right[0] = t.left[0]
+    # the root's left child takes the root's right child as its own
+    t.right[1] = t.right[0]
     return t
 
 
@@ -549,7 +551,7 @@ def _feature_below_leaf_marker(t, n_features):
 
 
 def _leaf_with_children(t, n_features):
-    t.left[_first_leaf(t)] = 0
+    t.right[_first_leaf(t)] = 0
     return t
 
 
@@ -584,7 +586,7 @@ def _unequal_lengths(t, n_features):
 
 
 def _nested_arrays(t, n_features):
-    return _with(t, left=t.left[None, :])
+    return _with(t, right=t.right[None, :])
 
 
 def _float_features(t, n_features):
@@ -603,11 +605,11 @@ _WALK_FAULTS = [
     (_child_before_parent, "does not come after its parent"),
     (_child_is_parent, "does not come after its parent"),
     (_child_past_end, "past the last node"),
-    (_left_child_not_next, "left child does not follow"),
+    (_empty_left_subtree, "no left subtree"),
     (_shared_child, "not one parent"),
     (_feature_too_large, "feature is out of range"),
     (_feature_below_leaf_marker, "feature is out of range"),
-    (_leaf_with_children, "leaf has children"),
+    (_leaf_with_children, "leaf has a right child"),
     (_leaf_with_threshold, "leaf has a threshold"),
     (_nan_threshold, "threshold is not finite"),
     (_empty_leaf_counts, "no training row reached"),
@@ -655,9 +657,10 @@ def _no_nodes(t, n_features):
 # the faults that would send a walk astray, read past an array, or misread a
 # dtype: a Tree, or the Forest that holds it, must refuse each one
 _TREE_FAULTS = [
-    (_child_before_parent, "children must come after it"),
-    (_child_is_parent, "children must come after it"),
-    (_child_past_end, "children must come after it"),
+    (_child_before_parent, r"right child must lie after i \+ 1"),
+    (_child_is_parent, r"right child must lie after i \+ 1"),
+    (_child_past_end, r"right child must lie after i \+ 1, inside the tree"),
+    (_empty_left_subtree, r"right child must lie after i \+ 1"),
     (_feature_too_large, r"features must lie in \[-1, "),
     (_feature_below_leaf_marker, "features must be -1"),
     (_unequal_lengths, "of one length"),
@@ -691,21 +694,21 @@ def test_a_tree_keeps_read_only_copies_of_its_arrays():
         kept = getattr(tree, name)
         assert not kept.flags.writeable and kept.tobytes() == getattr(arrays, name).tobytes()
         assert not np.shares_memory(kept, getattr(arrays, name))
-    arrays.left[0] = 0  # a later write to the caller's array leaves the tree as checked
-    assert tree.left[0] == 1
+    right = int(arrays.right[0])
+    arrays.right[0] = 0  # a later write to the caller's array leaves the tree as checked
+    assert tree.right[0] == right
     with pytest.raises(ValueError, match="read-only"):
-        tree.left[0] = 0
+        tree.right[0] = 0
 
 
 def test_malformed_trees_fail_before_any_walk():
-    # a root that is its own left child would walk forever; feature 5 of a
+    # a root that is its own right child would walk forever; feature 5 of a
     # 1-feature forest would read past each row
     feature, threshold, counts = np.array([0, -1, -1]), np.array([0.5, 0.0, 0.0]), np.ones((3, 2))
     counts = counts.astype(np.int64)
-    with pytest.raises(ValueError, match="children must come after it"):
-        Tree(feature, threshold, np.array([0, -1, -1]), np.array([2, -1, -1]), counts)
-    tree = Tree(np.array([5, -1, -1]), threshold, np.array([1, -1, -1]), np.array([2, -1, -1]),
-                counts)
+    with pytest.raises(ValueError, match=r"right child must lie after i \+ 1"):
+        Tree(feature, threshold, np.array([0, -1, -1]), counts)
+    tree = Tree(np.array([5, -1, -1]), threshold, np.array([2, -1, -1]), counts)
     with pytest.raises(ValueError, match=r"features must lie in \[-1, 1\)"):
         Forest((tree,), 2, 1)
 
@@ -848,7 +851,7 @@ def _trained_bytes(model_kind, cfg):
     if isinstance(model, LinearModel):
         return [model.weights.tobytes(), model.bias.tobytes()]
     return [getattr(tree, name).tobytes() for tree in model.trees
-            for name in ("feature", "threshold", "left", "right", "counts")]
+            for name in ("feature", "threshold", "right", "counts")]
 
 
 @pytest.mark.parametrize("model_kind", sorted(TRAIN_SETTINGS))

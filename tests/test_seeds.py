@@ -99,7 +99,7 @@ def _streams(spec, data, monkeypatch) -> dict[str, bytes]:
         else:
             streams[f"train {condition} forest"] = _bytes(*(
                 array for tree in global_model.trees
-                for array in (tree.feature, tree.threshold, tree.left, tree.right, tree.counts)
+                for array in (tree.feature, tree.threshold, tree.right, tree.counts)
             ))
     monkeypatch.undo()
     return streams

@@ -19,7 +19,7 @@ import pytest
 from _oracles import assert_same_tree_bytes
 from fedtab import kernel
 from fedtab.dataset import EncodedDataset
-from fedtab.models import TrainConfig, _grow_tree, train_forest
+from fedtab.models import TrainConfig, Tree, _grow_tree, _subset_size, train_forest
 
 
 @pytest.fixture
@@ -168,5 +168,20 @@ def test_compiled_grower_refuses_rows_or_a_subset_it_would_misread(compiled):
     read_only.flags.writeable = False
     with pytest.raises(ValueError, match="rows must be writeable"):
         grow(read_only, np.random.default_rng(0))
-    feature, threshold, right, counts = grow(np.arange(6), np.random.default_rng(0))
-    assert feature[0] >= 0 and counts[0].tolist() == [3, 3]
+    tree = grow(np.arange(6), np.random.default_rng(0))
+    assert tree.feature[0] >= 0 and tree.counts[0].tolist() == [3, 3]
+
+
+def test_both_growers_return_trees_of_equal_bytes(compiled):
+    # the compiled Tree copies its grower's buffers: the next tree, grown into
+    # the same buffers, leaves it as grown
+    X, y = _block(np.random.default_rng(7), 50, 5, 3)
+    cfg = TrainConfig(max_depth=12, min_leaf=1)
+    grow = compiled.tree_grower(X, y, 3, _subset_size(5), cfg.min_leaf, cfg.max_depth)
+    rows = [np.random.default_rng(seed).integers(0, 50, size=50) for seed in (8, 9)]
+    got = [grow(r.copy(), np.random.default_rng(seed)) for seed, r in enumerate(rows)]
+    want = [_grow_tree(X, y, r, np.random.default_rng(seed), 3, cfg)
+            for seed, r in enumerate(rows)]
+    assert all(type(tree) is Tree for tree in got + want)
+    assert got[0].threshold.tobytes() != got[1].threshold.tobytes()  # two different trees
+    assert_same_tree_bytes(got, want)

@@ -67,8 +67,8 @@ def test_compiled_leaves_are_leaf_index_on_forests_grown_on_each_path(
 def _stump(feature, threshold, n_features):
     """One split on ``feature`` at ``threshold``: class 0 left, class 1 right."""
     tree = Tree(
-        np.array([feature, -1, -1]), np.array([threshold, 0.0, 0.0]), np.array([1, -1, -1]),
-        np.array([2, -1, -1]), np.array([[3, 2], [3, 0], [0, 2]]),
+        np.array([feature, -1, -1]), np.array([threshold, 0.0, 0.0]), np.array([2, -1, -1]),
+        np.array([[3, 2], [3, 0], [0, 2]]),
     )
     return Forest((tree,), 2, n_features)
 
@@ -77,8 +77,7 @@ def test_compiled_leaves_are_leaf_index_at_thresholds_zeros_leaves_and_no_rows(r
     lo = np.nextafter(1.0, 2.0)
     at_threshold = np.array([[0.5, 1.0], [0.5, lo], [np.nextafter(0.5, 1.0), 0.0], [0.0, 2.0]])
     signed_zeros = np.array([[0.0], [-0.0], [np.nextafter(0.0, 1.0)], [-np.nextafter(0.0, 1.0)]])
-    one_leaf = Forest((Tree(*(np.array([v]) for v in (-1, 0.0, -1, -1)), np.array([[4, 1]])),),
-                      2, 2)
+    one_leaf = Forest((Tree(*(np.array([v]) for v in (-1, 0.0, -1)), np.array([[4, 1]])),), 2, 2)
     cases = [
         (_stump(0, 0.5, 2), at_threshold),  # row 0 and 1 at the threshold go left
         (_stump(1, lo, 2), at_threshold),
