@@ -133,34 +133,57 @@ void fedtab_draw(bitgen_t *bitgen, int64_t d, int64_t size, int64_t *out, uint8_
         seen[out[i]] = 0;
 }
 
-/* One forest's ranked features and one tree's buffers (fedtab.kernel._RankedTree).
- * ranks[f * n_samples + row] is the dense rank of X[row, f] among column f's
+/* One forest's ranked features, one tree's rows and the regions of the
+ * forest's scratch that fedtab_split works in (see regions).
+ * ranks[f * n_rows + row] is the dense rank of X[row, f] among column f's
  * distinct values, which values[offsets[f] .. offsets[f + 1]) holds in
  * ascending order; -0.0 and 0.0 are one value.  rows holds the tree's n_rows
- * bootstrap rows; each split partitions a node's slice of it in place.
- * subset holds d features.  work holds n_rows + 3 * n_classes int64s for
- * fedtab_split, then d int64s whose first d bytes are zero (WORK_SEEN), then
- * a (K, n_classes) histogram, K the most distinct values of any feature
- * (WORK_HISTOGRAM). */
+ * bootstrap rows, each in [0, n_rows); each split partitions a node's slice
+ * of it in place. */
 typedef struct {
     const int32_t *ranks;
     const double *values;
     const int64_t *offsets;
-    int64_t n_samples;
-    int64_t d;
     const int64_t *y;
-    int64_t n_classes;
-    int64_t min_leaf;
+    int64_t n_rows, n_classes, min_leaf;
     int64_t *rows;
-    int64_t n_rows;
-    int64_t *subset;
     double threshold;
-    int64_t *child_counts;
-    int64_t *work;
+    int64_t *subset, *child_counts, *work, *histogram;
 } ranked_tree;
 
-#define WORK_SEEN(t) ((uint8_t *)((t)->work + (t)->n_rows + 3 * (t)->n_classes))
-#define WORK_HISTOGRAM(t) ((t)->work + (t)->n_rows + 3 * (t)->n_classes + (t)->d)
+/* a node stack holds one right child waiting per level, plus the top */
+#define STACK_ENTRIES(max_depth) ((max_depth) + 2)
+
+enum { SUBSET, CHILD_COUNTS, STACK, WORK, SEEN, HISTOGRAM };
+
+/* Where each region of one forest's scratch starts, in int64s, in this order:
+ * subset (d features), child_counts (2 * n_classes), the node stack
+ * (STACK_ENTRIES of 4 + n_classes), fedtab_split's work (n_rows + 3 *
+ * n_classes), fedtab_draw's d seen bytes, zero on entry, and last the
+ * (rank, class) histogram, whose size only fedtab_grow_scratch needs. */
+static void regions(int64_t n_rows, int64_t d, int64_t n_classes, int64_t max_depth,
+                    int64_t start[HISTOGRAM + 1])
+{
+    const int64_t size[HISTOGRAM] = {d, 2 * n_classes, STACK_ENTRIES(max_depth) * (4 + n_classes),
+                                     n_rows + 3 * n_classes, (d + 7) / 8};
+    start[0] = 0;
+    for (int k = 0; k < HISTOGRAM; k++)
+        start[k + 1] = start[k] + size[k];
+}
+
+/* How many zeroed int64s of scratch fedtab_grow needs to grow the trees of
+ * one forest: n_rows rows, d features with the distinct values offsets
+ * delimits, n_classes classes and trees max_depth deep.  The histogram holds
+ * a (K, n_classes) count for the feature of K distinct values, the most. */
+int64_t fedtab_grow_scratch(int64_t n_rows, int64_t d, const int64_t *offsets,
+                            int64_t n_classes, int64_t max_depth)
+{
+    int64_t start[HISTOGRAM + 1], most = 0;
+    regions(n_rows, d, n_classes, max_depth, start);
+    for (int64_t f = 0; f < d; f++)
+        most = offsets[f + 1] - offsets[f] > most ? offsets[f + 1] - offsets[f] : most;
+    return start[HISTOGRAM] + most * n_classes;
+}
 
 /* Dense ranks of the column holding column[row * stride] for row in [0, n),
  * given `order`, its rows in ascending order of value: ranks[row] is the
@@ -209,8 +232,7 @@ static int64_t fedtab_split(ranked_tree *t, int64_t start, int64_t n, int64_t n_
     const int64_t *y = t->y;
     int64_t *rows = t->rows + start;
     int64_t *right_rows = t->work, *counts = right_rows + t->n_rows;
-    int64_t *left = counts + n_classes, *right = left + n_classes;
-    int64_t *hist = WORK_HISTOGRAM(t);
+    int64_t *left = counts + n_classes, *right = left + n_classes, *hist = t->histogram;
 
     memset(counts, 0, (size_t)n_classes * sizeof *counts);
     for (int64_t i = 0; i < n; i++)
@@ -221,7 +243,7 @@ static int64_t fedtab_split(ranked_tree *t, int64_t start, int64_t n, int64_t n_
     int64_t best_f = -1, lo_rank = 0, hi_rank = 0;
     for (int64_t f = 0; f < n_subset; f++) {
         const int64_t feature = t->subset[f];
-        const int32_t *rank = t->ranks + feature * t->n_samples;
+        const int32_t *rank = t->ranks + feature * t->n_rows;
         const int64_t n_values = t->offsets[feature + 1] - t->offsets[feature];
         memset(hist, 0, (size_t)(n_values * n_classes) * sizeof *hist);
         for (int64_t i = 0; i < n; i++)
@@ -271,7 +293,7 @@ static int64_t fedtab_split(ranked_tree *t, int64_t start, int64_t n, int64_t n_
     t->threshold = threshold;
 
     /* lo <= threshold < hi: a node's row has value <= threshold iff rank <= lo_rank */
-    const int32_t *rank = t->ranks + feature * t->n_samples;
+    const int32_t *rank = t->ranks + feature * t->n_rows;
     int64_t *child = t->child_counts;
     int64_t n_left = 0, n_right = 0;
     memset(child, 0, 2 * (size_t)n_classes * sizeof *child);
@@ -289,20 +311,28 @@ static int64_t fedtab_split(ranked_tree *t, int64_t start, int64_t n, int64_t n_
     return best_f;
 }
 
-/* Grow one tree on t->rows as models._grow_tree does, drawing each node's
- * n_subset features from bitgen as its rng.choice would.  Nodes come off an
- * explicit stack, a split node's left child before its right, into the
- * preorder arrays feature, threshold, right and counts (n_classes per node),
- * which hold `capacity` nodes.  stack holds stack_capacity entries of
- * 4 + n_classes int64s.  Returns the node count, or -3 when the arrays or the
- * stack would overflow. */
-int64_t fedtab_grow(ranked_tree *t, bitgen_t *bitgen, int64_t n_subset, int64_t max_depth,
-                    int64_t capacity, int64_t *feature, double *threshold, int64_t *right,
-                    int64_t *counts, int64_t *stack, int64_t stack_capacity)
+/* Grow one tree on the n_rows bootstrap rows `rows` of one forest's ranked
+ * features as models._grow_tree does, drawing each node's n_subset features
+ * from bitgen as its rng.choice would.  Nodes come off an explicit stack, a
+ * split node's left child before its right, into the preorder arrays
+ * feature, threshold, right and counts (n_classes per node), which hold
+ * `capacity` nodes.  scratch holds the fedtab_grow_scratch int64s, zeroed
+ * before the forest's first tree.  Returns the node count, or -3 when the
+ * arrays or the stack would overflow. */
+int64_t fedtab_grow(const int32_t *ranks, const double *values, const int64_t *offsets,
+                    const int64_t *y, int64_t n_rows, int64_t d, int64_t n_classes,
+                    int64_t min_leaf, int64_t max_depth, int64_t n_subset, int64_t *rows,
+                    bitgen_t *bitgen, int64_t capacity, int64_t *feature, double *threshold,
+                    int64_t *right, int64_t *counts, int64_t *scratch)
 {
-    const int64_t n_classes = t->n_classes, stride = 4 + n_classes;
-    uint8_t *seen = WORK_SEEN(t);
-    int64_t n_nodes = 0, top = 1;
+    int64_t at[HISTOGRAM + 1];
+    regions(n_rows, d, n_classes, max_depth, at);
+    ranked_tree tree = {ranks, values, offsets, y, n_rows, n_classes, min_leaf, rows, 0.0,
+                        scratch + at[SUBSET], scratch + at[CHILD_COUNTS], scratch + at[WORK],
+                        scratch + at[HISTOGRAM]}, *t = &tree;
+    const int64_t stride = 4 + n_classes, stack_capacity = STACK_ENTRIES(max_depth);
+    int64_t *stack = scratch + at[STACK], n_nodes = 0, top = 1;
+    uint8_t *seen = (uint8_t *)(scratch + at[SEEN]);
 
     /* an entry: first row, end row, depth, node whose right child it is, class counts */
     stack[0] = 0;
@@ -331,7 +361,7 @@ int64_t fedtab_grow(ranked_tree *t, bitgen_t *bitgen, int64_t n_subset, int64_t 
             most = entry[4 + c] > most ? entry[4 + c] : most;
         if (depth >= max_depth || n < 2 * t->min_leaf || most == n)
             continue;
-        fedtab_draw(bitgen, t->d, n_subset, t->subset, seen);
+        fedtab_draw(bitgen, d, n_subset, t->subset, seen);
         const int64_t i = fedtab_split(t, start, n, n_subset);
         if (i < 0)
             continue;

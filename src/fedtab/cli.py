@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 from typing import NoReturn
 
 from . import __version__
@@ -26,7 +27,7 @@ from .config import (
     load_config,
     read_config_file,
 )
-from .errors import ConfigError, DataError, FedtabError
+from .errors import ConfigError, DataError, FedtabError, InvalidConfigError
 from .experiment import emit_report, run_suite
 from .models import MODEL_KINDS
 from .schemas import DATASET_KEYS, builtin_dataset
@@ -111,8 +112,23 @@ def _run_config(args: argparse.Namespace) -> ExperimentConfig:
     return config_from_dict(payload, where=args.config or "config")
 
 
+def _check_config_kept(cfg: ExperimentConfig, config: str | None) -> None:
+    """Raise InvalidConfigError when an output path resolves to the config file ``config``.
+
+    Writing the report or round log there would overwrite the run's own
+    config; ``run`` and ``validate`` both check it before any table is read.
+    """
+    if config is None:
+        return
+    for name in ("path", "round_log"):
+        path = getattr(cfg.output, name)
+        if path is not None and Path(path).resolve() == Path(config).resolve():
+            raise InvalidConfigError(f"output.{name} {path!r} is the config file {config!r}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
+    _check_config_kept(cfg, args.config)
 
     progress = None
     if not args.quiet:
@@ -130,6 +146,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
+    _check_config_kept(cfg, args.config)
     # as run does: an unknown key raises, then the output paths are checked against the tables
     cfg.output.check_paths([builtin_dataset(key, cfg.data_dir).path for key in cfg.datasets])
     print(f"{args.config}: OK")

@@ -76,10 +76,9 @@ class SharedWork:
     depend on the encoded table, the seed, ``n_clients`` and
     ``test_fraction`` only, which are the constructor's arguments, so no
     model or condition can need another set.  ``round_one`` holds the
-    round-one local models that federated runs on ``clients`` trained (see
-    ``run_federated``).  Pooled runs keep none: their clean and poisoned
-    runs share no round one, so a dict would only hold both pooled models
-    until the seed ends.
+    round-one local models of the seed's federated runs (see
+    ``run_federated``); pooled cells pass none, since their clean and
+    poisoned runs share no round one.
     """
 
     def __init__(

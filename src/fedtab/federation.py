@@ -172,13 +172,13 @@ def run_federated(
     this run reuses the ones it needs and adds the ones it trains.  A
     round-one model starts from no global model, so it is a pure function
     of the client's training rows and its ``TrainConfig``.  The key is
-    (model kind, client id, flip config or None, that ``TrainConfig``):
-    the partition fixes the clean rows, the flip config fixes which of them
-    are flipped, and the ``TrainConfig`` carries the derived seed and the
-    local epochs.  So a benign client's round one serves clean and
-    poisoned runs alike.  (Runs that differ only in ``rounds`` are prefixes
-    of one another; ``run_condition_detailed`` runs the longest once.)  One
-    dict must never serve two partition sets.
+    (model kind, partition, flip config or None, that ``TrainConfig``): the
+    partition, which hashes by identity, fixes the clean rows, the flip
+    config fixes which of them are flipped, and the ``TrainConfig`` carries
+    the derived seed and the local epochs.  So a benign client's round one
+    serves clean and poisoned runs alike, and one dict can serve any
+    partition sets.  (Runs that differ only in ``rounds`` are prefixes of
+    one another; ``run_condition_detailed`` runs the longest once.)
 
     With ``local_accuracy=False`` no local model predicts its training rows
     and every record's ``local_train_accuracy`` is empty; ``round_one`` must
@@ -220,7 +220,7 @@ def run_federated(
         local_acc = []
         for p, data, flip_cfg, train_cfg in clients:
             if global_model is None:
-                key = (cfg.model_kind, p.client_id, flip_cfg, train_cfg)
+                key = (cfg.model_kind, p, flip_cfg, train_cfg)
                 if key not in round_one:
                     round_one[key] = _train_local(
                         cfg.model_kind, data, train_cfg, None, local_accuracy

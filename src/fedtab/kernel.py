@@ -3,8 +3,11 @@
 ``_kernel.c`` holds three kernels: one epoch of ``models.train_svm``, the
 growth of one ``models.train_forest`` tree, node by node, in a single call,
 and the leaves one tree routes a block of rows to, for
-``models.predict_scores``.  ``models`` imports this module and asks for the
-kernels at the first ``train_svm``, ``train_forest`` or forest
+``models.predict_scores``.  The grower's working memory is C's own:
+``fedtab_grow_scratch`` says how many zeroed int64s one forest's trees
+share, and ``fedtab_grow`` carves them, so Python allocates one array and
+sizes only the trees' node arrays.  ``models`` imports this module and
+asks for the kernels at the first ``train_svm``, ``train_forest`` or forest
 ``predict_scores`` call, never at package import, so runs that use none of
 them pay nothing.  On first use the C source is compiled with ``cc`` at
 ``FLAGS`` into a per-user cache directory, under a name keyed by the sha256
@@ -62,8 +65,8 @@ import numpy as np
 SOURCE = Path(__file__).with_name("_kernel.c")
 FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 SYMBOLS = (
-    "fedtab_svm_epoch", "fedtab_svm_dots", "fedtab_draw", "fedtab_grow", "fedtab_rank",
-    "fedtab_route",
+    "fedtab_svm_epoch", "fedtab_svm_dots", "fedtab_draw", "fedtab_grow", "fedtab_grow_scratch",
+    "fedtab_rank", "fedtab_route",
 )
 _BLAS_SYMBOLS = ("scipy_cblas_ddot64_", "scipy_cblas_dgemv64_")
 _CHECK_WIDTHS = (1, 2, 3, 5, 8, 16, 39, 64)
@@ -99,27 +102,6 @@ class Unavailable(Exception):
     """The compiled kernels cannot be used; the message says why."""
 
 
-class _RankedTree(ctypes.Structure):
-    """``ranked_tree`` in ``_kernel.c``: one forest's ranks, one tree's buffers."""
-
-    _fields_ = [
-        ("ranks", ctypes.c_void_p),
-        ("values", ctypes.c_void_p),
-        ("offsets", ctypes.c_void_p),
-        ("n_samples", ctypes.c_int64),
-        ("d", ctypes.c_int64),
-        ("y", ctypes.c_void_p),
-        ("n_classes", ctypes.c_int64),
-        ("min_leaf", ctypes.c_int64),
-        ("rows", ctypes.c_void_p),
-        ("n_rows", ctypes.c_int64),
-        ("subset", ctypes.c_void_p),
-        ("threshold", ctypes.c_double),
-        ("child_counts", ctypes.c_void_p),
-        ("work", ctypes.c_void_p),
-    ]
-
-
 class _Kernel:
     """The loaded shared object and the BLAS routines it calls."""
 
@@ -127,9 +109,8 @@ class _Kernel:
         self._lib = lib
         self._blas = blas
         try:
-            self._epoch, self._dots, self._draw, self._grow, self._rank, self._route = (
-                getattr(lib, name) for name in SYMBOLS
-            )
+            (self._epoch, self._dots, self._draw, self._grow, self._grow_scratch, self._rank,
+             self._route) = (getattr(lib, name) for name in SYMBOLS)
         except AttributeError as err:  # a build of some other source
             raise Unavailable(f"compiled kernel lacks a symbol: {err}") from None
         i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
@@ -139,8 +120,10 @@ class _Kernel:
         self._dots.restype = None
         self._draw.argtypes = [ptr, i64, i64, ptr, ptr]
         self._draw.restype = None
-        self._grow.argtypes = [ptr, ptr] + [i64] * 3 + [ptr] * 5 + [i64]
+        self._grow.argtypes = [ptr] * 4 + [i64] * 6 + [ptr] * 2 + [i64] + [ptr] * 5
         self._grow.restype = i64
+        self._grow_scratch.argtypes = [i64, i64, ptr, i64, i64]
+        self._grow_scratch.restype = i64
         self._rank.argtypes = [ptr, i64, ptr, i64, ptr, ptr]
         self._rank.restype = i64
         self._route.argtypes = [i64] * 2 + [ptr] * 5
@@ -347,22 +330,12 @@ class _Kernel:
         check_forest_inputs(X, y, n_classes, min_leaf)
         N, d = X.shape
         # a node holds at most N rows, so min_leaf >= N makes every node a leaf; the
-        # clamp keeps 2 * min_leaf in the C code's int64 and the value in its field
+        # clamp keeps 2 * min_leaf in the C code's int64, and the value in the ctypes
+        # int64 argument, which would wrap 2**64 + 1 to 1
         min_leaf = min(min_leaf, N)
         if not 0 <= n_subset <= d < 2**31:
             raise ValueError(f"expected 0 <= n_subset <= d < 2**31, got {n_subset} of {d}")
         ranks, values, offsets = self.ranked(X)
-        subset = np.empty(d, dtype=np.int64)
-        child = np.empty(2 * n_classes, dtype=np.int64)
-        most = int(np.diff(offsets).max(initial=0))  # the most distinct values of a feature
-        work = np.zeros(N + 3 * n_classes + d + most * n_classes, dtype=np.int64)
-        arrays = (ranks, values, offsets, y, subset, child, work)
-        # one forest's ranks and one tree's buffers; grow sets its rows before each tree
-        tree = _RankedTree(
-            ranks.ctypes.data, values.ctypes.data, offsets.ctypes.data, N, d,
-            y.ctypes.data, n_classes, min_leaf, None, N, subset.ctypes.data, 0.0,
-            child.ctypes.data, work.ctypes.data,
-        )
         # a node at depth N - 1 holds one row, so a deeper limit changes nothing
         max_depth = min(max_depth, N)
         # every leaf below a split holds min_leaf rows, and a tree has 2 * leaves - 1 nodes
@@ -370,20 +343,21 @@ class _Kernel:
         feature, right = np.empty(capacity, dtype=np.int64), np.empty(capacity, dtype=np.int64)
         threshold = np.empty(capacity)
         counts = np.empty((capacity, n_classes), dtype=np.int64)
-        stack_capacity = max_depth + 2  # one right child waits per level, plus the top
-        stack = np.empty(stack_capacity * (4 + n_classes), dtype=np.int64)
-        buffers = (feature, threshold, right, counts, stack)
-        pointers = [a.ctypes.data for a in buffers]
-        address, grow_tree = ctypes.addressof(tree), self._grow
-        alive = (arrays, buffers, tree)
+        # the working memory the C grower carves, zeroed once for all the forest's trees
+        scratch = np.zeros(
+            self._grow_scratch(N, d, offsets.ctypes.data, n_classes, max_depth), dtype=np.int64
+        )
+        alive = (ranks, values, offsets, y, feature, threshold, right, counts, scratch)
+        forest = [a.ctypes.data for a in alive[:4]] + [N, d, n_classes, min_leaf, max_depth,
+                                                       n_subset]
+        tree = [capacity] + [a.ctypes.data for a in alive[4:]]
+        grow_tree = self._grow
 
         def grow(rows: np.ndarray, rng: np.random.Generator, _alive=alive):
             # _alive keeps the arrays behind the pointers as long as grow lives
             check_rows(rows, N)
-            tree.rows = rows.ctypes.data
             bitgen = rng.bit_generator.ctypes.bit_generator
-            n_nodes = grow_tree(address, bitgen, n_subset, max_depth, capacity, *pointers,
-                                stack_capacity)
+            n_nodes = grow_tree(*forest, rows.ctypes.data, bitgen, *tree)
             if n_nodes < 0:
                 raise RuntimeError("a tree outgrew its node or stack buffer")
             # views of the buffers: the Tree keeps the only copy
@@ -587,11 +561,13 @@ def tree_grower(X, y, n_classes: int, n_subset: int, min_leaf: int, max_depth: i
     ``X`` and ``y`` are as ``check_forest_inputs`` says; ``X``'s ranks are
     computed here, once for all the forest's trees, and kept for the next
     forest while ``X`` is the same read-only block (``_Kernel.ranked``).
-    ``grow`` grows one tree on ``rows``, the tree's N writeable int64 bootstrap rows, which it
-    reorders, drawing each node's ``n_subset`` features from ``rng`` as
-    ``rng.choice`` would, and returns the ``models.Tree`` that
-    ``models._grow_tree`` grows, built from views of the preorder
-    ``feature``, ``threshold``, ``right`` and ``counts`` the C code writes.
+    The forest's node arrays and the scratch the C code works in are
+    allocated here too, once.  ``grow`` grows one tree on ``rows``, the
+    tree's N writeable int64 bootstrap rows, which it reorders, drawing
+    each node's ``n_subset`` features from ``rng`` as ``rng.choice`` would,
+    and returns the ``models.Tree`` that ``models._grow_tree`` grows, built
+    from views of the preorder ``feature``, ``threshold``, ``right`` and
+    ``counts`` the C code writes.
     The first call in a process runs the forest's checks; None when one
     fails.
     """

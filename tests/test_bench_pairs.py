@@ -84,3 +84,24 @@ def test_a_pair_line_names_the_side_that_ran_first(tool):
     assert tool.format_pair("forest_B", 2, pair, ["wall_s"]) == (
         "forest_B pair 2 (change first): wall_s 0.0800 -> 0.0765"
     )
+
+
+def test_both_sides_are_copied_as_source_files_only(tool, tmp_path):
+    checkout = tmp_path / "checkout"
+    files = {
+        "src/fedtab/kernel.py": "kept", "bench/run.py": "kept", "BENCHMARK.json": "kept",
+        ".git/HEAD": "git", "src/fedtab/__pycache__/kernel.cpython-311.pyc": "bytecode",
+        "tests/stray.pyc": "bytecode", ".bench_work/forest_B/report.csv": "work",
+        ".pytest_cache/v/cache/lastfailed": "cache", ".bench_build/x": "build",
+        ".benchmarks/x": "history",
+    }
+    for name, text in files.items():
+        (checkout / name).parent.mkdir(parents=True, exist_ok=True)
+        (checkout / name).write_text(text, encoding="utf-8")
+    copies = {side: tool.copy_sources(checkout, tmp_path / "copies" / side) for side in tool.SIDES}
+    for side, copy in copies.items():
+        assert copy == tmp_path / "copies" / side
+        copied = sorted(str(p.relative_to(copy)) for p in copy.rglob("*") if p.is_file())
+        assert copied == ["BENCHMARK.json", "bench/run.py", "src/fedtab/kernel.py"]
+        assert tool.source_digest(copy) == tool.source_digest(checkout)
+    assert (checkout / ".bench_work/forest_B/report.csv").exists()  # the checkout is untouched

@@ -508,3 +508,29 @@ def test_an_output_path_naming_an_input_table_is_a_config_error(
     )
     assert "OK" not in captured.out
     assert table.read_bytes() == before
+
+
+@pytest.mark.parametrize("key", ["path", "round_log"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_an_output_path_naming_the_config_file_is_a_config_error(
+    tmp_path, monkeypatch, capsys, command, key
+):
+    # the config file is an input too: writing the report there would replace it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data").mkdir()
+    write_dataset_a_like(tmp_path / "data" / "student-mat.csv", n=150, seed=1)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(
+        "datasets: [A]\nmodels: [logistic]\nconditions: [central_clean]\nepoch_budget: 3\n"
+        f"output: {{{key}: ./exp.yaml}}\n",
+        encoding="utf-8",
+    )
+    before = cfg.read_bytes()
+    assert main([command, "--config", "exp.yaml"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    # exactly one line: no cell started
+    assert captured.err == (
+        f"configuration error: output.{key} './exp.yaml' is the config file 'exp.yaml'\n"
+    )
+    assert captured.out == ""
+    assert cfg.read_bytes() == before

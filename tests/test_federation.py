@@ -398,3 +398,20 @@ def test_run_federated_rejects_a_repeated_client_id(partitions):
     twin = replace(partitions[0], client_id=partitions[2].client_id)
     with pytest.raises(ValueError, match=rf"client ids repeat: \[{partitions[2].client_id}\]"):
         run_federated([*partitions, twin], _fed_cfg("logistic", rounds=1, epochs=1))
+
+
+def test_one_round_one_dict_serves_two_partition_sets(tmp_path):
+    # the pooled partition and client 0 share a client id and so a derived
+    # seed, but not their rows: each keeps its own round-one model
+    path = write_grades_csv(tmp_path / "grades.csv", n=300, seed=21)
+    spec = grades_dataset_spec(path)
+    clients, pooled = build_client_partitions(load_dataset(spec), spec.schema, 3, 0.2, seed=2)
+    assert pooled.client_id == clients[0].client_id
+    cfg = _fed_cfg("logistic", rounds=2, epochs=3)
+    round_one = {}
+    run_federated([pooled], cfg, None, round_one)
+    model, log = run_federated(clients, cfg, None, round_one)
+    fresh_model, fresh_log = run_federated(clients, cfg, None, {})
+    assert log.records == fresh_log.records
+    assert _model_bytes(model) == _model_bytes(fresh_model)
+    assert len(round_one) == 1 + len(clients)

@@ -75,7 +75,7 @@ def test_min_leaf_of_the_row_count_or_more_grows_one_leaf_on_each_path(
     compiled, monkeypatch, min_leaf
 ):
     # the C grower gets min(min_leaf, N): from 2**62 up 2 * min_leaf would overflow
-    # its int64, and from 2**64 up the ctypes field would wrap, 2**64 + 1 to 1
+    # its int64, and from 2**64 up the ctypes argument would wrap, 2**64 + 1 to 1
     X, y = _block(np.random.default_rng(5), 40, 3, 3)
     data = EncodedDataset(X, y, 3, ("f0", "f1", "f2"))
     cfg = TrainConfig(n_trees=3, max_depth=12, min_leaf=min_leaf, seed=5)
@@ -172,16 +172,60 @@ def test_compiled_grower_refuses_rows_or_a_subset_it_would_misread(compiled):
     assert tree.feature[0] >= 0 and tree.counts[0].tolist() == [3, 3]
 
 
-def test_both_growers_return_trees_of_equal_bytes(compiled):
+def _shape(tree):
+    """(depth, the most right children waiting on the grower's stack at once)."""
+    depth, waiting = np.zeros((2, tree.feature.size), dtype=np.int64)
+    for i in np.flatnonzero(tree.feature >= 0):  # preorder: a parent comes before its children
+        depth[[i + 1, tree.right[i]]] = depth[i] + 1
+        waiting[i + 1], waiting[tree.right[i]] = waiting[i] + 1, waiting[i]
+    return int(depth.max()), int(waiting.max())
+
+
+def _scratch_blocks():
+    """Blocks at the extremes of the C grower's scratch and node arrays:
+    (features, labels, classes, min_leaf, max_depth, bootstrap?, the first tree's
+    (nodes, depth, most waiting) or None)."""
+    rng = np.random.default_rng(7)
+    return {
+        "bootstrap": (*_block(rng, 50, 5, 3), 3, 1, 12, True, None),
+        # min_leaf 1 and max_depth past N: a chain N - 1 deep fills all 2N - 1 node slots
+        "deepest_tree": (np.arange(40.0)[:, None], np.arange(40) % 2, 2, 1, 45, False, (79, 39, 1)),
+        # 7 right children wait at once, the most any 2 classes give on these 12 rows
+        "deepest_stack": (
+            np.arange(12.0)[:, None], np.array([0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1]), 2, 1, 12,
+            False, (15, 7, 7),
+        ),
+        # N distinct values per column: the largest histogram
+        "distinct_values": (rng.normal(size=(60, 2)), rng.integers(0, 4, size=60), 4, 1, 60,
+                            False, None),
+        "constant_column": (np.full((30, 1), 2.5), rng.integers(0, 3, size=30), 3, 1, 30, False,
+                            (1, 0, 0)),
+        "one_row": (np.array([[1.0, -0.0]]), np.array([1]), 2, 1, 3, False, (1, 0, 0)),
+        "two_rows": (np.array([[1.0, 0.0], [2.0, -0.0]]), np.array([1, 0]), 2, 1, 3, False,
+                     (3, 1, 1)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_scratch_blocks()))
+def test_both_growers_return_trees_of_equal_bytes(compiled, case):
     # the compiled Tree copies its grower's buffers: the next tree, grown into
     # the same buffers, leaves it as grown
-    X, y = _block(np.random.default_rng(7), 50, 5, 3)
-    cfg = TrainConfig(max_depth=12, min_leaf=1)
-    grow = compiled.tree_grower(X, y, 3, _subset_size(5), cfg.min_leaf, cfg.max_depth)
-    rows = [np.random.default_rng(seed).integers(0, 50, size=50) for seed in (8, 9)]
+    X, y, n_classes, min_leaf, max_depth, bootstrap, shape = _scratch_blocks()[case]
+    n = y.size
+    if case == "distinct_values":
+        assert np.diff(compiled.rank_features(X)[2]).tolist() == [n, n]
+    cfg = TrainConfig(max_depth=max_depth, min_leaf=min_leaf)
+    grow = compiled.tree_grower(X, y, n_classes, _subset_size(X.shape[1]), min_leaf, max_depth)
+    if bootstrap:
+        rows = [np.random.default_rng(seed).integers(0, n, size=n) for seed in (8, 9)]
+    else:
+        rows = [np.arange(n), np.arange(n)[::-1].copy()]
     got = [grow(r.copy(), np.random.default_rng(seed)) for seed, r in enumerate(rows)]
-    want = [_grow_tree(X, y, r, np.random.default_rng(seed), 3, cfg)
+    want = [_grow_tree(X, y, r, np.random.default_rng(seed), n_classes, cfg)
             for seed, r in enumerate(rows)]
     assert all(type(tree) is Tree for tree in got + want)
-    assert got[0].threshold.tobytes() != got[1].threshold.tobytes()  # two different trees
+    if shape is None:
+        assert got[0].threshold.tobytes() != got[1].threshold.tobytes()  # two different trees
+    else:
+        assert (got[0].feature.size, *_shape(got[0])) == shape
     assert_same_tree_bytes(got, want)

@@ -6,10 +6,13 @@
 Each pair runs ``python3 <dir>/bench/run.py --workload W --seconds S
 --trace 0`` on both checkouts, with S the benchmark's own ``run_seconds``
 from ``BENCHMARK.json``, the parent first in odd pairs and the change
-first in even ones, so drift in the host's speed falls on both sides.  Make
-the parent checkout with ``git archive``; each side times its own sources
-with its own benchmark.  A run whose last stdout line does not say
-``"correct": true`` stops the script with exit 1.
+first in even ones, so drift in the host's speed falls on both sides.  Both
+checkouts are first copied the same way, source files only (no ``.git``,
+caches or benchmark work directories), into one temporary directory, and
+each side times its copy's sources with its copy's benchmark: neither side
+runs from a tree that earlier builds and runs have left files in.  A run
+whose last stdout line does not say ``"correct": true`` stops the script
+with exit 1.
 
 It prints each pair, then, per end-to-end metric of ``BENCHMARK.json``,
 each side's median and quartiles (``statistics.quantiles`` with n=4, as
@@ -25,13 +28,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# what building, testing and benchmarking leave in a checkout, and git's own files
+NOT_SOURCE = (".git", "__pycache__", "*.pyc", ".pytest_cache", ".bench_work", ".bench_build",
+              ".benchmarks")
 
 
 class RunRefused(Exception):
@@ -124,6 +132,12 @@ def source_digest(checkout: Path) -> str:
     return digest.hexdigest()
 
 
+def copy_sources(checkout: Path, dest: Path) -> Path:
+    """Copy ``checkout``'s files to the new directory ``dest``, leaving out ``NOT_SOURCE``."""
+    shutil.copytree(checkout, dest, ignore=shutil.ignore_patterns(*NOT_SOURCE), symlinks=True)
+    return dest
+
+
 def run_bench(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
     command = [sys.executable, str(checkout / "bench" / "run.py"), "--workload", workload,
                "--seconds", str(seconds), "--trace", str(trace)]
@@ -149,7 +163,9 @@ def main(argv: list[str] | None = None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds, end_to_end = bench["run_seconds"], bench["end_to_end"]
     names = [metric["name"] for metric in end_to_end]
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    copies = tempfile.TemporaryDirectory(prefix="bench-pairs-")
+    checkouts = {side: copy_sources(getattr(args, side).resolve(), Path(copies.name) / side)
+                 for side in SIDES}
     record = {
         "command": "python3 <checkout>/bench/run.py --workload W "
                    f"--seconds {seconds:g} --trace 0",
@@ -177,6 +193,8 @@ def main(argv: list[str] | None = None) -> int:
     except RunRefused as err:
         print(f"bench_pairs: {err}", file=sys.stderr)
         return 1
+    finally:
+        copies.cleanup()
     if args.out:
         args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
